@@ -127,6 +127,9 @@ def solve_mckp(instance: MckpInstance) -> MckpSolution:
     pruned = [(lid, _prune_dominated(cands)) for lid, cands in layers]
     n = len(pruned)
     budget = float(instance.budget)
+    if math.isnan(budget):
+        # A nan budget fails every comparison, so the search would never prune.
+        raise ParameterError("budget must not be nan")
 
     min_cost = sum(c[0].cost for _, c in pruned)
     if min_cost > budget:
@@ -328,6 +331,13 @@ class BitWidthConfig:
         )
 
 
+def check_delta_avg_bits(value) -> float:
+    """The width of the budget sweep below the target, in average bits: finite and >= 0."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value) or value < 0:
+        raise ParameterError(f"delta_avg_bits must be a finite number >= 0, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class AllocOptions:
     bit_widths: tuple[int, ...] = BIT_WIDTHS
@@ -339,6 +349,9 @@ class AllocOptions:
     proxy_seed: int = 12021
     bos_aware: bool = False
     sqnr_cap_db: float = metrics.DEFAULT_SQNR_CAP_DB
+
+    def __post_init__(self):
+        check_delta_avg_bits(self.delta_avg_bits)
 
 
 @dataclass
@@ -392,9 +405,9 @@ def _greedy_fill(choices, spend, budget, elems, bits_grid, score_fn) -> int:
 
 def proxy_score(model, config, inputs, refs, *, bos_aware=False, act_ranges=None, cap_db=metrics.DEFAULT_SQNR_CAP_DB) -> float:
     """Mean output SQNR of the configured model over a small input set."""
+    outs = toy_model.forward_inputs(model, inputs, config=config, bos_aware=bos_aware, act_ranges=act_ranges)
     total = 0.0
-    for (latent, emb, t), ref in zip(inputs, refs):
-        out = toy_model.forward(model, latent, emb, t, config=config, bos_aware=bos_aware, act_ranges=act_ranges)
+    for ref, out in zip(refs, outs):
         total += metrics.sqnr_db(ref, out, cap_db=cap_db).value
     return total / len(refs)
 

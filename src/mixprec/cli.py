@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -89,14 +90,25 @@ def _fraction(text: str) -> float:
     return value
 
 
+def _delta_bits(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("delta bits must be a number")
+    try:
+        return allocator.check_delta_avg_bits(value)
+    except ParameterError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
 def _ratio_grid(text: str) -> tuple[float, ...]:
     try:
         lo, hi, n = text.split(":")
         lo, hi, n = float(lo), float(hi), int(n)
     except ValueError:
         raise argparse.ArgumentTypeError("ratio grid must look like LO:HI:N")
-    if n < 1 or lo <= 0 or hi < lo:
-        raise argparse.ArgumentTypeError("ratio grid needs 0 < LO <= HI and N >= 1")
+    if n < 1 or not (math.isfinite(lo) and math.isfinite(hi)) or lo <= 0 or hi < lo:
+        raise argparse.ArgumentTypeError("ratio grid needs finite 0 < LO <= HI and N >= 1")
     if n == 1:
         return (lo,)
     step = (hi - lo) / (n - 1)
@@ -151,7 +163,6 @@ def run_gen_model(args) -> int:
         "eval_inputs": args.eval_inputs,
         "n_budgets": args.n_budgets,
         "delta_avg_bits": args.delta_bits,
-        "jobs": args.jobs,
     }
     data = mf.default_manifest(params, seeds)
     toy_model.save_model(model, out_dir / data["model"]["json"], out_dir / data["model"]["weights_dir"])
@@ -184,15 +195,12 @@ def run_sensitivity(args) -> int:
     n_inputs = args.inputs if args.inputs is not None else params["inputs"]
     bits = args.bits if args.bits is not None else params["bits"]
     bos_aware = params["bos_aware"] if args.bos_aware is None else args.bos_aware
-    jobs = args.jobs if args.jobs is not None else params.get("jobs", 1)
 
     inputs = toy_model.make_input_set(data["seeds"]["calibration"], n_inputs, model)
     kinds = [WEIGHT, ACTIVATION] if args.kind == "both" else [args.kind]
     written = []
     for kind in kinds:
-        table = sensitivity.analyze(
-            model, inputs, bit_widths=bits, tensor_kind=kind, bos_aware=bos_aware, jobs=jobs
-        )
+        table = sensitivity.analyze(model, inputs, bit_widths=bits, tensor_kind=kind, bos_aware=bos_aware)
         table.validate_complete(model.layer_order, bits, kind)
         rel = data["artifacts"][f"sensitivity_{kind}"]
         with open(root / rel, "w") as f:
@@ -328,11 +336,11 @@ def run_evaluate(args) -> int:
         act_ranges = toy_model.calibrate_activations(model, calib_inputs, bos_aware=bos_aware)
 
     refs = sensitivity.fp_references(model, eval_inputs, bos_aware=bos_aware)
+    outs = toy_model.forward_inputs(
+        model, eval_inputs, config=bw.config, bos_aware=bos_aware, act_ranges=act_ranges
+    )
     rows = []
-    for i, ((latent, emb, t), ref) in enumerate(zip(eval_inputs, refs)):
-        out = toy_model.forward(
-            model, latent, emb, t, config=bw.config, bos_aware=bos_aware, act_ranges=act_ranges
-        )
+    for i, (ref, out) in enumerate(zip(refs, outs)):
         rng = float(ref.max() - ref.min())
         w = metrics.SsimWeights.for_data_range(rng if rng > 0 else 1.0)
         rows.append(
@@ -399,7 +407,7 @@ def run_pipeline(args) -> int:
             return rc
         args.manifest = str(Path(args.out_dir) / "manifest.json")
     ns = argparse.Namespace(
-        manifest=args.manifest, kind="both", inputs=None, bits=None, bos_aware=None, jobs=None
+        manifest=args.manifest, kind="both", inputs=None, bits=None, bos_aware=None
     )
     rc = run_sensitivity(ns)
     if rc:
@@ -446,11 +454,10 @@ def _add_gen_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--proxy-inputs", type=_int_at_least(1, "--proxy-inputs"), default=8)
     p.add_argument("--eval-inputs", type=_int_at_least(1, "--eval-inputs"), default=16)
     p.add_argument("--n-budgets", type=_int_at_least(1, "--n-budgets"), default=5)
-    p.add_argument("--delta-bits", type=float, default=0.25)
+    p.add_argument("--delta-bits", type=_delta_bits, default=0.25)
     p.add_argument("--calib-seed", type=int, default=None)
     p.add_argument("--proxy-seed", type=int, default=None)
     p.add_argument("--eval-seed", type=int, default=None)
-    p.add_argument("--jobs", type=_int_at_least(1, "--jobs"), default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -467,7 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inputs", type=_int_at_least(1, "--inputs"), default=None)
     p.add_argument("--bits", type=_bits_list, default=None)
     p.add_argument("--bos-aware", action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--jobs", type=_int_at_least(1, "--jobs"), default=None)
     p.set_defaults(func=run_sensitivity)
 
     p = sub.add_parser("allocate", help="bit-width allocation under a budget")
@@ -478,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--retain-fp", type=_fraction, default=None,
                    help="fraction of most-sensitive activation layers kept at FP16")
     p.add_argument("--n-budgets", type=_int_at_least(1, "--n-budgets"), default=None)
-    p.add_argument("--delta-bits", type=float, default=None)
+    p.add_argument("--delta-bits", type=_delta_bits, default=None)
     p.add_argument("--ratio-grid", type=_ratio_grid, default=None, metavar="LO:HI:N")
     p.add_argument("--act-ratio-grid", type=_ratio_grid, default=None, metavar="LO:HI:N")
     p.set_defaults(func=run_allocate)

@@ -96,7 +96,8 @@ def params_from_minmax(
     The range is first widened to include zero (an integer code must land on
     exact zero, and a one-sided grid would otherwise clamp the whole slice),
     then s = (hi - lo) / (2^b - 1) and z = round(-lo / s). A degenerate slice
-    (max == min) maps to s=1, z=0 by convention.
+    (max == min, or a range whose step s underflows to 0 or overflows to inf)
+    maps to s=1, z=0 by convention.
     """
     if bit_width not in BIT_WIDTHS:
         raise ParameterError(f"bit_width must be one of {BIT_WIDTHS}, got {bit_width}")
@@ -108,7 +109,11 @@ def params_from_minmax(
     degenerate = hi == lo
     lo = np.minimum(lo, 0.0)
     hi = np.maximum(hi, 0.0)
-    scales = np.where(degenerate, 1.0, (hi - lo) / qmax)
+    with np.errstate(over="ignore"):
+        scales = (hi - lo) / qmax
+    # A step that underflows to 0 or overflows to inf cannot carry a grid either.
+    degenerate = degenerate | ~(np.isfinite(scales) & (scales > 0))
+    scales = np.where(degenerate, 1.0, scales)
     zeros = np.where(degenerate, 0.0, np.clip(round_half_away(-lo / scales), 0, qmax))
     return QuantParams(
         bit_width=bit_width,
@@ -186,13 +191,16 @@ def quant_params_from_json_dict(d: dict) -> tuple[str, str, QuantParams]:
 
 
 def split_bos(embedding: Tensor) -> BosSplit:
-    """Separate the first token row from a (tokens x channels) embedding, losslessly."""
+    """Separate the first token row from a (tokens x channels) embedding, or from
+    each embedding of a (B, tokens, channels) batch, losslessly."""
     embedding = np.asarray(embedding, dtype=np.float64)
-    if embedding.ndim != 2:
-        raise ShapeError(f"embedding must be 2-D (tokens x channels), got shape {embedding.shape}")
-    if embedding.shape[0] < 2:
+    if embedding.ndim not in (2, 3):
+        raise ShapeError(
+            f"embedding must be (tokens x channels) or a batch of them, got shape {embedding.shape}"
+        )
+    if embedding.shape[-2] < 2:
         raise InputError("embedding must have at least 2 token rows")
-    return BosSplit(bos_feature=embedding[:1].copy(), rest=embedding[1:].copy())
+    return BosSplit(bos_feature=embedding[..., :1, :].copy(), rest=embedding[..., 1:, :].copy())
 
 
 def bos_cache_entry(embedding: Tensor, weight: Tensor) -> Tensor:
@@ -203,18 +211,20 @@ def bos_cache_entry(embedding: Tensor, weight: Tensor) -> Tensor:
 def _warn_if_params_cover_outlier(split: BosSplit, a_params: QuantParams) -> None:
     # A grid calibrated on the non-outlier rows cannot reach the outlier; if it
     # does, the caller almost certainly calibrated with the first row included.
+    # Checked per embedding of a batch.
     if a_params.granularity != PER_TENSOR:
         return
     s = float(a_params.scales)
     z = int(a_params.zero_points)
     repr_lo = (0 - z) * s - s / 2
     repr_hi = (a_params.qmax - z) * s + s / 2
-    bos_lo, bos_hi = float(split.bos_feature.min()), float(split.bos_feature.max())
-    rest_abs = float(np.abs(split.rest).max())
-    bos_abs = max(abs(bos_lo), abs(bos_hi))
+    bos_lo = split.bos_feature.min(axis=(-2, -1))
+    bos_hi = split.bos_feature.max(axis=(-2, -1))
+    rest_abs = np.abs(split.rest).max(axis=(-2, -1))
+    bos_abs = np.maximum(np.abs(bos_lo), np.abs(bos_hi))
     is_outlier = bos_abs > 2.0 * rest_abs
-    covered = repr_lo <= bos_lo and bos_hi <= repr_hi
-    if is_outlier and covered:
+    covered = (repr_lo <= bos_lo) & (bos_hi <= repr_hi)
+    if np.any(is_outlier & covered):
         warnings.warn(
             "activation params cover the first-token outlier; calibrate on the non-outlier rows only",
             CalibrationMismatchWarning,
@@ -234,7 +244,8 @@ def bos_aware_linear(
     Row 0 of the output is the full-precision product for the first token
     (``bos_output`` if a precomputed cache row is supplied); the remaining
     rows go through fake-quantized activation and weight. ``None`` params
-    leave that operand unquantized.
+    leave that operand unquantized. A (B, tokens, channels) batch of
+    embeddings takes a (B, 1, out) ``bos_output`` and gives (B, tokens, out).
     """
     weight = np.asarray(weight, dtype=np.float64)
     split = split_bos(embedding)
@@ -244,4 +255,4 @@ def bos_aware_linear(
     w = weight if w_params is None else fake_quant(weight, w_params)
     if bos_output is None:
         bos_output = split.bos_feature @ weight.T
-    return np.concatenate([bos_output, rest @ w.T], axis=0)
+    return np.concatenate([bos_output, rest @ w.T], axis=-2)

@@ -5,14 +5,15 @@ bit-width, runs the network forward, and compares the output against the
 full-precision reference. Content-group layers (cross-attention and
 feed-forward) are scored with SSIM; quality-group layers (everything else)
 with SQNR in dB. Scores are averaged over the input set. Full-precision
-reference outputs are computed once and reused across all probes.
+reference outputs are computed once and reused across all probes. Each probe
+runs its inputs through the network in stacked chunks of
+``toy_model.FORWARD_CHUNK`` and scores them one by one, in input order.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -87,10 +88,7 @@ def fp_references(
     model: toy_model.ToyModel, inputs, bos_aware: bool = False
 ) -> list[Tensor]:
     """Full-precision outputs for every input, computed once per analysis."""
-    return [
-        toy_model.forward(model, latent, emb, t, config=None, bos_aware=bos_aware)
-        for latent, emb, t in inputs
-    ]
+    return toy_model.forward_inputs(model, inputs, bos_aware=bos_aware)
 
 
 def probe_layer(
@@ -113,12 +111,10 @@ def probe_layer(
         cfg.act_bits[layer_id] = bit_width
     else:
         raise ParameterError(f"tensor_kind must be one of {TENSOR_KINDS}")
+    outs = toy_model.forward_inputs(model, inputs, config=cfg, bos_aware=bos_aware, act_ranges=act_ranges)
     ssim_sum = 0.0
     sqnr_sum = 0.0
-    for (latent, emb, t), ref in zip(inputs, refs):
-        out = toy_model.forward(
-            model, latent, emb, t, config=cfg, bos_aware=bos_aware, act_ranges=act_ranges
-        )
+    for ref, out in zip(refs, outs):
         data_range = float(ref.max() - ref.min())
         weights = metrics.SsimWeights.for_data_range(data_range if data_range > 0 else 1.0)
         ssim_sum += metrics.ssim(ref, out, weights).value
@@ -135,7 +131,6 @@ def analyze(
     bos_aware: bool = False,
     *,
     act_ranges=None,
-    jobs: int = 1,
 ) -> SensitivityTable:
     """Score every (layer, bit_width) pair for one tensor kind."""
     if not inputs:
@@ -162,12 +157,7 @@ def analyze(
             return SensitivityEntry(lid, tensor_kind, b, ssim_score, metrics.SSIM, len(refs))
         return SensitivityEntry(lid, tensor_kind, b, sqnr_score, metrics.SQNR_DB, len(refs))
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            entries = list(pool.map(run_one, tasks))
-    else:
-        entries = [run_one(t) for t in tasks]
-    return SensitivityTable(entries)
+    return SensitivityTable([run_one(t) for t in tasks])
 
 
 def rank_long_tail(table: SensitivityTable) -> list[tuple[str, float]]:

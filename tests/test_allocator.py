@@ -351,3 +351,21 @@ def test_random_config_feasible_and_deterministic(model):
     elems = {lid: model.layers[lid].param_count for lid in model.layer_order}
     cost = sum(b * elems[lid] for lid, b in a.weight_bits.items())
     assert cost <= 4.0 * sum(elems.values())
+
+
+@pytest.mark.parametrize("delta", [float("nan"), float("inf"), -0.25, "0.25", True])
+def test_alloc_options_reject_bad_delta(delta):
+    with pytest.raises(ParameterError):
+        al.AllocOptions(delta_avg_bits=delta)
+
+
+def test_alloc_options_accept_zero_delta():
+    assert al.AllocOptions(delta_avg_bits=0).delta_avg_bits == 0
+
+
+def test_mckp_rejects_nan_budget():
+    inst = make_instance([3, 5], [(0.1, 0.5, 0.9), (0.2, 0.4, 0.8)], float("nan"))
+    with pytest.raises(ParameterError):
+        al.solve_mckp(inst)
+    inst = make_instance([3, 5], [(0.1, 0.5, 0.9), (0.2, 0.4, 0.8)], float("inf"))
+    assert al.solve_mckp(inst).choices == {"layer00": 8, "layer01": 8}

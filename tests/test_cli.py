@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import shutil
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -89,11 +93,69 @@ def test_sensitivity_rerun_identical(pipeline_dir):
     assert sha256_file(pipeline_dir / "sensitivity_weight.jsonl") == before
 
 
-def test_sensitivity_jobs_flag_keeps_output_identical(pipeline_dir):
-    before = sha256_file(pipeline_dir / "sensitivity_weight.jsonl")
-    assert run(["sensitivity", "--manifest", str(pipeline_dir / "manifest.json"),
-                "--kind", "weight", "--jobs", "4"]) == 0
-    assert sha256_file(pipeline_dir / "sensitivity_weight.jsonl") == before
+def test_jobs_flag_is_gone(pipeline_dir):
+    for argv in (["sensitivity", "--manifest", str(pipeline_dir / "manifest.json"), "--jobs", "4"],
+                 ["gen-model", "--out-dir", str(pipeline_dir / "unused"), "--jobs", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+
+
+def test_manifest_with_jobs_param_still_loads(pipeline_dir, tmp_path):
+    # manifests written before --jobs was removed carry params.jobs; it is ignored
+    copy = tmp_path / "run"
+    shutil.copytree(pipeline_dir, copy)
+    manifest = json.loads((copy / "manifest.json").read_text())
+    manifest["params"]["jobs"] = 4
+    (copy / "manifest.json").write_text(json.dumps(manifest))
+    assert run(["sensitivity", "--manifest", str(copy / "manifest.json"), "--kind", "weight"]) == 0
+    assert sha256_file(copy / "sensitivity_weight.jsonl") == sha256_file(pipeline_dir / "sensitivity_weight.jsonl")
+
+
+def run_subprocess(argv, timeout=60):
+    """The CLI in a fresh interpreter, killed after ``timeout`` seconds so a hang fails the test."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    return subprocess.run([sys.executable, "-m", "mixprec.cli", *argv], env=env, capture_output=True,
+                          text=True, timeout=timeout)
+
+
+def test_allocate_delta_bits_nan_exits_2_without_hanging(pipeline_dir):
+    # used to loop forever in the budget sweep
+    proc = run_subprocess(["allocate", "--manifest", str(pipeline_dir / "manifest.json"), "--delta-bits", "nan"])
+    assert proc.returncode == 2
+    assert "delta" in proc.stderr
+
+
+def test_negative_delta_bits_exits_2(pipeline_dir, tmp_path):
+    # used to succeed with an allocation above the average-bit targets
+    proc = run_subprocess(["allocate", "--manifest", str(pipeline_dir / "manifest.json"), "--delta-bits", "-1"])
+    assert proc.returncode == 2
+    for argv in (["gen-model", "--out-dir", str(tmp_path / "g")], ["pipeline", "--out-dir", str(tmp_path / "p")],
+                 ["allocate", "--manifest", str(pipeline_dir / "manifest.json")]):
+        for bad in ("-1", "-0.5", "inf", "-inf", "nan", "abc"):
+            with pytest.raises(SystemExit) as exc:
+                run([*argv, "--delta-bits", bad])
+            assert exc.value.code == 2
+    assert not (tmp_path / "g").exists() and not (tmp_path / "p").exists()
+
+
+def test_nonfinite_ratio_grid_exits_2_without_hanging(pipeline_dir):
+    # nan and inf ratios used to give nan budgets that the knapsack search never pruned
+    for grid in ("nan:1:3", "1:inf:3"):
+        proc = run_subprocess(["allocate", "--manifest", str(pipeline_dir / "manifest.json"), "--ratio-grid", grid])
+        assert proc.returncode == 2
+        assert "ratio grid" in proc.stderr
+
+
+def test_manifest_delta_bits_nan_exits_3(pipeline_dir, tmp_path):
+    copy = tmp_path / "run"
+    shutil.copytree(pipeline_dir, copy)
+    manifest = json.loads((copy / "manifest.json").read_text())
+    manifest["params"]["delta_avg_bits"] = float("nan")
+    (copy / "manifest.json").write_text(json.dumps(manifest))
+    proc = run_subprocess(["allocate", "--manifest", str(copy / "manifest.json")])
+    assert proc.returncode == 3
+    assert "delta_avg_bits" in proc.stderr
 
 
 def test_allocate_outputs(pipeline_dir):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mixprec import quantizer as q
@@ -71,6 +71,7 @@ def test_roundtrip_error_per_channel(bits):
 
 
 @given(st.lists(st.floats(-100, 100), min_size=2, max_size=50), st.sampled_from([2, 4, 8]))
+@example([0.0, 5e-324], 2)
 @settings(max_examples=200)
 def test_monotone_codes(values, bits):
     x = np.array(values)
@@ -78,6 +79,20 @@ def test_monotone_codes(values, bits):
     codes = q.quantize(x, p).codes
     order = np.argsort(x, kind="stable")
     assert np.all(np.diff(codes[order]) >= 0)
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 5e-324), (-5e-324, 0.0), (-1e308, 1e308)])
+def test_unrepresentable_step_is_degenerate(lo, hi):
+    # the step (hi - lo) / qmax underflows to 0 or overflows to inf
+    p = q.params_from_minmax(lo, hi, 8)
+    assert float(p.scales) == 1.0
+    assert int(p.zero_points) == 0
+
+
+def test_per_channel_unrepresentable_step_only_hits_its_channel():
+    p = q.params_from_minmax(np.array([0.0, -1.0]), np.array([5e-324, 2.0]), 2, q.PER_CHANNEL, 0)
+    assert p.scales.tolist() == [1.0, 1.0]
+    assert p.zero_points.tolist() == [0, 1]
 
 
 def test_per_channel_mse_not_worse_on_gaussian_weights():
@@ -118,6 +133,25 @@ def test_split_bos_needs_two_tokens():
         q.split_bos(np.zeros((1, 8)))
     with pytest.raises(ShapeError):
         q.split_bos(np.zeros(8))
+
+
+def test_split_bos_batch():
+    embs = np.stack([synth_text_embedding(s, tokens=8, channels=16) for s in (1, 2, 3)])
+    split = q.split_bos(embs)
+    assert split.bos_feature.shape == (3, 1, 16)
+    assert split.rest.shape == (3, 7, 16)
+    with pytest.raises(ShapeError):
+        q.split_bos(np.zeros((2, 2, 2, 2)))
+
+
+def test_bos_aware_linear_batch_matches_per_embedding():
+    embs = np.stack([synth_text_embedding(s, tokens=8, channels=16) for s in (1, 2, 3)])
+    w = tc.random_normal([12, 16], 0.0, 0.25, seed=21)
+    a_params = q.calibrate_minmax(embs[:, 1:], 8)
+    bos = np.stack([q.bos_cache_entry(e, w) for e in embs])
+    batched = q.bos_aware_linear(embs, w, a_params=a_params, bos_output=bos)
+    for e, out in zip(embs, batched):
+        assert np.array_equal(out, q.bos_aware_linear(e, w, a_params=a_params))
 
 
 def test_split_bos_outlier_ratio_on_synthetic_embedding():
@@ -202,6 +236,8 @@ def test_calibration_mismatch_warning():
     bad_params = q.calibrate_minmax(emb, 8)  # includes the outlier row
     with pytest.warns(CalibrationMismatchWarning):
         q.bos_aware_linear(emb, w, a_params=bad_params)
+    with pytest.warns(CalibrationMismatchWarning):  # any embedding of a batch warns
+        q.bos_aware_linear(np.stack([emb, np.zeros_like(emb)]), w, a_params=bad_params)
     good_params = q.calibrate_minmax(emb[1:], 8)
     import warnings
 

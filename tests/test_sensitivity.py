@@ -59,10 +59,26 @@ def test_analyze_deterministic_rerun(model, small_inputs):
     assert a.entries == b.entries
 
 
-def test_analyze_parallel_matches_serial(model, small_inputs):
-    a = sv.analyze(model, small_inputs, bit_widths=(4, 8), tensor_kind="weight", jobs=1)
-    b = sv.analyze(model, small_inputs, bit_widths=(4, 8), tensor_kind="weight", jobs=4)
-    assert a.entries == b.entries
+def test_probe_layer_matches_single_input_forwards(model, small_inputs):
+    # every layer and both tensor kinds at 4 bits, over two chunks (8 + 3 inputs)
+    inputs = small_inputs + small_inputs[:3]
+    refs = sv.fp_references(model, inputs, bos_aware=True)
+    ranges = tm.calibrate_activations(model, inputs, bos_aware=True)
+    for ref, inp in zip(refs, inputs):
+        np.testing.assert_allclose(ref, tm.forward(model, *inp, bos_aware=True), rtol=1e-12, atol=1e-12)
+    for kind in sv.TENSOR_KINDS:
+        for lid in model.layer_order:
+            cfg = tm.QuantConfig.all_fp(model.layer_order)
+            (cfg.weight_bits if kind == sv.WEIGHT else cfg.act_bits)[lid] = 4
+            ssim_sum = sqnr_sum = 0.0
+            for ref, inp in zip(refs, inputs):
+                out = tm.forward(model, *inp, config=cfg, bos_aware=True, act_ranges=ranges)
+                rng = float(ref.max() - ref.min())
+                ssim_sum += metrics.ssim(ref, out, metrics.SsimWeights.for_data_range(rng)).value
+                sqnr_sum += metrics.sqnr_db(ref, out).value
+            got = sv.probe_layer(model, inputs, refs, lid, kind, 4, bos_aware=True, act_ranges=ranges)
+            want = (ssim_sum / len(inputs), sqnr_sum / len(inputs))
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12), (kind, lid)
 
 
 def test_fp_reference_reuse_identical(model, small_inputs):

@@ -126,6 +126,92 @@ def test_forward_act_quant_requires_calibration(model, small_inputs):
         tm.forward(model, latent, emb, t, config=cfg)
 
 
+@pytest.mark.parametrize("bos", [False, True])
+@pytest.mark.parametrize(
+    "probe",
+    [None, ("weight", "enc0.conv_in"), ("weight", "mid.cross.to_k"),
+     ("activation", "dec0.fuse"), ("activation", "mid.cross.to_v"), ("activation", "time.fc1")],
+)
+def test_forward_batch_matches_single_inputs(model, small_inputs, probe, bos):
+    inputs = small_inputs[:5]
+    ranges = tm.calibrate_activations(model, inputs, bos_aware=bos)
+    cfg = tm.QuantConfig.all_fp(model.layer_order)
+    if probe is not None:
+        kind, lid = probe
+        (cfg.weight_bits if kind == "weight" else cfg.act_bits)[lid] = 4
+    singles = np.stack([tm.forward(model, *inp, config=cfg, bos_aware=bos, act_ranges=ranges) for inp in inputs])
+    batched = tm.forward(model, *tm.stack_inputs(inputs), config=cfg, bos_aware=bos, act_ranges=ranges)
+    assert batched.shape == singles.shape
+    np.testing.assert_allclose(batched, singles, rtol=1e-12, atol=1e-12)
+
+
+def test_forward_batch_broadcasts_scalar_timestep(model, small_inputs):
+    latents, embeddings, _ = tm.stack_inputs(small_inputs[:3])
+    batched = tm.forward(model, latents, embeddings, 0.25)
+    for i in range(3):
+        single = tm.forward(model, latents[i], embeddings[i], 0.25)
+        np.testing.assert_allclose(batched[i], single, rtol=1e-12, atol=1e-12)
+
+
+def test_forward_batch_rejects_mismatched_shapes(model, small_inputs):
+    latents, embeddings, times = tm.stack_inputs(small_inputs[:3])
+    with pytest.raises(ShapeError):
+        tm.forward(model, latents[:2], embeddings, times[:2])
+    with pytest.raises(ShapeError):
+        tm.forward(model, latents, embeddings, times[:2])
+    with pytest.raises(ShapeError):
+        tm.forward(model, latents[0], embeddings, times[0])
+    with pytest.raises(ShapeError):
+        tm.stack_inputs([small_inputs[0], (np.zeros((4, 8, 8)), *small_inputs[1][1:])])
+
+
+def test_forward_inputs_chunks_in_input_order(model, small_inputs):
+    inputs = small_inputs + small_inputs[:3]  # 11 inputs: one full chunk and a partial one
+    assert [len(c[0]) for c in tm.input_chunks(inputs)] == [tm.FORWARD_CHUNK, len(inputs) - tm.FORWARD_CHUNK]
+    outs = tm.forward_inputs(model, inputs, bos_aware=True)
+    assert len(outs) == len(inputs)
+    for inp, out in zip(inputs, outs):
+        np.testing.assert_allclose(out, tm.forward(model, *inp, bos_aware=True), rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("bos", [False, True])
+def test_calibrate_activations_batched_equals_per_input(model, small_inputs, bos):
+    inputs = small_inputs + small_inputs[:3]
+    batched = tm.calibrate_activations(model, inputs, bos_aware=bos)
+    merged = {}
+    for inp in inputs:
+        for lid, r in tm.calibrate_activations(model, [inp], bos_aware=bos).items():
+            prev = merged.get(lid, r)
+            merged[lid] = tm.ActRange(
+                kind=r.kind,
+                lo=tuple(min(a, b) for a, b in zip(prev.lo, r.lo)),
+                hi=tuple(max(a, b) for a, b in zip(prev.hi, r.hi)),
+                split=r.split,
+            )
+    assert batched == merged
+
+
+def test_trace_counts_are_per_input(model, small_inputs):
+    single, batch = {}, {}
+    tm.forward(model, *small_inputs[0], bos_aware=True, trace=single)
+    tm.forward(model, *tm.stack_inputs(small_inputs[:4]), bos_aware=True, trace=batch)
+    assert batch == single
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_conv3x3_matches_direct_sum(stride):
+    rng = np.random.Generator(np.random.Philox(5))
+    x = rng.normal(size=(2, 3, 6, 6))
+    w = rng.normal(size=(4, 3, 3, 3))
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    want = np.zeros((2, 4, 6 // stride, 6 // stride))
+    for oy in range(want.shape[2]):
+        for ox in range(want.shape[3]):
+            patch = xp[:, :, oy * stride:oy * stride + 3, ox * stride:ox * stride + 3]
+            want[:, :, oy, ox] = np.einsum("bcij,ocij->bo", patch, w)
+    np.testing.assert_allclose(tm._conv3x3(x, w, stride), want, rtol=1e-12, atol=1e-12)
+
+
 def test_weight_bits_sqnr_trend(model, small_inputs):
     refs = [tm.forward(model, *inp) for inp in small_inputs]
 
