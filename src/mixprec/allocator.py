@@ -2,9 +2,8 @@
 
 Each layer picks exactly one candidate bit-width; the chosen bits maximize
 the summed sensitivity scores subject to a total bit budget. The solver is
-an exact depth-first branch-and-bound with a linear-relaxation bound over
-dominance-pruned candidates; a dynamic program over gcd-scaled cost units
-serves as an independent cross-check.
+an exact dynamic program over gcd-scaled integer cost units with a
+traceback; its table is capped at ``MAX_DP_CELLS`` cells.
 
 The top-level sweep mirrors the deployment flow: scan a handful of budgets
 just below the target, split each between the content and quality layer
@@ -18,6 +17,7 @@ computes at FP16.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -30,6 +30,10 @@ from .sensitivity import ACTIVATION, WEIGHT, SensitivityTable, fp_references, ra
 from .tensor_core import make_rng
 
 FP_BITS = 16
+
+# The knapsack table holds (layers + 1) x (capacity + 1) float64 cells: at most
+# 128 MiB. The default model's largest group solve needs 87k cells.
+MAX_DP_CELLS = 1 << 24
 
 DEFAULT_RATIO_GRID_WEIGHT = tuple(float(x) for x in np.linspace(0.45, 1.36, 8))
 DEFAULT_RATIO_GRID_ACT = tuple(float(x) for x in np.linspace(0.94, 1.09, 8))
@@ -49,40 +53,14 @@ class MckpInstance:
     layers: list[tuple[str, tuple[MckpCandidate, ...]]]
     budget: float
 
-    def min_cost(self) -> int:
-        return sum(min(c.cost for c in cands) for _, cands in self.layers)
-
     def validate(self) -> None:
         for lid, cands in self.layers:
             if not cands:
                 raise ParameterError(f"layer {lid} has no candidates")
+            if any(isinstance(c.cost, bool) or not isinstance(c.cost, numbers.Integral) for c in cands):
+                raise ParameterError(f"layer {lid} has a non-integer candidate cost")
             if any(c.cost <= 0 for c in cands):
                 raise ParameterError(f"layer {lid} has a non-positive candidate cost")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "budget": self.budget,
-            "layers": [
-                {
-                    "id": lid,
-                    "candidates": [
-                        {"bits": c.bits, "score": c.score, "cost": c.cost} for c in cands
-                    ],
-                }
-                for lid, cands in self.layers
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "MckpInstance":
-        layers = [
-            (
-                row["id"],
-                tuple(MckpCandidate(c["bits"], c["score"], c["cost"]) for c in row["candidates"]),
-            )
-            for row in d["layers"]
-        ]
-        return cls(layers=layers, budget=d["budget"])
 
 
 @dataclass(frozen=True)
@@ -92,138 +70,69 @@ class MckpSolution:
     cost: int
 
 
-def _prune_dominated(cands) -> list[MckpCandidate]:
-    srt = sorted(cands, key=lambda c: (c.cost, -c.score, c.bits))
-    keep: list[MckpCandidate] = []
-    for c in srt:
-        if keep and c.score <= keep[-1].score:
-            continue
-        keep.append(c)
-    return keep
-
-
-def _upper_hull(cands: list[MckpCandidate]) -> list[MckpCandidate]:
-    hull = [cands[0]]
-    for c in cands[1:]:
-        while len(hull) >= 2:
-            s_prev = (hull[-1].score - hull[-2].score) / (hull[-1].cost - hull[-2].cost)
-            s_new = (c.score - hull[-1].score) / (c.cost - hull[-1].cost)
-            if s_new >= s_prev:
-                hull.pop()
-            else:
-                break
-        hull.append(c)
-    return hull
-
-
 def solve_mckp(instance: MckpInstance) -> MckpSolution:
     """Exact optimum: one candidate per layer, total cost within budget.
 
+    ``value[i, w]`` is the best score of layers ``0..i-1`` (in layer-id order)
+    at total cost exactly ``w * g``, where ``g`` is the gcd of all costs. Scores
+    are summed in layer order from 0.0, and float addition is monotone, so each
+    state holds exactly the best prefix-order float sum over its assignments.
     Ties on the objective break toward lower total cost, then toward the
-    lexicographically smallest bits vector in layer-id order.
+    lexicographically smallest vector of candidates (cheapest first) among the
+    assignments whose every prefix is optimal for its cost: the traceback marks
+    the states that reach the chosen end state, then walks forward taking the
+    cheapest candidate that stays on a marked state.
     """
     instance.validate()
-    layers = sorted(instance.layers, key=lambda p: p[0])
-    pruned = [(lid, _prune_dominated(cands)) for lid, cands in layers]
-    n = len(pruned)
     budget = float(instance.budget)
     if math.isnan(budget):
-        # A nan budget fails every comparison, so the search would never prune.
         raise ParameterError("budget must not be nan")
-
-    min_cost = sum(c[0].cost for _, c in pruned)
+    layers = sorted(instance.layers, key=lambda p: p[0])
+    cands = [sorted(cs, key=lambda c: (c.cost, -c.score, c.bits)) for _, cs in layers]
+    min_cost = sum(cs[0].cost for cs in cands)
     if min_cost > budget:
         raise InfeasibleBudgetError(
             f"budget {budget:g} below the minimum achievable cost {min_cost}",
             min_achievable_bits=None,
         )
+    g = math.gcd(*(c.cost for cs in cands for c in cs)) or 1
+    # An infinite budget solves as unconstrained: no state lies above the all-max cost.
+    cap = int(min(sum(cs[-1].cost for cs in cands), budget)) // g
+    n = len(cands)
+    if (n + 1) * (cap + 1) > MAX_DP_CELLS:
+        raise ParameterError(
+            f"knapsack table of {n + 1} x {cap + 1} cells exceeds the limit of {MAX_DP_CELLS}; "
+            "use fewer layers or coarser costs"
+        )
 
-    # Suffix sums of the cheapest choice, plus LP-bound increments per suffix.
-    base_cost = [0] * (n + 1)
-    base_score = [0.0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        cheapest = pruned[i][1][0]
-        base_cost[i] = base_cost[i + 1] + cheapest.cost
-        base_score[i] = base_score[i + 1] + cheapest.score
-
-    increments = []  # (efficiency, d_cost, d_score, layer_index)
-    for i, (_, cands) in enumerate(pruned):
-        hull = _upper_hull(cands)
-        for a, b in zip(hull, hull[1:]):
-            dc, ds = b.cost - a.cost, b.score - a.score
-            increments.append((ds / dc, dc, ds, i))
-    increments.sort(key=lambda t: (-t[0], t[3], t[1]))
-
-    def bound(i: int, cost: float, score: float) -> float:
-        cap = budget - cost - base_cost[i]
-        if cap < 0:
-            return -math.inf
-        b = score + base_score[i]
-        for eff, dc, ds, j in increments:
-            if j < i:
-                continue
-            if dc <= cap:
-                cap -= dc
-                b += ds
-            else:
-                b += eff * cap
-                break
-        return b
-
-    best_score = -math.inf
-    best_cost = math.inf
-    best_vec: tuple[int, ...] | None = None
-    choice: list[MckpCandidate | None] = [None] * n
-    eps = 1e-9
-
-    def dfs(i: int, cost: float, score: float) -> None:
-        nonlocal best_score, best_cost, best_vec
-        if i == n:
-            if score > best_score or (score == best_score and cost < best_cost):
-                best_score, best_cost = score, cost
-                best_vec = tuple(c.bits for c in choice)
-            return
-        slack = abs(best_score) * eps + eps
-        if bound(i, cost, score) < best_score - slack:
-            return
-        for c in pruned[i][1]:  # ascending cost: first full solution is lex-smallest
-            nc = cost + c.cost
-            if nc + base_cost[i + 1] > budget:
-                break
-            choice[i] = c
-            dfs(i + 1, nc, score + c.score)
-        choice[i] = None
-
-    dfs(0, 0.0, 0.0)
-    assert best_vec is not None
-    choices = {lid: bits for (lid, _), bits in zip(pruned, best_vec)}
-    return MckpSolution(choices=choices, objective=best_score, cost=int(best_cost))
-
-
-def solve_mckp_dp(instance: MckpInstance) -> float:
-    """Objective of the exact optimum via a DP over gcd-scaled cost units."""
-    instance.validate()
-    all_costs = [c.cost for _, cands in instance.layers for c in cands]
-    if not all_costs:
-        return 0.0
-    g = 0
-    for c in all_costs:
-        g = math.gcd(g, c)
-    cap = int(instance.budget // g)
-    if sum(min(c.cost for c in cands) for _, cands in instance.layers) > instance.budget:
-        raise InfeasibleBudgetError(f"budget {instance.budget:g} infeasible")
-    dp = np.full(cap + 1, -np.inf)
-    dp[0] = 0.0
-    for _, cands in instance.layers:
-        nxt = np.full(cap + 1, -np.inf)
-        for c in cands:
+    value = np.full((n + 1, cap + 1), -np.inf)
+    value[0, 0] = 0.0
+    for i, cs in enumerate(cands):
+        for c in cs:
             w = c.cost // g
-            if w > cap:
-                continue
-            shifted = np.concatenate([np.full(w, -np.inf), dp[: cap + 1 - w] + c.score])
-            np.maximum(nxt, shifted, out=nxt)
-        dp = nxt
-    return float(dp.max())
+            if w <= cap:
+                np.maximum(value[i + 1, w:], value[i, : cap + 1 - w] + c.score, out=value[i + 1, w:])
+    end = int(np.argmax(value[n]))  # the first maximum: the lowest cost among the best
+
+    marked = np.zeros((n + 1, cap + 1), dtype=bool)
+    marked[n, end] = True
+    for i in range(n - 1, -1, -1):
+        for c in cands[i]:
+            w = c.cost // g
+            if w <= cap:
+                tight = value[i, : cap + 1 - w] + c.score == value[i + 1, w:]
+                marked[i, : cap + 1 - w] |= marked[i + 1, w:] & tight
+
+    choices: dict[str, int] = {}
+    state = 0
+    for i, cs in enumerate(cands):
+        for c in cs:
+            nxt = state + c.cost // g
+            if nxt <= cap and marked[i + 1, nxt] and value[i, state] + c.score == value[i + 1, nxt]:
+                choices[layers[i][0]] = c.bits
+                state = nxt
+                break
+    return MckpSolution(choices=choices, objective=float(value[n, end]), cost=end * g)
 
 
 def split_budget(total: float, mass_content: float, mass_quality: float, k: float) -> tuple[float, float]:

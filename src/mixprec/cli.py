@@ -33,17 +33,70 @@ EXIT_INFEASIBLE = 4
 EXIT_IO = 5
 
 
-def _int_at_least(minimum: int, what: str):
-    def parse(text: str) -> int:
+# Value rules shared by the flags and the manifest params they set. A JSON value
+# must already have the flag's type: `type(...)` rejects bools and numeric strings.
+
+
+def _check_int(value, minimum: int, what: str) -> int:
+    if type(value) is not int:
+        raise ParameterError(f"{what} must be an integer")
+    if value < minimum:
+        raise ParameterError(f"{what} must be >= {minimum}")
+    return value
+
+
+def _check_number(value, what: str) -> float:
+    if type(value) not in (int, float):
+        raise ParameterError(f"{what} must be a number")
+    return float(value)
+
+
+def _check_bool(value, what: str) -> bool:
+    if not isinstance(value, bool):
+        raise ParameterError(f"{what} must be true or false")
+    return value
+
+
+def _check_bits(value) -> list[int]:
+    if type(value) is not list or not value or any(type(b) is not int or b not in (2, 4, 8) for b in value):
+        raise ParameterError("bits must be a non-empty subset of 2,4,8")
+    return sorted(set(value))
+
+
+def _check_target(value) -> float | None:
+    if value is None:
+        return None
+    value = _check_number(value, "target bits")
+    if not 2 <= value <= 8:
+        raise ParameterError("target bits must lie in [2, 8]")
+    return value
+
+
+def _check_fraction(value) -> float:
+    value = _check_number(value, "fraction")
+    if not 0 <= value < 1:
+        raise ParameterError("fraction must lie in [0, 1)")
+    return value
+
+
+def _flag_type(convert, check, bad_text: str):
+    """An argparse type: ``convert`` the text, then apply ``check``, the rule its manifest param gets too."""
+
+    def parse(text: str):
         try:
-            value = int(text)
+            value = convert(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"{what} must be an integer")
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"{what} must be >= {minimum}")
-        return value
+            raise argparse.ArgumentTypeError(bad_text)
+        try:
+            return check(value)
+        except ParameterError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
 
     return parse
+
+
+def _int_at_least(minimum: int, what: str):
+    return _flag_type(int, lambda v: _check_int(v, minimum, what), f"{what} must be an integer")
 
 
 def _even_int_at_least(minimum: int, what: str):
@@ -58,47 +111,50 @@ def _even_int_at_least(minimum: int, what: str):
     return parse
 
 
-def _bits_list(text: str) -> list[int]:
-    try:
-        bits = sorted({int(tok) for tok in text.split(",") if tok.strip()})
-    except ValueError:
-        raise argparse.ArgumentTypeError("bits must be a comma-separated list of integers")
-    if not bits or any(b not in (2, 4, 8) for b in bits):
-        raise argparse.ArgumentTypeError("bits must be a non-empty subset of 2,4,8")
-    return bits
+_bits_list = _flag_type(
+    lambda text: [int(tok) for tok in text.split(",") if tok.strip()],
+    _check_bits,
+    "bits must be a comma-separated list of integers",
+)
+_target_bits = _flag_type(
+    lambda text: None if text.lower() in ("fp", "fp16", "none") else float(text),
+    _check_target,
+    "target bits must be a number or 'fp'",
+)
+_fraction = _flag_type(float, _check_fraction, "fraction must be a number")
+_delta_bits = _flag_type(float, allocator.check_delta_avg_bits, "delta bits must be a number")
+
+# Every manifest param a stage reads, checked by the rule of the flag that sets it.
+_PARAM_CHECKS = {
+    "inputs": lambda v: _check_int(v, 1, "inputs"),
+    "bits": _check_bits,
+    "bos_aware": lambda v: _check_bool(v, "bos_aware"),
+    "target_bits": _check_target,
+    "act_target_bits": _check_target,
+    "retain_fp": _check_fraction,
+    "proxy_inputs": lambda v: _check_int(v, 1, "proxy_inputs"),
+    "eval_inputs": lambda v: _check_int(v, 1, "eval_inputs"),
+    "n_budgets": lambda v: _check_int(v, 1, "n_budgets"),
+    "delta_avg_bits": allocator.check_delta_avg_bits,
+}
+# Defaults for the params that older manifests do not record.
+_PARAM_DEFAULTS = {"n_budgets": 5, "delta_avg_bits": 0.25, "proxy_inputs": 8}
 
 
-def _target_bits(text: str) -> float | None:
-    if text.lower() in ("fp", "fp16", "none"):
-        return None
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("target bits must be a number or 'fp'")
-    if not 2 <= value <= 8:
-        raise argparse.ArgumentTypeError("target bits must lie in [2, 8]")
-    return value
-
-
-def _fraction(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("fraction must be a number")
-    if not 0 <= value < 1:
-        raise argparse.ArgumentTypeError("fraction must lie in [0, 1)")
-    return value
-
-
-def _delta_bits(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("delta bits must be a number")
-    try:
-        return allocator.check_delta_avg_bits(value)
-    except ParameterError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+def _checked_params(data: dict) -> dict:
+    """The manifest's params, each one a stage reads checked; a bad or missing one is a ValidationError."""
+    params = data.get("params")
+    if not isinstance(params, dict):
+        raise ValidationError("manifest params must be a JSON object")
+    checked = {**_PARAM_DEFAULTS, **params}
+    for key, check in _PARAM_CHECKS.items():
+        if key not in checked:
+            raise ValidationError(f"manifest params lack {key!r}")
+        try:
+            checked[key] = check(checked[key])
+        except ParameterError as exc:
+            raise ValidationError(f"manifest params.{key}: {exc}") from exc
+    return checked
 
 
 def _ratio_grid(text: str) -> tuple[float, ...]:
@@ -191,7 +247,7 @@ def _load_model_checked(data: dict, root: Path) -> toy_model.ToyModel:
 def run_sensitivity(args) -> int:
     data, root = mf.load_manifest(args.manifest)
     model = _load_model_checked(data, root)
-    params = data["params"]
+    params = _checked_params(data)
     n_inputs = args.inputs if args.inputs is not None else params["inputs"]
     bits = args.bits if args.bits is not None else params["bits"]
     bos_aware = params["bos_aware"] if args.bos_aware is None else args.bos_aware
@@ -228,20 +284,20 @@ def _load_table(data: dict, root: Path, kind: str) -> sensitivity.SensitivityTab
 def run_allocate(args) -> int:
     data, root = mf.load_manifest(args.manifest)
     model = _load_model_checked(data, root)
-    params = data["params"]
+    params = _checked_params(data)
     weight_target = args.target_bits if args.target_bits is not _UNSET else params["target_bits"]
     act_target = args.act_target_bits if args.act_target_bits is not _UNSET else params["act_target_bits"]
     retain = args.retain_fp if args.retain_fp is not None else params["retain_fp"]
     bits = tuple(params["bits"])
-    bos_aware = bool(params["bos_aware"])
+    bos_aware = params["bos_aware"]
     if weight_target is None and act_target is None:
         raise ValidationError("nothing to allocate: both weight and activation targets are FP")
 
     common = dict(
         bit_widths=bits,
-        n_budgets=args.n_budgets if args.n_budgets is not None else params.get("n_budgets", 5),
-        delta_avg_bits=args.delta_bits if args.delta_bits is not None else params.get("delta_avg_bits", 0.25),
-        proxy_inputs=params.get("proxy_inputs", 8),
+        n_budgets=args.n_budgets if args.n_budgets is not None else params["n_budgets"],
+        delta_avg_bits=args.delta_bits if args.delta_bits is not None else params["delta_avg_bits"],
+        proxy_inputs=params["proxy_inputs"],
         proxy_seed=data["seeds"]["proxy"],
         bos_aware=bos_aware,
     )
@@ -316,18 +372,25 @@ def run_allocate(args) -> int:
 def run_evaluate(args) -> int:
     data, root = mf.load_manifest(args.manifest)
     model = _load_model_checked(data, root)
-    params = data["params"]
+    params = _checked_params(data)
     config_rel = args.config if args.config is not None else data["artifacts"]["config"]
-    config_path = root / config_rel
+    config_path = (root / config_rel).resolve()
+    if not config_path.is_relative_to(root):
+        raise ValidationError(f"config {config_rel} lies outside the run directory {root}")
     if not config_path.exists():
         raise ValidationError(f"config missing: {config_rel} (run the allocate stage first)")
-    if args.config is None:
-        mf.verify_artifacts(data, root, [config_rel])
-    with open(config_path) as f:
-        bw = allocator.BitWidthConfig.from_json_dict(json.load(f))
+    rel = config_path.relative_to(root).as_posix()
+    if args.config is None or rel in data.get("checksums", {}):
+        mf.verify_artifacts(data, root, [rel])
+    try:
+        with open(config_path) as f:
+            bw = allocator.BitWidthConfig.from_json_dict(json.load(f))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        # ValueError covers malformed JSON; the others, JSON of the wrong shape
+        raise ValidationError(f"config {config_rel} is not a valid config: {exc!r}") from exc
     bw.config.validate(model.layer_order)
 
-    bos_aware = bool(params["bos_aware"])
+    bos_aware = params["bos_aware"]
     n_eval = args.inputs if args.inputs is not None else params["eval_inputs"]
     eval_inputs = toy_model.make_input_set(data["seeds"]["eval"], n_eval, model)
     act_ranges = None

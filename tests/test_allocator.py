@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,11 +12,11 @@ from mixprec import metrics, sensitivity as sv, toy_model as tm
 from mixprec.errors import InfeasibleBudgetError, ParameterError
 
 
-def make_instance(sizes, scores, budget):
+def make_instance(sizes, scores, budget, grid=(2, 4, 8)):
     layers = []
     for i, (size, per_layer) in enumerate(zip(sizes, scores)):
         cands = tuple(
-            al.MckpCandidate(bits=b, score=s, cost=b * size) for b, s in zip((2, 4, 8), per_layer)
+            al.MckpCandidate(bits=b, score=s, cost=b * size) for b, s in zip(grid, per_layer)
         )
         layers.append((f"layer{i:02d}", cands))
     return al.MckpInstance(layers=layers, budget=budget)
@@ -80,7 +81,6 @@ def test_mckp_matches_brute_force_on_random_instances():
         oracle = brute_force(inst)
         assert sol.objective == oracle[0][0]
         assert sol.cost == -oracle[0][1]
-        assert sol.objective == al.solve_mckp_dp(inst)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -98,15 +98,109 @@ def test_mckp_property_random(seed):
     assert sol.cost <= budget
 
 
-def test_mckp_matches_dp_beyond_brute_force_scale():
-    # 20-layer instances are out of enumeration reach; the DP is the cross-check
+def _half_table(cands):
+    """Every (cost, score) of one half's assignments, the score summed in layer order."""
+    cost, score = np.zeros(1, dtype=np.int64), np.zeros(1)
+    for layer in cands:
+        cost = (cost[:, None] + np.array([c.cost for c in layer])[None, :]).ravel()
+        score = (score[:, None] + np.array([c.score for c in layer])[None, :]).ravel()
+    return cost, score
+
+
+def meet_in_the_middle(instance):
+    """Independent oracle: best left-half score plus the best right half that fits beside it."""
+    cands = [c for _, c in sorted(instance.layers, key=lambda p: p[0])]
+    half = len(cands) // 2
+    left_cost, left_score = _half_table(cands[:half])
+    right_cost, right_score = _half_table(cands[half:])
+    order = np.argsort(right_cost, kind="stable")
+    right_cost, best_right = right_cost[order], np.maximum.accumulate(right_score[order])
+    fits = np.searchsorted(right_cost, instance.budget - left_cost, side="right") - 1
+    ok = fits >= 0
+    return float(np.max(left_score[ok] + best_right[fits[ok]]))
+
+
+def test_mckp_matches_meet_in_the_middle_beyond_brute_force_scale():
+    # 20 layers (3^20 assignments) are out of enumeration reach; two 3^10 halves are not.
+    # The oracle adds the two half sums, not the 20 prefix sums, so the objectives agree to rounding.
     rng = np.random.Generator(np.random.Philox(31))
     for _ in range(10):
         sizes = rng.integers(1, 400, size=20).tolist()
         scores = rng.normal(0, 10, size=(20, 3)).tolist()
         budget = float(rng.uniform(2 * sum(sizes), 8 * sum(sizes)))
         inst = make_instance(sizes, scores, budget)
-        assert al.solve_mckp(inst).objective == pytest.approx(al.solve_mckp_dp(inst), rel=1e-12)
+        sol = al.solve_mckp(inst)
+        assert sol.objective == pytest.approx(meet_in_the_middle(inst), rel=1e-12)
+        chosen = [next(c for c in cands if c.bits == sol.choices[lid]) for lid, cands in inst.layers]
+        total = 0.0
+        for c in chosen:
+            total += c.score
+        assert sol.objective == total
+        assert sol.cost == sum(c.cost for c in chosen) <= budget
+
+
+def test_mckp_equal_score_and_cost_picks_lex_smallest_bits():
+    # (2, 4) and (4, 2) both score 1.0 at cost 6; (4, 4) scores more but costs 8
+    inst = make_instance([1, 1], [[0.0, 1.0, -10.0], [0.0, 1.0, -10.0]], budget=6)
+    sol = al.solve_mckp(inst)
+    assert sol.choices == {"layer00": 2, "layer01": 4}
+    assert (sol.objective, sol.cost) == (1.0, 6)
+
+
+def test_mckp_tie_heavy_instances_match_brute_force_choices():
+    # few sizes and score rows: about half the instances have several optimal bits vectors,
+    # and the oracle keeps the first in lexicographic order
+    rows = [[0.0, 1.0, 2.0], [0.0, 2.0, 3.0], [-1.0, 1.0, 2.0]]
+    rng = np.random.Generator(np.random.Philox(41))
+    for _ in range(60):
+        n = int(rng.integers(2, 7))
+        sizes = rng.integers(1, 3, size=n).tolist()
+        scores = [rows[int(j)] for j in rng.integers(0, len(rows), size=n)]
+        budget = float(rng.integers(2 * sum(sizes), 8 * sum(sizes) + 1))
+        inst = make_instance(sizes, scores, budget)
+        sol = al.solve_mckp(inst)
+        (score, neg_cost), choices = brute_force(inst)
+        assert (sol.objective, sol.cost, sol.choices) == (score, -neg_cost, choices)
+
+
+def test_mckp_finer_grid_matches_brute_force():
+    grid = (2, 3, 4, 5, 6, 8)
+    rng = np.random.Generator(np.random.Philox(43))
+    for trial in range(30):
+        n = int(rng.integers(1, 6))
+        sizes = rng.integers(1, 30, size=n).tolist()
+        scores = rng.normal(0, 5, size=(n, len(grid)))
+        if trial % 2:
+            scores = np.round(scores)
+        budget = float(rng.uniform(2 * sum(sizes), 8 * sum(sizes)))
+        inst = make_instance(sizes, scores.tolist(), budget, grid=grid)
+        sol = al.solve_mckp(inst)
+        (score, neg_cost), choices = brute_force(inst)
+        assert (sol.objective, sol.cost, sol.choices) == (score, -neg_cost, choices)
+
+
+def test_mckp_table_limit(monkeypatch):
+    # costs 2, 3, 8 (gcd 1) on 2 layers: a 3 x 17 = 51-cell table at full capacity
+    inst = make_instance([1, 1], [[1.0, 2.0, 3.0]] * 2, budget=float("inf"), grid=(2, 3, 8))
+    monkeypatch.setattr(al, "MAX_DP_CELLS", 51)
+    assert al.solve_mckp(inst).cost == 16
+    monkeypatch.setattr(al, "MAX_DP_CELLS", 50)
+    with pytest.raises(ParameterError, match="exceeds the limit"):
+        al.solve_mckp(inst)
+
+
+def test_mckp_table_limit_raises_before_allocating():
+    # one cell past the limit would take 128 MiB of float64
+    layers = [("a", (al.MckpCandidate(2, 0.0, 1), al.MckpCandidate(8, 1.0, al.MAX_DP_CELLS // 2)))]
+    inst = al.MckpInstance(layers=layers, budget=float("inf"))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterError):
+            al.solve_mckp(inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_mckp_budget_monotonicity():
@@ -125,14 +219,6 @@ def test_mckp_tie_breaks_toward_lower_cost():
     sol = al.solve_mckp(inst)
     assert sol.choices == {"layer00": 2, "layer01": 2}
     assert sol.cost == 16
-
-
-def test_mckp_instance_json_roundtrip():
-    inst = make_instance([3, 9], [[1.0, 2.0, 3.0], [0.5, 0.7, 0.9]], budget=60)
-    back = al.MckpInstance.from_json_dict(inst.to_json_dict())
-    assert back.layers == inst.layers
-    assert back.budget == inst.budget
-    assert al.solve_mckp(back).choices == al.solve_mckp(inst).choices
 
 
 def test_split_budget_examples():

@@ -158,6 +158,79 @@ def test_manifest_delta_bits_nan_exits_3(pipeline_dir, tmp_path):
     assert "delta_avg_bits" in proc.stderr
 
 
+def _copy_with_params(pipeline_dir, tmp_path, **params):
+    copy = tmp_path / "run"
+    shutil.copytree(pipeline_dir, copy)
+    manifest = json.loads((copy / "manifest.json").read_text())
+    manifest["params"].update(params)
+    (copy / "manifest.json").write_text(json.dumps(manifest))
+    return copy / "manifest.json"
+
+
+# each param a stage reads, a value of the wrong type or range, and a stage that reads it
+BAD_PARAMS = [
+    ("inputs", 0, "sensitivity"),
+    ("inputs", "4", "evaluate"),
+    ("bits", [2, 3], "sensitivity"),
+    ("bits", "2,4,8", "allocate"),
+    ("bos_aware", "yes", "sensitivity"),
+    ("bos_aware", 1, "evaluate"),
+    ("target_bits", "abc", "allocate"),
+    ("target_bits", 9, "allocate"),
+    ("act_target_bits", True, "allocate"),
+    ("retain_fp", 1.0, "allocate"),
+    ("n_budgets", "5", "allocate"),
+    ("n_budgets", 0, "allocate"),
+    ("delta_avg_bits", -1, "allocate"),
+    ("proxy_inputs", 1.5, "allocate"),
+    ("eval_inputs", None, "evaluate"),
+]
+
+
+@pytest.mark.parametrize("key,value,stage", BAD_PARAMS)
+def test_bad_manifest_param_exits_3(pipeline_dir, tmp_path, capsys, key, value, stage):
+    manifest = _copy_with_params(pipeline_dir, tmp_path, **{key: value})
+    assert run([stage, "--manifest", str(manifest)]) == 3
+    assert f"params.{key}" in capsys.readouterr().err
+
+
+def test_missing_manifest_param_exits_3(pipeline_dir, tmp_path, capsys):
+    manifest = _copy_with_params(pipeline_dir, tmp_path)
+    data = json.loads(manifest.read_text())
+    del data["params"]["eval_inputs"]
+    manifest.write_text(json.dumps(data))
+    assert run(["evaluate", "--manifest", str(manifest)]) == 3
+    assert "eval_inputs" in capsys.readouterr().err
+
+
+def test_evaluate_malformed_config_exits_3(pipeline_dir, tmp_path):
+    manifest = _copy_with_params(pipeline_dir, tmp_path)
+    for name, text in (("truncated.json", '{"layers": {'), ("list.json", "[1, 2]"),
+                       ("no_layers.json", '{"summary": {}}'), ("bad_entry.json", '{"layers": {"a": 4}}')):
+        (manifest.parent / name).write_text(text)
+        assert run(["evaluate", "--manifest", str(manifest), "--config", name]) == 3, name
+
+
+def test_evaluate_config_confined_to_run_directory(pipeline_dir, tmp_path):
+    manifest = _copy_with_params(pipeline_dir, tmp_path)
+    outside = tmp_path / "other"
+    outside.mkdir()
+    shutil.copy(manifest.parent / "config.json", outside / "config.json")
+    for path in (str(outside / "config.json"), "../other/config.json"):
+        assert run(["evaluate", "--manifest", str(manifest), "--config", path]) == 3, path
+    (manifest.parent / "sub").mkdir()
+    shutil.copy(manifest.parent / "config.json", manifest.parent / "sub" / "mine.json")
+    assert run(["evaluate", "--manifest", str(manifest), "--config", "sub/mine.json"]) == 0
+    assert json.loads((manifest.parent / "report.json").read_text())["config_path"] == "sub/mine.json"
+
+
+def test_evaluate_config_checksum_verified_when_recorded(pipeline_dir, tmp_path):
+    manifest = _copy_with_params(pipeline_dir, tmp_path)
+    [cell] = sorted((manifest.parent / "frontier_configs").iterdir())[:1]
+    cell.write_text(cell.read_text() + "\n")
+    assert run(["evaluate", "--manifest", str(manifest), "--config", f"frontier_configs/{cell.name}"]) == 3
+
+
 def test_allocate_outputs(pipeline_dir):
     config = json.loads((pipeline_dir / "config.json").read_text())
     assert set(config) == {"layers", "fp_retained", "summary"}
