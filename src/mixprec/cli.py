@@ -157,6 +157,26 @@ def _checked_params(data: dict) -> dict:
     return checked
 
 
+# Every manifest seed. The input seeds key Philox streams, which take no negative
+# seed; the model seed only derives other seeds, so any integer will do.
+_SEED_MINIMUMS = {"model": -math.inf, "calibration": 0, "proxy": 0, "eval": 0}
+
+
+def _checked_seeds(data: dict) -> dict:
+    """The manifest's seeds, each checked; a bad or missing one is a ValidationError."""
+    seeds = data.get("seeds")
+    if not isinstance(seeds, dict):
+        raise ValidationError("manifest seeds must be a JSON object")
+    for key, minimum in _SEED_MINIMUMS.items():
+        if key not in seeds:
+            raise ValidationError(f"manifest seeds lack {key!r}")
+        try:
+            _check_int(seeds[key], minimum, "seed")
+        except ParameterError as exc:
+            raise ValidationError(f"manifest seeds.{key}: {exc}") from exc
+    return seeds
+
+
 def _ratio_grid(text: str) -> tuple[float, ...]:
     try:
         lo, hi, n = text.split(":")
@@ -230,15 +250,20 @@ def run_gen_model(args) -> int:
 
 
 def _load_model_checked(data: dict, root: Path) -> toy_model.ToyModel:
-    model_json = root / data["model"]["json"]
-    weights_dir = root / data["model"]["weights_dir"]
-    if not model_json.exists():
-        raise ValidationError(f"model JSON missing: {model_json}")
-    with open(model_json) as f:
-        meta = json.load(f)
-    layer_ids = [row["id"] for row in meta["layers"]]
-    mf.verify_artifacts(data, root, mf.model_artifact_paths(data, layer_ids))
-    return toy_model.load_model(model_json, weights_dir)
+    """The model, read only after its JSON and then its weights match their checksums."""
+    try:
+        model_rel = data["model"]["json"]
+        model_json = root / model_rel
+        if not model_json.exists():
+            raise ValidationError(f"model JSON missing: {model_json}")
+        mf.verify_artifacts(data, root, [model_rel])
+        with open(model_json) as f:
+            layer_ids = [row["id"] for row in json.load(f)["layers"]]
+        weights = [rel for rel in mf.model_artifact_paths(data, layer_ids) if rel != model_rel]
+        mf.verify_artifacts(data, root, weights)
+        return toy_model.load_model(model_json, root / data["model"]["weights_dir"])
+    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        raise ValidationError(f"model is not a valid model description: {exc!r}") from exc
 
 
 # --------------------------------------------------------------- sensitivity
@@ -248,11 +273,12 @@ def run_sensitivity(args) -> int:
     data, root = mf.load_manifest(args.manifest)
     model = _load_model_checked(data, root)
     params = _checked_params(data)
+    seeds = _checked_seeds(data)
     n_inputs = args.inputs if args.inputs is not None else params["inputs"]
     bits = args.bits if args.bits is not None else params["bits"]
     bos_aware = params["bos_aware"] if args.bos_aware is None else args.bos_aware
 
-    inputs = toy_model.make_input_set(data["seeds"]["calibration"], n_inputs, model)
+    inputs = toy_model.make_input_set(seeds["calibration"], n_inputs, model)
     kinds = [WEIGHT, ACTIVATION] if args.kind == "both" else [args.kind]
     written = []
     for kind in kinds:
@@ -285,6 +311,7 @@ def run_allocate(args) -> int:
     data, root = mf.load_manifest(args.manifest)
     model = _load_model_checked(data, root)
     params = _checked_params(data)
+    seeds = _checked_seeds(data)
     weight_target = args.target_bits if args.target_bits is not _UNSET else params["target_bits"]
     act_target = args.act_target_bits if args.act_target_bits is not _UNSET else params["act_target_bits"]
     retain = args.retain_fp if args.retain_fp is not None else params["retain_fp"]
@@ -298,7 +325,7 @@ def run_allocate(args) -> int:
         n_budgets=args.n_budgets if args.n_budgets is not None else params["n_budgets"],
         delta_avg_bits=args.delta_bits if args.delta_bits is not None else params["delta_avg_bits"],
         proxy_inputs=params["proxy_inputs"],
-        proxy_seed=data["seeds"]["proxy"],
+        proxy_seed=seeds["proxy"],
         bos_aware=bos_aware,
     )
     weight_options = allocator.AllocOptions(ratio_grid=args.ratio_grid, **common)
@@ -310,7 +337,7 @@ def run_allocate(args) -> int:
     act_table = _load_table(data, root, ACTIVATION) if act_target is not None else None
     act_ranges = None
     if act_target is not None:
-        calib_inputs = toy_model.make_input_set(data["seeds"]["calibration"], params["inputs"], model)
+        calib_inputs = toy_model.make_input_set(seeds["calibration"], params["inputs"], model)
         act_ranges = toy_model.calibrate_activations(model, calib_inputs, bos_aware=bos_aware)
 
     config, results = allocator.allocate_mixed(
@@ -373,6 +400,7 @@ def run_evaluate(args) -> int:
     data, root = mf.load_manifest(args.manifest)
     model = _load_model_checked(data, root)
     params = _checked_params(data)
+    seeds = _checked_seeds(data)
     config_rel = args.config if args.config is not None else data["artifacts"]["config"]
     config_path = (root / config_rel).resolve()
     if not config_path.is_relative_to(root):
@@ -392,10 +420,10 @@ def run_evaluate(args) -> int:
 
     bos_aware = params["bos_aware"]
     n_eval = args.inputs if args.inputs is not None else params["eval_inputs"]
-    eval_inputs = toy_model.make_input_set(data["seeds"]["eval"], n_eval, model)
+    eval_inputs = toy_model.make_input_set(seeds["eval"], n_eval, model)
     act_ranges = None
     if bw.config.wants_act_quant():
-        calib_inputs = toy_model.make_input_set(data["seeds"]["calibration"], params["inputs"], model)
+        calib_inputs = toy_model.make_input_set(seeds["calibration"], params["inputs"], model)
         act_ranges = toy_model.calibrate_activations(model, calib_inputs, bos_aware=bos_aware)
 
     refs = sensitivity.fp_references(model, eval_inputs, bos_aware=bos_aware)
@@ -518,9 +546,9 @@ def _add_gen_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eval-inputs", type=_int_at_least(1, "--eval-inputs"), default=16)
     p.add_argument("--n-budgets", type=_int_at_least(1, "--n-budgets"), default=5)
     p.add_argument("--delta-bits", type=_delta_bits, default=0.25)
-    p.add_argument("--calib-seed", type=int, default=None)
-    p.add_argument("--proxy-seed", type=int, default=None)
-    p.add_argument("--eval-seed", type=int, default=None)
+    p.add_argument("--calib-seed", type=_int_at_least(0, "--calib-seed"), default=None)
+    p.add_argument("--proxy-seed", type=_int_at_least(0, "--proxy-seed"), default=None)
+    p.add_argument("--eval-seed", type=_int_at_least(0, "--eval-seed"), default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -7,14 +7,16 @@ feed-forward) are scored with SSIM; quality-group layers (everything else)
 with SQNR in dB. Scores are averaged over the input set. Full-precision
 reference outputs are computed once and reused across all probes. Each probe
 runs its inputs through the network in stacked chunks of
-``toy_model.FORWARD_CHUNK`` and scores them one by one, in input order.
+``toy_model.FORWARD_CHUNK``, starting from the FP state cached at the entry of
+the segment that runs the probed layer, and scores them one by one, in input
+order.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -38,9 +40,20 @@ class SensitivityEntry:
     n_inputs: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class SensitivityTable:
-    entries: list[SensitivityEntry]
+    entries: tuple[SensitivityEntry, ...]
+    # (layer, bits, kind) and (layer, bits, None) -> score of the first such entry
+    _index: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        entries = tuple(self.entries)
+        index: dict = {}
+        for e in entries:
+            index.setdefault((e.layer_id, e.bit_width, e.tensor_kind), e.score)
+            index.setdefault((e.layer_id, e.bit_width, None), e.score)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_index", index)
 
     def layer_ids(self) -> list[str]:
         seen: dict[str, None] = {}
@@ -52,11 +65,11 @@ class SensitivityTable:
         return tuple(sorted({e.bit_width for e in self.entries}))
 
     def score(self, layer_id: str, bit_width: int, tensor_kind: str | None = None) -> float:
-        for e in self.entries:
-            if e.layer_id == layer_id and e.bit_width == bit_width:
-                if tensor_kind is None or e.tensor_kind == tensor_kind:
-                    return e.score
-        raise KeyError((layer_id, bit_width, tensor_kind))
+        """Score of the first entry for the layer and bits (and kind, when given)."""
+        try:
+            return self._index[layer_id, bit_width, tensor_kind]
+        except KeyError:
+            raise KeyError((layer_id, bit_width, tensor_kind)) from None
 
     def validate_complete(self, layer_ids, bit_widths, tensor_kind: str) -> None:
         """Exactly one entry per (layer, tensor_kind, bit_width)."""
@@ -102,8 +115,15 @@ def probe_layer(
     bos_aware: bool = False,
     act_ranges=None,
     sqnr_cap_db: float = metrics.DEFAULT_SQNR_CAP_DB,
+    states=None,
 ) -> tuple[float, float]:
-    """Quantize one layer's tensor at one bit-width; mean (SSIM, SQNR) vs FP."""
+    """Quantize one layer's tensor at one bit-width; mean (SSIM, SQNR) vs FP.
+
+    ``states`` are the chunks' cached FP states (``toy_model.fp_segment_states``,
+    built with the same ``bos_aware``) at a segment no later than the one that
+    runs ``layer_id``; the probe runs only from there on. Without them it runs
+    the whole network on ``inputs``.
+    """
     cfg = toy_model.QuantConfig.all_fp(model.layer_order)
     if tensor_kind == WEIGHT:
         cfg.weight_bits[layer_id] = bit_width
@@ -111,7 +131,15 @@ def probe_layer(
         cfg.act_bits[layer_id] = bit_width
     else:
         raise ParameterError(f"tensor_kind must be one of {TENSOR_KINDS}")
-    outs = toy_model.forward_inputs(model, inputs, config=cfg, bos_aware=bos_aware, act_ranges=act_ranges)
+    if states is None:
+        _, states = next(toy_model.fp_segment_states(model, inputs, bos_aware=bos_aware))
+    outs = [
+        out
+        for state in states
+        for out in toy_model.resume(model, state, cfg, bos_aware=bos_aware, act_ranges=act_ranges)
+    ]
+    if len(outs) != len(refs):
+        raise ParameterError(f"{len(outs)} probe outputs for {len(refs)} references")
     ssim_sum = 0.0
     sqnr_sum = 0.0
     for ref, out in zip(refs, outs):
@@ -132,7 +160,12 @@ def analyze(
     *,
     act_ranges=None,
 ) -> SensitivityTable:
-    """Score every (layer, bit_width) pair for one tensor kind."""
+    """Score every (layer, bit_width) pair for one tensor kind.
+
+    The FP states of every input chunk advance one segment at a time, and each
+    layer's probes resume from the states at the entry of the segment that runs
+    it, so no probe recomputes the FP prefix before its layer.
+    """
     if not inputs:
         raise ParameterError("sensitivity analysis needs a non-empty input set")
     bit_widths = tuple(sorted(set(int(b) for b in bit_widths)))
@@ -145,19 +178,24 @@ def analyze(
     if tensor_kind == ACTIVATION and act_ranges is None:
         act_ranges = toy_model.calibrate_activations(model, inputs, bos_aware=bos_aware)
 
-    tasks = [(lid, b) for lid in model.layer_order for b in bit_widths]
+    scores = {}
+    for segment, states in toy_model.fp_segment_states(model, inputs, bos_aware=bos_aware):
+        for lid in segment.layers:
+            for b in bit_widths:
+                scores[lid, b] = probe_layer(
+                    model, inputs, refs, lid, tensor_kind, b,
+                    bos_aware=bos_aware, act_ranges=act_ranges, states=states,
+                )
 
-    def run_one(task):
-        lid, b = task
-        ssim_score, sqnr_score = probe_layer(
-            model, inputs, refs, lid, tensor_kind, b, bos_aware=bos_aware, act_ranges=act_ranges
-        )
-        group = model.layers[lid].group
-        if group == toy_model.CONTENT:
-            return SensitivityEntry(lid, tensor_kind, b, ssim_score, metrics.SSIM, len(refs))
-        return SensitivityEntry(lid, tensor_kind, b, sqnr_score, metrics.SQNR_DB, len(refs))
-
-    return SensitivityTable([run_one(t) for t in tasks])
+    entries = []
+    for lid in model.layer_order:
+        for b in bit_widths:
+            ssim_score, sqnr_score = scores[lid, b]
+            if model.layers[lid].group == toy_model.CONTENT:
+                entries.append(SensitivityEntry(lid, tensor_kind, b, ssim_score, metrics.SSIM, len(refs)))
+            else:
+                entries.append(SensitivityEntry(lid, tensor_kind, b, sqnr_score, metrics.SQNR_DB, len(refs)))
+    return SensitivityTable(entries)
 
 
 def rank_long_tail(table: SensitivityTable) -> list[tuple[str, float]]:

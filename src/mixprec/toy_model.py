@@ -7,6 +7,11 @@ full resolution, and a conv head that emits a pseudo-image with the same
 spatial shape as the latent. Time conditioning enters through a small MLP
 over sinusoidal features plus per-stage channel projections.
 
+The graph runs as one ordered list of segments, each keyed by the layers it
+runs. ``forward`` runs them all; ``fp_segment_states`` keeps the
+full-precision state at each segment's entry, and ``resume`` runs a config from
+such a state to the output, so a probe of one layer skips the FP prefix before it.
+
 Every weighted layer carries a descriptor (kind, metric group, parameter /
 activation / MAC counts) and can be independently fake-quantized on its
 weight and/or its input activation. Normalizations and nonlinearities are
@@ -23,9 +28,11 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -521,48 +528,128 @@ class _Run:
         return self.linear(f"{prefix}.to_out", attn @ v)
 
 
-def _forward_graph(run: _Run, latent, embedding, timesteps) -> Tensor:
-    """The network on a (B, C, H, W) latent batch, (B, T, D) embeddings and (B,) timesteps."""
-    model = run.model
-    w1 = model.width
-    b = latent.shape[0]
+# The graph as an ordered list of segments. A segment's step maps the state at
+# its entry to the state at the next segment's entry. A state is a dict of batch
+# arrays: "x" is the running activation (an image batch, or tokens between
+# mid.self and mid.ffn), "emb" the text embeddings, and while they are still
+# needed "t" the timesteps, "temb" the time embedding and "skip" the enc0 output.
 
-    t_feat = _sinusoid(timesteps, model.time_dim)
+_ATTN_PROJECTIONS = ("to_q", "to_k", "to_v", "to_out")
+
+
+@dataclass(frozen=True)
+class Segment:
+    """A stretch of the graph: the layers it runs and the step that runs them."""
+
+    layers: tuple[str, ...]
+    step: Callable[[_Run, dict], dict]
+
+
+def _tokens(x: np.ndarray) -> np.ndarray:
+    """(B, C, H, W) -> (B, H * W, C)."""
+    return x.reshape(x.shape[0], x.shape[1], -1).transpose(0, 2, 1)
+
+
+def _image(tok: np.ndarray, side: int) -> np.ndarray:
+    """(B, side * side, C) -> (B, C, side, side)."""
+    return tok.transpose(0, 2, 1).reshape(tok.shape[0], tok.shape[2], side, side)
+
+
+def _time_mlp(run: _Run, s: dict) -> dict:
+    t_feat = _sinusoid(s["t"], run.model.time_dim)
     temb = _silu(run.linear("time.fc2", _silu(run.linear("time.fc1", t_feat))))
-
-    x = run.conv("enc0.conv_in", latent)
-    x = x + run.linear("enc0.time_proj", temb)[:, :, None, None]
-    for i in range(model.depth):
-        x = x + run.conv(f"enc0.res{i}.conv", _silu(_norm_chw(x)))
-    skip = x
-
-    x = run.conv("enc1.down", _silu(_norm_chw(x)))
-    x = x + run.linear("enc1.time_proj", temb)[:, :, None, None]
-    for i in range(model.depth):
-        x = x + run.conv(f"enc1.res{i}.conv", _silu(_norm_chw(x)))
-
-    s2 = model.spatial // 2
-    tok = x.reshape(b, 2 * w1, s2 * s2).transpose(0, 2, 1)
-    tok = tok + run.attention("mid.self", tok, kv=None)
-    tok = tok + run.attention("mid.cross", tok, kv=embedding)
-    tok = tok + run.linear("mid.ffn.fc2", _silu(run.linear("mid.ffn.fc1", tok)))
-    x = _norm_chw(tok.transpose(0, 2, 1).reshape(b, 2 * w1, s2, s2))
-
-    for i in range(model.depth):
-        x = x + run.conv(f"dec1.res{i}.conv", _silu(_norm_chw(x)))
-    x = run.conv("dec0.up_conv", _upsample2(x))
-    x = run.fuse_conv("dec0.fuse", np.concatenate([x, skip], axis=1), split=w1)
-
-    tok = x.reshape(b, w1, model.spatial * model.spatial).transpose(0, 2, 1)
-    tok = tok + run.attention("dec0.cross", tok, kv=embedding)
-    x = _norm_chw(tok.transpose(0, 2, 1).reshape(b, w1, model.spatial, model.spatial))
-
-    return run.conv("out.conv_out", _silu(x))
+    return {"x": s["x"], "emb": s["emb"], "temb": temb}
 
 
-def _as_batch(model: ToyModel, latent, embedding, timestep):
-    """Validate one input or a stacked batch; returns the batch arrays and
-    whether a single input was given."""
+def _enc0_stem(run: _Run, s: dict) -> dict:
+    x = run.conv("enc0.conv_in", s["x"])
+    return {**s, "x": x + run.linear("enc0.time_proj", s["temb"])[:, :, None, None]}
+
+
+def _residual(lid: str):
+    def step(run: _Run, s: dict) -> dict:
+        return {**s, "x": s["x"] + run.conv(lid, _silu(_norm_chw(s["x"])))}
+
+    return step
+
+
+def _enc1_down(run: _Run, s: dict) -> dict:
+    x = run.conv("enc1.down", _silu(_norm_chw(s["x"])))
+    x = x + run.linear("enc1.time_proj", s["temb"])[:, :, None, None]
+    return {"x": x, "emb": s["emb"], "skip": s["x"]}
+
+
+def _mid_self(run: _Run, s: dict) -> dict:
+    tok = _tokens(s["x"])
+    return {**s, "x": tok + run.attention("mid.self", tok, kv=None)}
+
+
+def _mid_cross(run: _Run, s: dict) -> dict:
+    return {**s, "x": s["x"] + run.attention("mid.cross", s["x"], kv=s["emb"])}
+
+
+def _mid_ffn(run: _Run, s: dict) -> dict:
+    tok = s["x"] + run.linear("mid.ffn.fc2", _silu(run.linear("mid.ffn.fc1", s["x"])))
+    return {**s, "x": _norm_chw(_image(tok, run.model.spatial // 2))}
+
+
+def _dec0_up(run: _Run, s: dict) -> dict:
+    return {**s, "x": run.conv("dec0.up_conv", _upsample2(s["x"]))}
+
+
+def _dec0_fuse(run: _Run, s: dict) -> dict:
+    x = run.fuse_conv("dec0.fuse", np.concatenate([s["x"], s["skip"]], axis=1), split=run.model.width)
+    return {"x": x, "emb": s["emb"]}
+
+
+def _dec0_cross(run: _Run, s: dict) -> dict:
+    tok = _tokens(s["x"])
+    tok = tok + run.attention("dec0.cross", tok, kv=s["emb"])
+    return {**s, "x": _norm_chw(_image(tok, run.model.spatial))}
+
+
+def _head(run: _Run, s: dict) -> dict:
+    return {"x": run.conv("out.conv_out", _silu(s["x"]))}
+
+
+@functools.lru_cache(maxsize=None)
+def _segment_list(depth: int) -> tuple[Segment, ...]:
+    """The segments in run order; built once per depth, the only shape parameter
+    that changes the list."""
+
+    def blocks(stage: str) -> list[Segment]:
+        return [Segment((f"{stage}.res{i}.conv",), _residual(f"{stage}.res{i}.conv")) for i in range(depth)]
+
+    def attention(prefix: str) -> tuple[str, ...]:
+        return tuple(f"{prefix}.{name}" for name in _ATTN_PROJECTIONS)
+
+    return (
+        Segment(("time.fc1", "time.fc2"), _time_mlp),
+        Segment(("enc0.conv_in", "enc0.time_proj"), _enc0_stem),
+        *blocks("enc0"),
+        Segment(("enc1.down", "enc1.time_proj"), _enc1_down),
+        *blocks("enc1"),
+        Segment(attention("mid.self"), _mid_self),
+        Segment(attention("mid.cross"), _mid_cross),
+        Segment(("mid.ffn.fc1", "mid.ffn.fc2"), _mid_ffn),
+        *blocks("dec1"),
+        Segment(("dec0.up_conv",), _dec0_up),
+        Segment(("dec0.fuse",), _dec0_fuse),
+        Segment(attention("dec0.cross"), _dec0_cross),
+        Segment(("out.conv_out",), _head),
+    )
+
+
+def _run_from(run: _Run, state: dict, start: int = 0) -> Tensor:
+    """Run segments ``start`` .. end on a state; returns the output batch."""
+    for segment in _segment_list(run.model.depth)[start:]:
+        state = segment.step(run, state)
+    return state["x"]
+
+
+def _as_batch(model: ToyModel, latent, embedding, timestep) -> tuple[dict, bool]:
+    """Validate one input or a stacked batch; returns the state at the first
+    segment's entry and whether a single input was given."""
     want = (model.latent_channels, model.spatial, model.spatial)
     want_emb = (model.text_tokens, model.text_channels)
     given = (latent.shape, embedding.shape)
@@ -579,7 +666,15 @@ def _as_batch(model: ToyModel, latent, embedding, timestep):
         t = np.full(b, float(t))
     elif t.shape != (b,):
         raise ShapeError(f"timestep shape {t.shape} != () or ({b},)")
-    return latent, embedding, t, single
+    return {"t": t, "x": latent, "emb": embedding}, single
+
+
+def _make_run(model: ToyModel, config, bos_aware, act_ranges, trace=None) -> _Run:
+    cfg = config if config is not None else QuantConfig.all_fp(model.layer_order)
+    cfg.validate(model.layer_order)
+    if cfg.wants_act_quant() and act_ranges is None:
+        raise ConfigError("config quantizes activations but no calibrated ranges were given")
+    return _Run(model, cfg, act_ranges, bos_aware, trace, calib=None)
 
 
 def forward(
@@ -598,13 +693,8 @@ def forward(
     stacked batch (latent (B, C, H, W), embedding (B, T, D), timestep scalar or
     (B,)). Each input of a batch gives the same output as a forward of its own.
     """
-    latent, embedding, timesteps, single = _as_batch(model, latent, embedding, timestep)
-    cfg = config if config is not None else QuantConfig.all_fp(model.layer_order)
-    cfg.validate(model.layer_order)
-    if cfg.wants_act_quant() and act_ranges is None:
-        raise ConfigError("config quantizes activations but no calibrated ranges were given")
-    run = _Run(model, cfg, act_ranges, bos_aware, trace, calib=None)
-    out = _forward_graph(run, latent, embedding, timesteps)
+    state, single = _as_batch(model, latent, embedding, timestep)
+    out = _run_from(_make_run(model, config, bos_aware, act_ranges, trace), state)
     return out[0] if single else out
 
 
@@ -612,6 +702,62 @@ def forward_inputs(model: ToyModel, inputs, **options) -> list[Tensor]:
     """``forward`` over a list of (latent, embedding, timestep) inputs in stacked
     chunks of ``FORWARD_CHUNK``; one output per input, in input order."""
     return [out for chunk in input_chunks(inputs) for out in forward(model, *chunk, **options)]
+
+
+@dataclass(frozen=True)
+class SegmentState:
+    """One input chunk's full-precision state at the entry of segment ``index``.
+
+    Its arrays are read-only, so every resume from it starts from the same values.
+    """
+
+    index: int
+    arrays: MappingProxyType
+
+    @classmethod
+    def frozen(cls, index: int, arrays: dict) -> "SegmentState":
+        for a in arrays.values():
+            a.flags.writeable = False
+        return cls(index, MappingProxyType(arrays))
+
+
+def fp_segment_states(model: ToyModel, inputs, bos_aware: bool = False):
+    """Yield ``(segment, states)`` for every segment in run order.
+
+    ``states[j]`` is the full-precision ``SegmentState`` of chunk ``j`` of
+    ``inputs`` (as ``input_chunks`` cuts them) at the segment's entry. All
+    chunks advance one segment per step, so only one segment's states are
+    built and held at a time, never every segment's.
+    """
+    run = _make_run(model, None, bos_aware, None)
+    states = [SegmentState.frozen(0, _as_batch(model, *chunk)[0]) for chunk in input_chunks(inputs)]
+    segs = _segment_list(model.depth)
+    for index, segment in enumerate(segs):
+        yield segment, states
+        if index + 1 < len(segs):
+            states = [SegmentState.frozen(index + 1, segment.step(run, s.arrays)) for s in states]
+
+
+def resume(
+    model: ToyModel,
+    state: SegmentState,
+    config: QuantConfig | None = None,
+    bos_aware: bool = False,
+    act_ranges: dict[str, ActRange] | None = None,
+) -> Tensor:
+    """Run a cached chunk from its state's segment to the output.
+
+    This is the batch ``forward`` gives for the chunk, bit for bit, because
+    ``config`` may quantize no layer of the segments the state has passed
+    (``ConfigError`` otherwise) and ``bos_aware`` must be the one the state was
+    built with.
+    """
+    run = _make_run(model, config, bos_aware, act_ranges)
+    for segment in _segment_list(model.depth)[:state.index]:
+        for lid in segment.layers:
+            if run.config.weight_bits[lid] is not None or run.config.act_bits[lid] is not None:
+                raise ConfigError(f"{lid} runs before segment {state.index}, where this state resumes")
+    return _run_from(run, state.arrays, state.index)
 
 
 def calibrate_activations(
@@ -623,9 +769,8 @@ def calibrate_activations(
     acc: dict[str, ActRange] = {}
     cfg = QuantConfig.all_fp(model.layer_order)
     for chunk in input_chunks(inputs):
-        latent, embedding, timesteps, _ = _as_batch(model, *chunk)
-        run = _Run(model, cfg, None, bos_aware, None, calib=acc)
-        _forward_graph(run, latent, embedding, timesteps)
+        state, _ = _as_batch(model, *chunk)
+        _run_from(_Run(model, cfg, None, bos_aware, None, calib=acc), state)
     return acc
 
 

@@ -1,0 +1,76 @@
+"""The traced benchmark reads per-function metrics by name; keep those names and calls.
+
+``perfbench/run.py`` lists in ``FUNCTION_METRICS`` the ``module.function`` pairs
+whose call statistics it reports. Its tracer wraps only public functions defined
+in their own module, and a function called fewer than 20 times has no tail
+figures, so a restructure that renames one or stops calling it loses metrics.
+"""
+
+import ast
+import importlib
+import inspect
+from collections import Counter
+from pathlib import Path
+
+from mixprec import metrics, sensitivity as sv, toy_model as tm
+
+RUN_PY = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+
+
+def function_metric_names() -> list[str]:
+    tree = ast.parse(RUN_PY.read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "FUNCTION_METRICS" for t in node.targets
+        ):
+            return list(ast.literal_eval(node.value))
+    raise AssertionError("perfbench/run.py defines no FUNCTION_METRICS")
+
+
+def test_every_traced_function_is_public_in_its_module():
+    names = function_metric_names()
+    assert "sensitivity.probe_layer" in names
+    for name in names:
+        module, function = name.split(".")
+        mod = importlib.import_module(f"mixprec.{module}")
+        value = getattr(mod, function, None)
+        assert inspect.isfunction(value), name
+        assert not function.startswith("_"), name
+        assert value.__module__ == mod.__name__, name
+
+
+def test_analyze_calls_probe_layer_once_per_layer_and_bit(model, small_inputs, monkeypatch):
+    calls = Counter()
+    real = sv.probe_layer
+
+    def counting(model, inputs, refs, layer_id, tensor_kind, bit_width, **kwargs):
+        calls[layer_id, bit_width] += 1
+        return real(model, inputs, refs, layer_id, tensor_kind, bit_width, **kwargs)
+
+    monkeypatch.setattr(sv, "probe_layer", counting)
+    for kind in sv.TENSOR_KINDS:
+        calls.clear()
+        sv.analyze(model, small_inputs[:2], bit_widths=(2, 4), tensor_kind=kind, bos_aware=True)
+        assert calls == {(lid, b): 1 for lid in model.layer_order for b in (2, 4)}, kind
+
+
+def test_analyze_calls_references_forward_and_ssim(model, small_inputs, monkeypatch):
+    calls = Counter()
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(sv, "fp_references")
+    counted(tm, "forward")
+    counted(metrics, "ssim")
+    inputs = small_inputs[:2]
+    sv.analyze(model, inputs, bit_widths=(4,), tensor_kind=sv.WEIGHT)
+    assert calls["fp_references"] == 1
+    assert calls["forward"] >= 1
+    assert calls["ssim"] == len(model.layer_order) * len(inputs)

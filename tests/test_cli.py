@@ -203,6 +203,61 @@ def test_missing_manifest_param_exits_3(pipeline_dir, tmp_path, capsys):
     assert "eval_inputs" in capsys.readouterr().err
 
 
+# model.json cut short (checksum no longer matches), the same file with its
+# checksum recorded again (so it is parsed), and valid JSON of the wrong shape
+BAD_MODEL_JSON = [("truncated", False), ("truncated", True), ("wrong_shape", True)]
+
+
+@pytest.mark.parametrize("stage", ["sensitivity", "allocate", "evaluate"])
+@pytest.mark.parametrize("damage,rechecksum", BAD_MODEL_JSON)
+def test_bad_model_json_exits_3(pipeline_dir, tmp_path, capsys, stage, damage, rechecksum):
+    manifest = _copy_with_params(pipeline_dir, tmp_path)
+    model_json = manifest.parent / "model.json"
+    text = model_json.read_text()
+    model_json.write_text(text[: len(text) // 2] if damage == "truncated" else '{"layers": 5}')
+    if rechecksum:
+        data = json.loads(manifest.read_text())
+        data["checksums"]["model.json"] = sha256_file(model_json)
+        manifest.write_text(json.dumps(data))
+    assert run([stage, "--manifest", str(manifest)]) == 3
+    err = capsys.readouterr().err
+    assert ("checksum mismatch: model.json" in err) == (not rechecksum)
+    assert ("not a valid model description" in err) == rechecksum
+
+
+MISSING = "missing"
+BAD_SEEDS = [
+    ("calibration", "x", "sensitivity"),
+    ("calibration", -1, "allocate"),
+    ("calibration", 2.0, "evaluate"),
+    ("proxy", True, "allocate"),
+    ("proxy", MISSING, "allocate"),
+    ("eval", None, "evaluate"),
+    ("model", "7", "sensitivity"),
+    ("model", MISSING, "evaluate"),
+]
+
+
+@pytest.mark.parametrize("key,value,stage", BAD_SEEDS)
+def test_bad_manifest_seed_exits_3(pipeline_dir, tmp_path, capsys, key, value, stage):
+    manifest = _copy_with_params(pipeline_dir, tmp_path)
+    data = json.loads(manifest.read_text())
+    if value == MISSING:
+        del data["seeds"][key]
+    else:
+        data["seeds"][key] = value
+    manifest.write_text(json.dumps(data))
+    assert run([stage, "--manifest", str(manifest)]) == 3
+    assert f"seeds.{key}" in capsys.readouterr().err or value == MISSING
+
+
+def test_negative_seed_flags_exit_2(tmp_path):
+    for flag in ("--calib-seed", "--proxy-seed", "--eval-seed"):
+        with pytest.raises(SystemExit) as exc:
+            run(["gen-model", "--out-dir", str(tmp_path / "unused"), flag, "-1"])
+        assert exc.value.code == 2, flag
+
+
 def test_evaluate_malformed_config_exits_3(pipeline_dir, tmp_path):
     manifest = _copy_with_params(pipeline_dir, tmp_path)
     for name, text in (("truncated.json", '{"layers": {'), ("list.json", "[1, 2]"),

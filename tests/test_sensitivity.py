@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mixprec import metrics, quantizer, sensitivity as sv, toy_model as tm
-from mixprec.errors import ParameterError, ValidationError
+from mixprec.errors import ConfigError, ParameterError, ValidationError
 
 
 def test_table_completeness(model, weight_table):
@@ -173,3 +173,101 @@ def test_kv_activation_sensitivity_relaxes_with_bos_handling(model, small_inputs
     off, on = kv_scores(False), kv_scores(True)
     assert all(on[lid] >= off[lid] for lid in kv)
     assert sum(on.values()) > sum(off.values())
+
+
+def single_input_reference_table(model, inputs, bit_widths, kind, bos_aware):
+    """The table ``analyze`` must give, from one single-input forward per probe and input."""
+    refs = [tm.forward(model, *inp, bos_aware=bos_aware) for inp in inputs]
+    ranges = tm.calibrate_activations(model, inputs, bos_aware=bos_aware) if kind == sv.ACTIVATION else None
+    entries = []
+    for lid in model.layer_order:
+        for b in bit_widths:
+            cfg = tm.QuantConfig.all_fp(model.layer_order)
+            (cfg.weight_bits if kind == sv.WEIGHT else cfg.act_bits)[lid] = b
+            ssim_sum = sqnr_sum = 0.0
+            for ref, inp in zip(refs, inputs):
+                out = tm.forward(model, *inp, config=cfg, bos_aware=bos_aware, act_ranges=ranges)
+                rng = float(ref.max() - ref.min())
+                ssim_sum += metrics.ssim(ref, out, metrics.SsimWeights.for_data_range(rng if rng > 0 else 1.0)).value
+                sqnr_sum += metrics.sqnr_db(ref, out).value
+            if model.layers[lid].group == tm.CONTENT:
+                entries.append(sv.SensitivityEntry(lid, kind, b, ssim_sum / len(inputs), metrics.SSIM, len(inputs)))
+            else:
+                entries.append(sv.SensitivityEntry(lid, kind, b, sqnr_sum / len(inputs), metrics.SQNR_DB, len(inputs)))
+    return sv.SensitivityTable(entries)
+
+
+@pytest.fixture(scope="module")
+def deep_model():
+    return tm.build_toy_unet(5, width=4, depth=2, spatial=8, text_tokens=4, text_channels=8, time_dim=8)
+
+
+@pytest.mark.parametrize("kind", sv.TENSOR_KINDS)
+@pytest.mark.parametrize("bos_aware", [True, False])
+@pytest.mark.parametrize("which", ["default", "depth2"])
+def test_analyze_equals_single_input_oracle(model, deep_model, kind, bos_aware, which):
+    # 11 inputs run as chunks of 8 + 3; every probe resumes from a cached segment state
+    net = model if which == "default" else deep_model
+    inputs = tm.make_input_set(202, 11, net)
+    bits = (2, 8) if which == "default" else (2, 4, 8)
+    got = sv.analyze(net, inputs, bit_widths=bits, tensor_kind=kind, bos_aware=bos_aware)
+    assert got.to_jsonl() == single_input_reference_table(net, inputs, bits, kind, bos_aware).to_jsonl()
+
+
+def test_probe_resumed_from_any_earlier_segment_is_identical(model, small_inputs):
+    inputs = small_inputs + small_inputs[:3]
+    refs = sv.fp_references(model, inputs, bos_aware=True)
+    ranges = tm.calibrate_activations(model, inputs, bos_aware=True)
+    lid = "dec0.fuse"
+    whole = sv.probe_layer(model, inputs, refs, lid, sv.ACTIVATION, 4, bos_aware=True, act_ranges=ranges)
+    seen = 0
+    for segment, states in tm.fp_segment_states(model, inputs, bos_aware=True):
+        got = sv.probe_layer(
+            model, inputs, refs, lid, sv.ACTIVATION, 4, bos_aware=True, act_ranges=ranges, states=states
+        )
+        assert got == whole, segment.layers
+        seen += 1
+        if lid in segment.layers:
+            break
+    assert seen == 11
+
+
+def test_probe_rejects_states_past_its_layer(model, small_inputs):
+    refs = sv.fp_references(model, small_inputs)
+    for segment, states in tm.fp_segment_states(model, small_inputs):
+        if "mid.cross.to_q" in segment.layers:
+            break
+    with pytest.raises(ConfigError):
+        sv.probe_layer(model, small_inputs, refs, "enc0.conv_in", sv.WEIGHT, 4, states=states)
+    with pytest.raises(ParameterError):
+        sv.probe_layer(model, small_inputs, refs[:-1], "mid.cross.to_q", sv.WEIGHT, 4, states=states)
+
+
+def test_cached_segment_states_are_read_only(model, small_inputs):
+    for _, states in tm.fp_segment_states(model, small_inputs, bos_aware=True):
+        for state in states:
+            for name, array in state.arrays.items():
+                with pytest.raises(ValueError):
+                    array[...] = 0.0
+                with pytest.raises(ValueError):
+                    array += 1.0
+            with pytest.raises(TypeError):
+                state.arrays["x"] = np.zeros(1)
+
+
+def test_table_score_lookup():
+    entries = [
+        sv.SensitivityEntry("a", "weight", 2, 0.5, metrics.SSIM, 1),
+        sv.SensitivityEntry("a", "activation", 2, 0.25, metrics.SSIM, 1),
+        sv.SensitivityEntry("a", "weight", 2, 0.75, metrics.SSIM, 1),
+    ]
+    table = sv.SensitivityTable(entries)
+    assert table.score("a", 2) == 0.5
+    assert table.score("a", 2, "activation") == 0.25
+    assert table.score("a", 2, "weight") == 0.5
+    assert table.score("a", 2.0) == 0.5
+    for key in (("a", 4, None), ("b", 2, None), ("a", 2, "bias")):
+        with pytest.raises(KeyError) as exc:
+            table.score(*key)
+        assert exc.value.args == (key,)
+    assert table == sv.SensitivityTable(tuple(entries))

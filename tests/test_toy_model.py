@@ -335,3 +335,29 @@ def test_quantconfig_json_roundtrip(model):
     back = tm.QuantConfig.from_json_dict(cfg.to_json_dict())
     assert back.weight_bits == cfg.weight_bits
     assert back.act_bits == cfg.act_bits
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_segments_partition_the_layers_in_run_order(depth):
+    model = tm.build_toy_unet(3, width=2, depth=depth, spatial=4, text_tokens=2, text_channels=2, time_dim=2)
+    segments = tm._segment_list(depth)
+    assert tm._segment_list(depth) is segments  # built once per depth
+    run_order = [lid for segment in segments for lid in segment.layers]
+    assert sorted(run_order) == sorted(model.layer_order)
+    assert len(set(run_order)) == len(run_order)
+    latent, embedding, t = tm.make_input_set(0, 1, model)[0]
+    trace: dict = {}
+    tm.forward(model, latent, embedding, t, trace=trace)
+    assert list(trace) == run_order
+
+
+def test_resume_from_every_segment_equals_forward(model, small_inputs):
+    inputs = small_inputs + small_inputs[:3]
+    ranges = tm.calibrate_activations(model, inputs)
+    for segment, states in tm.fp_segment_states(model, inputs):
+        cfg = tm.QuantConfig.all_fp(model.layer_order)
+        cfg.weight_bits[segment.layers[-1]] = 4
+        cfg.act_bits[segment.layers[0]] = 8
+        outs = [out for state in states for out in tm.resume(model, state, cfg, act_ranges=ranges)]
+        want = tm.forward_inputs(model, inputs, config=cfg, act_ranges=ranges)
+        assert all(np.array_equal(a, b) for a, b in zip(outs, want, strict=True)), segment.layers
