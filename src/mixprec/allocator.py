@@ -23,11 +23,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import metrics, sensitivity, toy_model
+from . import metrics, toy_model
 from .errors import InfeasibleBudgetError, ParameterError, ValidationError
 from .quantizer import BIT_WIDTHS
 from .sensitivity import ACTIVATION, WEIGHT, SensitivityTable, fp_references, rank_long_tail
-from .tensor_core import make_rng
 
 FP_BITS = 16
 
@@ -365,11 +364,17 @@ def allocate(
     if tensor_kind == ACTIVATION and act_ranges is None:
         act_ranges = toy_model.calibrate_activations(model, inputs, bos_aware=options.bos_aware)
 
+    # Sweep cells often solve to the same config; each distinct one is scored once.
+    scores: dict[tuple, float] = {}
+
     def cell_score(config):
-        return proxy_score(
-            model, config, inputs, refs,
-            bos_aware=options.bos_aware, act_ranges=act_ranges, cap_db=options.sqnr_cap_db,
-        )
+        key = tuple((config.weight_bits[lid], config.act_bits[lid]) for lid in model.layer_order)
+        if key not in scores:
+            scores[key] = proxy_score(
+                model, config, inputs, refs,
+                bos_aware=options.bos_aware, act_ranges=act_ranges, cap_db=options.sqnr_cap_db,
+            )
+        return scores[key]
 
     # Budget already admits the all-max-bits assignment: the sweep is moot.
     max_cost = max(bits_grid) * sum(elems[lid] for lid in free) + retained_cost
@@ -486,57 +491,3 @@ def allocate_mixed(
     summary = cost_summary(merged, toy_model.model_layer_summary(model))
     return BitWidthConfig(config=merged, fp_retained=retained, summary=summary), results
 
-
-def naive_sorting_config(
-    model: toy_model.ToyModel,
-    table: SensitivityTable,
-    target_avg_bits: float,
-    *,
-    tensor_kind: str = WEIGHT,
-    bit_widths: tuple[int, ...] = BIT_WIDTHS,
-) -> toy_model.QuantConfig:
-    """Baseline: demote the least-sensitive layer step by step until the budget fits."""
-    bits_grid = tuple(sorted(bit_widths))
-    elem_field = "param_count" if tensor_kind == WEIGHT else "act_elem_count"
-    elems = {lid: getattr(model.layers[lid], elem_field) for lid in model.layer_order}
-    budget = target_avg_bits * sum(elems.values())
-    order = [lid for lid, _ in reversed(rank_long_tail(table))]  # least sensitive first
-    bits = {lid: bits_grid[-1] for lid in model.layer_order}
-    cost = sum(bits[lid] * elems[lid] for lid in bits)
-    for lid in order:
-        while cost > budget and bits[lid] > bits_grid[0]:
-            lower = bits_grid[bits_grid.index(bits[lid]) - 1]
-            cost -= (bits[lid] - lower) * elems[lid]
-            bits[lid] = lower
-        if cost <= budget:
-            break
-    if cost > budget:
-        raise InfeasibleBudgetError(f"target {target_avg_bits:g} bits infeasible for naive sorting")
-    return _kind_config(model, tensor_kind, bits, set())
-
-
-def random_config(
-    model: toy_model.ToyModel,
-    seed: int,
-    target_avg_bits: float,
-    *,
-    tensor_kind: str = WEIGHT,
-    bit_widths: tuple[int, ...] = BIT_WIDTHS,
-) -> toy_model.QuantConfig:
-    """Random feasible config near the budget: demote random layers until it fits."""
-    rng = make_rng(seed, "random-config")
-    bits_grid = tuple(sorted(bit_widths))
-    elem_field = "param_count" if tensor_kind == WEIGHT else "act_elem_count"
-    elems = {lid: getattr(model.layers[lid], elem_field) for lid in model.layer_order}
-    budget = target_avg_bits * sum(elems.values())
-    bits = {lid: bits_grid[-1] for lid in model.layer_order}
-    cost = sum(bits[lid] * elems[lid] for lid in bits)
-    while cost > budget:
-        demotable = [lid for lid in model.layer_order if bits[lid] > bits_grid[0]]
-        if not demotable:
-            raise InfeasibleBudgetError(f"target {target_avg_bits:g} bits infeasible")
-        lid = demotable[int(rng.integers(len(demotable)))]
-        lower = bits_grid[bits_grid.index(bits[lid]) - 1]
-        cost -= (bits[lid] - lower) * elems[lid]
-        bits[lid] = lower
-    return _kind_config(model, tensor_kind, bits, set())

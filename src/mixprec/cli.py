@@ -285,8 +285,7 @@ def run_sensitivity(args) -> int:
         table = sensitivity.analyze(model, inputs, bit_widths=bits, tensor_kind=kind, bos_aware=bos_aware)
         table.validate_complete(model.layer_order, bits, kind)
         rel = data["artifacts"][f"sensitivity_{kind}"]
-        with open(root / rel, "w") as f:
-            f.write(table.to_jsonl())
+        mf.write_atomic(root / rel, table.to_jsonl())
         written.append(rel)
         print(f"sensitivity[{kind}]: {len(table.entries)} entries -> {root / rel}")
     mf.record_checksums(data, root, written)
@@ -303,8 +302,12 @@ def _load_table(data: dict, root: Path, kind: str) -> sensitivity.SensitivityTab
     if not path.exists():
         raise ValidationError(f"sensitivity table missing: {rel} (run the sensitivity stage first)")
     mf.verify_artifacts(data, root, [rel])
-    with open(path) as f:
-        return sensitivity.SensitivityTable.from_jsonl(f.read())
+    try:
+        with open(path) as f:
+            return sensitivity.SensitivityTable.from_jsonl(f.read())
+    except (ValueError, KeyError, TypeError) as exc:
+        # ValueError covers malformed JSON and bytes that are not text; the others, lines of the wrong shape
+        raise ValidationError(f"sensitivity table {rel} is not a valid table: {exc!r}") from exc
 
 
 def run_allocate(args) -> int:
@@ -352,9 +355,7 @@ def run_allocate(args) -> int:
     )
 
     config_rel = data["artifacts"]["config"]
-    with open(root / config_rel, "w") as f:
-        json.dump(config.to_json_dict(), f, sort_keys=True, indent=2)
-        f.write("\n")
+    mf.write_json(root / config_rel, config.to_json_dict())
 
     # Frontier over the weight sweep when weights were allocated, else activations.
     frontier_kind = WEIGHT if weight_target is not None else ACTIVATION
@@ -366,21 +367,19 @@ def run_allocate(args) -> int:
     model_costs = toy_model.model_layer_summary(model)
     written = [config_rel]
     frontier_rel = data["artifacts"]["frontier"]
-    with open(root / frontier_rel, "w") as f:
-        f.write("avg_bits,score,config_path\n")
-        for point in frontier:
-            cell_cfg = res.sweep_configs[point.ref]
-            cell = allocator.BitWidthConfig(
-                config=cell_cfg,
-                fp_retained=res.config.fp_retained,
-                summary=allocator.cost_summary(cell_cfg, model_costs),
-            )
-            rel = f"{cfg_dir_rel}/{frontier_kind}_{point.ref:03d}.json"
-            with open(root / rel, "w") as g:
-                json.dump(cell.to_json_dict(), g, sort_keys=True, indent=2)
-                g.write("\n")
-            written.append(rel)
-            f.write(f"{_fmt(point.avg_bits)},{_fmt(point.score)},{rel}\n")
+    rows = ["avg_bits,score,config_path\n"]
+    for point in frontier:
+        cell_cfg = res.sweep_configs[point.ref]
+        cell = allocator.BitWidthConfig(
+            config=cell_cfg,
+            fp_retained=res.config.fp_retained,
+            summary=allocator.cost_summary(cell_cfg, model_costs),
+        )
+        rel = f"{cfg_dir_rel}/{frontier_kind}_{point.ref:03d}.json"
+        mf.write_json(root / rel, cell.to_json_dict())
+        written.append(rel)
+        rows.append(f"{_fmt(point.avg_bits)},{_fmt(point.score)},{rel}\n")
+    mf.write_atomic(root / frontier_rel, "".join(rows))
     written.append(frontier_rel)
     mf.record_checksums(data, root, written)
     mf.save_manifest(data, root / Path(args.manifest).name)
@@ -469,15 +468,12 @@ def run_evaluate(args) -> int:
     suffix = ".json" if args.format == "json" else ".csv"
     report_rel = str(Path(data["artifacts"]["report"]).with_suffix(suffix))
     if args.format == "json":
-        with open(root / report_rel, "w") as f:
-            json.dump(report, f, sort_keys=True, indent=2)
-            f.write("\n")
+        mf.write_json(root / report_rel, report)
     else:
-        with open(root / report_rel, "w") as f:
-            f.write("index,ssim,sqnr_db\n")
-            for r in rows:
-                f.write(f"{r['index']},{_fmt(r['ssim'])},{_fmt(r['sqnr_db'])}\n")
-            f.write(f"mean,{_fmt(report['metrics']['ssim_mean'])},{_fmt(report['metrics']['sqnr_db_mean'])}\n")
+        lines = ["index,ssim,sqnr_db\n"]
+        lines += [f"{r['index']},{_fmt(r['ssim'])},{_fmt(r['sqnr_db'])}\n" for r in rows]
+        lines.append(f"mean,{_fmt(report['metrics']['ssim_mean'])},{_fmt(report['metrics']['sqnr_db_mean'])}\n")
+        mf.write_atomic(root / report_rel, "".join(lines))
     data["artifacts"]["report"] = report_rel
     mf.record_checksums(data, root, [report_rel])
     mf.save_manifest(data, root / Path(args.manifest).name)

@@ -8,6 +8,7 @@ their checksums. All paths are relative to the manifest's directory.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 from .errors import ValidationError
@@ -46,10 +47,30 @@ def load_manifest(path: Path | str) -> tuple[dict, Path]:
     return data, path.parent.resolve()
 
 
+def write_atomic(path: Path | str, text: str) -> None:
+    """Write ``text`` to a temp file beside ``path``, then rename it over ``path``.
+
+    A write that fails leaves ``path`` as it was and removes the temp file, so
+    a run directory never holds a partial artifact.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as f:
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_json(path: Path | str, data) -> None:
+    """Sorted, indented JSON with a trailing newline, written atomically."""
+    write_atomic(path, json.dumps(data, sort_keys=True, indent=2) + "\n")
+
+
 def save_manifest(data: dict, path: Path | str) -> None:
-    with open(path, "w") as f:
-        json.dump(data, f, sort_keys=True, indent=2)
-        f.write("\n")
+    write_json(path, data)
 
 
 def record_checksums(data: dict, root: Path, rel_paths: list[str]) -> None:

@@ -161,35 +161,6 @@ def fake_quant(t: Tensor, params: QuantParams) -> Tensor:
     return dequantize(quantize(t, params))
 
 
-def quant_params_to_json_dict(layer_id: str, tensor_kind: str, params: QuantParams) -> dict:
-    """Wire format for calibrated params: one record per (layer, tensor kind)."""
-    return {
-        "layer_id": layer_id,
-        "tensor_kind": tensor_kind,
-        "bit_width": params.bit_width,
-        "granularity": params.granularity,
-        "scales": np.atleast_1d(params.scales).tolist(),
-        "zero_points": np.atleast_1d(params.zero_points).tolist(),
-        "channel_axis": params.channel_axis,
-    }
-
-
-def quant_params_from_json_dict(d: dict) -> tuple[str, str, QuantParams]:
-    scales = np.asarray(d["scales"], dtype=np.float64)
-    zeros = np.asarray(d["zero_points"], dtype=np.int64)
-    if d["granularity"] == PER_TENSOR:
-        scales = scales.reshape(())
-        zeros = zeros.reshape(())
-    params = QuantParams(
-        bit_width=d["bit_width"],
-        granularity=d["granularity"],
-        scales=scales,
-        zero_points=zeros,
-        channel_axis=d.get("channel_axis"),
-    )
-    return d["layer_id"], d["tensor_kind"], params
-
-
 def split_bos(embedding: Tensor) -> BosSplit:
     """Separate the first token row from a (tokens x channels) embedding, or from
     each embedding of a (B, tokens, channels) batch, losslessly."""

