@@ -9,9 +9,12 @@ The top-level sweep mirrors the deployment flow: scan a handful of budgets
 just below the target, split each between the content and quality layer
 groups at several ratios, solve the two knapsacks, and keep the merged
 configuration whose fast proxy evaluation (mean output SQNR over a small
-input set) is best. Summaries account storage in bits and compute in
-bit-operations; a layer whose weight or activation stays full precision
-computes at FP16.
+input set) is best. The sweep runs in two passes: every cell is solved first,
+then each distinct config is proxy-scored once, in lexicographic layer order,
+resuming from the segment states it shares with the config before it. Its
+size is capped at ``MAX_SWEEP_CELLS`` cells. Summaries account storage in bits
+and compute in bit-operations; a layer whose weight or activation stays full
+precision computes at FP16.
 """
 
 from __future__ import annotations
@@ -36,6 +39,21 @@ MAX_DP_CELLS = 1 << 24
 
 DEFAULT_RATIO_GRID_WEIGHT = tuple(float(x) for x in np.linspace(0.45, 1.36, 8))
 DEFAULT_RATIO_GRID_ACT = tuple(float(x) for x in np.linspace(0.94, 1.09, 8))
+
+# Sweep cells (budgets x ratios) of one allocation. The sweep holds every cell's
+# config until it is scored, and each cell costs two knapsack solves and, for a
+# new config, one proxy forward: 1024 cells bound both memory (a few MB) and
+# time. The default sweep has 40 cells; the `sweep` benchmark workload 80.
+MAX_SWEEP_CELLS = 1024
+
+
+def check_sweep_cells(n_budgets: int, n_ratios: int) -> None:
+    """A sweep of ``n_budgets`` x ``n_ratios`` cells must fit ``MAX_SWEEP_CELLS``."""
+    if n_budgets * n_ratios > MAX_SWEEP_CELLS:
+        raise ParameterError(
+            f"a sweep of {n_budgets} budgets x {n_ratios} ratios exceeds the limit of "
+            f"{MAX_SWEEP_CELLS} cells; use fewer budgets or ratios"
+        )
 
 
 @dataclass(frozen=True)
@@ -311,13 +329,27 @@ def _greedy_fill(choices, spend, budget, elems, bits_grid, score_fn) -> int:
         spend += dc
 
 
-def proxy_score(model, config, inputs, refs, *, bos_aware=False, act_ranges=None, cap_db=metrics.DEFAULT_SQNR_CAP_DB) -> float:
-    """Mean output SQNR of the configured model over a small input set."""
-    outs = toy_model.forward_inputs(model, inputs, config=config, bos_aware=bos_aware, act_ranges=act_ranges)
+def proxy_score(
+    model, config, inputs, refs, *, bos_aware=False, act_ranges=None, cap_db=metrics.DEFAULT_SQNR_CAP_DB, cache=None
+) -> float:
+    """Mean output SQNR of the configured model over a small input set.
+
+    ``cache`` is a ``toy_model.StateCache`` shared by the configs of one sweep;
+    it changes the work done, never the score.
+    """
+    outs = toy_model.forward_inputs(
+        model, inputs, config=config, bos_aware=bos_aware, act_ranges=act_ranges, cache=cache
+    )
     total = 0.0
     for ref, out in zip(refs, outs):
         total += metrics.sqnr_db(ref, out, cap_db=cap_db).value
     return total / len(refs)
+
+
+def proxy_set(model: toy_model.ToyModel, options: AllocOptions) -> tuple[list, list]:
+    """The proxy inputs an allocation with ``options`` scores on, and their FP outputs."""
+    inputs = toy_model.make_input_set(options.proxy_seed, options.proxy_inputs, model)
+    return inputs, fp_references(model, inputs, bos_aware=options.bos_aware)
 
 
 def allocate(
@@ -328,10 +360,18 @@ def allocate(
     tensor_kind: str = WEIGHT,
     options: AllocOptions = AllocOptions(),
     act_ranges=None,
+    proxy: tuple[list, list] | None = None,
 ) -> AllocationResult:
-    """Budget-and-ratio sweep returning the proxy-best configuration for one tensor kind."""
+    """Budget-and-ratio sweep returning the proxy-best configuration for one tensor kind.
+
+    ``proxy`` is ``proxy_set(model, options)``, built here when not given.
+    """
     if not 2 <= target_avg_bits <= 8:
         raise ParameterError("target average bits must lie in [2, 8]")
+    grid = options.ratio_grid
+    if grid is None:
+        grid = DEFAULT_RATIO_GRID_WEIGHT if tensor_kind == WEIGHT else DEFAULT_RATIO_GRID_ACT
+    check_sweep_cells(options.n_budgets, len(grid))
     bits_grid = tuple(sorted(options.bit_widths))
     table.validate_complete(model.layer_order, bits_grid, tensor_kind)
 
@@ -359,28 +399,34 @@ def allocate(
         bw = BitWidthConfig(config=config, fp_retained=retained_map, summary=cost_summary(config, model_costs))
         return AllocationResult(config=bw, sweep=sweep, sweep_configs=sweep_configs, best_ref=best_ref)
 
-    inputs = toy_model.make_input_set(options.proxy_seed, options.proxy_inputs, model)
-    refs = fp_references(model, inputs, bos_aware=options.bos_aware)
+    inputs, refs = proxy if proxy is not None else proxy_set(model, options)
     if tensor_kind == ACTIVATION and act_ranges is None:
         act_ranges = toy_model.calibrate_activations(model, inputs, bos_aware=options.bos_aware)
 
-    # Sweep cells often solve to the same config; each distinct one is scored once.
-    scores: dict[tuple, float] = {}
-
-    def cell_score(config):
-        key = tuple((config.weight_bits[lid], config.act_bits[lid]) for lid in model.layer_order)
-        if key not in scores:
-            scores[key] = proxy_score(
-                model, config, inputs, refs,
-                bos_aware=options.bos_aware, act_ranges=act_ranges, cap_db=options.sqnr_cap_db,
+    def score_each(configs) -> list[float]:
+        """The proxy score of every config. Sweep cells often solve to the same
+        config; each distinct one is scored once, in lexicographic layer order
+        (FP as -1), so it shares its longest segment prefix with the one before
+        it and resumes from that prefix's cached state."""
+        keys = [tuple((config.weight_bits[lid], config.act_bits[lid]) for lid in model.layer_order)
+                for config in configs]
+        distinct = dict(zip(keys, configs))
+        order = sorted(distinct, key=lambda key: tuple(-1 if b is None else b for pair in key for b in pair))
+        cache = toy_model.StateCache(model, [distinct[key] for key in order])
+        scores = {
+            key: proxy_score(
+                model, distinct[key], inputs, refs,
+                bos_aware=options.bos_aware, act_ranges=act_ranges, cap_db=options.sqnr_cap_db, cache=cache,
             )
-        return scores[key]
+            for key in order
+        }
+        return [scores[key] for key in keys]
 
     # Budget already admits the all-max-bits assignment: the sweep is moot.
     max_cost = max(bits_grid) * sum(elems[lid] for lid in free) + retained_cost
     if max_cost <= budget_all:
         config = _kind_config(model, tensor_kind, {lid: max(bits_grid) for lid in free}, retained)
-        point = ParetoPoint(avg_bits=max_cost / total_elems, score=cell_score(config), ref=0)
+        point = ParetoPoint(avg_bits=max_cost / total_elems, score=score_each([config])[0], ref=0)
         return finish(config, [point], [config], 0)
 
     def group_instance(group: str, budget: float) -> MckpInstance | None:
@@ -406,17 +452,12 @@ def allocate(
 
     delta = options.delta_avg_bits * total_elems
     budgets = [float(b) for b in np.linspace(budget_all - delta, budget_all, options.n_budgets)]
-    grid = options.ratio_grid
-    if grid is None:
-        grid = DEFAULT_RATIO_GRID_WEIGHT if tensor_kind == WEIGHT else DEFAULT_RATIO_GRID_ACT
 
     def table_score(lid, b):
         return table.score(lid, b, tensor_kind)
 
-    points: list[ParetoPoint] = []
-    configs: list[toy_model.QuantConfig] = []
-    best = None  # (score, -cost, ref_index)
-    best_choices = None
+    # Pass 1: solve every cell. Neither the solver nor the fill reads a proxy score.
+    cells: list[tuple[int, dict[str, int], toy_model.QuantConfig]] = []  # (cost, choices, config)
     for budget in budgets:
         b_eff = budget - retained_cost
         for k in grid:
@@ -434,24 +475,27 @@ def allocate(
             except InfeasibleBudgetError:
                 continue
             cost = _greedy_fill(choices, cost, budget, elems, bits_grid, table_score)
-            config = _kind_config(model, tensor_kind, choices, retained)
-            score = cell_score(config)
-            ref = len(points)
-            points.append(ParetoPoint(avg_bits=cost / total_elems, score=score, ref=ref))
-            configs.append(config)
-            if best is None or (score, -cost) > best[:2]:
-                best = (score, -cost, ref)
-                best_choices = dict(choices)
-    if best_choices is None:
+            cells.append((cost, choices, _kind_config(model, tensor_kind, choices, retained)))
+    if not cells:
         # Every skewed split starved one group, yet the budget itself is
         # feasible: fall back to the cheapest assignment topped up greedily.
         choices = {lid: min(bits_grid) for lid in free}
         spend = _greedy_fill(choices, min_cost, budget_all, elems, bits_grid, table_score)
         config = _kind_config(model, tensor_kind, choices, retained)
-        point = ParetoPoint(avg_bits=spend / total_elems, score=cell_score(config), ref=0)
+        point = ParetoPoint(avg_bits=spend / total_elems, score=score_each([config])[0], ref=0)
         return finish(config, [point], [config], 0)
+
+    # Pass 2: score the cells' configs, then keep the best cell in sweep order.
+    configs = [config for _, _, config in cells]
+    points: list[ParetoPoint] = []
+    best = None  # (score, -cost, ref_index)
+    for ref, ((cost, _, _), score) in enumerate(zip(cells, score_each(configs))):
+        points.append(ParetoPoint(avg_bits=cost / total_elems, score=score, ref=ref))
+        if best is None or (score, -cost) > best[:2]:
+            best = (score, -cost, ref)
     # The winning cell may have been swept at a budget below the target; top it
     # up against the full budget so the emitted average lands on the target.
+    best_choices = dict(cells[best[2]][1])
     _greedy_fill(best_choices, -best[1], budget_all, elems, bits_grid, table_score)
     best_config = _kind_config(model, tensor_kind, best_choices, retained)
     return finish(best_config, points, configs, best[2])
@@ -472,10 +516,22 @@ def allocate_mixed(
     results: dict[str, AllocationResult] = {}
     merged = toy_model.QuantConfig.all_fp(model.layer_order)
     retained: dict[str, tuple[str, ...]] = {}
+    # Both kinds score on one proxy set when their options draw the same one.
+    proxies: dict[tuple, tuple[list, list]] = {}
+
+    def proxy_for(options: AllocOptions) -> tuple[list, list]:
+        key = (options.proxy_seed, options.proxy_inputs, options.bos_aware)
+        if key not in proxies:
+            proxies[key] = proxy_set(model, options)
+        return proxies[key]
+
     if weight_target is not None:
         if weight_table is None:
             raise ValidationError("weight allocation requested but no weight sensitivity table given")
-        res = allocate(model, weight_table, weight_target, tensor_kind=WEIGHT, options=weight_options)
+        res = allocate(
+            model, weight_table, weight_target, tensor_kind=WEIGHT, options=weight_options,
+            proxy=proxy_for(weight_options),
+        )
         results[WEIGHT] = res
         merged.weight_bits = dict(res.config.config.weight_bits)
         retained.update(res.config.fp_retained)
@@ -483,7 +539,8 @@ def allocate_mixed(
         if act_table is None:
             raise ValidationError("activation allocation requested but no activation table given")
         res = allocate(
-            model, act_table, act_target, tensor_kind=ACTIVATION, options=act_options, act_ranges=act_ranges
+            model, act_table, act_target, tensor_kind=ACTIVATION, options=act_options, act_ranges=act_ranges,
+            proxy=proxy_for(act_options),
         )
         results[ACTIVATION] = res
         merged.act_bits = dict(res.config.config.act_bits)

@@ -143,10 +143,7 @@ _PARAM_DEFAULTS = {"n_budgets": 5, "delta_avg_bits": 0.25, "proxy_inputs": 8}
 
 def _checked_params(data: dict) -> dict:
     """The manifest's params, each one a stage reads checked; a bad or missing one is a ValidationError."""
-    params = data.get("params")
-    if not isinstance(params, dict):
-        raise ValidationError("manifest params must be a JSON object")
-    checked = {**_PARAM_DEFAULTS, **params}
+    checked = {**_PARAM_DEFAULTS, **data["params"]}
     for key, check in _PARAM_CHECKS.items():
         if key not in checked:
             raise ValidationError(f"manifest params lack {key!r}")
@@ -164,9 +161,7 @@ _SEED_MINIMUMS = {"model": -math.inf, "calibration": 0, "proxy": 0, "eval": 0}
 
 def _checked_seeds(data: dict) -> dict:
     """The manifest's seeds, each checked; a bad or missing one is a ValidationError."""
-    seeds = data.get("seeds")
-    if not isinstance(seeds, dict):
-        raise ValidationError("manifest seeds must be a JSON object")
+    seeds = data["seeds"]
     for key, minimum in _SEED_MINIMUMS.items():
         if key not in seeds:
             raise ValidationError(f"manifest seeds lack {key!r}")
@@ -185,10 +180,29 @@ def _ratio_grid(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError("ratio grid must look like LO:HI:N")
     if n < 1 or not (math.isfinite(lo) and math.isfinite(hi)) or lo <= 0 or hi < lo:
         raise argparse.ArgumentTypeError("ratio grid needs finite 0 < LO <= HI and N >= 1")
+    try:
+        allocator.check_sweep_cells(1, n)
+    except ParameterError as exc:
+        raise argparse.ArgumentTypeError(f"ratio grid: {exc}")
     if n == 1:
         return (lo,)
     step = (hi - lo) / (n - 1)
     return tuple(lo + i * step for i in range(n))
+
+
+class _UsageError(Exception):
+    """A combination of flags that no single flag's parser can reject; exits 2."""
+
+
+def _check_sweep(n_budgets: int, n_ratios: int, from_flag: bool) -> None:
+    """An allocation sweep over ``allocator.MAX_SWEEP_CELLS`` is a usage error when
+    a flag set its size, and a bad manifest param when the manifest did."""
+    try:
+        allocator.check_sweep_cells(n_budgets, n_ratios)
+    except ParameterError as exc:
+        if from_flag:
+            raise _UsageError(str(exc)) from exc
+        raise ValidationError(f"manifest params.n_budgets: {exc}") from exc
 
 
 def _fmt(value: float) -> str:
@@ -199,6 +213,9 @@ def _fmt(value: float) -> str:
 
 
 def run_gen_model(args) -> int:
+    # The manifest's n_budgets sweeps the default ratio grids unless allocate overrides them.
+    for grid in (allocator.DEFAULT_RATIO_GRID_WEIGHT, allocator.DEFAULT_RATIO_GRID_ACT):
+        _check_sweep(args.n_budgets, len(grid), from_flag=True)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     model = toy_model.build_toy_unet(
@@ -323,9 +340,17 @@ def run_allocate(args) -> int:
     if weight_target is None and act_target is None:
         raise ValidationError("nothing to allocate: both weight and activation targets are FP")
 
+    n_budgets = args.n_budgets if args.n_budgets is not None else params["n_budgets"]
+    for target, grid, default in (
+        (weight_target, args.ratio_grid, allocator.DEFAULT_RATIO_GRID_WEIGHT),
+        (act_target, args.act_ratio_grid, allocator.DEFAULT_RATIO_GRID_ACT),
+    ):
+        if target is not None:
+            _check_sweep(n_budgets, len(grid or default), from_flag=args.n_budgets is not None or grid is not None)
+
     common = dict(
         bit_widths=bits,
-        n_budgets=args.n_budgets if args.n_budgets is not None else params["n_budgets"],
+        n_budgets=n_budgets,
         delta_avg_bits=args.delta_bits if args.delta_bits is not None else params["delta_avg_bits"],
         proxy_inputs=params["proxy_inputs"],
         proxy_seed=seeds["proxy"],
@@ -607,6 +632,8 @@ def main(argv=None) -> int:
         parser.error("pipeline needs --manifest or --out-dir")
     try:
         return args.func(args)
+    except _UsageError as exc:
+        parser.error(str(exc))
     except InfeasibleBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

@@ -35,15 +35,25 @@ def default_manifest(params: dict, seeds: dict) -> dict:
     }
 
 
+# Sections every stage reads or writes; each must be a JSON object.
+MANIFEST_SECTIONS = ("artifacts", "checksums", "params", "seeds")
+
+
 def load_manifest(path: Path | str) -> tuple[dict, Path]:
+    """The manifest and its directory; a manifest of the wrong shape is a ValidationError."""
     path = Path(path)
     try:
         with open(path) as f:
             data = json.load(f)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"manifest {path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ValidationError(f"manifest {path} must be a JSON object, not {type(data).__name__}")
     if data.get("version") != MANIFEST_VERSION:
         raise ValidationError(f"manifest {path} has unsupported version {data.get('version')!r}")
+    for section in MANIFEST_SECTIONS:
+        if not isinstance(data.get(section), dict):
+            raise ValidationError(f"manifest {path}: {section} must be a JSON object")
     return data, path.parent.resolve()
 
 

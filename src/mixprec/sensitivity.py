@@ -116,7 +116,7 @@ def probe_layer(
 ) -> tuple[float, float]:
     """Quantize one layer's tensor at one bit-width; mean (SSIM, SQNR) vs FP.
 
-    ``states`` are the chunks' cached FP states (``toy_model.fp_segment_states``,
+    ``states`` are the chunks' cached FP states (``toy_model.segment_states``,
     built with the same ``bos_aware``) at a segment no later than the one that
     runs ``layer_id``; the probe runs only from there on. Without them it runs
     the whole network on ``inputs``.
@@ -129,7 +129,7 @@ def probe_layer(
     else:
         raise ParameterError(f"tensor_kind must be one of {TENSOR_KINDS}")
     if states is None:
-        _, states = next(toy_model.fp_segment_states(model, inputs, bos_aware=bos_aware))
+        _, states = next(toy_model.segment_states(model, inputs, bos_aware=bos_aware))
     outs = [
         out
         for state in states
@@ -176,7 +176,7 @@ def analyze(
         act_ranges = toy_model.calibrate_activations(model, inputs, bos_aware=bos_aware)
 
     scores = {}
-    for segment, states in toy_model.fp_segment_states(model, inputs, bos_aware=bos_aware):
+    for segment, states in toy_model.segment_states(model, inputs, bos_aware=bos_aware):
         for lid in segment.layers:
             for b in bit_widths:
                 scores[lid, b] = probe_layer(

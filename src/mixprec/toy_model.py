@@ -8,9 +8,12 @@ spatial shape as the latent. Time conditioning enters through a small MLP
 over sinusoidal features plus per-stage channel projections.
 
 The graph runs as one ordered list of segments, each keyed by the layers it
-runs. ``forward`` runs them all; ``fp_segment_states`` keeps the
-full-precision state at each segment's entry, and ``resume`` runs a config from
-such a state to the output, so a probe of one layer skips the FP prefix before it.
+runs. ``forward`` runs them all; ``segment_states`` keeps the state at each
+segment's entry under one config (full precision by default), and ``resume``
+runs any config that agrees with it on the layers already passed from such a
+state to the output, so a probe of one layer skips the FP prefix before it. A
+``StateCache`` does the same across ``forward`` calls: each call resumes from the
+deepest state an earlier call left whose passed layers ran the same bits.
 
 Every weighted layer carries a descriptor (kind, metric group, parameter /
 activation / MAC counts) and can be independently fake-quantized on its
@@ -677,6 +680,11 @@ def _make_run(model: ToyModel, config, bos_aware, act_ranges, trace=None) -> _Ru
     return _Run(model, cfg, act_ranges, bos_aware, trace, calib=None)
 
 
+def _run_bits(config: QuantConfig, segments) -> tuple:
+    """(weight, act) bits of every layer of ``segments``, in run order."""
+    return tuple((config.weight_bits[lid], config.act_bits[lid]) for seg in segments for lid in seg.layers)
+
+
 def forward(
     model: ToyModel,
     latent: Tensor,
@@ -686,15 +694,25 @@ def forward(
     bos_aware: bool = False,
     act_ranges: dict[str, ActRange] | None = None,
     trace: dict | None = None,
+    cache: "StateCache | None" = None,
 ) -> Tensor:
     """One denoising-style step; returns a pseudo-image shaped like the latent.
 
     Takes one input (latent (C, H, W), embedding (T, D), scalar timestep) or a
     stacked batch (latent (B, C, H, W), embedding (B, T, D), timestep scalar or
     (B,)). Each input of a batch gives the same output as a forward of its own.
+    With a ``cache`` the call resumes from the deepest state the cache holds for
+    this batch whose passed layers ran the bits ``config`` gives them, and the
+    output is the same, bit for bit.
     """
     state, single = _as_batch(model, latent, embedding, timestep)
-    out = _run_from(_make_run(model, config, bos_aware, act_ranges, trace), state)
+    run = _make_run(model, config, bos_aware, act_ranges, trace)
+    if cache is None:
+        out = _run_from(run, state)
+    elif trace is not None:
+        raise ParameterError("a traced forward runs every layer; it takes no state cache")
+    else:
+        out = cache.run_chunk(run, state)
     return out[0] if single else out
 
 
@@ -706,36 +724,49 @@ def forward_inputs(model: ToyModel, inputs, **options) -> list[Tensor]:
 
 @dataclass(frozen=True)
 class SegmentState:
-    """One input chunk's full-precision state at the entry of segment ``index``.
+    """One input chunk's state at the entry of segment ``index``.
 
-    Its arrays are read-only, so every resume from it starts from the same values.
+    ``bits`` holds the (weight, act) bits of every layer the state has passed,
+    in run order: a config resumes from it only if it gives those layers the
+    same bits. Its arrays are read-only, so every resume from it starts from the
+    same values.
     """
 
     index: int
+    bits: tuple
     arrays: MappingProxyType
 
     @classmethod
-    def frozen(cls, index: int, arrays: dict) -> "SegmentState":
+    def frozen(cls, index: int, bits: tuple, arrays: dict) -> "SegmentState":
         for a in arrays.values():
             a.flags.writeable = False
-        return cls(index, MappingProxyType(arrays))
+        return cls(index, bits, MappingProxyType(arrays))
 
 
-def fp_segment_states(model: ToyModel, inputs, bos_aware: bool = False):
+def segment_states(
+    model: ToyModel,
+    inputs,
+    config: QuantConfig | None = None,
+    bos_aware: bool = False,
+    act_ranges: dict[str, ActRange] | None = None,
+):
     """Yield ``(segment, states)`` for every segment in run order.
 
-    ``states[j]`` is the full-precision ``SegmentState`` of chunk ``j`` of
-    ``inputs`` (as ``input_chunks`` cuts them) at the segment's entry. All
-    chunks advance one segment per step, so only one segment's states are
-    built and held at a time, never every segment's.
+    ``states[j]`` is the ``SegmentState`` of chunk ``j`` of ``inputs`` (as
+    ``input_chunks`` cuts them) at the segment's entry under ``config`` (full
+    precision by default). All chunks advance one segment per step, so only one
+    segment's states are built and held at a time, never every segment's.
     """
-    run = _make_run(model, None, bos_aware, None)
-    states = [SegmentState.frozen(0, _as_batch(model, *chunk)[0]) for chunk in input_chunks(inputs)]
+    run = _make_run(model, config, bos_aware, act_ranges)
     segs = _segment_list(model.depth)
+    bits = _run_bits(run.config, segs)
+    states = [SegmentState.frozen(0, (), _as_batch(model, *chunk)[0]) for chunk in input_chunks(inputs)]
+    passed = 0
     for index, segment in enumerate(segs):
         yield segment, states
+        passed += len(segment.layers)
         if index + 1 < len(segs):
-            states = [SegmentState.frozen(index + 1, segment.step(run, s.arrays)) for s in states]
+            states = [SegmentState.frozen(index + 1, bits[:passed], segment.step(run, s.arrays)) for s in states]
 
 
 def resume(
@@ -748,16 +779,87 @@ def resume(
     """Run a cached chunk from its state's segment to the output.
 
     This is the batch ``forward`` gives for the chunk, bit for bit, because
-    ``config`` may quantize no layer of the segments the state has passed
-    (``ConfigError`` otherwise) and ``bos_aware`` must be the one the state was
-    built with.
+    ``config`` must give every layer the state has passed the bits the state
+    was built with (``ConfigError`` otherwise), and ``bos_aware`` and
+    ``act_ranges`` must be the ones it was built with.
     """
     run = _make_run(model, config, bos_aware, act_ranges)
-    for segment in _segment_list(model.depth)[:state.index]:
-        for lid in segment.layers:
-            if run.config.weight_bits[lid] is not None or run.config.act_bits[lid] is not None:
-                raise ConfigError(f"{lid} runs before segment {state.index}, where this state resumes")
+    segs = _segment_list(model.depth)
+    passed = [lid for seg in segs[:state.index] for lid in seg.layers]
+    for lid, got, want in zip(passed, _run_bits(run.config, segs[:state.index]), state.bits, strict=True):
+        if got != want:
+            raise ConfigError(
+                f"{lid} runs before segment {state.index}, where this state resumes, "
+                f"at (weight, act) bits {want}; the config gives it {got}"
+            )
     return _run_from(run, state.arrays, state.index)
+
+
+class StateCache:
+    """Segment states of input chunks along a sequence of configs, for ``forward``.
+
+    It is made for the configs in the order they will run. A config that agrees
+    with the one before it on every layer of the first ``d`` segments can resume
+    at segment ``d``, so the cache keeps a chunk's state only at those resume
+    segments, and only along one path: the states of the last config run on the
+    chunk, built under the bits of the layers they have passed. Run in
+    lexicographic order, each config shares its longest prefix with the one just
+    before it, so one path per chunk loses no shared work. A chunk therefore
+    holds at most one state per resume segment. A cache serves one
+    ``bos_aware`` setting and one ``act_ranges`` object.
+    """
+
+    def __init__(self, model: ToyModel, configs):
+        self._segments = _segment_list(model.depth)
+        last = len(self._segments) - 1
+        resume_at = set()
+        prev = None
+        for config in configs:
+            bits = _run_bits(config, self._segments)
+            if prev is not None:
+                resume_at.add(min(self._shared_segments(prev, bits), last))
+            prev = bits
+        self.keep = frozenset(resume_at - {0})  # the state at segment 0 is the input itself
+        self._setup = None
+        self._paths: dict[bytes, list[SegmentState]] = {}
+
+    def _shared_segments(self, a: tuple, b: tuple) -> int:
+        """How many leading segments give every layer the same bits under ``a`` and ``b``."""
+        passed = 0
+        for index, segment in enumerate(self._segments):
+            end = passed + len(segment.layers)
+            if a[passed:end] != b[passed:end]:
+                return index
+            passed = end
+        return len(self._segments)
+
+    def run_chunk(self, run: _Run, entry: dict) -> Tensor:
+        """The output batch of ``run`` on ``entry``, resumed from this chunk's path."""
+        setup = (run.bos_aware, run.act_ranges)
+        if self._setup is None:
+            self._setup = setup
+        elif setup[0] != self._setup[0] or setup[1] is not self._setup[1]:
+            raise ConfigError("a state cache serves one bos_aware setting and one act_ranges object")
+        key = b"".join(entry[name].tobytes() for name in ("x", "emb", "t"))
+        path = self._paths.setdefault(key, [])
+        bits = _run_bits(run.config, self._segments)
+        state, start, kept = entry, 0, 0
+        for s in path:
+            if bits[:len(s.bits)] != s.bits:
+                break
+            state, start, kept = s.arrays, s.index, kept + 1
+        del path[kept:]
+        if not path:
+            # Copies, so no state the cache freezes shares an array with the caller.
+            state = {name: a.copy() for name, a in entry.items()}
+        passed = len(path[-1].bits) if path else 0
+        for index in range(start, len(self._segments)):
+            if index > start and index in self.keep:
+                path.append(SegmentState.frozen(index, bits[:passed], state))
+                state = path[-1].arrays
+            state = self._segments[index].step(run, state)
+            passed += len(self._segments[index].layers)
+        return state["x"]
 
 
 def calibrate_activations(

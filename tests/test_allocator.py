@@ -533,3 +533,130 @@ def test_allocate_matches_scoring_every_cell(small_case, kind, target, retain):
         summary=al.cost_summary(config, tm.model_layer_summary(model)),
     )
     assert res.config.to_json_dict() == want.to_json_dict()
+
+
+# The cached, prefix-ordered sweep against one that scores every cell from the input.
+
+CACHED_SWEEP_CASES = [
+    (kind, retain, bos) for kind in sv.TENSOR_KINDS for retain in (0.0, 0.1) for bos in (False, True)
+]
+
+
+@pytest.fixture(scope="module")
+def small_cases_by_bos():
+    model = tm.build_toy_unet(3, width=4, spatial=8, text_tokens=4, text_channels=8, time_dim=8)
+    calib = tm.make_input_set(101, 4, model)
+    return model, {
+        bos: (
+            {kind: sv.analyze(model, calib, tensor_kind=kind, bos_aware=bos) for kind in sv.TENSOR_KINDS},
+            tm.calibrate_activations(model, calib, bos_aware=bos),
+        )
+        for bos in (False, True)
+    }
+
+
+def _sweep_json(res):
+    return (
+        [(p.avg_bits, p.score, p.ref) for p in res.sweep],
+        res.best_ref,
+        [cfg.to_json_dict() for cfg in res.sweep_configs],
+        res.config.to_json_dict(),
+    )
+
+
+@pytest.mark.parametrize("kind,retain,bos", CACHED_SWEEP_CASES)
+def test_cached_sweep_matches_scoring_every_cell_from_the_input(small_cases_by_bos, monkeypatch, kind, retain, bos):
+    model, by_bos = small_cases_by_bos
+    tables, ranges = by_bos[bos]
+    # 10 proxy inputs: a full chunk and a partial one
+    opts = al.AllocOptions(bos_aware=bos, proxy_inputs=10, retain_fraction=retain, n_budgets=3)
+    caches = []
+    real_cache, real_score = tm.StateCache, al.proxy_score
+
+    def recording_cache(*args):
+        caches.append(real_cache(*args))
+        return caches[-1]
+
+    monkeypatch.setattr(tm, "StateCache", recording_cache)
+    res = al.allocate(model, tables[kind], 6.0, tensor_kind=kind, options=opts, act_ranges=ranges)
+    monkeypatch.undo()
+    assert any(cache.keep for cache in caches)  # some config resumed past the input
+    if retain:
+        assert res.config.fp_retained[kind]
+        assert all(
+            (cfg.weight_bits if kind == sv.WEIGHT else cfg.act_bits)[lid] is None
+            for cfg in res.sweep_configs for lid in res.config.fp_retained[kind]
+        )
+
+    def from_the_input(model, config, inputs, refs, **kwargs):
+        return real_score(model, config, inputs, refs, **{**kwargs, "cache": None})
+
+    monkeypatch.setattr(al, "proxy_score", from_the_input)
+    want = al.allocate(model, tables[kind], 6.0, tensor_kind=kind, options=opts, act_ranges=ranges)
+    assert _sweep_json(res) == _sweep_json(want)
+    inputs, refs = al.proxy_set(model, opts)
+    assert [p.score for p in res.sweep] == [
+        real_score(model, cfg, inputs, refs, bos_aware=bos, act_ranges=ranges, cap_db=opts.sqnr_cap_db)
+        for cfg in res.sweep_configs
+    ]
+
+
+def test_check_sweep_cells_boundary():
+    cap = al.MAX_SWEEP_CELLS
+    al.check_sweep_cells(cap, 1)
+    al.check_sweep_cells(1, cap)
+    al.check_sweep_cells(cap // 8, 8)
+    for n_budgets, n_ratios in ((cap + 1, 1), (1, cap + 1), (cap // 8 + 1, 8)):
+        with pytest.raises(ParameterError, match="cells"):
+            al.check_sweep_cells(n_budgets, n_ratios)
+
+
+def test_allocate_bounds_the_sweep_before_any_solve(small_case, monkeypatch):
+    model, tables, _ = small_case
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the sweep ran past its cap")
+
+    cases = [
+        (al.AllocOptions(n_budgets=al.MAX_SWEEP_CELLS // 8 + 1, proxy_inputs=1), sv.WEIGHT),
+        (al.AllocOptions(n_budgets=2, ratio_grid=(1.0,) * (al.MAX_SWEEP_CELLS // 2 + 1), proxy_inputs=1), sv.ACTIVATION),
+    ]
+    for name in ("solve_mckp", "proxy_set", "proxy_score"):
+        monkeypatch.setattr(al, name, no_work)
+    for opts, kind in cases:
+        with pytest.raises(ParameterError, match="cells"):
+            al.allocate(model, tables[kind], 4.0, tensor_kind=kind, options=opts)
+
+
+def test_allocate_runs_a_sweep_at_the_cap(small_case, monkeypatch):
+    model, tables, _ = small_case
+    monkeypatch.setattr(al, "MAX_SWEEP_CELLS", 6)
+    at_cap = al.AllocOptions(n_budgets=3, ratio_grid=(0.8, 1.2), proxy_inputs=1)
+    assert len(al.allocate(model, tables[sv.WEIGHT], 4.0, options=at_cap).sweep) == 6
+    with pytest.raises(ParameterError, match="cells"):
+        al.allocate(model, tables[sv.WEIGHT], 4.0, options=al.AllocOptions(n_budgets=3, ratio_grid=(0.8, 1.0, 1.2)))
+
+
+def test_allocate_mixed_builds_one_proxy_set_for_both_kinds(small_case, monkeypatch):
+    model, tables, ranges = small_case
+    built = []
+    real = al.proxy_set
+
+    def counting(model, options):
+        built.append(options)
+        return real(model, options)
+
+    monkeypatch.setattr(al, "proxy_set", counting)
+    opts = al.AllocOptions(bos_aware=True, proxy_inputs=2)
+    _, shared = al.allocate_mixed(model, tables[sv.WEIGHT], tables[sv.ACTIVATION], 6.0, 6.0,
+                                  weight_options=opts, act_options=opts, act_ranges=ranges)
+    assert len(built) == 1
+    monkeypatch.undo()
+    for kind, target in ((sv.WEIGHT, 6.0), (sv.ACTIVATION, 6.0)):
+        alone = al.allocate(model, tables[kind], target, tensor_kind=kind, options=opts, act_ranges=ranges)
+        assert _sweep_json(shared[kind]) == _sweep_json(alone)
+    monkeypatch.setattr(al, "proxy_set", counting)
+    built.clear()
+    al.allocate_mixed(model, tables[sv.WEIGHT], tables[sv.ACTIVATION], 6.0, 6.0, weight_options=opts,
+                      act_options=al.AllocOptions(bos_aware=True, proxy_inputs=3), act_ranges=ranges)
+    assert len(built) == 2  # a different proxy set is drawn on its own

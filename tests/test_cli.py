@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from mixprec import cli, manifest as mf
+from mixprec import allocator, cli, manifest as mf
 from mixprec.tensor_core import sha256_file
 
 SMALL = [
@@ -438,3 +438,81 @@ def test_pipeline_command(tmp_path):
     for name in ("model.json", "sensitivity_weight.jsonl", "sensitivity_activation.jsonl",
                  "config.json", "frontier.csv", "report.json", "manifest.json"):
         assert (out / name).exists()
+
+
+def _write_manifest(pipeline_dir, tmp_path, edit):
+    copy = tmp_path / "run"
+    shutil.copytree(pipeline_dir, copy)
+    manifest = copy / "manifest.json"
+    manifest.write_text(json.dumps(edit(json.loads(manifest.read_text()))))
+    return manifest
+
+
+def test_manifest_top_level_list_exits_3(pipeline_dir, tmp_path, capsys):
+    # used to end in an AttributeError traceback in evaluate
+    manifest = _write_manifest(pipeline_dir, tmp_path, lambda data: [data])
+    for stage in ("sensitivity", "allocate", "evaluate"):
+        assert run([stage, "--manifest", str(manifest)]) == 3
+        assert "must be a JSON object" in capsys.readouterr().err
+
+
+def test_manifest_artifacts_string_exits_3(pipeline_dir, tmp_path, capsys):
+    # used to end in a TypeError traceback in sensitivity
+    manifest = _write_manifest(pipeline_dir, tmp_path, lambda data: {**data, "artifacts": "x"})
+    assert run(["sensitivity", "--manifest", str(manifest)]) == 3
+    assert "artifacts must be a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section", ["artifacts", "checksums", "params", "seeds"])
+@pytest.mark.parametrize("value", ["x", [], None, 1, "missing"])
+def test_manifest_section_not_an_object_exits_3(pipeline_dir, tmp_path, capsys, section, value):
+    def edit(data):
+        if value == "missing":
+            del data[section]
+        else:
+            data[section] = value
+        return data
+
+    manifest = _write_manifest(pipeline_dir, tmp_path, edit)
+    for stage in ("sensitivity", "allocate", "evaluate"):
+        assert run([stage, "--manifest", str(manifest)]) == 3
+        assert f"{section} must be a JSON object" in capsys.readouterr().err
+
+
+def test_oversized_sweep_flags_exit_2_without_hanging(pipeline_dir):
+    # both used to run until killed
+    manifest = str(pipeline_dir / "manifest.json")
+    for flags in (["--ratio-grid", "1:2:100000"], ["--act-ratio-grid", "1:2:1000000000000"],
+                  ["--n-budgets", "1000000"], ["--n-budgets", "200"]):
+        proc = run_subprocess(["allocate", "--manifest", manifest, *flags], timeout=30)
+        assert proc.returncode == 2, flags
+        assert "cells" in proc.stderr, flags
+    for argv in (["gen-model", "--out-dir", str(pipeline_dir / "unused")], ["pipeline", "--out-dir", str(pipeline_dir / "unused")]):
+        with pytest.raises(SystemExit) as exc:
+            run([*argv, "--n-budgets", str(allocator.MAX_SWEEP_CELLS // 8 + 1)])
+        assert exc.value.code == 2
+    assert not (pipeline_dir / "unused").exists()
+
+
+@pytest.mark.parametrize("n_budgets", [allocator.MAX_SWEEP_CELLS // 8 + 1, allocator.MAX_SWEEP_CELLS + 1])
+def test_oversized_sweep_manifest_param_exits_3(pipeline_dir, tmp_path, capsys, n_budgets):
+    manifest = _copy_with_params(pipeline_dir, tmp_path, n_budgets=n_budgets)
+    assert run(["allocate", "--manifest", str(manifest)]) == 3
+    assert "params.n_budgets" in capsys.readouterr().err
+
+
+def test_sweep_cap_boundary_through_the_cli(pipeline_dir, tmp_path, monkeypatch):
+    # The default grids have 8 ratios and SMALL records n_budgets 2: 16 cells.
+    monkeypatch.setattr(allocator, "MAX_SWEEP_CELLS", 16)
+    manifest = _copy_with_params(pipeline_dir, tmp_path)
+    assert run(["allocate", "--manifest", str(manifest)]) == 0
+    assert run(["allocate", "--manifest", str(manifest), "--n-budgets", "2", "--ratio-grid", "0.5:1.5:8"]) == 0
+    for flags in (["--n-budgets", "3"], ["--ratio-grid", "0.5:1.5:9"], ["--act-ratio-grid", "1:1:17"]):
+        with pytest.raises(SystemExit) as exc:
+            run(["allocate", "--manifest", str(manifest), *flags])
+        assert exc.value.code == 2, flags
+    data = json.loads(manifest.read_text())
+    data["params"]["n_budgets"] = 3
+    manifest.write_text(json.dumps(data))
+    assert run(["allocate", "--manifest", str(manifest)]) == 3
+    assert run(["allocate", "--manifest", str(manifest), "--n-budgets", "2"]) == 0

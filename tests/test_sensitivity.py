@@ -223,7 +223,7 @@ def test_probe_resumed_from_any_earlier_segment_is_identical(model, small_inputs
     lid = "dec0.fuse"
     whole = sv.probe_layer(model, inputs, refs, lid, sv.ACTIVATION, 4, bos_aware=True, act_ranges=ranges)
     seen = 0
-    for segment, states in tm.fp_segment_states(model, inputs, bos_aware=True):
+    for segment, states in tm.segment_states(model, inputs, bos_aware=True):
         got = sv.probe_layer(
             model, inputs, refs, lid, sv.ACTIVATION, 4, bos_aware=True, act_ranges=ranges, states=states
         )
@@ -236,7 +236,7 @@ def test_probe_resumed_from_any_earlier_segment_is_identical(model, small_inputs
 
 def test_probe_rejects_states_past_its_layer(model, small_inputs):
     refs = sv.fp_references(model, small_inputs)
-    for segment, states in tm.fp_segment_states(model, small_inputs):
+    for segment, states in tm.segment_states(model, small_inputs):
         if "mid.cross.to_q" in segment.layers:
             break
     with pytest.raises(ConfigError):
@@ -246,7 +246,7 @@ def test_probe_rejects_states_past_its_layer(model, small_inputs):
 
 
 def test_cached_segment_states_are_read_only(model, small_inputs):
-    for _, states in tm.fp_segment_states(model, small_inputs, bos_aware=True):
+    for _, states in tm.segment_states(model, small_inputs, bos_aware=True):
         for state in states:
             for name, array in state.arrays.items():
                 with pytest.raises(ValueError):

@@ -356,10 +356,110 @@ def test_segments_partition_the_layers_in_run_order(depth):
 def test_resume_from_every_segment_equals_forward(model, small_inputs):
     inputs = small_inputs + small_inputs[:3]
     ranges = tm.calibrate_activations(model, inputs)
-    for segment, states in tm.fp_segment_states(model, inputs):
+    for segment, states in tm.segment_states(model, inputs):
         cfg = tm.QuantConfig.all_fp(model.layer_order)
         cfg.weight_bits[segment.layers[-1]] = 4
         cfg.act_bits[segment.layers[0]] = 8
         outs = [out for state in states for out in tm.resume(model, state, cfg, act_ranges=ranges)]
         want = tm.forward_inputs(model, inputs, config=cfg, act_ranges=ranges)
         assert all(np.array_equal(a, b) for a, b in zip(outs, want, strict=True)), segment.layers
+
+
+def _mixed_config(model, seed: int) -> tm.QuantConfig:
+    """Weights and activations at random grid bits, a few layers left at FP."""
+    rng = np.random.default_rng(seed)
+    cfg = tm.QuantConfig.all_fp(model.layer_order)
+    for lid in model.layer_order:
+        cfg.weight_bits[lid] = [None, 2, 4, 8][rng.integers(4)]
+        cfg.act_bits[lid] = [None, 4, 8][rng.integers(3)]
+    return cfg
+
+
+@pytest.mark.parametrize("bos_aware", [False, True])
+def test_resume_from_a_quantized_state_equals_forward(model, small_inputs, bos_aware):
+    inputs = small_inputs + small_inputs[:3]
+    ranges = tm.calibrate_activations(model, inputs, bos_aware=bos_aware)
+    built = _mixed_config(model, 1)
+    other = _mixed_config(model, 2)
+    seen = []
+    for segment, states in tm.segment_states(model, inputs, built, bos_aware=bos_aware, act_ranges=ranges):
+        # agrees with ``built`` on the layers already passed, with ``other`` from here on
+        cfg = tm.QuantConfig(dict(other.weight_bits), dict(other.act_bits))
+        for lid in seen:
+            cfg.weight_bits[lid], cfg.act_bits[lid] = built.weight_bits[lid], built.act_bits[lid]
+        outs = [out for s in states for out in tm.resume(model, s, cfg, bos_aware=bos_aware, act_ranges=ranges)]
+        want = tm.forward_inputs(model, inputs, config=cfg, bos_aware=bos_aware, act_ranges=ranges)
+        assert all(np.array_equal(a, b) for a, b in zip(outs, want, strict=True)), segment.layers
+        seen += segment.layers
+
+
+def test_resume_rejects_a_config_that_differs_on_a_passed_layer(model, small_inputs):
+    ranges = tm.calibrate_activations(model, small_inputs)
+    built = tm.QuantConfig.uniform(model.layer_order, 4, 8)
+    for segment, states in tm.segment_states(model, small_inputs, built, act_ranges=ranges):
+        if "mid.cross.to_q" in segment.layers:
+            break
+    tm.resume(model, states[0], built, act_ranges=ranges)  # the config it was built under
+    for field, bits in (("weight_bits", 8), ("weight_bits", None), ("act_bits", 4)):
+        cfg = tm.QuantConfig.uniform(model.layer_order, 4, 8)
+        getattr(cfg, field)["enc1.down"] = bits
+        with pytest.raises(ConfigError, match="enc1.down"):
+            tm.resume(model, states[0], cfg, act_ranges=ranges)
+    with pytest.raises(ConfigError):  # an FP probe on a quantized state
+        tm.resume(model, states[0], None)
+
+
+def test_state_cache_forward_equals_forward_along_any_config_order(model, small_inputs):
+    inputs = small_inputs + small_inputs[:3]  # a full chunk and a partial one
+    ranges = tm.calibrate_activations(model, inputs, bos_aware=True)
+    base = _mixed_config(model, 3)
+    configs = [base]
+    for lid in ("dec0.fuse", "mid.ffn.fc2", "out.conv_out", "enc0.conv_in", "mid.self.to_v"):
+        cfg = tm.QuantConfig(dict(configs[-1].weight_bits), dict(configs[-1].act_bits))
+        cfg.weight_bits[lid] = 2 if cfg.weight_bits[lid] != 2 else 8
+        configs.append(cfg)
+    configs.append(base)  # a repeat, and a jump back to an earlier prefix
+    configs.append(tm.QuantConfig(dict(configs[2].weight_bits), dict(configs[2].act_bits)))
+    cache = tm.StateCache(model, configs)
+    assert cache.keep and 0 not in cache.keep
+    for cfg in configs:
+        got = tm.forward_inputs(model, inputs, config=cfg, bos_aware=True, act_ranges=ranges, cache=cache)
+        want = tm.forward_inputs(model, inputs, config=cfg, bos_aware=True, act_ranges=ranges)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+    for path in cache._paths.values():
+        assert len(path) <= len(cache.keep)
+        assert [s.index for s in path] == sorted(s.index for s in path)
+        assert {s.index for s in path} <= cache.keep
+
+
+def test_state_cache_keeps_only_the_resume_segments(model):
+    segs = tm._segment_list(model.depth)
+    base = tm.QuantConfig.uniform(model.layer_order, 4, 8)
+    late = tm.QuantConfig.uniform(model.layer_order, 4, 8)
+    late.weight_bits["dec0.fuse"] = 2
+    fuse = next(i for i, s in enumerate(segs) if "dec0.fuse" in s.layers)
+    assert tm.StateCache(model, [base, late]).keep == {fuse}
+    assert tm.StateCache(model, [base]).keep == frozenset()
+    assert tm.StateCache(model, [base, base]).keep == {len(segs) - 1}  # a repeat resumes at the head
+    early = tm.QuantConfig.uniform(model.layer_order, 4, 8)
+    early.act_bits["time.fc1"] = 4
+    assert tm.StateCache(model, [early, base, late]).keep == {fuse}  # segment 0 is the input itself
+
+
+def test_state_cache_leaves_caller_arrays_writable_and_checks_its_setup(model, small_inputs):
+    latent, emb, t = tm.stack_inputs(small_inputs[:2])
+    ranges = tm.calibrate_activations(model, small_inputs)
+    a = tm.QuantConfig.uniform(model.layer_order, 4, None)
+    b = tm.QuantConfig.uniform(model.layer_order, 4, None)
+    b.weight_bits["out.conv_out"] = 8
+    cache = tm.StateCache(model, [a, b])
+    out = tm.forward(model, latent, emb, t, config=a, cache=cache)
+    assert latent.flags.writeable and emb.flags.writeable and out.flags.writeable
+    assert np.array_equal(tm.forward(model, latent, emb, t, config=b, cache=cache),
+                          tm.forward(model, latent, emb, t, config=b))
+    with pytest.raises(ConfigError):
+        tm.forward(model, latent, emb, t, config=a, bos_aware=True, cache=cache)
+    with pytest.raises(ConfigError):
+        tm.forward(model, latent, emb, t, config=a, act_ranges=ranges, cache=cache)
+    with pytest.raises(ParameterError):
+        tm.forward(model, latent, emb, t, config=a, trace={}, cache=cache)
