@@ -45,6 +45,13 @@ def _check_int(value, minimum: int, what: str) -> int:
     return value
 
 
+def _check_count(value, what: str) -> int:
+    """An input-set size: an integer from 1 to ``toy_model.MAX_INPUTS``."""
+    value = _check_int(value, 1, what)
+    toy_model.check_input_count(value)
+    return value
+
+
 def _check_number(value, what: str) -> float:
     if type(value) not in (int, float):
         raise ParameterError(f"{what} must be a number")
@@ -99,6 +106,10 @@ def _int_at_least(minimum: int, what: str):
     return _flag_type(int, lambda v: _check_int(v, minimum, what), f"{what} must be an integer")
 
 
+def _input_count(what: str):
+    return _flag_type(int, lambda v: _check_count(v, what), f"{what} must be an integer")
+
+
 def _even_int_at_least(minimum: int, what: str):
     base = _int_at_least(minimum, what)
 
@@ -126,14 +137,14 @@ _delta_bits = _flag_type(float, allocator.check_delta_avg_bits, "delta bits must
 
 # Every manifest param a stage reads, checked by the rule of the flag that sets it.
 _PARAM_CHECKS = {
-    "inputs": lambda v: _check_int(v, 1, "inputs"),
+    "inputs": lambda v: _check_count(v, "inputs"),
     "bits": _check_bits,
     "bos_aware": lambda v: _check_bool(v, "bos_aware"),
     "target_bits": _check_target,
     "act_target_bits": _check_target,
     "retain_fp": _check_fraction,
-    "proxy_inputs": lambda v: _check_int(v, 1, "proxy_inputs"),
-    "eval_inputs": lambda v: _check_int(v, 1, "eval_inputs"),
+    "proxy_inputs": lambda v: _check_count(v, "proxy_inputs"),
+    "eval_inputs": lambda v: _check_count(v, "eval_inputs"),
     "n_budgets": lambda v: _check_int(v, 1, "n_budgets"),
     "delta_avg_bits": allocator.check_delta_avg_bits,
 }
@@ -216,6 +227,13 @@ def run_gen_model(args) -> int:
     # The manifest's n_budgets sweeps the default ratio grids unless allocate overrides them.
     for grid in (allocator.DEFAULT_RATIO_GRID_WEIGHT, allocator.DEFAULT_RATIO_GRID_ACT):
         _check_sweep(args.n_budgets, len(grid), from_flag=True)
+    try:
+        toy_model.check_model_size(
+            args.width, args.depth, spatial=args.spatial, latent_channels=args.latent_channels,
+            text_tokens=args.tokens, text_channels=args.text_channels, time_dim=args.time_dim,
+        )
+    except ParameterError as exc:
+        raise _UsageError(str(exc)) from exc
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     model = toy_model.build_toy_unet(
@@ -296,10 +314,12 @@ def run_sensitivity(args) -> int:
     bos_aware = params["bos_aware"] if args.bos_aware is None else args.bos_aware
 
     inputs = toy_model.make_input_set(seeds["calibration"], n_inputs, model)
-    kinds = [WEIGHT, ACTIVATION] if args.kind == "both" else [args.kind]
+    kinds = (WEIGHT, ACTIVATION) if args.kind == "both" else (args.kind,)
+    # One analysis for both kinds shares their FP references, ranges and walk.
+    tables = sensitivity.analyze(model, inputs, bit_widths=bits, tensor_kind=kinds, bos_aware=bos_aware)
     written = []
     for kind in kinds:
-        table = sensitivity.analyze(model, inputs, bit_widths=bits, tensor_kind=kind, bos_aware=bos_aware)
+        table = tables.of_kind(kind)
         table.validate_complete(model.layer_order, bits, kind)
         rel = data["artifacts"][f"sensitivity_{kind}"]
         mf.write_atomic(root / rel, table.to_jsonl())
@@ -456,8 +476,7 @@ def run_evaluate(args) -> int:
     )
     rows = []
     for i, (ref, out) in enumerate(zip(refs, outs)):
-        rng = float(ref.max() - ref.min())
-        w = metrics.SsimWeights.for_data_range(rng if rng > 0 else 1.0)
+        w = metrics.SsimWeights.for_reference(ref)
         rows.append(
             {
                 "index": i,
@@ -466,9 +485,8 @@ def run_evaluate(args) -> int:
             }
         )
     base_rows = []
-    for i, ref in enumerate(refs):
-        rng = float(ref.max() - ref.min())
-        w = metrics.SsimWeights.for_data_range(rng if rng > 0 else 1.0)
+    for ref in refs:
+        w = metrics.SsimWeights.for_reference(ref)
         base_rows.append(
             {"ssim": metrics.ssim(ref, ref, w).value, "sqnr_db": metrics.sqnr_db(ref, ref).value}
         )
@@ -556,15 +574,15 @@ def _add_gen_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--text-channels", type=_int_at_least(2, "--text-channels"), default=16)
     p.add_argument("--time-dim", type=_even_int_at_least(2, "--time-dim"), default=16)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--inputs", type=_int_at_least(1, "--inputs"), default=32,
+    p.add_argument("--inputs", type=_input_count("--inputs"), default=32,
                    help="calibration/sensitivity input count")
     p.add_argument("--bits", type=_bits_list, default=[2, 4, 8])
     p.add_argument("--bos-aware", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--target-bits", type=_target_bits, default=4.0)
     p.add_argument("--act-target-bits", type=_target_bits, default=8.0)
     p.add_argument("--retain-fp", type=_fraction, default=0.01)
-    p.add_argument("--proxy-inputs", type=_int_at_least(1, "--proxy-inputs"), default=8)
-    p.add_argument("--eval-inputs", type=_int_at_least(1, "--eval-inputs"), default=16)
+    p.add_argument("--proxy-inputs", type=_input_count("--proxy-inputs"), default=8)
+    p.add_argument("--eval-inputs", type=_input_count("--eval-inputs"), default=16)
     p.add_argument("--n-budgets", type=_int_at_least(1, "--n-budgets"), default=5)
     p.add_argument("--delta-bits", type=_delta_bits, default=0.25)
     p.add_argument("--calib-seed", type=_int_at_least(0, "--calib-seed"), default=None)
@@ -583,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sensitivity", help="per-layer sensitivity tables")
     p.add_argument("--manifest", required=True)
     p.add_argument("--kind", choices=[WEIGHT, ACTIVATION, "both"], default="both")
-    p.add_argument("--inputs", type=_int_at_least(1, "--inputs"), default=None)
+    p.add_argument("--inputs", type=_input_count("--inputs"), default=None)
     p.add_argument("--bits", type=_bits_list, default=None)
     p.add_argument("--bos-aware", action=argparse.BooleanOptionalAction, default=None)
     p.set_defaults(func=run_sensitivity)
@@ -605,7 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--config", default=None, help="config JSON (default: manifest's)")
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--inputs", type=_int_at_least(1, "--inputs"), default=None)
+    p.add_argument("--inputs", type=_input_count("--inputs"), default=None)
     p.set_defaults(func=run_evaluate)
 
     p = sub.add_parser("pipeline", help="gen-model + sensitivity + allocate + evaluate")

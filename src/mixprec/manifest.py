@@ -37,6 +37,8 @@ def default_manifest(params: dict, seeds: dict) -> dict:
 
 # Sections every stage reads or writes; each must be a JSON object.
 MANIFEST_SECTIONS = ("artifacts", "checksums", "params", "seeds")
+# Artifacts the stages write; each must be named in the manifest.
+ARTIFACT_KEYS = tuple(default_manifest({}, {})["artifacts"])
 
 
 def load_manifest(path: Path | str) -> tuple[dict, Path]:
@@ -54,7 +56,26 @@ def load_manifest(path: Path | str) -> tuple[dict, Path]:
     for section in MANIFEST_SECTIONS:
         if not isinstance(data.get(section), dict):
             raise ValidationError(f"manifest {path}: {section} must be a JSON object")
-    return data, path.parent.resolve()
+    root = path.parent.resolve()
+    artifacts = data["artifacts"]
+    for key in ARTIFACT_KEYS:
+        if key not in artifacts:
+            raise ValidationError(f"manifest {path}: artifacts lack {key!r}")
+    for key, rel in artifacts.items():
+        _check_artifact_path(path, root, key, rel)
+    return data, root
+
+
+def _check_artifact_path(path: Path, root: Path, key: str, rel) -> None:
+    """An artifact path is a string naming a relative path strictly inside ``root``."""
+    if not isinstance(rel, str):
+        raise ValidationError(f"manifest {path}: artifacts.{key} must be a path string, not {type(rel).__name__}")
+    try:
+        full = (root / rel).resolve()
+    except (OSError, ValueError, RuntimeError) as exc:  # a NUL byte, or a symlink loop
+        raise ValidationError(f"manifest {path}: artifacts.{key} {rel!r} is not a usable path: {exc}") from exc
+    if Path(rel).is_absolute() or full == root or not full.is_relative_to(root):
+        raise ValidationError(f"manifest {path}: artifacts.{key} {rel!r} lies outside the run directory {root}")
 
 
 def write_atomic(path: Path | str, text: str) -> None:

@@ -8,6 +8,12 @@ the unstabilized form.
 
 SQNR is reported in decibels, 10*log10(signal energy / error energy),
 capped so the zero-noise case stays finite and sortable.
+
+``ReferenceBatch`` holds a stacked batch of references with the statistics
+every comparison against them reuses (mean, variance, data-range stabilizers,
+signal energy). ``ssim_batch`` and ``sqnr_db_batch`` score a stacked batch of
+outputs against it and give, input by input, the same bits as ``ssim`` with
+``SsimWeights.for_reference`` and ``sqnr_db``.
 """
 
 from __future__ import annotations
@@ -54,6 +60,12 @@ class SsimWeights:
         return cls(alpha=alpha, beta=beta, gamma=gamma, c1=(0.01 * l) ** 2, c2=(0.03 * l) ** 2)
 
     @classmethod
+    def for_reference(cls, reference: Tensor):
+        """Stabilizers for the reference's data range; a constant reference uses range 1."""
+        data_range = float(np.max(reference) - np.min(reference))
+        return cls.for_data_range(data_range if data_range > 0 else 1.0)
+
+    @classmethod
     def unstabilized(cls):
         return cls(c1=0.0, c2=0.0)
 
@@ -74,7 +86,10 @@ def ssim_components(x: Tensor, y: Tensor, weights: SsimWeights | None = None):
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape:
         raise ShapeError(f"shape mismatch: {x.shape} vs {y.shape}")
-    mu_x, mu_y, var_x, var_y, cov = _moments(x, y)
+    return _components(*_moments(x, y), w)
+
+
+def _components(mu_x: float, mu_y: float, var_x: float, var_y: float, cov: float, w: SsimWeights):
     sd_x, sd_y = math.sqrt(var_x), math.sqrt(var_y)
 
     lum_den = mu_x * mu_x + mu_y * mu_y + w.c1
@@ -93,9 +108,12 @@ def ssim_components(x: Tensor, y: Tensor, weights: SsimWeights | None = None):
 def ssim(x: Tensor, y: Tensor, weights: SsimWeights | None = None) -> MetricScore:
     """Structural similarity: l^alpha * c^beta * s^gamma over the full image."""
     w = weights or SsimWeights()
-    lum, con, struct = ssim_components(x, y, w)
-    value = (lum ** w.alpha) * (con ** w.beta) * (struct ** w.gamma)
-    return MetricScore(value=float(value), kind=SSIM)
+    return MetricScore(value=_combine(ssim_components(x, y, w), w), kind=SSIM)
+
+
+def _combine(components, w: SsimWeights) -> float:
+    lum, con, struct = components
+    return float((lum ** w.alpha) * (con ** w.beta) * (struct ** w.gamma))
 
 
 def sqnr_db(reference: Tensor, test: Tensor, cap_db: float = DEFAULT_SQNR_CAP_DB) -> MetricScore:
@@ -106,10 +124,90 @@ def sqnr_db(reference: Tensor, test: Tensor, cap_db: float = DEFAULT_SQNR_CAP_DB
     test = np.asarray(test, dtype=np.float64)
     if reference.shape != test.shape:
         raise ShapeError(f"shape mismatch: {reference.shape} vs {test.shape}")
-    signal = l2_norm_sq(reference)
+    return MetricScore(value=_sqnr_value(l2_norm_sq(reference), l2_norm_sq(reference - test), cap_db), kind=SQNR_DB)
+
+
+def _sqnr_value(signal: float, noise: float, cap_db: float) -> float:
     if signal == 0.0:
         raise UndefinedMetricError("reference signal is identically zero")
-    noise = l2_norm_sq(reference - test)
     if noise == 0.0:
-        return MetricScore(value=float(cap_db), kind=SQNR_DB)
-    return MetricScore(value=float(min(cap_db, 10.0 * math.log10(signal / noise))), kind=SQNR_DB)
+        return float(cap_db)
+    return float(min(cap_db, 10.0 * math.log10(signal / noise)))
+
+
+@dataclass(frozen=True, eq=False)
+class ReferenceBatch:
+    """A stacked batch of references and the per-reference statistics that every
+    comparison against them reuses; built once, read by every score."""
+
+    values: np.ndarray  # (B, ...) the references, read-only
+    means: np.ndarray  # (B,)
+    variances: tuple[float, ...]
+    weights: tuple[SsimWeights, ...]  # SsimWeights.for_reference of each
+    energies: tuple[float, ...]  # sum of squares of each
+
+    @classmethod
+    def of(cls, references) -> "ReferenceBatch":
+        x = np.array(references, dtype=np.float64)
+        if x.ndim < 2 or x.shape[0] < 1:
+            raise ShapeError(f"references must be a non-empty (B, ...) batch, got shape {x.shape}")
+        x.flags.writeable = False
+        means = x.mean(axis=_input_axes(x))
+        means.flags.writeable = False
+        return cls(
+            values=x,
+            means=means,
+            variances=tuple((_centered(x, means) ** 2).mean(axis=_input_axes(x)).tolist()),
+            weights=tuple(SsimWeights.for_reference(r) for r in x),
+            energies=tuple(l2_norm_sq(r) for r in x),
+        )
+
+    @property
+    def size(self) -> int:
+        return self.values.shape[0]
+
+
+def _input_axes(batch: np.ndarray) -> tuple[int, ...]:
+    return tuple(range(1, batch.ndim))
+
+
+def _centered(batch: np.ndarray, means: np.ndarray) -> np.ndarray:
+    """Each input minus its mean: the ``x - mu_x`` of ``_moments``, input by input."""
+    return batch - means.reshape(-1, *[1] * (batch.ndim - 1))
+
+
+def _batch_outputs(references: ReferenceBatch, outputs) -> np.ndarray:
+    y = np.asarray(outputs, dtype=np.float64)
+    if y.shape != references.values.shape:
+        raise ShapeError(f"shape mismatch: {references.values.shape} vs {y.shape}")
+    return y
+
+
+def ssim_batch(references: ReferenceBatch, outputs) -> list[float]:
+    """SSIM of each output against its reference, under that reference's weights.
+
+    The moments are reduced over each input's axes of the stacked batch, which
+    sums them in the order ``ssim`` does, so every value has the same bits as
+    ``ssim(ref, out, SsimWeights.for_reference(ref))``.
+    """
+    y = _batch_outputs(references, outputs)
+    axes = _input_axes(y)
+    means = y.mean(axis=axes)
+    centered = _centered(y, means)
+    variances = (centered ** 2).mean(axis=axes)
+    covariances = (_centered(references.values, references.means) * centered).mean(axis=axes)
+    return [
+        _combine(_components(mu_x, mu_y, var_x, var_y, cov, w), w)
+        for mu_x, mu_y, var_x, var_y, cov, w in zip(
+            references.means.tolist(), means.tolist(), references.variances, variances.tolist(),
+            covariances.tolist(), references.weights,
+        )
+    ]
+
+
+def sqnr_db_batch(references: ReferenceBatch, outputs, cap_db: float = DEFAULT_SQNR_CAP_DB) -> list[float]:
+    """SQNR in dB of each output against its reference; the same bits as ``sqnr_db``."""
+    if not math.isfinite(cap_db):
+        raise ParameterError("cap_db must be finite")
+    noise = references.values - _batch_outputs(references, outputs)
+    return [_sqnr_value(signal, l2_norm_sq(d), cap_db) for signal, d in zip(references.energies, noise)]

@@ -4,16 +4,22 @@ Each probe quantizes exactly one layer's weight or input activation at one
 bit-width, runs the network forward, and compares the output against the
 full-precision reference. Content-group layers (cross-attention and
 feed-forward) are scored with SSIM; quality-group layers (everything else)
-with SQNR in dB. Scores are averaged over the input set. Full-precision
-reference outputs are computed once and reused across all probes. Each probe
-runs its inputs through the network in stacked chunks of
+with SQNR in dB. Scores are averaged over the input set.
+
+A probe does only the work that differs between probes. Everything else is
+built once per analysis, for every tensor kind it scores: the FP reference
+outputs with their per-reference statistics (``metrics.ReferenceBatch``), the
+activation ranges, the FP segment walk, and the FP text K/V projections
+(``toy_model.TextKVCache``). Each probe runs its inputs in stacked chunks of
 ``toy_model.FORWARD_CHUNK``, starting from the FP state cached at the entry of
-the segment that runs the probed layer, and scores them one by one, in input
-order.
+the segment that runs the probed layer, scores each chunk as one batch with
+its layer group's metric only, and sums the scores in input order, so every
+score has the bits that scoring input by input gives.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -62,6 +68,10 @@ class SensitivityTable:
     def bit_widths(self) -> tuple[int, ...]:
         return tuple(sorted({e.bit_width for e in self.entries}))
 
+    def of_kind(self, tensor_kind: str) -> "SensitivityTable":
+        """The entries of one tensor kind, in table order."""
+        return SensitivityTable(tuple(e for e in self.entries if e.tensor_kind == tensor_kind))
+
     def score(self, layer_id: str, bit_width: int, tensor_kind: str | None = None) -> float:
         """Score of the first entry for the layer and bits (and kind, when given)."""
         try:
@@ -101,10 +111,22 @@ def fp_references(
     return toy_model.forward_inputs(model, inputs, bos_aware=bos_aware)
 
 
+def reference_batches(refs: list[Tensor]) -> list[metrics.ReferenceBatch]:
+    """The references cut into chunks as ``toy_model.input_chunks`` cuts their
+    inputs, each stacked with the statistics every probe's scoring reuses."""
+    step = toy_model.FORWARD_CHUNK
+    return [metrics.ReferenceBatch.of(refs[i:i + step]) for i in range(0, len(refs), step)]
+
+
+def group_metric(group: str) -> str:
+    """The metric that scores a layer group: SSIM for content, SQNR for quality."""
+    return metrics.SSIM if group == toy_model.CONTENT else metrics.SQNR_DB
+
+
 def probe_layer(
     model: toy_model.ToyModel,
     inputs,
-    refs: list[Tensor],
+    refs,
     layer_id: str,
     tensor_kind: str,
     bit_width: int,
@@ -113,13 +135,20 @@ def probe_layer(
     act_ranges=None,
     sqnr_cap_db: float = metrics.DEFAULT_SQNR_CAP_DB,
     states=None,
-) -> tuple[float, float]:
-    """Quantize one layer's tensor at one bit-width; mean (SSIM, SQNR) vs FP.
+    metric_kinds: tuple[str, ...] = (metrics.SSIM, metrics.SQNR_DB),
+    text_kv: toy_model.TextKVCache | None = None,
+) -> tuple[float, ...]:
+    """Quantize one layer's tensor at one bit-width; the mean of each metric of
+    ``metric_kinds`` (by default SSIM, then SQNR) against the FP outputs.
 
+    ``refs`` are the FP outputs (``fp_references``) or their
+    ``reference_batches``, which a caller that probes many layers builds once.
     ``states`` are the chunks' cached FP states (``toy_model.segment_states``,
     built with the same ``bos_aware``) at a segment no later than the one that
     runs ``layer_id``; the probe runs only from there on. Without them it runs
-    the whole network on ``inputs``.
+    the whole network on ``inputs``. ``text_kv`` lends the resumed runs the FP
+    text K/V projections it holds. Each chunk's outputs are scored as one
+    batch, and each metric is summed over the inputs in input order.
     """
     cfg = toy_model.QuantConfig.all_fp(model.layer_order)
     if tensor_kind == WEIGHT:
@@ -128,71 +157,82 @@ def probe_layer(
         cfg.act_bits[layer_id] = bit_width
     else:
         raise ParameterError(f"tensor_kind must be one of {TENSOR_KINDS}")
+    scorer_of = {
+        metrics.SSIM: metrics.ssim_batch,
+        metrics.SQNR_DB: functools.partial(metrics.sqnr_db_batch, cap_db=sqnr_cap_db),
+    }
+    if any(kind not in scorer_of for kind in metric_kinds):
+        raise ParameterError(f"metric kinds must be among {tuple(scorer_of)}")
+    scorers = [scorer_of[kind] for kind in metric_kinds]
     if states is None:
         _, states = next(toy_model.segment_states(model, inputs, bos_aware=bos_aware))
-    outs = [
-        out
-        for state in states
-        for out in toy_model.resume(model, state, cfg, bos_aware=bos_aware, act_ranges=act_ranges)
-    ]
-    if len(outs) != len(refs):
-        raise ParameterError(f"{len(outs)} probe outputs for {len(refs)} references")
-    ssim_sum = 0.0
-    sqnr_sum = 0.0
-    for ref, out in zip(refs, outs):
-        data_range = float(ref.max() - ref.min())
-        weights = metrics.SsimWeights.for_data_range(data_range if data_range > 0 else 1.0)
-        ssim_sum += metrics.ssim(ref, out, weights).value
-        sqnr_sum += metrics.sqnr_db(ref, out, cap_db=sqnr_cap_db).value
-    n = len(refs)
-    return ssim_sum / n, sqnr_sum / n
+    if refs and not isinstance(refs[0], metrics.ReferenceBatch):
+        refs = reference_batches(refs)
+    n_in = [s.arrays["x"].shape[0] for s in states]
+    if n_in != [batch.size for batch in refs]:
+        raise ParameterError(f"{sum(n_in)} probe inputs for {sum(b.size for b in refs)} references")
+    sums = [0.0] * len(scorers)
+    for state, batch in zip(states, refs):
+        out = toy_model.resume(model, state, cfg, bos_aware=bos_aware, act_ranges=act_ranges, text_kv=text_kv)
+        for k, score in enumerate(scorers):
+            for value in score(batch, out):
+                sums[k] += value
+    n = sum(n_in)
+    return tuple(total / n for total in sums)
 
 
 def analyze(
     model: toy_model.ToyModel,
     inputs,
     bit_widths=BIT_WIDTHS,
-    tensor_kind: str = WEIGHT,
+    tensor_kind: str | tuple[str, ...] = WEIGHT,
     bos_aware: bool = False,
     *,
     act_ranges=None,
 ) -> SensitivityTable:
-    """Score every (layer, bit_width) pair for one tensor kind.
+    """Score every (layer, bit_width) pair for one tensor kind, or for each of a
+    tuple of kinds; the table lists the kinds in that order.
 
-    The FP states of every input chunk advance one segment at a time, and each
-    layer's probes resume from the states at the entry of the segment that runs
-    it, so no probe recomputes the FP prefix before its layer.
+    The FP references, their statistics, the activation ranges and the FP
+    segment walk are built once for all kinds. The FP states of every input
+    chunk advance one segment at a time, and each layer's probes resume from
+    the states at the entry of the segment that runs it, so no probe recomputes
+    the FP prefix before its layer. Each probe computes only its layer group's
+    metric, and reads the FP text K/V projections from one ``TextKVCache``.
     """
     if not inputs:
         raise ParameterError("sensitivity analysis needs a non-empty input set")
     bit_widths = tuple(sorted(set(int(b) for b in bit_widths)))
     if not bit_widths or any(b not in BIT_WIDTHS for b in bit_widths):
         raise ParameterError(f"bit widths must be a non-empty subset of {BIT_WIDTHS}")
-    if tensor_kind not in TENSOR_KINDS:
-        raise ParameterError(f"tensor_kind must be one of {TENSOR_KINDS}")
+    kinds = (tensor_kind,) if isinstance(tensor_kind, str) else tuple(tensor_kind)
+    if not kinds or len(set(kinds)) != len(kinds) or any(k not in TENSOR_KINDS for k in kinds):
+        raise ParameterError(f"tensor_kind must be one of {TENSOR_KINDS}, or a tuple of distinct ones")
 
-    refs = fp_references(model, inputs, bos_aware=bos_aware)
-    if tensor_kind == ACTIVATION and act_ranges is None:
+    refs = reference_batches(fp_references(model, inputs, bos_aware=bos_aware))
+    if ACTIVATION in kinds and act_ranges is None:
         act_ranges = toy_model.calibrate_activations(model, inputs, bos_aware=bos_aware)
+    text_kv = toy_model.TextKVCache()
 
     scores = {}
-    for segment, states in toy_model.segment_states(model, inputs, bos_aware=bos_aware):
-        for lid in segment.layers:
-            for b in bit_widths:
-                scores[lid, b] = probe_layer(
-                    model, inputs, refs, lid, tensor_kind, b,
-                    bos_aware=bos_aware, act_ranges=act_ranges, states=states,
-                )
+    for segment, states in toy_model.segment_states(model, inputs, bos_aware=bos_aware, text_kv=text_kv):
+        for kind in kinds:
+            for lid in segment.layers:
+                metric = group_metric(model.layers[lid].group)
+                for b in bit_widths:
+                    (scores[kind, lid, b],) = probe_layer(
+                        model, inputs, refs, lid, kind, b,
+                        bos_aware=bos_aware, act_ranges=act_ranges, states=states,
+                        metric_kinds=(metric,), text_kv=text_kv,
+                    )
 
-    entries = []
-    for lid in model.layer_order:
-        for b in bit_widths:
-            ssim_score, sqnr_score = scores[lid, b]
-            if model.layers[lid].group == toy_model.CONTENT:
-                entries.append(SensitivityEntry(lid, tensor_kind, b, ssim_score, metrics.SSIM, len(refs)))
-            else:
-                entries.append(SensitivityEntry(lid, tensor_kind, b, sqnr_score, metrics.SQNR_DB, len(refs)))
-    return SensitivityTable(entries)
+    n = len(inputs)
+    return SensitivityTable(
+        SensitivityEntry(lid, kind, b, scores[kind, lid, b], group_metric(model.layers[lid].group), n)
+        for kind in kinds
+        for lid in model.layer_order
+        for b in bit_widths
+    )
 
 
 def rank_long_tail(table: SensitivityTable) -> list[tuple[str, float]]:

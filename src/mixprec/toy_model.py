@@ -144,6 +144,16 @@ class ActRange:
     lo: tuple[float, ...]
     hi: tuple[float, ...]
     split: int | None = None
+    _grids: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def grid(self, bits: int, slot: int = 0) -> quantizer.QuantParams:
+        """The per-tensor grid of one slot's range at ``bits``; built on first use,
+        then shared by every run that quantizes this input at those bits."""
+        params = self._grids.get((bits, slot))
+        if params is None:
+            params = params_from_minmax(self.lo[slot], self.hi[slot], bits, PER_TENSOR)
+            self._grids[bits, slot] = params
+        return params
 
 
 @dataclass
@@ -186,15 +196,22 @@ class ToyModel:
 
 
 def _silu(x: np.ndarray) -> np.ndarray:
-    # Branch-free and overflow-free: e = exp(-|x|) never exceeds 1.
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, x, x * e) / (1.0 + e)
+    # Branch-free and overflow-free: e = exp(-|x|) never exceeds 1. The in-place
+    # steps are the operations of where(x >= 0, x, x * e) / (1 + e), bit for bit.
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.where(x >= 0, x, x * e)
+    e += 1.0
+    out /= e
+    return out
 
 
 def _softmax_rows(x: np.ndarray) -> np.ndarray:
-    z = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = x - x.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def _norm_chw(x: np.ndarray) -> np.ndarray:
@@ -253,6 +270,68 @@ def _conv3x3(x: np.ndarray, w: np.ndarray, stride: int = 1) -> np.ndarray:
     return out.reshape(b, w.shape[0], -(-h // stride), -(-wd // stride))
 
 
+# Cap on ``model_elements``: the float64 elements of the weights, of every
+# layer's input and of the attention scores in one input's forward. A forward
+# holds FORWARD_CHUNK inputs at once, so the cap keeps one chunk's tensors near
+# 8 * 2**22 * 8 B = 256 MiB. The default model has 51,520 elements. Checked
+# before any array is built, so an oversized flag fails at once.
+MAX_MODEL_ELEMENTS = 2**22
+
+# Cap on the number of inputs of one input set (calibration, proxy or eval). At
+# about 0.1 s per calibration input on the default model, it keeps a sensitivity
+# stage under two minutes there instead of letting a typo run for days.
+MAX_INPUTS = 1024
+
+
+def model_elements(
+    width: int,
+    depth: int,
+    *,
+    spatial: int,
+    latent_channels: int,
+    text_tokens: int,
+    text_channels: int,
+    time_dim: int,
+) -> int:
+    """Weights plus every layer's input elements plus the attention scores of one
+    input's forward; by arithmetic on the shape alone, so it costs no memory.
+    Equals the sum of ``param_count + act_elem_count`` over the built model's
+    layers, plus ``tok_mid**2 + (tok_mid + tok_full) * text_tokens``."""
+    w1, w2, lat, tok, ch, td = width, 2 * width, latent_channels, text_tokens, text_channels, time_dim
+    s1, s2 = spatial, spatial // 2
+    tok_mid, tok_full = s2 * s2, s1 * s1
+    params = (
+        2 * td * td + (w1 + w2) * td  # time MLP and stage projections
+        + 9 * (w1 * lat + w2 * w1 + w1 * w2 + 2 * w1 * w1 + lat * w1)  # unrepeated convs
+        + 9 * depth * (w1 * w1 + 2 * w2 * w2)  # residual convs
+        + 10 * w2 * w2 + 2 * w2 * ch  # mid self-attention, cross-attention, FFN
+        + 2 * w1 * w1 + 2 * w1 * ch  # dec0 cross-attention
+    )
+    acts = (
+        4 * td
+        + (lat + w1 + w2 + 2 * w1 + w1) * s1 * s1  # conv_in, down, up_conv, fuse, conv_out
+        + depth * (w1 * s1 * s1 + 2 * w2 * s2 * s2)  # residual convs
+        + 9 * tok_mid * w2 + 4 * tok * ch + 2 * tok_full * w1  # attention blocks and FFN
+    )
+    scores = tok_mid * tok_mid + (tok_mid + tok_full) * tok
+    return params + acts + scores
+
+
+def check_model_size(width: int, depth: int, **shape) -> None:
+    """``ParameterError`` when ``model_elements`` exceeds ``MAX_MODEL_ELEMENTS``."""
+    elements = model_elements(width, depth, **shape)
+    if elements > MAX_MODEL_ELEMENTS:
+        raise ParameterError(
+            f"the model would hold {elements} tensor elements per input, over the cap of {MAX_MODEL_ELEMENTS}"
+        )
+
+
+def check_input_count(n: int) -> None:
+    """``ParameterError`` unless 1 <= n <= ``MAX_INPUTS``."""
+    if not 1 <= n <= MAX_INPUTS:
+        raise ParameterError(f"an input set holds 1 to {MAX_INPUTS} inputs, not {n}")
+
+
 def build_toy_unet(
     seed: int,
     width: int = 8,
@@ -275,6 +354,10 @@ def build_toy_unet(
         raise ParameterError("text_tokens must be >= 2")
     if time_dim < 2 or time_dim % 2:
         raise ParameterError("time_dim must be even and >= 2")
+    check_model_size(
+        width, depth, spatial=spatial, latent_channels=latent_channels,
+        text_tokens=text_tokens, text_channels=text_channels, time_dim=time_dim,
+    )
 
     w1, w2 = width, 2 * width
     s1, s2 = spatial, spatial // 2
@@ -378,8 +461,7 @@ def synth_text_embedding(
 
 def make_input_set(seed: int, n: int, model: ToyModel) -> list[tuple[Tensor, Tensor, float]]:
     """Deterministic (latent, embedding, timestep) triples keyed by ``seed``."""
-    if n < 1:
-        raise ParameterError("input set must be non-empty")
+    check_input_count(n)
     out = []
     shape = (model.latent_channels, model.spatial, model.spatial)
     for i in range(n):
@@ -422,13 +504,14 @@ class _Run:
     min/max over its inputs one at a time.
     """
 
-    def __init__(self, model, config, act_ranges, bos_aware, trace, calib):
+    def __init__(self, model, config, act_ranges, bos_aware, trace, calib, text_kv=None):
         self.model = model
         self.config = config
         self.act_ranges = act_ranges
         self.bos_aware = bos_aware
         self.trace = trace
         self.calib = calib
+        self.text_kv = text_kv
 
     def _record(self, lid: str, kind: str, parts: list[np.ndarray], split: int | None = None):
         if self.trace is not None:
@@ -451,7 +534,7 @@ class _Run:
         rng = self.act_ranges[lid]
         if rng.kind != expect_kind:
             raise ConfigError(f"calibration for {lid} is {rng.kind!r}, expected {expect_kind!r}")
-        return params_from_minmax(rng.lo[slot], rng.hi[slot], bits, PER_TENSOR)
+        return rng.grid(bits, slot)
 
     def _quant_in(self, lid: str, x: np.ndarray) -> np.ndarray:
         bits = self.config.act_bits[lid]
@@ -475,7 +558,19 @@ class _Run:
         return out[:, 0] if x.ndim == 2 else out
 
     def kv_linear(self, lid: str, embedding: np.ndarray) -> np.ndarray:
-        """Text-embedding consumer; first-token-aware when enabled."""
+        """Text-embedding consumer; first-token-aware when enabled. At full
+        precision it reads the run's ``TextKVCache``, when the run has one."""
+        if (
+            self.text_kv is not None
+            and self.trace is None
+            and self.calib is None
+            and self.config.weight_bits[lid] is None
+            and self.config.act_bits[lid] is None
+        ):
+            return self.text_kv.output(self, lid, embedding)
+        return self.kv_project(lid, embedding)
+
+    def kv_project(self, lid: str, embedding: np.ndarray) -> np.ndarray:
         if not self.bos_aware:
             return self.linear(lid, embedding)
         rest = embedding[:, 1:]
@@ -672,12 +767,12 @@ def _as_batch(model: ToyModel, latent, embedding, timestep) -> tuple[dict, bool]
     return {"t": t, "x": latent, "emb": embedding}, single
 
 
-def _make_run(model: ToyModel, config, bos_aware, act_ranges, trace=None) -> _Run:
+def _make_run(model: ToyModel, config, bos_aware, act_ranges, trace=None, text_kv=None) -> _Run:
     cfg = config if config is not None else QuantConfig.all_fp(model.layer_order)
     cfg.validate(model.layer_order)
     if cfg.wants_act_quant() and act_ranges is None:
         raise ConfigError("config quantizes activations but no calibrated ranges were given")
-    return _Run(model, cfg, act_ranges, bos_aware, trace, calib=None)
+    return _Run(model, cfg, act_ranges, bos_aware, trace, calib=None, text_kv=text_kv)
 
 
 def _run_bits(config: QuantConfig, segments) -> tuple:
@@ -749,6 +844,7 @@ def segment_states(
     config: QuantConfig | None = None,
     bos_aware: bool = False,
     act_ranges: dict[str, ActRange] | None = None,
+    text_kv: "TextKVCache | None" = None,
 ):
     """Yield ``(segment, states)`` for every segment in run order.
 
@@ -757,7 +853,7 @@ def segment_states(
     precision by default). All chunks advance one segment per step, so only one
     segment's states are built and held at a time, never every segment's.
     """
-    run = _make_run(model, config, bos_aware, act_ranges)
+    run = _make_run(model, config, bos_aware, act_ranges, text_kv=text_kv)
     segs = _segment_list(model.depth)
     bits = _run_bits(run.config, segs)
     states = [SegmentState.frozen(0, (), _as_batch(model, *chunk)[0]) for chunk in input_chunks(inputs)]
@@ -775,15 +871,17 @@ def resume(
     config: QuantConfig | None = None,
     bos_aware: bool = False,
     act_ranges: dict[str, ActRange] | None = None,
+    text_kv: "TextKVCache | None" = None,
 ) -> Tensor:
     """Run a cached chunk from its state's segment to the output.
 
     This is the batch ``forward`` gives for the chunk, bit for bit, because
     ``config`` must give every layer the state has passed the bits the state
     was built with (``ConfigError`` otherwise), and ``bos_aware`` and
-    ``act_ranges`` must be the ones it was built with.
+    ``act_ranges`` must be the ones it was built with. A ``text_kv`` cache
+    supplies the full-precision text K/V projections it already holds.
     """
-    run = _make_run(model, config, bos_aware, act_ranges)
+    run = _make_run(model, config, bos_aware, act_ranges, text_kv=text_kv)
     segs = _segment_list(model.depth)
     passed = [lid for seg in segs[:state.index] for lid in seg.layers]
     for lid, got, want in zip(passed, _run_bits(run.config, segs[:state.index]), state.bits, strict=True):
@@ -793,6 +891,36 @@ def resume(
                 f"at (weight, act) bits {want}; the config gives it {got}"
             )
     return _run_from(run, state.arrays, state.index)
+
+
+class TextKVCache:
+    """Full-precision outputs of the text K/V projections, one per input chunk.
+
+    A ``to_k``/``to_v`` layer at full precision gives a chunk the same output
+    under every config, so a run with this cache computes it once per (chunk,
+    layer, ``bos_aware``) and every later run reads it. Chunks are keyed by
+    their embedding array, and only read-only arrays that own their data (those
+    of a frozen ``SegmentState``) are cached, so no write can reach one and
+    make a kept output stale; the cache holds a reference to each such array,
+    so its key stays valid. It
+    serves one model. Its size is one ``(B, text_tokens, out)`` array per
+    chunk and projection, and it lives as long as its owner keeps it.
+    """
+
+    def __init__(self):
+        self._chunks: dict[int, tuple[np.ndarray, dict]] = {}
+
+    def output(self, run: _Run, lid: str, embedding: np.ndarray) -> np.ndarray:
+        if embedding.flags.writeable or embedding.base is not None:
+            return run.kv_project(lid, embedding)
+        _, outputs = self._chunks.setdefault(id(embedding), (embedding, {}))
+        key = (lid, run.bos_aware)
+        out = outputs.get(key)
+        if out is None:
+            out = run.kv_project(lid, embedding)
+            out.flags.writeable = False
+            outputs[key] = out
+        return out
 
 
 class StateCache:

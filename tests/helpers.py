@@ -1,4 +1,5 @@
-"""Code only the tests use: allocation baselines, a quant-params wire format, checksums, MSE."""
+"""Code only the tests use: allocation baselines, a reference sensitivity scorer,
+a quant-params wire format, checksums, MSE."""
 
 from __future__ import annotations
 
@@ -6,9 +7,9 @@ import hashlib
 
 import numpy as np
 
-from mixprec import quantizer, toy_model
+from mixprec import metrics, quantizer, toy_model
 from mixprec.errors import InfeasibleBudgetError, ShapeError
-from mixprec.sensitivity import WEIGHT, SensitivityTable, rank_long_tail
+from mixprec.sensitivity import WEIGHT, SensitivityEntry, SensitivityTable, fp_references, rank_long_tail
 from mixprec.tensor_core import Tensor, make_rng
 
 
@@ -73,6 +74,50 @@ def random_config(
         cost -= (bits[lid] - lower) * elems[lid]
         bits[lid] = lower
     return _kind_config(model, tensor_kind, bits)
+
+
+def per_input_sensitivity_table(
+    model, inputs, bit_widths, tensor_kind: str, bos_aware: bool, *, single_input_forwards: bool = False
+) -> SensitivityTable:
+    """The table ``sensitivity.analyze`` must give, scored the plain way.
+
+    Every probe resumes each chunk from its layer's FP segment state with no
+    shared K/V projections (or, with ``single_input_forwards``, runs one
+    forward per input from the input), scores every output with both metrics
+    one input at a time (``ssim`` under the reference's data-range weights,
+    and ``sqnr_db``), sums them in input order, and keeps its layer group's
+    metric.
+    """
+    ranges = toy_model.calibrate_activations(model, inputs, bos_aware=bos_aware) if tensor_kind != WEIGHT else None
+    options = dict(bos_aware=bos_aware, act_ranges=ranges)
+    if single_input_forwards:
+        refs = [toy_model.forward(model, *inp, bos_aware=bos_aware) for inp in inputs]
+        probes = ((lid, None) for lid in model.layer_order)
+    else:
+        refs = fp_references(model, inputs, bos_aware=bos_aware)
+        walk = toy_model.segment_states(model, inputs, bos_aware=bos_aware)
+        probes = ((lid, states) for segment, states in walk for lid in segment.layers)
+    scores = {}
+    for lid, states in probes:
+        for b in bit_widths:
+            cfg = _kind_config(model, tensor_kind, {lid: b})
+            if states is None:
+                outs = [toy_model.forward(model, *inp, config=cfg, **options) for inp in inputs]
+            else:
+                outs = [out for state in states for out in toy_model.resume(model, state, cfg, **options)]
+            ssim_sum = sqnr_sum = 0.0
+            for ref, out in zip(refs, outs, strict=True):
+                data_range = float(ref.max() - ref.min())
+                weights = metrics.SsimWeights.for_data_range(data_range if data_range > 0 else 1.0)
+                ssim_sum += metrics.ssim(ref, out, weights).value
+                sqnr_sum += metrics.sqnr_db(ref, out).value
+            scores[lid, b] = {metrics.SSIM: ssim_sum / len(refs), metrics.SQNR_DB: sqnr_sum / len(refs)}
+    entries = []
+    for lid in model.layer_order:
+        kind = metrics.SSIM if model.layers[lid].group == toy_model.CONTENT else metrics.SQNR_DB
+        for b in bit_widths:
+            entries.append(SensitivityEntry(lid, tensor_kind, b, scores[lid, b][kind], kind, len(refs)))
+    return SensitivityTable(entries)
 
 
 def quant_params_to_json_dict(layer_id: str, tensor_kind: str, params: quantizer.QuantParams) -> dict:

@@ -69,12 +69,17 @@ def test_analyze_calls_references_forward_and_ssim(model, small_inputs, monkeypa
 
     counted(sv, "fp_references")
     counted(tm, "forward")
-    counted(metrics, "ssim")
-    inputs = small_inputs[:2]
+    for name in ("ssim", "sqnr_db", "ssim_batch", "sqnr_db_batch"):
+        counted(metrics, name)
+    inputs = small_inputs[:2]  # one chunk
     sv.analyze(model, inputs, bit_widths=(4,), tensor_kind=sv.WEIGHT)
     assert calls["fp_references"] == 1
     assert calls["forward"] >= 1
-    assert calls["ssim"] == len(model.layer_order) * len(inputs)
+    # each probe scores its chunk with its layer group's metric only
+    content = sum(model.layers[lid].group == tm.CONTENT for lid in model.layer_order)
+    assert calls["ssim_batch"] == content
+    assert calls["sqnr_db_batch"] == len(model.layer_order) - content
+    assert calls["ssim"] == calls["sqnr_db"] == 0
 
 
 def test_allocate_calls_proxy_score_and_solve_mckp_through_the_module(model, weight_table, monkeypatch):

@@ -7,9 +7,14 @@ import sys
 import time
 from pathlib import Path
 
-import pytest
+import tempfile
+from unittest import mock
 
-from mixprec import allocator, cli, manifest as mf
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mixprec import allocator, cli, manifest as mf, toy_model
 from mixprec.tensor_core import sha256_file
 
 SMALL = [
@@ -184,6 +189,9 @@ BAD_PARAMS = [
     ("delta_avg_bits", -1, "allocate"),
     ("proxy_inputs", 1.5, "allocate"),
     ("eval_inputs", None, "evaluate"),
+    ("inputs", toy_model.MAX_INPUTS + 1, "sensitivity"),
+    ("proxy_inputs", toy_model.MAX_INPUTS + 1, "allocate"),
+    ("eval_inputs", toy_model.MAX_INPUTS + 1, "evaluate"),
 ]
 
 
@@ -516,3 +524,143 @@ def test_sweep_cap_boundary_through_the_cli(pipeline_dir, tmp_path, monkeypatch)
     manifest.write_text(json.dumps(data))
     assert run(["allocate", "--manifest", str(manifest)]) == 3
     assert run(["allocate", "--manifest", str(manifest), "--n-budgets", "2"]) == 0
+
+
+def test_manifest_artifact_number_exits_3(pipeline_dir, tmp_path, capsys):
+    # used to end in a TypeError traceback (exit 1) in allocate
+    manifest = _write_manifest(pipeline_dir, tmp_path, lambda d: {**d, "artifacts": {**d["artifacts"], "config": 5}})
+    assert run(["allocate", "--manifest", str(manifest)]) == 3
+    assert "error: " in capsys.readouterr().err
+
+
+def test_manifest_artifact_escaping_run_dir_exits_3(pipeline_dir, tmp_path, capsys):
+    # used to exit 0 after writing the frontier outside the run directory
+    edit = lambda d: {**d, "artifacts": {**d["artifacts"], "frontier": "../escaped.csv"}}  # noqa: E731
+    manifest = _write_manifest(pipeline_dir, tmp_path, edit)
+    before = tree_checksums(manifest.parent)
+    assert run(["allocate", "--manifest", str(manifest)]) == 3
+    assert "outside the run directory" in capsys.readouterr().err
+    assert not (tmp_path / "escaped.csv").exists()
+    assert tree_checksums(manifest.parent) == before
+
+
+@pytest.mark.parametrize("key", ["config", "report", "frontier_configs_dir", "sensitivity_weight", "extra"])
+@pytest.mark.parametrize("value", [None, ["config.json"], "/abs/config.json", "", ".", "..", "sub/../../x", "a\0b"])
+def test_manifest_bad_artifact_path_exits_3(pipeline_dir, tmp_path, capsys, key, value):
+    manifest = _write_manifest(pipeline_dir, tmp_path, lambda d: {**d, "artifacts": {**d["artifacts"], key: value}})
+    for stage in ("sensitivity", "allocate", "evaluate"):
+        assert run([stage, "--manifest", str(manifest)]) == 3
+        assert f"artifacts.{key}" in capsys.readouterr().err
+
+
+def test_manifest_missing_artifact_exits_3(pipeline_dir, tmp_path, capsys):
+    for key in mf.ARTIFACT_KEYS:
+        def edit(d):
+            del d["artifacts"][key]
+            return d
+
+        manifest = _write_manifest(pipeline_dir, tmp_path / key, edit)
+        assert run(["evaluate", "--manifest", str(manifest)]) == 3
+        assert f"lack {key!r}" in capsys.readouterr().err
+
+
+def test_manifest_artifact_inside_a_subdirectory_is_accepted(pipeline_dir, tmp_path):
+    edit = lambda d: {**d, "artifacts": {**d["artifacts"], "report": "weights/../report.json"}}  # noqa: E731
+    manifest = _write_manifest(pipeline_dir, tmp_path, edit)
+    assert run(["evaluate", "--manifest", str(manifest)]) == 0
+
+
+def test_oversized_model_flags_exit_2_without_allocating(tmp_path, capsys):
+    # gen-model used to ask numpy for 671 GiB and die with a MemoryError
+    for command in ("gen-model", "pipeline"):
+        for flags in (["--width", "100000", "--spatial", "100000"], ["--depth", "1000000000000"], ["--tokens", "10000000"]):
+            with pytest.raises(SystemExit) as exc:
+                run([command, "--out-dir", str(tmp_path / command), *flags])
+            assert exc.value.code == 2, flags
+            assert "cap" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_model_size_cap_boundary_through_the_cli(tmp_path, monkeypatch):
+    shape = dict(spatial=8, latent_channels=4, text_tokens=4, text_channels=8, time_dim=8)
+    monkeypatch.setattr(toy_model, "MAX_MODEL_ELEMENTS", toy_model.model_elements(4, 1, **shape))
+    assert run(["gen-model", "--out-dir", str(tmp_path / "at"), *SMALL]) == 0
+    monkeypatch.setattr(toy_model, "MAX_MODEL_ELEMENTS", toy_model.MAX_MODEL_ELEMENTS - 1)
+    with pytest.raises(SystemExit) as exc:
+        run(["gen-model", "--out-dir", str(tmp_path / "over"), *SMALL])
+    assert exc.value.code == 2
+    assert not (tmp_path / "over").exists()
+    # a stored model over the cap is refused by the stages that load it
+    assert run(["sensitivity", "--manifest", str(tmp_path / "at" / "manifest.json")]) == 3
+
+
+def test_input_count_flags_are_capped(pipeline_dir, tmp_path, monkeypatch):
+    manifest = str(pipeline_dir / "manifest.json")
+    too_many = str(toy_model.MAX_INPUTS + 1)
+    for argv in (["gen-model", "--out-dir", str(tmp_path / "g"), "--inputs", too_many],
+                 ["gen-model", "--out-dir", str(tmp_path / "g"), "--proxy-inputs", too_many],
+                 ["gen-model", "--out-dir", str(tmp_path / "g"), "--eval-inputs", too_many],
+                 ["sensitivity", "--manifest", manifest, "--inputs", too_many],
+                 ["evaluate", "--manifest", manifest, "--inputs", too_many]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2, argv
+    assert not (tmp_path / "g").exists()
+    copy = _copy_with_params(pipeline_dir, tmp_path)
+    monkeypatch.setattr(toy_model, "MAX_INPUTS", 4)  # SMALL records 4 calibration inputs
+    assert run(["evaluate", "--manifest", str(copy), "--inputs", "4"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        run(["evaluate", "--manifest", str(copy), "--inputs", "5"])
+    assert exc.value.code == 2
+
+
+# A tiny pipeline tree for the property test: each stage on it takes a fraction of a second.
+TINY = [
+    "--width", "2", "--spatial", "4", "--tokens", "2", "--text-channels", "2", "--time-dim", "2",
+    "--inputs", "2", "--proxy-inputs", "2", "--eval-inputs", "2", "--n-budgets", "1", "--bits", "2,8",
+]
+
+
+@pytest.fixture(scope="module")
+def tiny_tree(tmp_path_factory):
+    out = tmp_path_factory.mktemp("tiny") / "run"
+    assert run(["pipeline", "--out-dir", str(out), "--seed", "5", *TINY]) == 0
+    return out
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    | st.sampled_from(["../out.json", "/tmp/out.json", "", ".", "sub/x.json", "model.json", "weights", "config.json"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=4,
+)
+_DELETE = object()
+
+
+@settings(max_examples=40, deadline=10_000)
+@given(data=st.data())
+def test_mutated_manifest_exits_with_a_documented_code(tiny_tree, data):
+    # Every stage on a manifest with mutated artifacts, params, seeds or
+    # checksums ends in 0/2/3/4/5, never a traceback. The input-count and sweep
+    # caps are patched down so that no valid example runs long; their
+    # boundaries have tests of their own.
+    manifest = json.loads((tiny_tree / "manifest.json").read_text())
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        section = data.draw(st.sampled_from(["artifacts", "params", "seeds", "checksums"]), label="section")
+        key = data.draw(st.sampled_from(sorted(manifest[section])) | st.text(max_size=6), label="key")
+        value = data.draw(st.just(_DELETE) | _json_values, label="value")
+        if value is _DELETE:
+            manifest[section].pop(key, None)
+        else:
+            manifest[section][key] = value
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(toy_model, "MAX_INPUTS", 8), \
+            mock.patch.object(allocator, "MAX_SWEEP_CELLS", 16):
+        copy = Path(tmp) / "run"
+        shutil.copytree(tiny_tree, copy)
+        (copy / "manifest.json").write_text(json.dumps(manifest))
+        for stage in ("sensitivity", "allocate", "evaluate"):
+            try:
+                rc = run([stage, "--manifest", str(copy / "manifest.json")])
+            except SystemExit as exc:
+                rc = exc.code
+            assert rc in (0, 2, 3, 4, 5), (stage, rc)

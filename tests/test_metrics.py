@@ -137,3 +137,69 @@ def test_metric_score_kinds():
     x = tc.random_normal([8], 0.0, 1.0, seed=11)
     assert mx.ssim(x, x).kind == mx.SSIM
     assert mx.sqnr_db(x, x).kind == mx.SQNR_DB
+
+
+def _batch_pair(seed: int, n: int = 5):
+    refs = np.stack([tc.random_normal([3, 6, 6], 0.1 * i, 1.0 + i, seed=seed + i) for i in range(n)])
+    noise = np.stack([tc.random_normal([3, 6, 6], 0.0, 0.05 * (i + 1), seed=seed + 50 + i) for i in range(n)])
+    return refs, refs + noise
+
+
+def test_batched_ssim_and_sqnr_give_the_per_input_bits():
+    refs, outs = _batch_pair(400)
+    refs[2] = 0.75  # a constant reference: its data range falls back to 1.0
+    outs[3] = refs[3]  # a zero-noise output: its SQNR is capped
+    batch = mx.ReferenceBatch.of(refs)
+    assert batch.size == len(refs)
+    ssim_want = [mx.ssim(r, o, mx.SsimWeights.for_reference(r)).value for r, o in zip(refs, outs)]
+    sqnr_want = [mx.sqnr_db(r, o, cap_db=60.0).value for r, o in zip(refs, outs)]
+    assert mx.ssim_batch(batch, outs) == ssim_want
+    assert mx.sqnr_db_batch(batch, outs, cap_db=60.0) == sqnr_want
+    assert batch.weights[2] == mx.SsimWeights.for_data_range(1.0)
+    assert sqnr_want[3] == 60.0
+
+
+def test_batched_ssim_of_a_reference_with_itself_is_one():
+    refs, _ = _batch_pair(500, n=3)
+    batch = mx.ReferenceBatch.of(refs)
+    assert mx.ssim_batch(batch, refs) == pytest.approx([1.0] * 3, abs=1e-12)
+    assert mx.sqnr_db_batch(batch, refs) == [mx.DEFAULT_SQNR_CAP_DB] * 3
+
+
+@given(
+    hnp.arrays(np.float64, (3, 2, 4), elements=st.floats(-100, 100, allow_nan=False)),
+    hnp.arrays(np.float64, (3, 2, 4), elements=st.floats(-100, 100, allow_nan=False)),
+)
+@settings(max_examples=60, deadline=None)
+def test_batched_metrics_match_per_input_metrics(refs, outs):
+    def outcome(score):
+        try:
+            return score()
+        except UndefinedMetricError:  # a zero reference, or stabilizers that underflow to zero
+            return UndefinedMetricError
+
+    batch = mx.ReferenceBatch.of(refs)
+    assert outcome(lambda: mx.ssim_batch(batch, outs)) == outcome(
+        lambda: [mx.ssim(r, o, mx.SsimWeights.for_reference(r)).value for r, o in zip(refs, outs)]
+    )
+    assert outcome(lambda: mx.sqnr_db_batch(batch, outs)) == outcome(
+        lambda: [mx.sqnr_db(r, o).value for r, o in zip(refs, outs)]
+    )
+
+
+def test_batched_metrics_check_their_arguments():
+    refs, outs = _batch_pair(600, n=2)
+    batch = mx.ReferenceBatch.of(refs)
+    with pytest.raises(ShapeError):
+        mx.ssim_batch(batch, outs[:1])
+    with pytest.raises(ShapeError):
+        mx.sqnr_db_batch(batch, outs[:, :2])
+    with pytest.raises(ParameterError):
+        mx.sqnr_db_batch(batch, outs, cap_db=math.nan)
+    with pytest.raises(ShapeError):
+        mx.ReferenceBatch.of(np.zeros(4))
+    refs[1] = 0.0
+    with pytest.raises(UndefinedMetricError):
+        mx.sqnr_db_batch(mx.ReferenceBatch.of(refs), outs)
+    with pytest.raises(ValueError):
+        batch.values[0, 0, 0, 0] = 1.0  # the statistics describe these values; they stay as they are

@@ -177,28 +177,6 @@ def test_kv_activation_sensitivity_relaxes_with_bos_handling(model, small_inputs
     assert sum(on.values()) > sum(off.values())
 
 
-def single_input_reference_table(model, inputs, bit_widths, kind, bos_aware):
-    """The table ``analyze`` must give, from one single-input forward per probe and input."""
-    refs = [tm.forward(model, *inp, bos_aware=bos_aware) for inp in inputs]
-    ranges = tm.calibrate_activations(model, inputs, bos_aware=bos_aware) if kind == sv.ACTIVATION else None
-    entries = []
-    for lid in model.layer_order:
-        for b in bit_widths:
-            cfg = tm.QuantConfig.all_fp(model.layer_order)
-            (cfg.weight_bits if kind == sv.WEIGHT else cfg.act_bits)[lid] = b
-            ssim_sum = sqnr_sum = 0.0
-            for ref, inp in zip(refs, inputs):
-                out = tm.forward(model, *inp, config=cfg, bos_aware=bos_aware, act_ranges=ranges)
-                rng = float(ref.max() - ref.min())
-                ssim_sum += metrics.ssim(ref, out, metrics.SsimWeights.for_data_range(rng if rng > 0 else 1.0)).value
-                sqnr_sum += metrics.sqnr_db(ref, out).value
-            if model.layers[lid].group == tm.CONTENT:
-                entries.append(sv.SensitivityEntry(lid, kind, b, ssim_sum / len(inputs), metrics.SSIM, len(inputs)))
-            else:
-                entries.append(sv.SensitivityEntry(lid, kind, b, sqnr_sum / len(inputs), metrics.SQNR_DB, len(inputs)))
-    return sv.SensitivityTable(entries)
-
-
 @pytest.fixture(scope="module")
 def deep_model():
     return tm.build_toy_unet(5, width=4, depth=2, spatial=8, text_tokens=4, text_channels=8, time_dim=8)
@@ -213,7 +191,8 @@ def test_analyze_equals_single_input_oracle(model, deep_model, kind, bos_aware, 
     inputs = tm.make_input_set(202, 11, net)
     bits = (2, 8) if which == "default" else (2, 4, 8)
     got = sv.analyze(net, inputs, bit_widths=bits, tensor_kind=kind, bos_aware=bos_aware)
-    assert got.to_jsonl() == single_input_reference_table(net, inputs, bits, kind, bos_aware).to_jsonl()
+    want = helpers.per_input_sensitivity_table(net, inputs, bits, kind, bos_aware, single_input_forwards=True)
+    assert got.to_jsonl() == want.to_jsonl()
 
 
 def test_probe_resumed_from_any_earlier_segment_is_identical(model, small_inputs):
@@ -273,3 +252,62 @@ def test_table_score_lookup():
             table.score(*key)
         assert exc.value.args == (key,)
     assert table == sv.SensitivityTable(tuple(entries))
+
+
+@pytest.mark.parametrize("bos_aware", [True, False])
+def test_analyze_both_kinds_equals_per_input_scoring_bit_for_bit(model, bos_aware):
+    # FORWARD_CHUNK + 2 inputs: a full chunk and a short one. One analysis of
+    # both kinds shares its references, ranges, walk and K/V projections; every
+    # score must equal the plain per-input path's under ==, not approximately.
+    inputs = tm.make_input_set(303, tm.FORWARD_CHUNK + 2, model)
+    bits = (2, 4, 8)
+    both = sv.analyze(model, inputs, bit_widths=bits, tensor_kind=sv.TENSOR_KINDS, bos_aware=bos_aware)
+    assert [e.tensor_kind for e in both.entries] == [
+        kind for kind in sv.TENSOR_KINDS for _ in model.layer_order for _ in bits
+    ]
+    for kind in sv.TENSOR_KINDS:
+        want = helpers.per_input_sensitivity_table(model, inputs, bits, kind, bos_aware)
+        assert both.of_kind(kind).entries == want.entries, kind
+
+
+def test_analyze_one_kind_equals_its_part_of_both(model, small_inputs):
+    inputs = small_inputs[:3]
+    both = sv.analyze(model, inputs, bit_widths=(4,), tensor_kind=(sv.ACTIVATION, sv.WEIGHT), bos_aware=True)
+    for kind in sv.TENSOR_KINDS:
+        one = sv.analyze(model, inputs, bit_widths=(4,), tensor_kind=kind, bos_aware=True)
+        assert one.entries == both.of_kind(kind).entries
+    assert both.entries[0].tensor_kind == sv.ACTIVATION
+
+
+@pytest.mark.parametrize("kinds", [(), ("weight", "weight"), ("weight", "bias")])
+def test_analyze_rejects_bad_kind_tuples(model, small_inputs, kinds):
+    with pytest.raises(ParameterError):
+        sv.analyze(model, small_inputs[:1], bit_widths=(4,), tensor_kind=kinds)
+
+
+def test_probe_scores_only_the_metrics_it_is_asked_for(model, small_inputs):
+    inputs = small_inputs + small_inputs[:2]
+    refs = sv.fp_references(model, inputs, bos_aware=True)
+    batches = sv.reference_batches(refs)
+    assert [b.size for b in batches] == [tm.FORWARD_CHUNK, 2]
+    both = sv.probe_layer(model, inputs, refs, "mid.ffn.fc1", sv.WEIGHT, 2, bos_aware=True)
+    for kinds in ((metrics.SSIM,), (metrics.SQNR_DB,), (metrics.SQNR_DB, metrics.SSIM)):
+        got = sv.probe_layer(model, inputs, batches, "mid.ffn.fc1", sv.WEIGHT, 2, bos_aware=True, metric_kinds=kinds)
+        assert got == tuple(both[(metrics.SSIM, metrics.SQNR_DB).index(k)] for k in kinds)
+    with pytest.raises(ParameterError):
+        sv.probe_layer(model, inputs, refs, "mid.ffn.fc1", sv.WEIGHT, 2, metric_kinds=("MSE",))
+
+
+def test_probe_with_a_shared_text_kv_cache_is_identical(model, small_inputs):
+    inputs = small_inputs + small_inputs[:3]
+    refs = sv.fp_references(model, inputs, bos_aware=True)
+    ranges = tm.calibrate_activations(model, inputs, bos_aware=True)
+    _, states = next(tm.segment_states(model, inputs, bos_aware=True))
+    text_kv = tm.TextKVCache()
+    for lid in ("enc0.conv_in", "mid.cross.to_k", "dec0.cross.to_v", "dec0.cross.to_out"):
+        for kind in sv.TENSOR_KINDS:
+            plain = sv.probe_layer(model, inputs, refs, lid, kind, 2, bos_aware=True, act_ranges=ranges, states=states)
+            shared = sv.probe_layer(
+                model, inputs, refs, lid, kind, 2, bos_aware=True, act_ranges=ranges, states=states, text_kv=text_kv
+            )
+            assert shared == plain, (lid, kind)

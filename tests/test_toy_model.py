@@ -463,3 +463,80 @@ def test_state_cache_leaves_caller_arrays_writable_and_checks_its_setup(model, s
         tm.forward(model, latent, emb, t, config=a, act_ranges=ranges, cache=cache)
     with pytest.raises(ParameterError):
         tm.forward(model, latent, emb, t, config=a, trace={}, cache=cache)
+
+
+@pytest.mark.parametrize("bos_aware", [True, False])
+def test_text_kv_cache_resume_equals_plain_resume(model, small_inputs, bos_aware):
+    inputs = small_inputs + small_inputs[:2]
+    ranges = tm.calibrate_activations(model, inputs, bos_aware=bos_aware)
+    _, states = next(tm.segment_states(model, inputs, bos_aware=bos_aware))
+    cache = tm.TextKVCache()
+    configs = [tm.QuantConfig.all_fp(model.layer_order)]
+    for lid in ("mid.cross.to_k", "dec0.cross.to_v", "mid.cross.to_q"):
+        for bits_of in ("weight_bits", "act_bits"):
+            cfg = tm.QuantConfig.all_fp(model.layer_order)
+            getattr(cfg, bits_of)[lid] = 2
+            configs.append(cfg)
+    for cfg in configs * 2:  # the second pass reads what the first one stored
+        for state in states:
+            plain = tm.resume(model, state, cfg, bos_aware=bos_aware, act_ranges=ranges)
+            cached = tm.resume(model, state, cfg, bos_aware=bos_aware, act_ranges=ranges, text_kv=cache)
+            assert np.array_equal(plain, cached)
+    # one kept output per chunk and FP projection, each read-only
+    assert len(cache._chunks) == len(states)
+    for emb, outputs in cache._chunks.values():
+        assert set(outputs) == {(f"{p}.{n}", bos_aware) for p in ("mid.cross", "dec0.cross") for n in ("to_k", "to_v")}
+        assert not any(out.flags.writeable for out in outputs.values())
+
+
+def test_text_kv_cache_skips_writable_embeddings(model, small_inputs):
+    latent, emb, t = tm.stack_inputs(small_inputs[:2])
+    state = {"t": t, "x": latent, "emb": emb}
+    cache = tm.TextKVCache()
+    run = tm._make_run(model, None, True, None, text_kv=cache)
+    out = tm._run_from(run, state)
+    view = emb[:]  # read-only, but its base stays writable
+    view.flags.writeable = False
+    tm._run_from(run, {**state, "emb": view})
+    assert cache._chunks == {}
+    assert np.array_equal(out, tm.forward(model, latent, emb, t, bos_aware=True))
+
+
+def test_model_elements_counts_weights_inputs_and_attention_scores():
+    for width, depth, spatial, latent, tokens, channels, time_dim in [
+        (8, 1, 16, 4, 8, 16, 16), (4, 2, 8, 3, 4, 8, 8), (2, 1, 4, 1, 2, 2, 2), (5, 3, 12, 2, 3, 5, 6),
+    ]:
+        shape = dict(spatial=spatial, latent_channels=latent, text_tokens=tokens, text_channels=channels, time_dim=time_dim)
+        net = tm.build_toy_unet(1, width, depth, **shape)
+        tok_mid, tok_full = (spatial // 2) ** 2, spatial * spatial
+        counted = sum(layer.param_count + layer.act_elem_count for layer in net.layers.values())
+        assert tm.model_elements(width, depth, **shape) == counted + tok_mid**2 + (tok_mid + tok_full) * tokens
+
+
+def test_model_size_cap_boundary(monkeypatch):
+    shape = dict(spatial=8, latent_channels=2, text_tokens=4, text_channels=4, time_dim=4)
+    size = tm.model_elements(4, 1, **shape)
+    monkeypatch.setattr(tm, "MAX_MODEL_ELEMENTS", size)
+    assert tm.build_toy_unet(1, 4, 1, **shape).layer_ids()
+    monkeypatch.setattr(tm, "MAX_MODEL_ELEMENTS", size - 1)
+    monkeypatch.setattr(tm, "random_normal", lambda *a: pytest.fail("an array was built before the size check"))
+    with pytest.raises(ParameterError, match="cap"):
+        tm.build_toy_unet(1, 4, 1, **shape)
+
+
+def test_model_size_cap_refuses_huge_shapes_at_once():
+    with pytest.raises(ParameterError, match="cap"):
+        tm.build_toy_unet(1, width=100000, spatial=100000)
+    with pytest.raises(ParameterError, match="cap"):
+        tm.build_toy_unet(1, depth=10**12)
+    assert tm.model_elements(8, 1, spatial=16, latent_channels=4, text_tokens=8, text_channels=16, time_dim=16) <= (
+        tm.MAX_MODEL_ELEMENTS
+    )
+
+
+def test_input_set_size_cap(model, monkeypatch):
+    monkeypatch.setattr(tm, "MAX_INPUTS", 3)
+    assert len(tm.make_input_set(1, 3, model)) == 3
+    for n in (0, 4):
+        with pytest.raises(ParameterError):
+            tm.make_input_set(1, n, model)
