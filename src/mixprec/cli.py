@@ -13,7 +13,7 @@ import math
 import sys
 from pathlib import Path
 
-from . import allocator, manifest as mf, metrics, sensitivity, toy_model
+from . import allocator, manifest as mf, metrics, quantizer, sensitivity, toy_model
 from .errors import (
     ConfigError,
     InfeasibleBudgetError,
@@ -65,8 +65,9 @@ def _check_bool(value, what: str) -> bool:
 
 
 def _check_bits(value) -> list[int]:
-    if type(value) is not list or not value or any(type(b) is not int or b not in (2, 4, 8) for b in value):
-        raise ParameterError("bits must be a non-empty subset of 2,4,8")
+    grid = quantizer.BIT_WIDTHS
+    if type(value) is not list or not value or any(type(b) is not int or b not in grid for b in value):
+        raise ParameterError(f"bits must be a non-empty subset of {','.join(map(str, grid))}")
     return sorted(set(value))
 
 
@@ -576,7 +577,7 @@ def _add_gen_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--inputs", type=_input_count("--inputs"), default=32,
                    help="calibration/sensitivity input count")
-    p.add_argument("--bits", type=_bits_list, default=[2, 4, 8])
+    p.add_argument("--bits", type=_bits_list, default=list(quantizer.BIT_WIDTHS))
     p.add_argument("--bos-aware", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--target-bits", type=_target_bits, default=4.0)
     p.add_argument("--act-target-bits", type=_target_bits, default=8.0)

@@ -39,6 +39,8 @@ def default_manifest(params: dict, seeds: dict) -> dict:
 MANIFEST_SECTIONS = ("artifacts", "checksums", "params", "seeds")
 # Artifacts the stages write; each must be named in the manifest.
 ARTIFACT_KEYS = tuple(default_manifest({}, {})["artifacts"])
+# The model's paths, each confined to the run directory like an artifact's.
+MODEL_KEYS = tuple(default_manifest({}, {})["model"])
 
 
 def load_manifest(path: Path | str) -> tuple[dict, Path]:
@@ -62,20 +64,25 @@ def load_manifest(path: Path | str) -> tuple[dict, Path]:
         if key not in artifacts:
             raise ValidationError(f"manifest {path}: artifacts lack {key!r}")
     for key, rel in artifacts.items():
-        _check_artifact_path(path, root, key, rel)
+        _check_artifact_path(path, root, f"artifacts.{key}", rel)
+    model = data.get("model")
+    if not isinstance(model, dict):
+        raise ValidationError(f"manifest {path}: model must be a JSON object")
+    for key in MODEL_KEYS:
+        _check_artifact_path(path, root, f"model.{key}", model.get(key))
     return data, root
 
 
-def _check_artifact_path(path: Path, root: Path, key: str, rel) -> None:
+def _check_artifact_path(path: Path, root: Path, name: str, rel) -> None:
     """An artifact path is a string naming a relative path strictly inside ``root``."""
     if not isinstance(rel, str):
-        raise ValidationError(f"manifest {path}: artifacts.{key} must be a path string, not {type(rel).__name__}")
+        raise ValidationError(f"manifest {path}: {name} must be a path string, not {type(rel).__name__}")
     try:
         full = (root / rel).resolve()
     except (OSError, ValueError, RuntimeError) as exc:  # a NUL byte, or a symlink loop
-        raise ValidationError(f"manifest {path}: artifacts.{key} {rel!r} is not a usable path: {exc}") from exc
+        raise ValidationError(f"manifest {path}: {name} {rel!r} is not a usable path: {exc}") from exc
     if Path(rel).is_absolute() or full == root or not full.is_relative_to(root):
-        raise ValidationError(f"manifest {path}: artifacts.{key} {rel!r} lies outside the run directory {root}")
+        raise ValidationError(f"manifest {path}: {name} {rel!r} lies outside the run directory {root}")
 
 
 def write_atomic(path: Path | str, text: str) -> None:

@@ -7,14 +7,17 @@ feed-forward) are scored with SSIM; quality-group layers (everything else)
 with SQNR in dB. Scores are averaged over the input set.
 
 A probe does only the work that differs between probes. Everything else is
-built once per analysis, for every tensor kind it scores: the FP reference
-outputs with their per-reference statistics (``metrics.ReferenceBatch``), the
-activation ranges, the FP segment walk, and the FP text K/V projections
-(``toy_model.TextKVCache``). Each probe runs its inputs in stacked chunks of
-``toy_model.FORWARD_CHUNK``, starting from the FP state cached at the entry of
-the segment that runs the probed layer, scores each chunk as one batch with
-its layer group's metric only, and sums the scores in input order, so every
-score has the bits that scoring input by input gives.
+built once per analysis, for every tensor kind it scores: the stacked input
+chunks, the FP reference outputs with their per-reference statistics
+(``metrics.ReferenceBatch``) and the activation ranges. The probes run in layer
+order (layer, then kind, then bits) through one ``toy_model.StateCache`` made
+for that plan. Each probe resumes every chunk from the FP state the probe before
+it left at the entry of that probe's segment, so the FP prefix runs once per
+chunk, not once per probe, and it reads the FP text K/V projections the cache
+keeps per chunk. A probe makes one ``toy_model.forward`` call per chunk of
+``toy_model.FORWARD_CHUNK`` inputs, scores each chunk as one batch with its
+layer group's metric only, and sums the scores in input order, so every score
+has the bits that scoring input by input gives.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ import functools
 import json
 import math
 from dataclasses import asdict, dataclass, field
+
+import numpy as np
 
 from . import metrics, toy_model
 from .errors import ParameterError, ValidationError
@@ -123,6 +128,18 @@ def group_metric(group: str) -> str:
     return metrics.SSIM if group == toy_model.CONTENT else metrics.SQNR_DB
 
 
+def _probe_config(model: toy_model.ToyModel, layer_id: str, tensor_kind: str, bit_width: int) -> toy_model.QuantConfig:
+    """Full precision except one layer's weight or input activation at ``bit_width``."""
+    cfg = toy_model.QuantConfig.all_fp(model.layer_order)
+    if tensor_kind == WEIGHT:
+        cfg.weight_bits[layer_id] = bit_width
+    elif tensor_kind == ACTIVATION:
+        cfg.act_bits[layer_id] = bit_width
+    else:
+        raise ParameterError(f"tensor_kind must be one of {TENSOR_KINDS}")
+    return cfg
+
+
 def probe_layer(
     model: toy_model.ToyModel,
     inputs,
@@ -134,29 +151,23 @@ def probe_layer(
     bos_aware: bool = False,
     act_ranges=None,
     sqnr_cap_db: float = metrics.DEFAULT_SQNR_CAP_DB,
-    states=None,
+    cache: toy_model.StateCache | None = None,
     metric_kinds: tuple[str, ...] = (metrics.SSIM, metrics.SQNR_DB),
-    text_kv: toy_model.TextKVCache | None = None,
 ) -> tuple[float, ...]:
     """Quantize one layer's tensor at one bit-width; the mean of each metric of
     ``metric_kinds`` (by default SSIM, then SQNR) against the FP outputs.
 
-    ``refs`` are the FP outputs (``fp_references``) or their
-    ``reference_batches``, which a caller that probes many layers builds once.
-    ``states`` are the chunks' cached FP states (``toy_model.segment_states``,
-    built with the same ``bos_aware``) at a segment no later than the one that
-    runs ``layer_id``; the probe runs only from there on. Without them it runs
-    the whole network on ``inputs``. ``text_kv`` lends the resumed runs the FP
-    text K/V projections it holds. Each chunk's outputs are scored as one
-    batch, and each metric is summed over the inputs in input order.
+    ``inputs`` are the input triples or their stacked ``toy_model.input_chunks``,
+    and ``refs`` the FP outputs (``fp_references``) or their
+    ``reference_batches``; a caller that probes many layers builds both once.
+    Each chunk runs as one
+    ``toy_model.forward`` call, with ``cache`` (made for a plan of probe
+    configs, with the same ``bos_aware`` and ``act_ranges``) when given, so the
+    call resumes from the deepest state the cache holds for the chunk. Each
+    chunk's outputs are scored as one batch, and each metric is summed over the
+    inputs in input order.
     """
-    cfg = toy_model.QuantConfig.all_fp(model.layer_order)
-    if tensor_kind == WEIGHT:
-        cfg.weight_bits[layer_id] = bit_width
-    elif tensor_kind == ACTIVATION:
-        cfg.act_bits[layer_id] = bit_width
-    else:
-        raise ParameterError(f"tensor_kind must be one of {TENSOR_KINDS}")
+    cfg = _probe_config(model, layer_id, tensor_kind, bit_width)
     scorer_of = {
         metrics.SSIM: metrics.ssim_batch,
         metrics.SQNR_DB: functools.partial(metrics.sqnr_db_batch, cap_db=sqnr_cap_db),
@@ -164,16 +175,16 @@ def probe_layer(
     if any(kind not in scorer_of for kind in metric_kinds):
         raise ParameterError(f"metric kinds must be among {tuple(scorer_of)}")
     scorers = [scorer_of[kind] for kind in metric_kinds]
-    if states is None:
-        _, states = next(toy_model.segment_states(model, inputs, bos_aware=bos_aware))
+    if inputs and np.ndim(inputs[0][2]) == 0:  # input triples, not stacked chunks
+        inputs = list(toy_model.input_chunks(inputs))
     if refs and not isinstance(refs[0], metrics.ReferenceBatch):
         refs = reference_batches(refs)
-    n_in = [s.arrays["x"].shape[0] for s in states]
+    n_in = [len(chunk[2]) for chunk in inputs]
     if n_in != [batch.size for batch in refs]:
         raise ParameterError(f"{sum(n_in)} probe inputs for {sum(b.size for b in refs)} references")
     sums = [0.0] * len(scorers)
-    for state, batch in zip(states, refs):
-        out = toy_model.resume(model, state, cfg, bos_aware=bos_aware, act_ranges=act_ranges, text_kv=text_kv)
+    for chunk, batch in zip(inputs, refs):
+        out = toy_model.forward(model, *chunk, config=cfg, bos_aware=bos_aware, act_ranges=act_ranges, cache=cache)
         for k, score in enumerate(scorers):
             for value in score(batch, out):
                 sums[k] += value
@@ -193,12 +204,13 @@ def analyze(
     """Score every (layer, bit_width) pair for one tensor kind, or for each of a
     tuple of kinds; the table lists the kinds in that order.
 
-    The FP references, their statistics, the activation ranges and the FP
-    segment walk are built once for all kinds. The FP states of every input
-    chunk advance one segment at a time, and each layer's probes resume from
-    the states at the entry of the segment that runs it, so no probe recomputes
-    the FP prefix before its layer. Each probe computes only its layer group's
-    metric, and reads the FP text K/V projections from one ``TextKVCache``.
+    The stacked inputs, the FP references with their statistics and the
+    activation ranges are built once for all kinds. The probes run layer by
+    layer (then kind, then bits) through one ``toy_model.StateCache`` made for
+    that plan: each probe resumes from the FP state the probe before it left at
+    the entry of that probe's segment, so the FP prefix and the FP text K/V
+    projections are computed once per chunk. Each probe computes only its layer
+    group's metric.
     """
     if not inputs:
         raise ParameterError("sensitivity analysis needs a non-empty input set")
@@ -209,22 +221,20 @@ def analyze(
     if not kinds or len(set(kinds)) != len(kinds) or any(k not in TENSOR_KINDS for k in kinds):
         raise ParameterError(f"tensor_kind must be one of {TENSOR_KINDS}, or a tuple of distinct ones")
 
+    chunks = list(toy_model.input_chunks(inputs))
     refs = reference_batches(fp_references(model, inputs, bos_aware=bos_aware))
     if ACTIVATION in kinds and act_ranges is None:
         act_ranges = toy_model.calibrate_activations(model, inputs, bos_aware=bos_aware)
-    text_kv = toy_model.TextKVCache()
+    plan = [(lid, kind, b) for lid in model.layer_order for kind in kinds for b in bit_widths]
+    cache = toy_model.StateCache(model, [_probe_config(model, *probe) for probe in plan])
 
     scores = {}
-    for segment, states in toy_model.segment_states(model, inputs, bos_aware=bos_aware, text_kv=text_kv):
-        for kind in kinds:
-            for lid in segment.layers:
-                metric = group_metric(model.layers[lid].group)
-                for b in bit_widths:
-                    (scores[kind, lid, b],) = probe_layer(
-                        model, inputs, refs, lid, kind, b,
-                        bos_aware=bos_aware, act_ranges=act_ranges, states=states,
-                        metric_kinds=(metric,), text_kv=text_kv,
-                    )
+    for lid, kind, b in plan:
+        (scores[kind, lid, b],) = probe_layer(
+            model, chunks, refs, lid, kind, b,
+            bos_aware=bos_aware, act_ranges=act_ranges, cache=cache,
+            metric_kinds=(group_metric(model.layers[lid].group),),
+        )
 
     n = len(inputs)
     return SensitivityTable(

@@ -8,12 +8,10 @@ spatial shape as the latent. Time conditioning enters through a small MLP
 over sinusoidal features plus per-stage channel projections.
 
 The graph runs as one ordered list of segments, each keyed by the layers it
-runs. ``forward`` runs them all; ``segment_states`` keeps the state at each
-segment's entry under one config (full precision by default), and ``resume``
-runs any config that agrees with it on the layers already passed from such a
-state to the output, so a probe of one layer skips the FP prefix before it. A
-``StateCache`` does the same across ``forward`` calls: each call resumes from the
-deepest state an earlier call left whose passed layers ran the same bits.
+runs, and ``forward`` runs them in order. A ``StateCache`` made for a planned
+sequence of configs lets each ``forward`` call resume from the deepest state an
+earlier call left whose passed layers ran the same bits, so a sensitivity probe
+or a sweep config skips the prefix it shares with the config before it.
 
 Every weighted layer carries a descriptor (kind, metric group, parameter /
 activation / MAC counts) and can be independently fake-quantized on its
@@ -41,6 +39,7 @@ import numpy as np
 
 from . import quantizer
 from .errors import ConfigError, InputError, ParameterError, ShapeError, ValidationError
+from .manifest import write_json
 from .quantizer import PER_CHANNEL, PER_TENSOR, params_from_minmax
 from .tensor_core import Tensor, derive_seed, make_rng, load_tensor, random_normal, save_tensor
 
@@ -504,14 +503,14 @@ class _Run:
     min/max over its inputs one at a time.
     """
 
-    def __init__(self, model, config, act_ranges, bos_aware, trace, calib, text_kv=None):
+    def __init__(self, model, config, act_ranges, bos_aware, trace, calib):
         self.model = model
         self.config = config
         self.act_ranges = act_ranges
         self.bos_aware = bos_aware
         self.trace = trace
         self.calib = calib
-        self.text_kv = text_kv
+        self.text_kv = None  # a chunk's FP text K/V projections, set by ``StateCache.run_chunk``
 
     def _record(self, lid: str, kind: str, parts: list[np.ndarray], split: int | None = None):
         if self.trace is not None:
@@ -559,18 +558,17 @@ class _Run:
 
     def kv_linear(self, lid: str, embedding: np.ndarray) -> np.ndarray:
         """Text-embedding consumer; first-token-aware when enabled. At full
-        precision it reads the run's ``TextKVCache``, when the run has one."""
-        if (
-            self.text_kv is not None
-            and self.trace is None
-            and self.calib is None
-            and self.config.weight_bits[lid] is None
-            and self.config.act_bits[lid] is None
-        ):
-            return self.text_kv.output(self, lid, embedding)
-        return self.kv_project(lid, embedding)
+        precision it reads its output from the run's ``text_kv``, when the run
+        has one, or computes it there once, read-only."""
+        if self.text_kv is None or self.config.weight_bits[lid] is not None or self.config.act_bits[lid] is not None:
+            return self._kv_project(lid, embedding)
+        out = self.text_kv.get(lid)
+        if out is None:
+            out = self.text_kv[lid] = self._kv_project(lid, embedding)
+            out.flags.writeable = False
+        return out
 
-    def kv_project(self, lid: str, embedding: np.ndarray) -> np.ndarray:
+    def _kv_project(self, lid: str, embedding: np.ndarray) -> np.ndarray:
         if not self.bos_aware:
             return self.linear(lid, embedding)
         rest = embedding[:, 1:]
@@ -767,14 +765,6 @@ def _as_batch(model: ToyModel, latent, embedding, timestep) -> tuple[dict, bool]
     return {"t": t, "x": latent, "emb": embedding}, single
 
 
-def _make_run(model: ToyModel, config, bos_aware, act_ranges, trace=None, text_kv=None) -> _Run:
-    cfg = config if config is not None else QuantConfig.all_fp(model.layer_order)
-    cfg.validate(model.layer_order)
-    if cfg.wants_act_quant() and act_ranges is None:
-        raise ConfigError("config quantizes activations but no calibrated ranges were given")
-    return _Run(model, cfg, act_ranges, bos_aware, trace, calib=None, text_kv=text_kv)
-
-
 def _run_bits(config: QuantConfig, segments) -> tuple:
     """(weight, act) bits of every layer of ``segments``, in run order."""
     return tuple((config.weight_bits[lid], config.act_bits[lid]) for seg in segments for lid in seg.layers)
@@ -801,7 +791,11 @@ def forward(
     output is the same, bit for bit.
     """
     state, single = _as_batch(model, latent, embedding, timestep)
-    run = _make_run(model, config, bos_aware, act_ranges, trace)
+    cfg = config if config is not None else QuantConfig.all_fp(model.layer_order)
+    cfg.validate(model.layer_order)
+    if cfg.wants_act_quant() and act_ranges is None:
+        raise ConfigError("config quantizes activations but no calibrated ranges were given")
+    run = _Run(model, cfg, act_ranges, bos_aware, trace, calib=None)
     if cache is None:
         out = _run_from(run, state)
     elif trace is not None:
@@ -838,118 +832,41 @@ class SegmentState:
         return cls(index, bits, MappingProxyType(arrays))
 
 
-def segment_states(
-    model: ToyModel,
-    inputs,
-    config: QuantConfig | None = None,
-    bos_aware: bool = False,
-    act_ranges: dict[str, ActRange] | None = None,
-    text_kv: "TextKVCache | None" = None,
-):
-    """Yield ``(segment, states)`` for every segment in run order.
-
-    ``states[j]`` is the ``SegmentState`` of chunk ``j`` of ``inputs`` (as
-    ``input_chunks`` cuts them) at the segment's entry under ``config`` (full
-    precision by default). All chunks advance one segment per step, so only one
-    segment's states are built and held at a time, never every segment's.
-    """
-    run = _make_run(model, config, bos_aware, act_ranges, text_kv=text_kv)
-    segs = _segment_list(model.depth)
-    bits = _run_bits(run.config, segs)
-    states = [SegmentState.frozen(0, (), _as_batch(model, *chunk)[0]) for chunk in input_chunks(inputs)]
-    passed = 0
-    for index, segment in enumerate(segs):
-        yield segment, states
-        passed += len(segment.layers)
-        if index + 1 < len(segs):
-            states = [SegmentState.frozen(index + 1, bits[:passed], segment.step(run, s.arrays)) for s in states]
-
-
-def resume(
-    model: ToyModel,
-    state: SegmentState,
-    config: QuantConfig | None = None,
-    bos_aware: bool = False,
-    act_ranges: dict[str, ActRange] | None = None,
-    text_kv: "TextKVCache | None" = None,
-) -> Tensor:
-    """Run a cached chunk from its state's segment to the output.
-
-    This is the batch ``forward`` gives for the chunk, bit for bit, because
-    ``config`` must give every layer the state has passed the bits the state
-    was built with (``ConfigError`` otherwise), and ``bos_aware`` and
-    ``act_ranges`` must be the ones it was built with. A ``text_kv`` cache
-    supplies the full-precision text K/V projections it already holds.
-    """
-    run = _make_run(model, config, bos_aware, act_ranges, text_kv=text_kv)
-    segs = _segment_list(model.depth)
-    passed = [lid for seg in segs[:state.index] for lid in seg.layers]
-    for lid, got, want in zip(passed, _run_bits(run.config, segs[:state.index]), state.bits, strict=True):
-        if got != want:
-            raise ConfigError(
-                f"{lid} runs before segment {state.index}, where this state resumes, "
-                f"at (weight, act) bits {want}; the config gives it {got}"
-            )
-    return _run_from(run, state.arrays, state.index)
-
-
-class TextKVCache:
-    """Full-precision outputs of the text K/V projections, one per input chunk.
-
-    A ``to_k``/``to_v`` layer at full precision gives a chunk the same output
-    under every config, so a run with this cache computes it once per (chunk,
-    layer, ``bos_aware``) and every later run reads it. Chunks are keyed by
-    their embedding array, and only read-only arrays that own their data (those
-    of a frozen ``SegmentState``) are cached, so no write can reach one and
-    make a kept output stale; the cache holds a reference to each such array,
-    so its key stays valid. It
-    serves one model. Its size is one ``(B, text_tokens, out)`` array per
-    chunk and projection, and it lives as long as its owner keeps it.
-    """
-
-    def __init__(self):
-        self._chunks: dict[int, tuple[np.ndarray, dict]] = {}
-
-    def output(self, run: _Run, lid: str, embedding: np.ndarray) -> np.ndarray:
-        if embedding.flags.writeable or embedding.base is not None:
-            return run.kv_project(lid, embedding)
-        _, outputs = self._chunks.setdefault(id(embedding), (embedding, {}))
-        key = (lid, run.bos_aware)
-        out = outputs.get(key)
-        if out is None:
-            out = run.kv_project(lid, embedding)
-            out.flags.writeable = False
-            outputs[key] = out
-        return out
-
-
 class StateCache:
-    """Segment states of input chunks along a sequence of configs, for ``forward``.
+    """Segment states and FP text K/V projections of input chunks, shared by the
+    ``forward`` calls of a planned sequence of configs.
 
-    It is made for the configs in the order they will run. A config that agrees
-    with the one before it on every layer of the first ``d`` segments can resume
-    at segment ``d``, so the cache keeps a chunk's state only at those resume
-    segments, and only along one path: the states of the last config run on the
-    chunk, built under the bits of the layers they have passed. Run in
-    lexicographic order, each config shares its longest prefix with the one just
-    before it, so one path per chunk loses no shared work. A chunk therefore
-    holds at most one state per resume segment. A cache serves one
-    ``bos_aware`` setting and one ``act_ranges`` object.
+    It is made for the configs in the order they will run (the plan). Config
+    ``j`` resumes at ``r[j]``, the number of leading segments whose layers it
+    runs at the bits config ``j - 1`` gave them (capped at the head segment, so
+    a repeat still runs one). Walking the plan backwards, the states config
+    ``i`` must leave for the configs after it are
+    ``needed[i] = ({r[i+1]} | {k in needed[i+1] if k <= r[i+1]}) - {0}``
+    (segment 0's state is the input itself), kept in ``keep`` under config
+    ``i``'s run bits. Each chunk holds one path: the states of the last config
+    run on it, each tagged with the bits of the layers it has passed. A call
+    resumes from the deepest state on the path whose passed layers carry the
+    bits its config gives them, records a state at segment ``k`` only when
+    ``k`` is in its config's ``needed`` set, and drops every other state. A
+    config outside the plan keeps nothing, and a config run out of order only
+    resumes less far; neither changes an output. A chunk's entry also holds its
+    FP text K/V projections, read-only. A cache serves one ``bos_aware`` setting
+    and one ``act_ranges`` object.
     """
 
     def __init__(self, model: ToyModel, configs):
         self._segments = _segment_list(model.depth)
+        plan = [_run_bits(config, self._segments) for config in configs]
         last = len(self._segments) - 1
-        resume_at = set()
-        prev = None
-        for config in configs:
-            bits = _run_bits(config, self._segments)
-            if prev is not None:
-                resume_at.add(min(self._shared_segments(prev, bits), last))
-            prev = bits
-        self.keep = frozenset(resume_at - {0})  # the state at segment 0 is the input itself
+        self.keep: dict[tuple, frozenset] = {}
+        needed = frozenset()
+        for i in range(len(plan) - 1, -1, -1):
+            self.keep[plan[i]] = self.keep.get(plan[i], frozenset()) | needed
+            if i:
+                r = min(self._shared_segments(plan[i - 1], plan[i]), last)
+                needed = frozenset({r, *(k for k in needed if k <= r)} - {0})
         self._setup = None
-        self._paths: dict[bytes, list[SegmentState]] = {}
+        self._chunks: dict[bytes, tuple[list[SegmentState], dict]] = {}
 
     def _shared_segments(self, a: tuple, b: tuple) -> int:
         """How many leading segments give every layer the same bits under ``a`` and ``b``."""
@@ -969,24 +886,26 @@ class StateCache:
         elif setup[0] != self._setup[0] or setup[1] is not self._setup[1]:
             raise ConfigError("a state cache serves one bos_aware setting and one act_ranges object")
         key = b"".join(entry[name].tobytes() for name in ("x", "emb", "t"))
-        path = self._paths.setdefault(key, [])
+        path, run.text_kv = self._chunks.setdefault(key, ([], {}))
         bits = _run_bits(run.config, self._segments)
+        keep = self.keep.get(bits, frozenset())
         state, start, kept = entry, 0, 0
         for s in path:
             if bits[:len(s.bits)] != s.bits:
                 break
             state, start, kept = s.arrays, s.index, kept + 1
         del path[kept:]
-        if not path:
+        if not path and keep:
             # Copies, so no state the cache freezes shares an array with the caller.
             state = {name: a.copy() for name, a in entry.items()}
         passed = len(path[-1].bits) if path else 0
         for index in range(start, len(self._segments)):
-            if index > start and index in self.keep:
+            if index > start and index in keep:
                 path.append(SegmentState.frozen(index, bits[:passed], state))
                 state = path[-1].arrays
             state = self._segments[index].step(run, state)
             passed += len(self._segments[index].layers)
+        path[:] = [s for s in path if s.index in keep]
         return state["x"]
 
 
@@ -1054,15 +973,12 @@ def model_to_json_dict(model: ToyModel) -> dict:
 
 
 def save_model(model: ToyModel, json_path: Path | str, weights_dir: Path | str) -> None:
-    import json
-
+    """Write the weight tensors directly, then the model JSON atomically."""
     weights_dir = Path(weights_dir)
     weights_dir.mkdir(parents=True, exist_ok=True)
     for lid in model.layer_order:
         save_tensor(model.layers[lid].weight, weights_dir / lid)
-    with open(json_path, "w") as f:
-        json.dump(model_to_json_dict(model), f, sort_keys=True, indent=2)
-        f.write("\n")
+    write_json(json_path, model_to_json_dict(model))
 
 
 def load_model(json_path: Path | str, weights_dir: Path | str) -> ToyModel:

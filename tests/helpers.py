@@ -1,5 +1,5 @@
 """Code only the tests use: allocation baselines, a reference sensitivity scorer,
-a quant-params wire format, checksums, MSE."""
+a state-cache recorder, a quant-params wire format, checksums, MSE."""
 
 from __future__ import annotations
 
@@ -81,30 +81,27 @@ def per_input_sensitivity_table(
 ) -> SensitivityTable:
     """The table ``sensitivity.analyze`` must give, scored the plain way.
 
-    Every probe resumes each chunk from its layer's FP segment state with no
-    shared K/V projections (or, with ``single_input_forwards``, runs one
-    forward per input from the input), scores every output with both metrics
-    one input at a time (``ssim`` under the reference's data-range weights,
-    and ``sqnr_db``), sums them in input order, and keeps its layer group's
-    metric.
+    Every probe runs from the input: ``forward_inputs`` in chunks with no state
+    cache (or, with ``single_input_forwards``, one ``forward`` per input), so
+    this oracle shares no resume code with the engine it checks. It scores every
+    output with both metrics one input at a time (``ssim`` under the
+    reference's data-range weights, and ``sqnr_db``), sums them in input order,
+    and keeps its layer group's metric.
     """
     ranges = toy_model.calibrate_activations(model, inputs, bos_aware=bos_aware) if tensor_kind != WEIGHT else None
     options = dict(bos_aware=bos_aware, act_ranges=ranges)
     if single_input_forwards:
         refs = [toy_model.forward(model, *inp, bos_aware=bos_aware) for inp in inputs]
-        probes = ((lid, None) for lid in model.layer_order)
     else:
         refs = fp_references(model, inputs, bos_aware=bos_aware)
-        walk = toy_model.segment_states(model, inputs, bos_aware=bos_aware)
-        probes = ((lid, states) for segment, states in walk for lid in segment.layers)
     scores = {}
-    for lid, states in probes:
+    for lid in model.layer_order:
         for b in bit_widths:
             cfg = _kind_config(model, tensor_kind, {lid: b})
-            if states is None:
+            if single_input_forwards:
                 outs = [toy_model.forward(model, *inp, config=cfg, **options) for inp in inputs]
             else:
-                outs = [out for state in states for out in toy_model.resume(model, state, cfg, **options)]
+                outs = toy_model.forward_inputs(model, inputs, config=cfg, **options)
             ssim_sum = sqnr_sum = 0.0
             for ref, out in zip(refs, outs, strict=True):
                 data_range = float(ref.max() - ref.min())
@@ -118,6 +115,18 @@ def per_input_sensitivity_table(
         for b in bit_widths:
             entries.append(SensitivityEntry(lid, tensor_kind, b, scores[lid, b][kind], kind, len(refs)))
     return SensitivityTable(entries)
+
+
+def record_state_caches(monkeypatch) -> list:
+    """Patch ``toy_model.StateCache`` to record every cache built from here on."""
+    caches, real = [], toy_model.StateCache
+
+    def recording(*args):
+        caches.append(real(*args))
+        return caches[-1]
+
+    monkeypatch.setattr(toy_model, "StateCache", recording)
+    return caches
 
 
 def quant_params_to_json_dict(layer_id: str, tensor_kind: str, params: quantizer.QuantParams) -> dict:

@@ -2,8 +2,12 @@
 
 ``perfbench/run.py`` lists in ``FUNCTION_METRICS`` the ``module.function`` pairs
 whose call statistics it reports. Its tracer wraps only public functions defined
-in their own module, and a function called fewer than 20 times has no tail
-figures, so a restructure that renames one or stops calling it loses metrics.
+in their own module, and replaces them in every module that holds a reference,
+so a call counts only when it goes through the module attribute. A function
+called fewer than 20 times has no tail figures, so a restructure that renames
+one or stops calling it loses metrics. Sensitivity probes and sweep scorings
+both reach ``toy_model.forward`` once per input chunk, through one
+``toy_model.StateCache`` per analysis or allocation.
 """
 
 import ast
@@ -14,6 +18,8 @@ from collections import Counter
 from pathlib import Path
 
 from mixprec import allocator as al, metrics, sensitivity as sv, toy_model as tm
+
+import helpers
 
 RUN_PY = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
 
@@ -74,12 +80,37 @@ def test_analyze_calls_references_forward_and_ssim(model, small_inputs, monkeypa
     inputs = small_inputs[:2]  # one chunk
     sv.analyze(model, inputs, bit_widths=(4,), tensor_kind=sv.WEIGHT)
     assert calls["fp_references"] == 1
-    assert calls["forward"] >= 1
+    assert calls["forward"] == 1 + len(model.layer_order)  # the references, then one call per probe
     # each probe scores its chunk with its layer group's metric only
     content = sum(model.layers[lid].group == tm.CONTENT for lid in model.layer_order)
     assert calls["ssim_batch"] == content
     assert calls["sqnr_db_batch"] == len(model.layer_order) - content
     assert calls["ssim"] == calls["sqnr_db"] == 0
+
+
+def test_probe_layer_reaches_forward_once_per_chunk(model, small_inputs, monkeypatch):
+    inputs = tm.make_input_set(5, tm.FORWARD_CHUNK + 2, model)  # two chunks: 8 inputs and 2
+    calls = Counter()
+    real_forward, real_probe = tm.forward, sv.probe_layer
+
+    def forward(*args, **kwargs):
+        calls["forward"] += 1
+        return real_forward(*args, **kwargs)
+
+    def probe_layer(*args, **kwargs):
+        before = calls["forward"]
+        score = real_probe(*args, **kwargs)
+        calls["per_probe", calls["forward"] - before] += 1
+        return score
+
+    monkeypatch.setattr(tm, "forward", forward)
+    monkeypatch.setattr(sv, "probe_layer", probe_layer)
+    caches = helpers.record_state_caches(monkeypatch)
+    sv.analyze(model, inputs, bit_widths=(2, 8), tensor_kind=sv.TENSOR_KINDS, bos_aware=True)
+    probes = len(model.layer_order) * 2 * 2
+    assert calls["per_probe", 2] == probes
+    assert calls["forward"] == 2 * (probes + 1)  # and the FP references
+    assert len(caches) == 1
 
 
 def test_allocate_calls_proxy_score_and_solve_mckp_through_the_module(model, weight_table, monkeypatch):

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixprec import allocator, cli, manifest as mf, toy_model
+from mixprec import allocator, cli, manifest as mf, quantizer, toy_model
+from mixprec.errors import ParameterError
 from mixprec.tensor_core import sha256_file
 
 SMALL = [
@@ -288,6 +289,21 @@ def test_failed_write_leaves_no_partial_or_temp_file(pipeline_dir, tmp_path, mon
     assert tree_checksums(root) == before
 
 
+def test_gen_model_failed_model_json_write_exits_5(tmp_path, monkeypatch):
+    def failing_replace(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    out = tmp_path / "run"
+    assert run(["gen-model", "--out-dir", str(out), *TINY]) == cli.EXIT_IO
+    # the weight tensors are written directly; the model JSON is neither there nor left as a temp file
+    assert sorted(p.name for p in out.iterdir()) == ["weights"]
+    monkeypatch.undo()
+    assert run(["gen-model", "--out-dir", str(tmp_path / "ok"), *TINY]) == 0
+    text = (tmp_path / "ok" / "model.json").read_text()  # sorted keys, indent 2, a trailing newline
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
 MISSING = "missing"
 BAD_SEEDS = [
     ("calibration", "x", "sensitivity"),
@@ -433,6 +449,15 @@ def test_weight_only_allocation(tmp_path):
     assert config["summary"]["compute_opt_ratio"] == 1.0  # FP16 compute when acts stay FP
 
 
+def test_bits_are_checked_against_the_quantizer_grid(monkeypatch):
+    with pytest.raises(ParameterError, match="^bits must be a non-empty subset of 2,4,8$"):
+        cli._check_bits([2, 3])
+    monkeypatch.setattr(quantizer, "BIT_WIDTHS", (2, 3, 4, 5, 6, 8))
+    assert cli._check_bits([5, 3, 3]) == [3, 5]
+    with pytest.raises(ParameterError, match="^bits must be a non-empty subset of 2,3,4,5,6,8$"):
+        cli._check_bits([7])
+
+
 def test_default_calibration_inputs_is_32():
     args = cli.build_parser().parse_args(["gen-model", "--out-dir", "unused"])
     assert args.inputs == 32
@@ -568,6 +593,55 @@ def test_manifest_artifact_inside_a_subdirectory_is_accepted(pipeline_dir, tmp_p
     edit = lambda d: {**d, "artifacts": {**d["artifacts"], "report": "weights/../report.json"}}  # noqa: E731
     manifest = _write_manifest(pipeline_dir, tmp_path, edit)
     assert run(["evaluate", "--manifest", str(manifest)]) == 0
+
+
+def test_manifest_model_paths_outside_the_run_dir_exit_3(tiny_tree, tmp_path, capsys):
+    # used to exit 0 after reading the model from a copy beside the run directory
+    copy, other = tmp_path / "run", tmp_path / "other"
+    shutil.copytree(tiny_tree, copy)
+    other.mkdir()
+    shutil.copy(copy / "model.json", other / "model.json")
+    shutil.copytree(copy / "weights", other / "weights")
+    data = json.loads((copy / "manifest.json").read_text())
+    data["model"] = {"json": "../other/model.json", "weights_dir": "../other/weights"}
+    data["checksums"] = {
+        (f"../other/{rel}" if rel == "model.json" or rel.startswith("weights/") else rel): digest
+        for rel, digest in data["checksums"].items()
+    }
+    (copy / "manifest.json").write_text(json.dumps(data))
+    assert run(["evaluate", "--manifest", str(copy / "manifest.json")]) == 3
+    assert "model.json '../other/model.json' lies outside the run directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["json", "weights_dir"])
+@pytest.mark.parametrize("value", ["missing", None, 5, ["model.json"], "/abs/model.json", "", ".", "../model.json"])
+def test_manifest_bad_model_path_exits_3(pipeline_dir, tmp_path, capsys, key, value):
+    def edit(data):
+        if value == "missing":
+            del data["model"][key]
+        else:
+            data["model"][key] = value
+        return data
+
+    manifest = _write_manifest(pipeline_dir, tmp_path, edit)
+    for stage in ("sensitivity", "allocate", "evaluate"):
+        assert run([stage, "--manifest", str(manifest)]) == 3
+        assert f"model.{key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["x", [], None, "missing"])
+def test_manifest_model_not_an_object_exits_3(pipeline_dir, tmp_path, capsys, value):
+    def edit(data):
+        if value == "missing":
+            del data["model"]
+        else:
+            data["model"] = value
+        return data
+
+    manifest = _write_manifest(pipeline_dir, tmp_path, edit)
+    for stage in ("sensitivity", "allocate", "evaluate"):
+        assert run([stage, "--manifest", str(manifest)]) == 3
+        assert "model must be a JSON object" in capsys.readouterr().err
 
 
 def test_oversized_model_flags_exit_2_without_allocating(tmp_path, capsys):

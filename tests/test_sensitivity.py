@@ -195,17 +195,27 @@ def test_analyze_equals_single_input_oracle(model, deep_model, kind, bos_aware, 
     assert got.to_jsonl() == want.to_jsonl()
 
 
+def _probe_cache(model, probes):
+    """A state cache planned for ``probes``: (layer, tensor kind, bits) triples."""
+    return tm.StateCache(model, [sv._probe_config(model, *probe) for probe in probes])
+
+
 def test_probe_resumed_from_any_earlier_segment_is_identical(model, small_inputs):
     inputs = small_inputs + small_inputs[:3]
     refs = sv.fp_references(model, inputs, bos_aware=True)
     ranges = tm.calibrate_activations(model, inputs, bos_aware=True)
     lid = "dec0.fuse"
-    whole = sv.probe_layer(model, inputs, refs, lid, sv.ACTIVATION, 4, bos_aware=True, act_ranges=ranges)
+    options = dict(bos_aware=True, act_ranges=ranges)
+    whole = sv.probe_layer(model, inputs, refs, lid, sv.ACTIVATION, 4, **options)
     seen = 0
-    for segment, states in tm.segment_states(model, inputs, bos_aware=True):
-        got = sv.probe_layer(
-            model, inputs, refs, lid, sv.ACTIVATION, 4, bos_aware=True, act_ranges=ranges, states=states
-        )
+    for index, segment in enumerate(tm._segment_list(model.depth)):
+        # the probe before it quantizes this segment's first layer, so it resumes here
+        probes = [(segment.layers[0], sv.WEIGHT, 2), (lid, sv.ACTIVATION, 4)]
+        cache = _probe_cache(model, probes)
+        sv.probe_layer(model, inputs, refs, *probes[0], cache=cache, **options)
+        if index:  # the state at segment 0 is the input itself
+            assert [[s.index for s in path] for path, _ in cache._chunks.values()] == [[index]] * 2
+        got = sv.probe_layer(model, inputs, refs, lid, sv.ACTIVATION, 4, cache=cache, **options)
         assert got == whole, segment.layers
         seen += 1
         if lid in segment.layers:
@@ -215,25 +225,41 @@ def test_probe_resumed_from_any_earlier_segment_is_identical(model, small_inputs
 
 def test_probe_rejects_states_past_its_layer(model, small_inputs):
     refs = sv.fp_references(model, small_inputs)
-    for segment, states in tm.segment_states(model, small_inputs):
-        if "mid.cross.to_q" in segment.layers:
-            break
-    with pytest.raises(ConfigError):
-        sv.probe_layer(model, small_inputs, refs, "enc0.conv_in", sv.WEIGHT, 4, states=states)
+    cache = _probe_cache(model, [("mid.cross.to_q", sv.WEIGHT, 4), ("mid.cross.to_k", sv.WEIGHT, 4)])
+    sv.probe_layer(model, small_inputs, refs, "mid.cross.to_q", sv.WEIGHT, 4, cache=cache)
+    cross = next(i for i, s in enumerate(tm._segment_list(model.depth)) if "mid.cross.to_q" in s.layers)
+    (path, _), = cache._chunks.values()
+    assert [s.index for s in path] == [cross]
+    # a probe of an earlier layer runs from the input, not from the state past it
+    want = sv.probe_layer(model, small_inputs, refs, "enc0.conv_in", sv.WEIGHT, 4)
+    assert sv.probe_layer(model, small_inputs, refs, "enc0.conv_in", sv.WEIGHT, 4, cache=cache) == want
     with pytest.raises(ParameterError):
-        sv.probe_layer(model, small_inputs, refs[:-1], "mid.cross.to_q", sv.WEIGHT, 4, states=states)
+        sv.probe_layer(model, small_inputs, refs[:-1], "mid.cross.to_q", sv.WEIGHT, 4, cache=cache)
 
 
 def test_cached_segment_states_are_read_only(model, small_inputs):
-    for _, states in tm.segment_states(model, small_inputs, bos_aware=True):
-        for state in states:
-            for name, array in state.arrays.items():
+    inputs = small_inputs + small_inputs[:3]
+    refs = sv.fp_references(model, inputs, bos_aware=True)
+    probes = [(lid, sv.WEIGHT, 4) for lid in ("enc1.down", "mid.cross.to_q", "dec0.fuse", "out.conv_out")]
+    cache = _probe_cache(model, probes)
+    checked = kv_checked = 0
+    for probe in probes:
+        sv.probe_layer(model, inputs, refs, *probe, bos_aware=True, cache=cache)
+        for path, text_kv in cache._chunks.values():
+            for state in path:
+                for array in state.arrays.values():
+                    with pytest.raises(ValueError):
+                        array[...] = 0.0
+                    with pytest.raises(ValueError):
+                        array += 1.0
+                    checked += 1
+                with pytest.raises(TypeError):
+                    state.arrays["x"] = np.zeros(1)
+            for out in text_kv.values():
                 with pytest.raises(ValueError):
-                    array[...] = 0.0
-                with pytest.raises(ValueError):
-                    array += 1.0
-            with pytest.raises(TypeError):
-                state.arrays["x"] = np.zeros(1)
+                    out[...] = 0.0
+                kv_checked += 1
+    assert checked and kv_checked
 
 
 def test_table_score_lookup():
@@ -302,12 +328,66 @@ def test_probe_with_a_shared_text_kv_cache_is_identical(model, small_inputs):
     inputs = small_inputs + small_inputs[:3]
     refs = sv.fp_references(model, inputs, bos_aware=True)
     ranges = tm.calibrate_activations(model, inputs, bos_aware=True)
-    _, states = next(tm.segment_states(model, inputs, bos_aware=True))
-    text_kv = tm.TextKVCache()
-    for lid in ("enc0.conv_in", "mid.cross.to_k", "dec0.cross.to_v", "dec0.cross.to_out"):
-        for kind in sv.TENSOR_KINDS:
-            plain = sv.probe_layer(model, inputs, refs, lid, kind, 2, bos_aware=True, act_ranges=ranges, states=states)
-            shared = sv.probe_layer(
-                model, inputs, refs, lid, kind, 2, bos_aware=True, act_ranges=ranges, states=states, text_kv=text_kv
-            )
-            assert shared == plain, (lid, kind)
+    probes = [
+        (lid, kind, 2)
+        for lid in ("enc0.conv_in", "mid.cross.to_k", "dec0.cross.to_v", "dec0.cross.to_out")
+        for kind in sv.TENSOR_KINDS
+    ]
+    cache = _probe_cache(model, probes)
+    for probe in probes:
+        plain = sv.probe_layer(model, inputs, refs, *probe, bos_aware=True, act_ranges=ranges)
+        shared = sv.probe_layer(model, inputs, refs, *probe, bos_aware=True, act_ranges=ranges, cache=cache)
+        assert shared == plain, probe
+    # each chunk computed every FP projection once and kept it
+    projections = {f"{p}.{n}" for p in ("mid.cross", "dec0.cross") for n in ("to_k", "to_v")}
+    assert [set(text_kv) for _, text_kv in cache._chunks.values()] == [projections] * 2
+
+
+def test_two_kind_analyze_holds_at_most_one_state_per_chunk(model, small_inputs, monkeypatch):
+    inputs = small_inputs + small_inputs[:3]  # two chunks
+    caches = helpers.record_state_caches(monkeypatch)
+    real_forward = tm.forward
+    held = []
+
+    def forward(*args, cache=None, **kwargs):
+        out = real_forward(*args, cache=cache, **kwargs)
+        if cache is not None:
+            held.append(max(len(path) for path, _ in cache._chunks.values()))
+        return out
+
+    monkeypatch.setattr(tm, "forward", forward)
+    sv.analyze(model, inputs, bit_widths=(2, 8), tensor_kind=sv.TENSOR_KINDS, bos_aware=True)
+    assert len(caches) == 1
+    assert len(held) == 2 * len(model.layer_order) * 2 * 2  # one call per chunk, probe
+    assert max(held) == 1
+
+
+@pytest.mark.parametrize("which", ["default", "depth2"])
+def test_analyze_runs_one_fp_walk_plus_each_probe_suffix(model, deep_model, which):
+    net = model if which == "default" else deep_model
+    inputs = tm.make_input_set(11, tm.FORWARD_CHUNK + 2, net)
+    ranges = tm.calibrate_activations(net, inputs)
+    segments = tm._segment_list(net.depth)
+    segment_of = {lid: index for index, segment in enumerate(segments) for lid in segment.layers}
+    steps = []
+    originals = [segment.step for segment in segments]
+
+    def counted(index, step):
+        def run(*args):
+            steps.append(index)
+            return step(*args)
+
+        return run
+
+    try:
+        for index, segment in enumerate(segments):
+            object.__setattr__(segment, "step", counted(index, segment.step))
+        sv.analyze(net, inputs, bit_widths=(2, 8), tensor_kind=sv.TENSOR_KINDS, act_ranges=ranges)
+    finally:
+        for segment, step in zip(segments, originals):
+            object.__setattr__(segment, "step", step)
+    n, chunks, probes = len(segments), 2, 2 * 2  # two kinds times two widths per layer
+    references = n
+    fp_walk = n - 1  # the FP states at the entry of segments 1 .. n - 1, once each
+    suffixes = probes * sum(n - segment_of[lid] for lid in net.layer_order)
+    assert len(steps) == chunks * (references + fp_walk + suffixes)

@@ -353,16 +353,33 @@ def test_segments_partition_the_layers_in_run_order(depth):
     assert list(trace) == run_order
 
 
+def _paths(cache) -> list[list]:
+    return [path for path, _ in cache._chunks.values()]
+
+
 def test_resume_from_every_segment_equals_forward(model, small_inputs):
-    inputs = small_inputs + small_inputs[:3]
+    inputs = small_inputs + small_inputs[:3]  # a full chunk and a partial one
     ranges = tm.calibrate_activations(model, inputs)
-    for segment, states in tm.segment_states(model, inputs):
+    fp = tm.QuantConfig.all_fp(model.layer_order)
+    plan = []
+    for segment in tm._segment_list(model.depth):
         cfg = tm.QuantConfig.all_fp(model.layer_order)
         cfg.weight_bits[segment.layers[-1]] = 4
         cfg.act_bits[segment.layers[0]] = 8
-        outs = [out for state in states for out in tm.resume(model, state, cfg, act_ranges=ranges)]
+        plan += [fp, cfg]  # each probe-like config follows an FP run, so it resumes at its own segment
+    plan.append(fp)
+    cache = tm.StateCache(model, plan)
+    for position, cfg in enumerate(plan):
+        index = position // 2
+        left = [id(s) for path in _paths(cache) for s in path if s.index == index]
+        got = tm.forward_inputs(model, inputs, config=cfg, act_ranges=ranges, cache=cache)
         want = tm.forward_inputs(model, inputs, config=cfg, act_ranges=ranges)
-        assert all(np.array_equal(a, b) for a, b in zip(outs, want, strict=True)), segment.layers
+        assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True)), position
+        if cfg is not fp and index:
+            # it resumed from the state the FP run left at its segment, and keeps only that one
+            assert [[s.index for s in path] for path in _paths(cache)] == [[index]] * 2
+            assert [id(path[0]) for path in _paths(cache)] == left
+            assert all(bits == (None, None) for path in _paths(cache) for bits in path[0].bits)
 
 
 def _mixed_config(model, seed: int) -> tm.QuantConfig:
@@ -381,37 +398,52 @@ def test_resume_from_a_quantized_state_equals_forward(model, small_inputs, bos_a
     ranges = tm.calibrate_activations(model, inputs, bos_aware=bos_aware)
     built = _mixed_config(model, 1)
     other = _mixed_config(model, 2)
-    seen = []
-    for segment, states in tm.segment_states(model, inputs, built, bos_aware=bos_aware, act_ranges=ranges):
-        # agrees with ``built`` on the layers already passed, with ``other`` from here on
+    plan, seen = [], []
+    for segment in tm._segment_list(model.depth):
+        # agrees with ``built`` on the layers of the earlier segments, with ``other`` from here on
         cfg = tm.QuantConfig(dict(other.weight_bits), dict(other.act_bits))
         for lid in seen:
             cfg.weight_bits[lid], cfg.act_bits[lid] = built.weight_bits[lid], built.act_bits[lid]
-        outs = [out for s in states for out in tm.resume(model, s, cfg, bos_aware=bos_aware, act_ranges=ranges)]
-        want = tm.forward_inputs(model, inputs, config=cfg, bos_aware=bos_aware, act_ranges=ranges)
-        assert all(np.array_equal(a, b) for a, b in zip(outs, want, strict=True)), segment.layers
+        plan += [built, cfg]
         seen += segment.layers
+    plan.append(built)
+    cache = tm.StateCache(model, plan)
+    built_bits = tm._run_bits(built, tm._segment_list(model.depth))
+    for position, cfg in enumerate(plan):
+        got = tm.forward_inputs(model, inputs, config=cfg, bos_aware=bos_aware, act_ranges=ranges, cache=cache)
+        want = tm.forward_inputs(model, inputs, config=cfg, bos_aware=bos_aware, act_ranges=ranges)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True)), position
+        if cfg is not built and position // 2:
+            # it kept one state built under ``built``, at its own segment or later
+            for path in _paths(cache):
+                (state,) = path
+                assert state.index >= position // 2 and state.bits == built_bits[:len(state.bits)]
 
 
 def test_resume_rejects_a_config_that_differs_on_a_passed_layer(model, small_inputs):
     ranges = tm.calibrate_activations(model, small_inputs)
     built = tm.QuantConfig.uniform(model.layer_order, 4, 8)
-    for segment, states in tm.segment_states(model, small_inputs, built, act_ranges=ranges):
-        if "mid.cross.to_q" in segment.layers:
-            break
-    tm.resume(model, states[0], built, act_ranges=ranges)  # the config it was built under
-    for field, bits in (("weight_bits", 8), ("weight_bits", None), ("act_bits", 4)):
-        cfg = tm.QuantConfig.uniform(model.layer_order, 4, 8)
-        getattr(cfg, field)["enc1.down"] = bits
-        with pytest.raises(ConfigError, match="enc1.down"):
-            tm.resume(model, states[0], cfg, act_ranges=ranges)
-    with pytest.raises(ConfigError):  # an FP probe on a quantized state
-        tm.resume(model, states[0], None)
+    late = tm.QuantConfig.uniform(model.layer_order, 4, 8)
+    late.weight_bits["mid.cross.to_q"] = 2
+    cross = next(i for i, s in enumerate(tm._segment_list(model.depth)) if "mid.cross.to_q" in s.layers)
+    for field, bits in (("weight_bits", 8), ("weight_bits", None), ("act_bits", 4), (None, None)):
+        cache = tm.StateCache(model, [built, late])
+        tm.forward_inputs(model, small_inputs, config=built, act_ranges=ranges, cache=cache)
+        assert [[s.index for s in path] for path in _paths(cache)] == [[cross]]
+        cfg = None  # an FP run on the quantized state
+        if field is not None:
+            cfg = tm.QuantConfig.uniform(model.layer_order, 4, 8)
+            getattr(cfg, field)["enc1.down"] = bits
+        got = tm.forward_inputs(model, small_inputs, config=cfg, act_ranges=ranges, cache=cache)
+        want = tm.forward_inputs(model, small_inputs, config=cfg, act_ranges=ranges)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True)), (field, bits)
+        assert _paths(cache) == [[]]  # the state was passed over, then dropped
 
 
 def test_state_cache_forward_equals_forward_along_any_config_order(model, small_inputs):
     inputs = small_inputs + small_inputs[:3]  # a full chunk and a partial one
     ranges = tm.calibrate_activations(model, inputs, bos_aware=True)
+    segs = tm._segment_list(model.depth)
     base = _mixed_config(model, 3)
     configs = [base]
     for lid in ("dec0.fuse", "mid.ffn.fc2", "out.conv_out", "enc0.conv_in", "mid.self.to_v"):
@@ -421,15 +453,34 @@ def test_state_cache_forward_equals_forward_along_any_config_order(model, small_
     configs.append(base)  # a repeat, and a jump back to an earlier prefix
     configs.append(tm.QuantConfig(dict(configs[2].weight_bits), dict(configs[2].act_bits)))
     cache = tm.StateCache(model, configs)
-    assert cache.keep and 0 not in cache.keep
+    assert any(cache.keep.values()) and not any(0 in keep for keep in cache.keep.values())
     for cfg in configs:
         got = tm.forward_inputs(model, inputs, config=cfg, bos_aware=True, act_ranges=ranges, cache=cache)
         want = tm.forward_inputs(model, inputs, config=cfg, bos_aware=True, act_ranges=ranges)
         assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
-    for path in cache._paths.values():
-        assert len(path) <= len(cache.keep)
-        assert [s.index for s in path] == sorted(s.index for s in path)
-        assert {s.index for s in path} <= cache.keep
+        for path in _paths(cache):
+            assert [s.index for s in path] == sorted(s.index for s in path)
+            assert {s.index for s in path} <= cache.keep[tm._run_bits(cfg, segs)]
+
+
+@pytest.mark.parametrize("bos_aware", [False, True])
+def test_state_cache_config_outside_the_plan_order_equals_forward(model, small_inputs, bos_aware):
+    inputs = small_inputs + small_inputs[:3]
+    ranges = tm.calibrate_activations(model, inputs, bos_aware=bos_aware)
+    plan = [_mixed_config(model, seed) for seed in (4, 5, 6)]
+    for lid in ("dec0.fuse", "mid.cross.to_k", "enc1.down"):
+        cfg = tm.QuantConfig(dict(plan[-1].weight_bits), dict(plan[-1].act_bits))
+        cfg.act_bits[lid] = 4 if cfg.act_bits[lid] != 4 else None
+        plan.append(cfg)
+    stranger = tm.QuantConfig(dict(plan[3].weight_bits), dict(plan[3].act_bits))
+    stranger.weight_bits["out.conv_out"] = 2 if stranger.weight_bits["out.conv_out"] != 2 else None
+    fp = tm.QuantConfig.all_fp(model.layer_order)
+    cache = tm.StateCache(model, plan)
+    # the plan backwards, with a config outside it and an FP run between
+    for cfg in [*reversed(plan), stranger, fp, *plan, stranger]:
+        got = tm.forward_inputs(model, inputs, config=cfg, bos_aware=bos_aware, act_ranges=ranges, cache=cache)
+        want = tm.forward_inputs(model, inputs, config=cfg, bos_aware=bos_aware, act_ranges=ranges)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
 
 
 def test_state_cache_keeps_only_the_resume_segments(model):
@@ -438,12 +489,21 @@ def test_state_cache_keeps_only_the_resume_segments(model):
     late = tm.QuantConfig.uniform(model.layer_order, 4, 8)
     late.weight_bits["dec0.fuse"] = 2
     fuse = next(i for i, s in enumerate(segs) if "dec0.fuse" in s.layers)
-    assert tm.StateCache(model, [base, late]).keep == {fuse}
-    assert tm.StateCache(model, [base]).keep == frozenset()
-    assert tm.StateCache(model, [base, base]).keep == {len(segs) - 1}  # a repeat resumes at the head
+
+    def keep(*configs):
+        return [tm.StateCache(model, configs).keep[tm._run_bits(c, segs)] for c in configs]
+
+    assert keep(base, late) == [{fuse}, set()]
+    assert keep(base) == [set()]
+    assert keep(base, base) == [{len(segs) - 1}] * 2  # a repeat resumes at the head
     early = tm.QuantConfig.uniform(model.layer_order, 4, 8)
     early.act_bits["time.fc1"] = 4
-    assert tm.StateCache(model, [early, base, late]).keep == {fuse}  # segment 0 is the input itself
+    assert keep(early, base, late) == [set(), {fuse}, set()]  # segment 0 is the input itself
+    # ``base`` keeps the state ``mid`` resumes from two configs later, ``late`` carries it on
+    mid = tm.QuantConfig.uniform(model.layer_order, 4, 8)
+    mid.weight_bits["mid.ffn.fc1"] = 2
+    ffn = next(i for i, s in enumerate(segs) if "mid.ffn.fc1" in s.layers)
+    assert keep(base, late, mid) == [{ffn, fuse}, {ffn}, set()]
 
 
 def test_state_cache_leaves_caller_arrays_writable_and_checks_its_setup(model, small_inputs):
@@ -469,37 +529,37 @@ def test_state_cache_leaves_caller_arrays_writable_and_checks_its_setup(model, s
 def test_text_kv_cache_resume_equals_plain_resume(model, small_inputs, bos_aware):
     inputs = small_inputs + small_inputs[:2]
     ranges = tm.calibrate_activations(model, inputs, bos_aware=bos_aware)
-    _, states = next(tm.segment_states(model, inputs, bos_aware=bos_aware))
-    cache = tm.TextKVCache()
     configs = [tm.QuantConfig.all_fp(model.layer_order)]
     for lid in ("mid.cross.to_k", "dec0.cross.to_v", "mid.cross.to_q"):
         for bits_of in ("weight_bits", "act_bits"):
             cfg = tm.QuantConfig.all_fp(model.layer_order)
             getattr(cfg, bits_of)[lid] = 2
             configs.append(cfg)
+    cache = tm.StateCache(model, configs)
     for cfg in configs * 2:  # the second pass reads what the first one stored
-        for state in states:
-            plain = tm.resume(model, state, cfg, bos_aware=bos_aware, act_ranges=ranges)
-            cached = tm.resume(model, state, cfg, bos_aware=bos_aware, act_ranges=ranges, text_kv=cache)
-            assert np.array_equal(plain, cached)
+        plain = tm.forward_inputs(model, inputs, config=cfg, bos_aware=bos_aware, act_ranges=ranges)
+        cached = tm.forward_inputs(model, inputs, config=cfg, bos_aware=bos_aware, act_ranges=ranges, cache=cache)
+        assert all(np.array_equal(a, b) for a, b in zip(plain, cached, strict=True))
     # one kept output per chunk and FP projection, each read-only
-    assert len(cache._chunks) == len(states)
-    for emb, outputs in cache._chunks.values():
-        assert set(outputs) == {(f"{p}.{n}", bos_aware) for p in ("mid.cross", "dec0.cross") for n in ("to_k", "to_v")}
+    assert len(cache._chunks) == 2
+    for _, outputs in cache._chunks.values():
+        assert set(outputs) == {f"{p}.{n}" for p in ("mid.cross", "dec0.cross") for n in ("to_k", "to_v")}
         assert not any(out.flags.writeable for out in outputs.values())
 
 
-def test_text_kv_cache_skips_writable_embeddings(model, small_inputs):
+def test_state_cache_text_kv_follows_the_chunk_bytes(model, small_inputs):
+    # The K/V projections are keyed by the chunk's bytes, so an embedding the
+    # caller changes in place between calls gets its own, fresh projections.
     latent, emb, t = tm.stack_inputs(small_inputs[:2])
-    state = {"t": t, "x": latent, "emb": emb}
-    cache = tm.TextKVCache()
-    run = tm._make_run(model, None, True, None, text_kv=cache)
-    out = tm._run_from(run, state)
-    view = emb[:]  # read-only, but its base stays writable
-    view.flags.writeable = False
-    tm._run_from(run, {**state, "emb": view})
-    assert cache._chunks == {}
+    fp = tm.QuantConfig.all_fp(model.layer_order)
+    cache = tm.StateCache(model, [fp])
+    out = tm.forward(model, latent, emb, t, config=fp, bos_aware=True, cache=cache)
     assert np.array_equal(out, tm.forward(model, latent, emb, t, bos_aware=True))
+    emb[:, 1:] *= 0.5
+    again = tm.forward(model, latent, emb, t, config=fp, bos_aware=True, cache=cache)
+    assert np.array_equal(again, tm.forward(model, latent, emb, t, bos_aware=True))
+    assert not np.array_equal(again, out)
+    assert len(cache._chunks) == 2
 
 
 def test_model_elements_counts_weights_inputs_and_attention_scores():
