@@ -28,6 +28,7 @@ else form the "quality" group.
 from __future__ import annotations
 
 import functools
+import hashlib
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -195,19 +196,38 @@ class ToyModel:
 
 
 def _silu(x: np.ndarray) -> np.ndarray:
-    # Branch-free and overflow-free: e = exp(-|x|) never exceeds 1. The in-place
-    # steps are the operations of where(x >= 0, x, x * e) / (1 + e), bit for bit.
+    # Overflow-free: e = exp(-|x|) never exceeds 1. The factor max(e, x >= 0) is
+    # 1 where x >= 0 and e elsewhere (NaN where x is), so x * factor / (1 + e) is
+    # where(x >= 0, x, x * e) / (1 + e) bit for bit, without a select.
     e = np.abs(x)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    out = np.where(x >= 0, x, x * e)
+    out = np.maximum(e, x >= 0)
+    np.multiply(x, out, out=out)
     e += 1.0
     out /= e
     return out
 
 
+# Row length up to which ``_softmax_rows`` takes the row max as a running
+# ``np.maximum`` over the columns instead of one reduce per row. On one thread
+# of a Xeon vCPU the running max made the softmax of (8, 256, 8) and (8, 64, 8)
+# scores (the cross-attention rows over 8 text tokens) about 0.5x and 0.7x as
+# long; at (8, 64, 16) the two were within 5%, and on the 64-wide self-attention
+# rows the reduce took about 0.6x the running max's time.
+_RUNNING_MAX_COLUMNS = 16
+
+
 def _softmax_rows(x: np.ndarray) -> np.ndarray:
-    e = x - x.max(axis=-1, keepdims=True)
+    if x.shape[-1] <= _RUNNING_MAX_COLUMNS:
+        # A max does not depend on the order its operands are taken in (bar the
+        # sign of a zero max, which x - m and exp erase), so this is the reduce's.
+        m = x[..., 0].copy()
+        for j in range(1, x.shape[-1]):
+            np.maximum(m, x[..., j], out=m)
+        e = x - m[..., None]
+    else:
+        e = x - x.max(axis=-1, keepdims=True)
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e
@@ -235,38 +255,51 @@ def _upsample2(x: np.ndarray) -> np.ndarray:
     return np.repeat(np.repeat(x, 2, axis=2), 2, axis=3)
 
 
-@functools.lru_cache(maxsize=None)
-def _im2col_index(c: int, h: int, w: int, stride: int) -> np.ndarray:
-    """Gather index from a flattened zero-padded (C, H+2, W+2) sample into its
-    (H_out * W_out, C * 9) patch matrix, columns ordered (channel, ky, kx).
-    Built on first use of each shape, not at import or model build."""
-    wp = w + 2
-    oy, ox = np.meshgrid(np.arange(0, h, stride), np.arange(0, w, stride), indexing="ij")
-    ky, kx = np.meshgrid(np.arange(3), np.arange(3), indexing="ij")
-    pos = (oy.reshape(-1, 1) + ky.reshape(1, -1)) * wp + ox.reshape(-1, 1) + kx.reshape(1, -1)
-    idx = (np.arange(c)[None, :, None] * (h + 2) * wp + pos[:, None, :]).reshape(pos.shape[0], c * 9)
-    idx.flags.writeable = False  # shared by every caller
-    return idx
+# Inputs whose patches ``_conv3x3`` holds at once. Its buffer is then at most
+# (4, C, 3, 3, H, W) float64, 1.2 MB at dec0.fuse; patches of a whole chunk of 8
+# raised a pipeline's peak RSS by 2-3 MB and ran no faster.
+_CONV_INPUTS = 4
+
+
+def _conv_taps(size: int, out_size: int, stride: int) -> list[tuple[slice, slice]]:
+    """Per kernel offset k = 0, 1, 2 along one axis: the output positions whose
+    tap reads inside the input, and the input positions those taps read. Output
+    o's tap at k reads input o * stride + k - 1; the rest read the zero border."""
+    taps = []
+    for k in range(3):
+        first = 1 if k == 0 else 0
+        stop = min(out_size, (size - k) // stride + 1)
+        taps.append((slice(first, stop), slice(first * stride + k - 1, (stop - 1) * stride + k, stride)))
+    return taps
 
 
 def _conv3x3(x: np.ndarray, w: np.ndarray, stride: int = 1) -> np.ndarray:
     """Zero-padded 3x3 convolution of a (B, C, H, W) batch.
 
-    Patches are gathered and multiplied one input at a time: the im2col
-    buffer stays the size of one input's, and each product is the same BLAS
-    call a single-input forward makes. One matmul over the whole batch can
-    round differently, because BLAS picks its kernel by matrix size.
+    For up to ``_CONV_INPUTS`` inputs at a time it fills the transposed patch
+    tensor (n, C, 3, 3, H_out, W_out), whose [i, c, ky, kx] plane is input i's
+    channel c shifted by (ky - 1, kx - 1) and strided, with nine slice copies
+    straight from the unpadded input; a tap that falls on the padding reads the
+    buffer's border, which no copy writes and so stays zero. One matmul of the
+    (C_out, 9C) weights with the (n, 9C, H_out * W_out) patches writes the
+    outputs in place. numpy makes one gemm per input for it, on the operands a
+    single-input call gives, so each input's output keeps the bits it gets alone.
     """
     b, c, h, wd = x.shape
-    xp = np.zeros((b, c, h + 2, wd + 2))
-    xp[:, :, 1:-1, 1:-1] = x
-    flat = xp.reshape(b, -1)
-    idx = _im2col_index(c, h, wd, stride)
-    wt = w.reshape(w.shape[0], -1).T
-    out = np.empty((b, w.shape[0], idx.shape[0]))
-    for i in range(b):
-        out[i] = (np.take(flat[i], idx) @ wt).T
-    return out.reshape(b, w.shape[0], -(-h // stride), -(-wd // stride))
+    cout = w.shape[0]
+    ho, wo = -(-h // stride), -(-wd // stride)
+    rows, cols = _conv_taps(h, ho, stride), _conv_taps(wd, wo, stride)
+    patches = np.zeros((min(b, _CONV_INPUTS), c, 3, 3, ho, wo))
+    wm = w.reshape(cout, 9 * c)
+    out = np.empty((b, cout, ho, wo))
+    for i in range(0, b, _CONV_INPUTS):
+        xs = x[i:i + _CONV_INPUTS]
+        n = xs.shape[0]
+        for ky, (oy, iy) in enumerate(rows):
+            for kx, (ox, ix) in enumerate(cols):
+                patches[:n, :, ky, kx, oy, ox] = xs[:, :, iy, ix]
+        np.matmul(wm, patches[:n].reshape(n, 9 * c, ho * wo), out=out[i:i + n].reshape(n, cout, ho * wo))
+    return out
 
 
 # Cap on ``model_elements``: the float64 elements of the weights, of every
@@ -832,6 +865,17 @@ class SegmentState:
         return cls(index, bits, MappingProxyType(arrays))
 
 
+def _chunk_key(entry: dict) -> bytes:
+    """SHA-256 digest of a chunk's ``x``, ``emb`` and ``t``: each array's name,
+    shape and dtype, then its bytes, read in place through a memoryview."""
+    digest = hashlib.sha256()
+    for name in ("x", "emb", "t"):
+        a = np.ascontiguousarray(entry[name])
+        digest.update(f"{name}{a.shape}{a.dtype.str}".encode())
+        digest.update(memoryview(a))
+    return digest.digest()
+
+
 class StateCache:
     """Segment states and FP text K/V projections of input chunks, shared by the
     ``forward`` calls of a planned sequence of configs.
@@ -866,7 +910,7 @@ class StateCache:
                 r = min(self._shared_segments(plan[i - 1], plan[i]), last)
                 needed = frozenset({r, *(k for k in needed if k <= r)} - {0})
         self._setup = None
-        self._chunks: dict[bytes, tuple[list[SegmentState], dict]] = {}
+        self._chunks: dict[bytes, tuple[list[SegmentState], dict]] = {}  # by ``_chunk_key``
 
     def _shared_segments(self, a: tuple, b: tuple) -> int:
         """How many leading segments give every layer the same bits under ``a`` and ``b``."""
@@ -885,8 +929,7 @@ class StateCache:
             self._setup = setup
         elif setup[0] != self._setup[0] or setup[1] is not self._setup[1]:
             raise ConfigError("a state cache serves one bos_aware setting and one act_ranges object")
-        key = b"".join(entry[name].tobytes() for name in ("x", "emb", "t"))
-        path, run.text_kv = self._chunks.setdefault(key, ([], {}))
+        path, run.text_kv = self._chunks.setdefault(_chunk_key(entry), ([], {}))
         bits = _run_bits(run.config, self._segments)
         keep = self.keep.get(bits, frozenset())
         state, start, kept = entry, 0, 0

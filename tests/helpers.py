@@ -1,5 +1,6 @@
 """Code only the tests use: allocation baselines, a reference sensitivity scorer,
-a state-cache recorder, a quant-params wire format, checksums, MSE."""
+a state-cache recorder, reference kernels, a quant-params wire format, checksums,
+MSE."""
 
 from __future__ import annotations
 
@@ -127,6 +128,27 @@ def record_state_caches(monkeypatch) -> list:
 
     monkeypatch.setattr(toy_model, "StateCache", recording)
     return caches
+
+
+def where_silu(x: np.ndarray) -> np.ndarray:
+    """SiLU as where(x >= 0, x, x * e) / (1 + e) with e = exp(-|x|): the select
+    form ``toy_model._silu`` must equal bit for bit."""
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.where(x >= 0, x, x * e)
+    e += 1.0
+    out /= e
+    return out
+
+
+def reduce_softmax_rows(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis with the row max taken by one reduce: the form
+    ``toy_model._softmax_rows`` must equal bit for bit."""
+    e = x - x.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def quant_params_to_json_dict(layer_id: str, tensor_kind: str, params: quantizer.QuantParams) -> dict:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -144,7 +146,7 @@ def test_forward_batch_matches_single_inputs(model, small_inputs, probe, bos):
     singles = np.stack([tm.forward(model, *inp, config=cfg, bos_aware=bos, act_ranges=ranges) for inp in inputs])
     batched = tm.forward(model, *tm.stack_inputs(inputs), config=cfg, bos_aware=bos, act_ranges=ranges)
     assert batched.shape == singles.shape
-    np.testing.assert_allclose(batched, singles, rtol=1e-12, atol=1e-12)
+    assert np.array_equal(batched, singles)
 
 
 def test_forward_batch_broadcasts_scalar_timestep(model, small_inputs):
@@ -200,18 +202,80 @@ def test_trace_counts_are_per_input(model, small_inputs):
     assert batch == single
 
 
+# Batch sizes below, at and across the conv's sub-chunk of inputs, and whole chunks.
+CONV_BATCHES = (1, 3, tm._CONV_INPUTS, tm._CONV_INPUTS + 1, tm.FORWARD_CHUNK)
+CONV_COUTS = (1, 4, 8, 16)
+CONV_SIZES = ((6, 6), (5, 5), (7, 3), (3, 8))
+
+
 @pytest.mark.parametrize("stride", [1, 2])
 def test_conv3x3_matches_direct_sum(stride):
     rng = np.random.Generator(np.random.Philox(5))
-    x = rng.normal(size=(2, 3, 6, 6))
-    w = rng.normal(size=(4, 3, 3, 3))
-    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    want = np.zeros((2, 4, 6 // stride, 6 // stride))
-    for oy in range(want.shape[2]):
-        for ox in range(want.shape[3]):
-            patch = xp[:, :, oy * stride:oy * stride + 3, ox * stride:ox * stride + 3]
-            want[:, :, oy, ox] = np.einsum("bcij,ocij->bo", patch, w)
-    np.testing.assert_allclose(tm._conv3x3(x, w, stride), want, rtol=1e-12, atol=1e-12)
+    for (h, wd), cout, b in itertools.product(CONV_SIZES, CONV_COUTS, CONV_BATCHES):
+        x = rng.normal(size=(b, 3, h, wd))
+        w = rng.normal(size=(cout, 3, 3, 3))
+        xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+        want = np.zeros((b, cout, -(-h // stride), -(-wd // stride)))
+        for oy in range(want.shape[2]):
+            for ox in range(want.shape[3]):
+                patch = xp[:, :, oy * stride:oy * stride + 3, ox * stride:ox * stride + 3]
+                want[:, :, oy, ox] = np.einsum("bcij,ocij->bo", patch, w)
+        np.testing.assert_allclose(tm._conv3x3(x, w, stride), want, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_conv3x3_batch_outputs_equal_single_input_outputs_bitwise(stride):
+    rng = np.random.Generator(np.random.Philox(6))
+    for (h, wd), cout, b in itertools.product(CONV_SIZES + ((16, 16),), CONV_COUTS, CONV_BATCHES):
+        x = rng.normal(size=(b, 8, h, wd))
+        w = rng.normal(size=(cout, 8, 3, 3))
+        batched = tm._conv3x3(x, w, stride)
+        for i in range(b):
+            assert np.array_equal(batched[i], tm._conv3x3(x[i:i + 1], w, stride)[0]), (h, wd, cout, b, i)
+
+
+# Values at the edges of exp and of the float64 range: signed zeros, infinities,
+# subnormals, +-710 (where exp(-|x|) is subnormal), and the largest finite.
+SPECIAL_VALUES = np.array(
+    [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e-310, -1e-310, 710.0, -710.0, 750.0, -750.0,
+     1.7976931348623157e308, -1.7976931348623157e308, 1.0, -1.0, 36.7, -36.7]
+)
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def test_silu_equals_the_select_based_silu_bitwise():
+    rng = np.random.Generator(np.random.Philox(8))
+    for x in (rng.normal(size=(8, 16, 16, 16)) * 4, rng.normal(size=(3, 16)) * 40, SPECIAL_VALUES):
+        with np.errstate(invalid="ignore"):  # -inf * exp(-inf)
+            assert np.array_equal(_bits(tm._silu(x)), _bits(helpers.where_silu(x)))
+
+
+@pytest.mark.parametrize("columns", [2, 8, tm._RUNNING_MAX_COLUMNS, tm._RUNNING_MAX_COLUMNS + 1, 64])
+def test_softmax_rows_equals_the_reduce_softmax_bitwise(columns):
+    rng = np.random.Generator(np.random.Philox(9))
+    x = rng.normal(size=(3, 40, columns)) * 8
+    assert np.array_equal(_bits(tm._softmax_rows(x)), _bits(helpers.reduce_softmax_rows(x)))
+    # every special value in every column position, among ordinary and other special values
+    special = np.resize(SPECIAL_VALUES, (len(SPECIAL_VALUES), columns))
+    for shift in range(columns):
+        rows = np.roll(special, shift, axis=1)
+        rows[:, 1::3] = x[0, :len(rows), 1::3]
+        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, and max - (-max)
+            assert np.array_equal(_bits(tm._softmax_rows(rows)), _bits(helpers.reduce_softmax_rows(rows)))
+
+
+@pytest.mark.parametrize("columns", [8, 64])
+def test_kernels_turn_nan_into_nan(columns):
+    x = np.linspace(-3.0, 3.0, 2 * columns).reshape(2, columns)
+    x[0, columns // 2] = np.nan
+    silu = tm._silu(x)
+    assert np.isnan(silu[0, columns // 2]) and np.isfinite(np.delete(silu.ravel(), columns // 2)).all()
+    soft = tm._softmax_rows(x)
+    assert np.isnan(soft[0]).all() and np.isfinite(soft[1]).all()
+    assert np.array_equal(np.isnan(soft), np.isnan(helpers.reduce_softmax_rows(x)))
 
 
 def test_weight_bits_sqnr_trend(model, small_inputs):
@@ -560,6 +624,34 @@ def test_state_cache_text_kv_follows_the_chunk_bytes(model, small_inputs):
     assert np.array_equal(again, tm.forward(model, latent, emb, t, bos_aware=True))
     assert not np.array_equal(again, out)
     assert len(cache._chunks) == 2
+
+
+def test_state_cache_gives_chunks_differing_in_one_array_their_own_entries(model, small_inputs):
+    latent, emb, t = tm.stack_inputs(small_inputs[:2])
+    other_emb = emb.copy()
+    other_emb[:, 1:] *= 0.5
+    fp = tm.QuantConfig.all_fp(model.layer_order)
+    cache = tm.StateCache(model, [fp, fp])
+    chunks = [(latent, emb, t), (latent, emb, t + 0.25), (latent, other_emb, t)]  # only t, then only emb differs
+    for chunk in chunks * 2:
+        out = tm.forward(model, *chunk, config=fp, bos_aware=True, cache=cache)
+        assert np.array_equal(out, tm.forward(model, *chunk, bos_aware=True))
+    assert len(cache._chunks) == len(chunks)
+
+
+def test_chunk_key_covers_every_array_with_its_shape(small_inputs):
+    latent, emb, t = tm.stack_inputs(small_inputs[:2])
+    entry = {"x": latent, "emb": emb, "t": t}
+    key = tm._chunk_key(entry)
+    assert tm._chunk_key({name: a.copy() for name, a in entry.items()}) == key
+    assert tm._chunk_key({**entry, "t": t + 0.25}) != key
+    # the same bytes under another shape
+    assert tm._chunk_key({**entry, "x": latent.reshape(2, 4, 8, 32)}) != key
+    assert tm._chunk_key({**entry, "emb": emb.reshape(2, emb.shape[2], emb.shape[1])}) != key
+    assert tm._chunk_key({**entry, "t": t.reshape(2, 1)}) != key
+    # a strided view keys like its contiguous copy
+    view = latent[:, :, ::-1]
+    assert tm._chunk_key({**entry, "x": view}) == tm._chunk_key({**entry, "x": view.copy()}) != key
 
 
 def test_model_elements_counts_weights_inputs_and_attention_scores():
