@@ -12,9 +12,13 @@ configuration whose fast proxy evaluation (mean output SQNR over a small
 input set) is best. The sweep runs in two passes: every cell is solved first,
 then each distinct config is proxy-scored once, in lexicographic layer order,
 resuming from the segment states it shares with the config before it. Its
-size is capped at ``MAX_SWEEP_CELLS`` cells. Summaries account storage in bits
-and compute in bit-operations; a layer whose weight or activation stays full
-precision computes at FP16.
+size is capped at ``MAX_SWEEP_CELLS`` cells. Every layer of the allocated
+tensor kind gets a width from the grid; none is held back at full precision.
+Activation allocation scores its proxy with the activation ranges calibrated on
+the calibration inputs, the ranges the sensitivity tables were measured under.
+Summaries account storage in bits and compute in bit-operations; a layer whose
+weight or activation stays full precision (its kind was not allocated)
+computes at FP16.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import numpy as np
 from . import metrics, toy_model
 from .errors import InfeasibleBudgetError, ParameterError, ValidationError
 from .quantizer import BIT_WIDTHS
-from .sensitivity import ACTIVATION, WEIGHT, SensitivityTable, fp_references, rank_long_tail
+from .sensitivity import ACTIVATION, WEIGHT, SensitivityTable, fp_references
 
 FP_BITS = 16
 
@@ -170,15 +174,6 @@ def split_budget(total: float, mass_content: float, mass_quality: float, k: floa
     return b_content, b_quality
 
 
-def retain_fp(table: SensitivityTable, fraction: float) -> set[str]:
-    """The ceil(fraction * n_layers) most sensitive layers, to keep at FP16."""
-    if not 0 <= fraction < 1:
-        raise ParameterError("fraction must lie in [0, 1)")
-    ranked = rank_long_tail(table)
-    n = math.ceil(fraction * len(ranked))
-    return {lid for lid, _ in ranked[:n]}
-
-
 @dataclass(frozen=True)
 class ParetoPoint:
     avg_bits: float
@@ -235,24 +230,20 @@ def cost_summary(config: toy_model.QuantConfig, model_costs: list[dict]) -> dict
 
 @dataclass
 class BitWidthConfig:
-    """Allocation output: per-layer bits, FP-retained layers, cost summary."""
+    """Allocation output: per-layer bits and a cost summary."""
 
     config: toy_model.QuantConfig
-    fp_retained: dict[str, tuple[str, ...]]
     summary: dict
 
     def to_json_dict(self) -> dict:
-        return {
-            "layers": self.config.to_json_dict(),
-            "fp_retained": {k: list(v) for k, v in sorted(self.fp_retained.items())},
-            "summary": self.summary,
-        }
+        return {"layers": self.config.to_json_dict(), "summary": self.summary}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "BitWidthConfig":
+        # Other keys are ignored: configs from older versions also list their
+        # FP16 layers apart, and ``layers`` already holds None for each of them.
         return cls(
             config=toy_model.QuantConfig.from_json_dict(d["layers"]),
-            fp_retained={k: tuple(v) for k, v in d.get("fp_retained", {}).items()},
             summary=dict(d.get("summary", {})),
         )
 
@@ -270,7 +261,6 @@ class AllocOptions:
     n_budgets: int = 5
     delta_avg_bits: float = 0.25
     ratio_grid: tuple[float, ...] | None = None  # None: per-kind default
-    retain_fraction: float = 0.0
     proxy_inputs: int = 8
     proxy_seed: int = 12021
     bos_aware: bool = False
@@ -288,13 +278,9 @@ class AllocationResult:
     best_ref: object = None
 
 
-def _kind_config(model, tensor_kind, choices: dict[str, int], retained: set[str]) -> toy_model.QuantConfig:
+def _kind_config(model, tensor_kind, choices: dict[str, int]) -> toy_model.QuantConfig:
     cfg = toy_model.QuantConfig.all_fp(model.layer_order)
-    target = cfg.weight_bits if tensor_kind == WEIGHT else cfg.act_bits
-    for lid, bits in choices.items():
-        target[lid] = bits
-    for lid in retained:
-        target[lid] = None
+    (cfg.weight_bits if tensor_kind == WEIGHT else cfg.act_bits).update(choices)
     return cfg
 
 
@@ -365,6 +351,8 @@ def allocate(
     """Budget-and-ratio sweep returning the proxy-best configuration for one tensor kind.
 
     ``proxy`` is ``proxy_set(model, options)``, built here when not given.
+    ``act_ranges`` are the calibrated activation ranges; activation allocation
+    requires them.
     """
     if not 2 <= target_avg_bits <= 8:
         raise ParameterError("target average bits must lie in [2, 8]")
@@ -372,6 +360,8 @@ def allocate(
     if grid is None:
         grid = DEFAULT_RATIO_GRID_WEIGHT if tensor_kind == WEIGHT else DEFAULT_RATIO_GRID_ACT
     check_sweep_cells(options.n_budgets, len(grid))
+    if tensor_kind == ACTIVATION and act_ranges is None:
+        raise ParameterError("activation allocation needs act_ranges calibrated on the calibration inputs")
     bits_grid = tuple(sorted(options.bit_widths))
     table.validate_complete(model.layer_order, bits_grid, tensor_kind)
 
@@ -379,12 +369,8 @@ def allocate(
     elems = {lid: getattr(model.layers[lid], elem_field) for lid in model.layer_order}
     total_elems = sum(elems.values())
 
-    retained = retain_fp(table, options.retain_fraction)
-    retained_cost = FP_BITS * sum(elems[lid] for lid in retained)
-    free = [lid for lid in model.layer_order if lid not in retained]
-
     budget_all = target_avg_bits * total_elems
-    min_cost = min(bits_grid) * sum(elems[lid] for lid in free) + retained_cost
+    min_cost = min(bits_grid) * total_elems
     if min_cost > budget_all:
         raise InfeasibleBudgetError(
             f"target {target_avg_bits:g} bits infeasible; minimum achievable average is "
@@ -392,16 +378,13 @@ def allocate(
             min_achievable_bits=min_cost / total_elems,
         )
 
-    retained_map = {tensor_kind: tuple(sorted(retained))}
     model_costs = toy_model.model_layer_summary(model)
 
     def finish(config, sweep, sweep_configs, best_ref):
-        bw = BitWidthConfig(config=config, fp_retained=retained_map, summary=cost_summary(config, model_costs))
+        bw = BitWidthConfig(config=config, summary=cost_summary(config, model_costs))
         return AllocationResult(config=bw, sweep=sweep, sweep_configs=sweep_configs, best_ref=best_ref)
 
     inputs, refs = proxy if proxy is not None else proxy_set(model, options)
-    if tensor_kind == ACTIVATION and act_ranges is None:
-        act_ranges = toy_model.calibrate_activations(model, inputs, bos_aware=options.bos_aware)
 
     def score_each(configs) -> list[float]:
         """The proxy score of every config. Sweep cells often solve to the same
@@ -423,14 +406,14 @@ def allocate(
         return [scores[key] for key in keys]
 
     # Budget already admits the all-max-bits assignment: the sweep is moot.
-    max_cost = max(bits_grid) * sum(elems[lid] for lid in free) + retained_cost
+    max_cost = max(bits_grid) * total_elems
     if max_cost <= budget_all:
-        config = _kind_config(model, tensor_kind, {lid: max(bits_grid) for lid in free}, retained)
+        config = _kind_config(model, tensor_kind, {lid: max(bits_grid) for lid in model.layer_order})
         point = ParetoPoint(avg_bits=max_cost / total_elems, score=score_each([config])[0], ref=0)
         return finish(config, [point], [config], 0)
 
     def group_instance(group: str, budget: float) -> MckpInstance | None:
-        lids = [lid for lid in free if model.layers[lid].group == group]
+        lids = [lid for lid in model.layer_order if model.layers[lid].group == group]
         if not lids:
             return None
         layers = [
@@ -446,7 +429,7 @@ def allocate(
         return MckpInstance(layers=layers, budget=budget)
 
     mass = {
-        g: sum(elems[lid] for lid in free if model.layers[lid].group == g)
+        g: sum(elems[lid] for lid in model.layer_order if model.layers[lid].group == g)
         for g in (toy_model.CONTENT, toy_model.QUALITY)
     }
 
@@ -459,11 +442,10 @@ def allocate(
     # Pass 1: solve every cell. Neither the solver nor the fill reads a proxy score.
     cells: list[tuple[int, dict[str, int], toy_model.QuantConfig]] = []  # (cost, choices, config)
     for budget in budgets:
-        b_eff = budget - retained_cost
         for k in grid:
-            b_content, b_quality = split_budget(b_eff, mass[toy_model.CONTENT], mass[toy_model.QUALITY], k)
+            b_content, b_quality = split_budget(budget, mass[toy_model.CONTENT], mass[toy_model.QUALITY], k)
             choices: dict[str, int] = {}
-            cost = retained_cost
+            cost = 0
             try:
                 for group, b_group in ((toy_model.CONTENT, b_content), (toy_model.QUALITY, b_quality)):
                     inst = group_instance(group, b_group)
@@ -475,13 +457,13 @@ def allocate(
             except InfeasibleBudgetError:
                 continue
             cost = _greedy_fill(choices, cost, budget, elems, bits_grid, table_score)
-            cells.append((cost, choices, _kind_config(model, tensor_kind, choices, retained)))
+            cells.append((cost, choices, _kind_config(model, tensor_kind, choices)))
     if not cells:
         # Every skewed split starved one group, yet the budget itself is
         # feasible: fall back to the cheapest assignment topped up greedily.
-        choices = {lid: min(bits_grid) for lid in free}
+        choices = {lid: min(bits_grid) for lid in model.layer_order}
         spend = _greedy_fill(choices, min_cost, budget_all, elems, bits_grid, table_score)
-        config = _kind_config(model, tensor_kind, choices, retained)
+        config = _kind_config(model, tensor_kind, choices)
         point = ParetoPoint(avg_bits=spend / total_elems, score=score_each([config])[0], ref=0)
         return finish(config, [point], [config], 0)
 
@@ -497,7 +479,7 @@ def allocate(
     # up against the full budget so the emitted average lands on the target.
     best_choices = dict(cells[best[2]][1])
     _greedy_fill(best_choices, -best[1], budget_all, elems, bits_grid, table_score)
-    best_config = _kind_config(model, tensor_kind, best_choices, retained)
+    best_config = _kind_config(model, tensor_kind, best_choices)
     return finish(best_config, points, configs, best[2])
 
 
@@ -515,7 +497,6 @@ def allocate_mixed(
     """Run weight and activation allocations independently and merge them."""
     results: dict[str, AllocationResult] = {}
     merged = toy_model.QuantConfig.all_fp(model.layer_order)
-    retained: dict[str, tuple[str, ...]] = {}
     # Both kinds score on one proxy set when their options draw the same one.
     proxies: dict[tuple, tuple[list, list]] = {}
 
@@ -534,7 +515,6 @@ def allocate_mixed(
         )
         results[WEIGHT] = res
         merged.weight_bits = dict(res.config.config.weight_bits)
-        retained.update(res.config.fp_retained)
     if act_target is not None:
         if act_table is None:
             raise ValidationError("activation allocation requested but no activation table given")
@@ -544,7 +524,6 @@ def allocate_mixed(
         )
         results[ACTIVATION] = res
         merged.act_bits = dict(res.config.config.act_bits)
-        retained.update(res.config.fp_retained)
     summary = cost_summary(merged, toy_model.model_layer_summary(model))
-    return BitWidthConfig(config=merged, fp_retained=retained, summary=summary), results
+    return BitWidthConfig(config=merged, summary=summary), results
 

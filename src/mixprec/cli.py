@@ -80,13 +80,6 @@ def _check_target(value) -> float | None:
     return value
 
 
-def _check_fraction(value) -> float:
-    value = _check_number(value, "fraction")
-    if not 0 <= value < 1:
-        raise ParameterError("fraction must lie in [0, 1)")
-    return value
-
-
 def _flag_type(convert, check, bad_text: str):
     """An argparse type: ``convert`` the text, then apply ``check``, the rule its manifest param gets too."""
 
@@ -133,7 +126,6 @@ _target_bits = _flag_type(
     _check_target,
     "target bits must be a number or 'fp'",
 )
-_fraction = _flag_type(float, _check_fraction, "fraction must be a number")
 _delta_bits = _flag_type(float, allocator.check_delta_avg_bits, "delta bits must be a number")
 
 # Every manifest param a stage reads, checked by the rule of the flag that sets it.
@@ -143,7 +135,6 @@ _PARAM_CHECKS = {
     "bos_aware": lambda v: _check_bool(v, "bos_aware"),
     "target_bits": _check_target,
     "act_target_bits": _check_target,
-    "retain_fp": _check_fraction,
     "proxy_inputs": lambda v: _check_count(v, "proxy_inputs"),
     "eval_inputs": lambda v: _check_count(v, "eval_inputs"),
     "n_budgets": lambda v: _check_int(v, 1, "n_budgets"),
@@ -270,7 +261,6 @@ def run_gen_model(args) -> int:
         "bos_aware": args.bos_aware,
         "target_bits": args.target_bits,
         "act_target_bits": args.act_target_bits,
-        "retain_fp": args.retain_fp,
         "proxy_inputs": args.proxy_inputs,
         "eval_inputs": args.eval_inputs,
         "n_budgets": args.n_budgets,
@@ -355,7 +345,6 @@ def run_allocate(args) -> int:
     seeds = _checked_seeds(data)
     weight_target = args.target_bits if args.target_bits is not _UNSET else params["target_bits"]
     act_target = args.act_target_bits if args.act_target_bits is not _UNSET else params["act_target_bits"]
-    retain = args.retain_fp if args.retain_fp is not None else params["retain_fp"]
     bits = tuple(params["bits"])
     bos_aware = params["bos_aware"]
     if weight_target is None and act_target is None:
@@ -378,9 +367,7 @@ def run_allocate(args) -> int:
         bos_aware=bos_aware,
     )
     weight_options = allocator.AllocOptions(ratio_grid=args.ratio_grid, **common)
-    act_options = allocator.AllocOptions(
-        ratio_grid=args.act_ratio_grid, retain_fraction=retain, **common
-    )
+    act_options = allocator.AllocOptions(ratio_grid=args.act_ratio_grid, **common)
 
     weight_table = _load_table(data, root, WEIGHT) if weight_target is not None else None
     act_table = _load_table(data, root, ACTIVATION) if act_target is not None else None
@@ -416,11 +403,7 @@ def run_allocate(args) -> int:
     rows = ["avg_bits,score,config_path\n"]
     for point in frontier:
         cell_cfg = res.sweep_configs[point.ref]
-        cell = allocator.BitWidthConfig(
-            config=cell_cfg,
-            fp_retained=res.config.fp_retained,
-            summary=allocator.cost_summary(cell_cfg, model_costs),
-        )
+        cell = allocator.BitWidthConfig(config=cell_cfg, summary=allocator.cost_summary(cell_cfg, model_costs))
         rel = f"{cfg_dir_rel}/{frontier_kind}_{point.ref:03d}.json"
         mf.write_json(root / rel, cell.to_json_dict())
         written.append(rel)
@@ -547,7 +530,6 @@ def run_pipeline(args) -> int:
         manifest=args.manifest,
         target_bits=_UNSET,
         act_target_bits=_UNSET,
-        retain_fp=None,
         n_budgets=None,
         delta_bits=None,
         ratio_grid=None,
@@ -581,7 +563,6 @@ def _add_gen_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bos-aware", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--target-bits", type=_target_bits, default=4.0)
     p.add_argument("--act-target-bits", type=_target_bits, default=8.0)
-    p.add_argument("--retain-fp", type=_fraction, default=0.01)
     p.add_argument("--proxy-inputs", type=_input_count("--proxy-inputs"), default=8)
     p.add_argument("--eval-inputs", type=_input_count("--eval-inputs"), default=16)
     p.add_argument("--n-budgets", type=_int_at_least(1, "--n-budgets"), default=5)
@@ -612,8 +593,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-bits", type=_target_bits, default=_UNSET,
                    help="average weight bits, or 'fp' to leave weights unquantized")
     p.add_argument("--act-target-bits", type=_target_bits, default=_UNSET)
-    p.add_argument("--retain-fp", type=_fraction, default=None,
-                   help="fraction of most-sensitive activation layers kept at FP16")
     p.add_argument("--n-budgets", type=_int_at_least(1, "--n-budgets"), default=None)
     p.add_argument("--delta-bits", type=_delta_bits, default=None)
     p.add_argument("--ratio-grid", type=_ratio_grid, default=None, metavar="LO:HI:N")

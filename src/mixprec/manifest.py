@@ -8,11 +8,10 @@ their checksums. All paths are relative to the manifest's directory.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
 from .errors import ValidationError
-from .tensor_core import sha256_file
+from .tensor_core import sha256_file, write_atomic
 
 MANIFEST_VERSION = 1
 
@@ -83,23 +82,6 @@ def _check_artifact_path(path: Path, root: Path, name: str, rel) -> None:
         raise ValidationError(f"manifest {path}: {name} {rel!r} is not a usable path: {exc}") from exc
     if Path(rel).is_absolute() or full == root or not full.is_relative_to(root):
         raise ValidationError(f"manifest {path}: {name} {rel!r} lies outside the run directory {root}")
-
-
-def write_atomic(path: Path | str, text: str) -> None:
-    """Write ``text`` to a temp file beside ``path``, then rename it over ``path``.
-
-    A write that fails leaves ``path`` as it was and removes the temp file, so
-    a run directory never holds a partial artifact.
-    """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 def write_json(path: Path | str, data) -> None:

@@ -243,10 +243,3 @@ def analyze(
         for lid in model.layer_order
         for b in bit_widths
     )
-
-
-def rank_long_tail(table: SensitivityTable) -> list[tuple[str, float]]:
-    """Layers ordered most-sensitive first: ascending score at the lowest bit-width."""
-    low = min(table.bit_widths())
-    scored = [(e.layer_id, e.score) for e in table.entries if e.bit_width == low]
-    return sorted(scored, key=lambda pair: (pair[1], pair[0]))

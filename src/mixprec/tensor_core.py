@@ -7,13 +7,15 @@ reproduces bit-identical values on re-run.
 
 The on-disk format is a flat binary container (little-endian: u32 rank,
 u64 extents, f64 payload) plus a JSON sidecar carrying the shape and a
-SHA-256 checksum of the binary file.
+SHA-256 checksum of the binary file. Both files, like every artifact of the
+pipeline, are written through :func:`write_atomic`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 from pathlib import Path
 from typing import Sequence
@@ -89,20 +91,33 @@ def sha256_file(path: Path | str) -> str:
     return h.hexdigest()
 
 
+def write_atomic(path: Path | str, data: str | bytes) -> None:
+    """Write ``data`` to a temp file beside ``path``, then rename it over ``path``.
+
+    A write that fails leaves ``path`` as it was and removes the temp file, so
+    a run directory never holds a partial artifact.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb" if isinstance(data, bytes) else "w") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_tensor(t: Tensor, base_path: Path | str) -> tuple[Path, Path]:
     """Write ``<base>.bin`` and its ``<base>.json`` sidecar; returns both paths."""
     t = np.ascontiguousarray(t, dtype=np.float64)
     base = Path(base_path)
     bin_path = base.parent / (base.name + ".bin")
     json_path = base.parent / (base.name + ".json")
-    with open(bin_path, "wb") as f:
-        f.write(struct.pack("<I", t.ndim))
-        f.write(struct.pack(f"<{t.ndim}Q", *t.shape))
-        f.write(t.tobytes(order="C"))
+    header = struct.pack("<I", t.ndim) + struct.pack(f"<{t.ndim}Q", *t.shape)
+    write_atomic(bin_path, header + t.tobytes(order="C"))
     sidecar = {"shape": list(t.shape), "dtype": "float64", "checksum": "sha256:" + sha256_file(bin_path)}
-    with open(json_path, "w") as f:
-        json.dump(sidecar, f, sort_keys=True, indent=2)
-        f.write("\n")
+    write_atomic(json_path, json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
     return bin_path, json_path
 
 

@@ -1016,7 +1016,7 @@ def model_to_json_dict(model: ToyModel) -> dict:
 
 
 def save_model(model: ToyModel, json_path: Path | str, weights_dir: Path | str) -> None:
-    """Write the weight tensors directly, then the model JSON atomically."""
+    """Write the weight tensors, then the model JSON, each file atomically."""
     weights_dir = Path(weights_dir)
     weights_dir.mkdir(parents=True, exist_ok=True)
     for lid in model.layer_order:

@@ -29,3 +29,8 @@ def weight_table(model, calib_inputs):
 @pytest.fixture(scope="session")
 def act_table(model, calib_inputs):
     return sensitivity.analyze(model, calib_inputs, tensor_kind="activation", bos_aware=True)
+
+
+@pytest.fixture(scope="session")
+def act_ranges(model, calib_inputs):
+    return toy_model.calibrate_activations(model, calib_inputs, bos_aware=True)

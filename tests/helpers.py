@@ -1,6 +1,6 @@
-"""Code only the tests use: allocation baselines, a reference sensitivity scorer,
-a state-cache recorder, reference kernels, a quant-params wire format, checksums,
-MSE."""
+"""Code only the tests use: allocation baselines and their long-tail ranking, a
+reference sensitivity scorer, a state-cache recorder, reference kernels, a
+quant-params wire format, checksums, MSE."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import numpy as np
 
 from mixprec import metrics, quantizer, toy_model
 from mixprec.errors import InfeasibleBudgetError, ShapeError
-from mixprec.sensitivity import WEIGHT, SensitivityEntry, SensitivityTable, fp_references, rank_long_tail
+from mixprec.sensitivity import WEIGHT, SensitivityEntry, SensitivityTable, fp_references
 from mixprec.tensor_core import Tensor, make_rng
 
 
@@ -24,6 +24,13 @@ def _elems_and_budget(model, tensor_kind: str, target_avg_bits: float) -> tuple[
     elem_field = "param_count" if tensor_kind == WEIGHT else "act_elem_count"
     elems = {lid: getattr(model.layers[lid], elem_field) for lid in model.layer_order}
     return elems, target_avg_bits * sum(elems.values())
+
+
+def rank_long_tail(table: SensitivityTable) -> list[tuple[str, float]]:
+    """Layers ordered most-sensitive first: ascending score at the lowest bit-width."""
+    low = min(table.bit_widths())
+    scored = [(e.layer_id, e.score) for e in table.entries if e.bit_width == low]
+    return sorted(scored, key=lambda pair: (pair[1], pair[0]))
 
 
 def naive_sorting_config(

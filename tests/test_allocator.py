@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixprec import allocator as al
-from mixprec import metrics, sensitivity as sv, toy_model as tm
+from mixprec import sensitivity as sv, toy_model as tm
 from mixprec.errors import InfeasibleBudgetError, ParameterError
 
 import helpers
@@ -250,30 +250,6 @@ def test_split_budget_rejects_bad_ratio():
         al.split_budget(10, 1, 1, -2.0)
 
 
-def _table_from(scores_by_layer, kind="weight"):
-    entries = []
-    for lid, by_bits in scores_by_layer.items():
-        for b, s in by_bits.items():
-            entries.append(sv.SensitivityEntry(lid, kind, b, s, metrics.SQNR_DB, 1))
-    return sv.SensitivityTable(entries)
-
-
-def test_retain_fp_examples():
-    scores = {f"l{i:02d}": {2: float(i)} for i in range(24)}
-    table = _table_from(scores)
-    assert al.retain_fp(table, 0.0) == set()
-    assert al.retain_fp(table, 0.01) == {"l00"}
-    assert len(al.retain_fp(table, 0.5)) == 12
-    with pytest.raises(ParameterError):
-        al.retain_fp(table, 1.0)
-
-
-def test_retained_layer_is_long_tail_worst(weight_table):
-    retained = al.retain_fp(weight_table, 0.01)
-    worst = sv.rank_long_tail(weight_table)[0][0]
-    assert retained == {worst}
-
-
 def _uniform_summary(model_costs, w, a):
     ids = [r["id"] for r in model_costs]
     cfg = tm.QuantConfig({i: w for i in ids}, {i: a for i in ids})
@@ -390,27 +366,29 @@ def test_allocate_exact_minimum_budget_all_min(model, weight_table):
 
 
 def test_allocate_infeasible_target_names_minimum(model, weight_table):
-    opts = al.AllocOptions(bos_aware=True, retain_fraction=0.5)
-    with pytest.raises(InfeasibleBudgetError) as exc:
-        al.allocate(model, weight_table, 2.0, tensor_kind="weight", options=opts)
-    assert exc.value.min_achievable_bits is not None
-    assert exc.value.min_achievable_bits > 2.0
+    # without 2 bits in the grid, no assignment reaches an average of 2
+    table = sv.SensitivityTable(e for e in weight_table.entries if e.bit_width in (4, 8))
+    opts = al.AllocOptions(bit_widths=(4, 8), bos_aware=True)
+    with pytest.raises(InfeasibleBudgetError, match="minimum achievable average is 4.0000 bits") as exc:
+        al.allocate(model, table, 2.0, tensor_kind="weight", options=opts)
+    assert exc.value.min_achievable_bits == 4.0
 
 
-def test_allocate_respects_retention(model, act_table):
-    opts = al.AllocOptions(bos_aware=True, retain_fraction=0.01)
-    res = al.allocate(model, act_table, 8.0, tensor_kind="activation", options=opts)
-    retained = set(res.config.fp_retained["activation"])
-    assert retained == al.retain_fp(act_table, 0.01)
-    for lid in retained:
-        assert res.config.config.act_bits[lid] is None
-    # retained cost counted at 16 bits pushes the average above the quantized bits
-    quantized_bits = [b for lid, b in res.config.config.act_bits.items() if b is not None]
-    assert res.config.summary["avg_act_bits"] <= 8.0
-    assert res.config.summary["avg_act_bits"] > min(quantized_bits)
+def test_allocate_activation_top_width_ships_uniform(model, act_table, act_ranges):
+    # every layer is allocated: at the top grid width the budget admits all of them at 8 bits
+    res = al.allocate(model, act_table, 8.0, tensor_kind=sv.ACTIVATION, options=al.AllocOptions(bos_aware=True),
+                      act_ranges=act_ranges)
+    assert all(b == 8 for b in res.config.config.act_bits.values())
+    assert res.config.summary["avg_act_bits"] == 8.0
+    assert len(res.sweep) == 1
 
 
-def test_allocate_mixed_merges_kinds(model, weight_table, act_table):
+def test_activation_allocation_requires_ranges(model, act_table):
+    with pytest.raises(ParameterError, match="act_ranges"):
+        al.allocate(model, act_table, 6.0, tensor_kind=sv.ACTIVATION, options=al.AllocOptions(bos_aware=True))
+
+
+def test_allocate_mixed_merges_kinds(model, weight_table, act_table, act_ranges):
     opts = al.AllocOptions(bos_aware=True)
     config, results = al.allocate_mixed(
         model,
@@ -419,11 +397,13 @@ def test_allocate_mixed_merges_kinds(model, weight_table, act_table):
         weight_target=4.0,
         act_target=8.0,
         weight_options=opts,
-        act_options=al.AllocOptions(bos_aware=True, retain_fraction=0.01),
+        act_options=opts,
+        act_ranges=act_ranges,
     )
     assert set(results) == {"weight", "activation"}
     assert config.summary["avg_weight_bits"] <= 4.0 + 1e-9
-    assert any(b is not None for b in config.config.act_bits.values())
+    assert config.config.weight_bits == results["weight"].config.config.weight_bits
+    assert all(b == 8 for b in config.config.act_bits.values())
 
 
 def test_naive_sorting_budget_and_order(model, weight_table):
@@ -462,7 +442,7 @@ def test_mckp_rejects_nan_budget():
 
 # Each distinct swept config is proxy-scored once; a repeated cell reuses its score.
 
-SMALL_TARGETS = ((sv.WEIGHT, 6.0, 0.0), (sv.ACTIVATION, 6.0, 0.05))  # kind, target, retain_fraction
+SMALL_TARGETS = ((sv.WEIGHT, 6.0), (sv.ACTIVATION, 6.0))
 
 
 @pytest.fixture(scope="module")
@@ -473,9 +453,9 @@ def small_case():
     return model, tables, tm.calibrate_activations(model, calib, bos_aware=True)
 
 
-def _small_allocate(small_case, kind, target, retain):
+def _small_allocate(small_case, kind, target):
     model, tables, ranges = small_case
-    opts = al.AllocOptions(bos_aware=True, proxy_inputs=2, retain_fraction=retain)
+    opts = al.AllocOptions(bos_aware=True, proxy_inputs=2)
     return al.allocate(model, tables[kind], target, tensor_kind=kind, options=opts, act_ranges=ranges), opts
 
 
@@ -483,8 +463,8 @@ def _config_key(config):
     return json.dumps(config.to_json_dict(), sort_keys=True)
 
 
-@pytest.mark.parametrize("kind,target,retain", SMALL_TARGETS)
-def test_allocate_scores_each_distinct_config_once(small_case, monkeypatch, kind, target, retain):
+@pytest.mark.parametrize("kind,target", SMALL_TARGETS)
+def test_allocate_scores_each_distinct_config_once(small_case, monkeypatch, kind, target):
     scored = []
     real = al.proxy_score
 
@@ -493,16 +473,16 @@ def test_allocate_scores_each_distinct_config_once(small_case, monkeypatch, kind
         return real(model, config, *args, **kwargs)
 
     monkeypatch.setattr(al, "proxy_score", counting)
-    res, _ = _small_allocate(small_case, kind, target, retain)
+    res, _ = _small_allocate(small_case, kind, target)
     distinct = {_config_key(cfg) for cfg in res.sweep_configs}
     assert sorted(scored) == sorted(distinct)
     assert len(distinct) < len(res.sweep_configs)  # the sweep does repeat configs
 
 
-@pytest.mark.parametrize("kind,target,retain", SMALL_TARGETS)
-def test_allocate_matches_scoring_every_cell(small_case, kind, target, retain):
+@pytest.mark.parametrize("kind,target", SMALL_TARGETS)
+def test_allocate_matches_scoring_every_cell(small_case, kind, target):
     model, tables, ranges = small_case
-    res, opts = _small_allocate(small_case, kind, target, retain)
+    res, opts = _small_allocate(small_case, kind, target)
     inputs = tm.make_input_set(opts.proxy_seed, opts.proxy_inputs, model)
     refs = sv.fp_references(model, inputs, bos_aware=True)
     scores = [
@@ -517,29 +497,19 @@ def test_allocate_matches_scoring_every_cell(small_case, kind, target, retain):
     # The emitted config is the best cell topped up against the full budget.
     field = "param_count" if kind == sv.WEIGHT else "act_elem_count"
     elems = {lid: getattr(model.layers[lid], field) for lid in model.layer_order}
-    retained = set(res.config.fp_retained[kind])
     cell = res.sweep_configs[best]
-    choices = {
-        lid: b for lid, b in (cell.weight_bits if kind == sv.WEIGHT else cell.act_bits).items()
-        if lid not in retained
-    }
-    cost = al.FP_BITS * sum(elems[lid] for lid in retained) + sum(b * elems[lid] for lid, b in choices.items())
+    choices = dict(cell.weight_bits if kind == sv.WEIGHT else cell.act_bits)
+    cost = sum(b * elems[lid] for lid, b in choices.items())
     al._greedy_fill(choices, cost, target * sum(elems.values()), elems, tuple(sorted(opts.bit_widths)),
                     lambda lid, b: tables[kind].score(lid, b, kind))
-    config = al._kind_config(model, kind, choices, retained)
-    want = al.BitWidthConfig(
-        config=config,
-        fp_retained={kind: tuple(sorted(retained))},
-        summary=al.cost_summary(config, tm.model_layer_summary(model)),
-    )
+    config = al._kind_config(model, kind, choices)
+    want = al.BitWidthConfig(config=config, summary=al.cost_summary(config, tm.model_layer_summary(model)))
     assert res.config.to_json_dict() == want.to_json_dict()
 
 
 # The cached, prefix-ordered sweep against one that scores every cell from the input.
 
-CACHED_SWEEP_CASES = [
-    (kind, retain, bos) for kind in sv.TENSOR_KINDS for retain in (0.0, 0.1) for bos in (False, True)
-]
+CACHED_SWEEP_CASES = [(kind, bos) for kind in sv.TENSOR_KINDS for bos in (False, True)]
 
 
 @pytest.fixture(scope="module")
@@ -564,12 +534,12 @@ def _sweep_json(res):
     )
 
 
-@pytest.mark.parametrize("kind,retain,bos", CACHED_SWEEP_CASES)
-def test_cached_sweep_matches_scoring_every_cell_from_the_input(small_cases_by_bos, monkeypatch, kind, retain, bos):
+@pytest.mark.parametrize("kind,bos", CACHED_SWEEP_CASES)
+def test_cached_sweep_matches_scoring_every_cell_from_the_input(small_cases_by_bos, monkeypatch, kind, bos):
     model, by_bos = small_cases_by_bos
     tables, ranges = by_bos[bos]
     # 10 proxy inputs: a full chunk and a partial one
-    opts = al.AllocOptions(bos_aware=bos, proxy_inputs=10, retain_fraction=retain, n_budgets=3)
+    opts = al.AllocOptions(bos_aware=bos, proxy_inputs=10, n_budgets=3)
     caches = []
     real_cache, real_score = tm.StateCache, al.proxy_score
 
@@ -581,12 +551,6 @@ def test_cached_sweep_matches_scoring_every_cell_from_the_input(small_cases_by_b
     res = al.allocate(model, tables[kind], 6.0, tensor_kind=kind, options=opts, act_ranges=ranges)
     monkeypatch.undo()
     assert any(keep for cache in caches for keep in cache.keep.values())  # some config resumed past the input
-    if retain:
-        assert res.config.fp_retained[kind]
-        assert all(
-            (cfg.weight_bits if kind == sv.WEIGHT else cfg.act_bits)[lid] is None
-            for cfg in res.sweep_configs for lid in res.config.fp_retained[kind]
-        )
 
     def from_the_input(model, config, inputs, refs, **kwargs):
         return real_score(model, config, inputs, refs, **{**kwargs, "cache": None})

@@ -107,6 +107,23 @@ def test_jobs_flag_is_gone(pipeline_dir):
         assert exc.value.code == 2
 
 
+def test_retain_fp_flag_is_gone(pipeline_dir, tmp_path):
+    for argv in (["gen-model", "--out-dir", str(tmp_path / "g")], ["pipeline", "--out-dir", str(tmp_path / "p")],
+                 ["allocate", "--manifest", str(pipeline_dir / "manifest.json")]):
+        with pytest.raises(SystemExit) as exc:
+            run([*argv, "--retain-fp", "0"])
+        assert exc.value.code == 2
+    assert not (tmp_path / "g").exists() and not (tmp_path / "p").exists()
+
+
+@pytest.mark.parametrize("retain_fp", [0.01, 1.0])
+def test_manifest_with_retain_fp_param_still_allocates(pipeline_dir, tmp_path, retain_fp):
+    # manifests written before FP16 retention was removed carry params.retain_fp; it is ignored
+    manifest = _copy_with_params(pipeline_dir, tmp_path, retain_fp=retain_fp)
+    assert run(["allocate", "--manifest", str(manifest)]) == 0
+    assert sha256_file(manifest.parent / "config.json") == sha256_file(pipeline_dir / "config.json")
+
+
 def test_manifest_with_jobs_param_still_loads(pipeline_dir, tmp_path):
     # manifests written before --jobs was removed carry params.jobs; it is ignored
     copy = tmp_path / "run"
@@ -184,7 +201,6 @@ BAD_PARAMS = [
     ("target_bits", "abc", "allocate"),
     ("target_bits", 9, "allocate"),
     ("act_target_bits", True, "allocate"),
-    ("retain_fp", 1.0, "allocate"),
     ("n_budgets", "5", "allocate"),
     ("n_budgets", 0, "allocate"),
     ("delta_avg_bits", -1, "allocate"),
@@ -296,12 +312,30 @@ def test_gen_model_failed_model_json_write_exits_5(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "replace", failing_replace)
     out = tmp_path / "run"
     assert run(["gen-model", "--out-dir", str(out), *TINY]) == cli.EXIT_IO
-    # the weight tensors are written directly; the model JSON is neither there nor left as a temp file
-    assert sorted(p.name for p in out.iterdir()) == ["weights"]
+    # no weight tensor, no model JSON and no temp file is left
+    assert sorted(str(p.relative_to(out)) for p in out.rglob("*")) == ["weights"]
     monkeypatch.undo()
     assert run(["gen-model", "--out-dir", str(tmp_path / "ok"), *TINY]) == 0
     text = (tmp_path / "ok" / "model.json").read_text()  # sorted keys, indent 2, a trailing newline
     assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
+def test_gen_model_failed_weight_write_exits_5(tmp_path, monkeypatch):
+    real = os.replace
+
+    def failing_replace(src, dst):
+        if Path(dst).name == "mid.self.to_q.bin":
+            raise OSError(28, "No space left on device")
+        return real(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    out = tmp_path / "run"
+    assert run(["gen-model", "--out-dir", str(out), *TINY]) == cli.EXIT_IO
+    names = sorted(str(p.relative_to(out)) for p in out.rglob("*"))
+    assert "weights/enc0.conv_in.bin" in names  # the tensors before it were written whole
+    assert "weights/mid.self.to_q.bin" not in names
+    assert not any(name.endswith(".tmp") for name in names)
+    assert "model.json" not in names and "manifest.json" not in names
 
 
 MISSING = "missing"
@@ -367,7 +401,9 @@ def test_evaluate_config_checksum_verified_when_recorded(pipeline_dir, tmp_path)
 
 def test_allocate_outputs(pipeline_dir):
     config = json.loads((pipeline_dir / "config.json").read_text())
-    assert set(config) == {"layers", "fp_retained", "summary"}
+    assert set(config) == {"layers", "summary"}
+    # every activation layer is allocated, so the A8 target ships uniform A8
+    assert all(entry["activation"] == 8 for entry in config["layers"].values())
     model = json.loads((pipeline_dir / "model.json").read_text())
     assert set(config["layers"]) == {row["id"] for row in model["layers"]}
     summary = config["summary"]
@@ -395,7 +431,6 @@ def test_evaluate_all_fp_config(pipeline_dir):
     for entry in config["layers"].values():
         entry["weight"] = None
         entry["activation"] = None
-    config["fp_retained"] = {}
     fp_config = pipeline_dir / "fp_config.json"
     fp_config.write_text(json.dumps(config))
     assert run(["evaluate", "--manifest", str(pipeline_dir / "manifest.json"),
@@ -417,13 +452,29 @@ def test_evaluate_csv_format(pipeline_dir):
     assert manifest["artifacts"]["report"] == "report.json"
 
 
-def test_allocate_infeasible_exit_4(pipeline_dir):
-    rc = run(["allocate", "--manifest", str(pipeline_dir / "manifest.json"),
-              "--target-bits", "2", "--retain-fp", "0.9"])
-    assert rc == 4
-    # restore artifacts
-    assert run(["allocate", "--manifest", str(pipeline_dir / "manifest.json")]) == 0
-    assert run(["evaluate", "--manifest", str(pipeline_dir / "manifest.json")]) == 0
+@pytest.mark.parametrize("fp_retained", [{}, {"activation": ["enc0.conv_in"]}], ids=["empty", "one_layer"])
+def test_evaluate_accepts_config_with_fp_retained_key(pipeline_dir, tmp_path, fp_retained):
+    # configs written before FP16 retention was removed carry an fp_retained key; it is ignored
+    manifest = _copy_with_params(pipeline_dir, tmp_path)
+    config = json.loads((manifest.parent / "config.json").read_text())
+    (manifest.parent / "old.json").write_text(json.dumps({**config, "fp_retained": fp_retained}))
+    assert run(["evaluate", "--manifest", str(manifest)]) == 0
+    want = json.loads((manifest.parent / "report.json").read_text())
+    assert run(["evaluate", "--manifest", str(manifest), "--config", "old.json"]) == 0
+    report = json.loads((manifest.parent / "report.json").read_text())
+    assert report == {**want, "config_path": "old.json"}
+
+
+def test_allocate_infeasible_exit_4(tmp_path, capsys):
+    # a grid without 2 bits cannot reach an average of 2
+    out = tmp_path / "run"
+    tiny_4_8 = [*TINY[:TINY.index("--bits")], "--bits", "4,8"]
+    assert run(["pipeline", "--out-dir", str(out), "--seed", "5", *tiny_4_8]) == 0
+    before = tree_checksums(out)
+    capsys.readouterr()
+    assert run(["allocate", "--manifest", str(out / "manifest.json"), "--target-bits", "2"]) == 4
+    assert "minimum achievable average is 4.0000 bits" in capsys.readouterr().err
+    assert tree_checksums(out) == before
 
 
 def test_checksum_validation_blocks_stage(pipeline_dir):

@@ -100,10 +100,10 @@ def test_single_fault_isolation(model, small_inputs):
 
 
 def test_rank_long_tail_ordering(weight_table):
-    ranked = sv.rank_long_tail(weight_table)
+    ranked = helpers.rank_long_tail(weight_table)
     scores = [s for _, s in ranked]
     assert scores == sorted(scores)
-    again = sv.rank_long_tail(weight_table)
+    again = helpers.rank_long_tail(weight_table)
     assert ranked == again
 
 
@@ -113,14 +113,14 @@ def test_rank_long_tail_tie_break():
         sv.SensitivityEntry("a", "weight", 2, 0.5, metrics.SSIM, 1),
         sv.SensitivityEntry("c", "weight", 2, 0.1, metrics.SSIM, 1),
     ]
-    ranked = sv.rank_long_tail(sv.SensitivityTable(entries))
+    ranked = helpers.rank_long_tail(sv.SensitivityTable(entries))
     assert [lid for lid, _ in ranked] == ["c", "a", "b"]
 
 
 def test_rank_uses_lowest_bit_width(weight_table):
     low = min(weight_table.bit_widths())
     assert low == 2
-    ranked = sv.rank_long_tail(weight_table)
+    ranked = helpers.rank_long_tail(weight_table)
     by_id = {e.layer_id: e.score for e in weight_table.entries if e.bit_width == low}
     assert all(by_id[lid] == score for lid, score in ranked)
 
