@@ -9,6 +9,10 @@ the unstabilized form.
 SQNR is reported in decibels, 10*log10(signal energy / error energy),
 capped so the zero-noise case stays finite and sortable.
 
+Both metrics raise ``UndefinedMetricError`` when an input is not finite, or
+when a statistic they need (a moment, an energy, a stabilizer) overflows, so a
+non-finite output never scores as a number, let alone as a perfect one.
+
 ``ReferenceBatch`` holds a stacked batch of references with the statistics
 every comparison against them reuses (mean, variance, data-range stabilizers,
 signal energy). ``ssim_batch`` and ``sqnr_db_batch`` score a stacked batch of
@@ -57,13 +61,19 @@ class SsimWeights:
     @classmethod
     def for_data_range(cls, data_range: float, alpha: float = 1.0, beta: float = 1.0, gamma: float = 1.0):
         l = max(float(data_range), 0.0)
-        return cls(alpha=alpha, beta=beta, gamma=gamma, c1=(0.01 * l) ** 2, c2=(0.03 * l) ** 2)
+        try:
+            c1, c2 = (0.01 * l) ** 2, (0.03 * l) ** 2
+        except OverflowError:
+            c1 = c2 = math.inf
+        if not math.isfinite(c2):
+            raise UndefinedMetricError(f"similarity undefined: data range {data_range!r} has no finite stabilizers")
+        return cls(alpha=alpha, beta=beta, gamma=gamma, c1=c1, c2=c2)
 
     @classmethod
     def for_reference(cls, reference: Tensor):
         """Stabilizers for the reference's data range; a constant reference uses range 1."""
         data_range = float(np.max(reference) - np.min(reference))
-        return cls.for_data_range(data_range if data_range > 0 else 1.0)
+        return cls.for_data_range(1.0 if data_range == 0 else data_range)
 
     @classmethod
     def unstabilized(cls):
@@ -90,6 +100,8 @@ def ssim_components(x: Tensor, y: Tensor, weights: SsimWeights | None = None):
 
 
 def _components(mu_x: float, mu_y: float, var_x: float, var_y: float, cov: float, w: SsimWeights):
+    if not all(map(math.isfinite, (mu_x, mu_y, var_x, var_y, cov))):
+        raise UndefinedMetricError("similarity undefined: an input is not finite, or its moments overflow")
     sd_x, sd_y = math.sqrt(var_x), math.sqrt(var_y)
 
     lum_den = mu_x * mu_x + mu_y * mu_y + w.c1
@@ -128,6 +140,8 @@ def sqnr_db(reference: Tensor, test: Tensor, cap_db: float = DEFAULT_SQNR_CAP_DB
 
 
 def _sqnr_value(signal: float, noise: float, cap_db: float) -> float:
+    if not (math.isfinite(signal) and math.isfinite(noise)):
+        raise UndefinedMetricError("SQNR undefined: an input is not finite, or its energy overflows")
     if signal == 0.0:
         raise UndefinedMetricError("reference signal is identically zero")
     if noise == 0.0:
@@ -152,13 +166,14 @@ class ReferenceBatch:
         if x.ndim < 2 or x.shape[0] < 1:
             raise ShapeError(f"references must be a non-empty (B, ...) batch, got shape {x.shape}")
         x.flags.writeable = False
+        weights = tuple(SsimWeights.for_reference(r) for r in x)  # first: undefined for a non-finite reference
         means = x.mean(axis=_input_axes(x))
         means.flags.writeable = False
         return cls(
             values=x,
             means=means,
             variances=tuple((_centered(x, means) ** 2).mean(axis=_input_axes(x)).tolist()),
-            weights=tuple(SsimWeights.for_reference(r) for r in x),
+            weights=weights,
             energies=tuple(l2_norm_sq(r) for r in x),
         )
 

@@ -13,11 +13,13 @@ chunks, the FP reference outputs with their per-reference statistics
 order (layer, then kind, then bits) through one ``toy_model.StateCache`` made
 for that plan. Each probe resumes every chunk from the FP state the probe before
 it left at the entry of that probe's segment, so the FP prefix runs once per
-chunk, not once per probe, and it reads the FP text K/V projections the cache
-keeps per chunk. A probe makes one ``toy_model.forward`` call per chunk of
-``toy_model.FORWARD_CHUNK`` inputs, scores each chunk as one batch with its
-layer group's metric only, and sums the scores in input order, so every score
-has the bits that scoring input by input gives.
+chunk, not once per probe. It reads the FP terms the cache keeps per chunk:
+the text K/V projections, and the skip half of ``dec0.fuse`` for every probe
+from ``enc1.down`` on but the fuse conv's own. A probe makes one
+``toy_model.forward`` call per chunk of ``toy_model.FORWARD_CHUNK`` inputs,
+scores each chunk as one batch with its layer group's metric only, and sums
+the scores in input order, so every score has the bits that scoring input by
+input gives.
 """
 
 from __future__ import annotations
@@ -208,8 +210,9 @@ def analyze(
     activation ranges are built once for all kinds. The probes run layer by
     layer (then kind, then bits) through one ``toy_model.StateCache`` made for
     that plan: each probe resumes from the FP state the probe before it left at
-    the entry of that probe's segment, so the FP prefix and the FP text K/V
-    projections are computed once per chunk. Each probe computes only its layer
+    the entry of that probe's segment, so the FP prefix and the FP terms (the
+    text K/V projections and the fuse conv's skip half) are computed once per
+    chunk. Each probe computes only its layer
     group's metric.
     """
     if not inputs:

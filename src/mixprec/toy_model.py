@@ -11,7 +11,10 @@ The graph runs as one ordered list of segments, each keyed by the layers it
 runs, and ``forward`` runs them in order. A ``StateCache`` made for a planned
 sequence of configs lets each ``forward`` call resume from the deepest state an
 earlier call left whose passed layers ran the same bits, so a sensitivity probe
-or a sweep config skips the prefix it shares with the config before it.
+or a sweep config skips the prefix it shares with the config before it. The
+cache also keeps each chunk's FP terms: outputs that depend on the chunk alone
+while the layers they pass through run at full precision (the text K/V
+projections, and the skip half of the fuse conv).
 
 Every weighted layer carries a descriptor (kind, metric group, parameter /
 activation / MAC counts) and can be independently fake-quantized on its
@@ -19,6 +22,11 @@ weight and/or its input activation. Normalizations and nonlinearities are
 never quantized. The concatenated skip tensor is always quantized as two
 separately calibrated halves. Layers are bias-free, so a layer's parameter
 count is exactly the product of its weight shape.
+
+Two convs never build their logical input. The upsampling conv runs as four
+2x2 phase convs on the low-resolution input, and the fuse conv as the sum of
+one conv over each half of the concatenation. Descriptors, traces and
+calibration still describe the logical 3x3 convs.
 
 Layer-kind grouping: cross-attention projections and feed-forward layers
 form the "content" group; self-attention, convolutions, and everything
@@ -169,6 +177,7 @@ class ToyModel:
     layers: dict[str, LayerDescriptor]
     layer_order: list[str]
     _fq_weights: dict = field(default_factory=dict, repr=False)
+    _phase_weights: dict = field(default_factory=dict, repr=False)
     _bos_rows: dict = field(default_factory=dict, repr=False)
 
     def layer_ids(self) -> list[str]:
@@ -183,6 +192,16 @@ class ToyModel:
             params = quantizer.calibrate_minmax(w, bits, PER_CHANNEL, channel_axis=0)
             cached = quantizer.fake_quant(w, params)
             self._fq_weights[key] = cached
+        return cached
+
+    def phase_weight(self, layer_id: str, bits: int | None) -> Tensor:
+        """The layer's weight at ``bits`` (``None``: full precision) as the
+        ``_phase_kernels`` of a conv over a 2x nearest upsampling; memoized."""
+        key = (layer_id, bits)
+        cached = self._phase_weights.get(key)
+        if cached is None:
+            w = self.layers[layer_id].weight if bits is None else self.fq_weight(layer_id, bits)
+            cached = self._phase_weights[key] = _phase_kernels(w)
         return cached
 
     def bos_row(self, layer_id: str, embedding: Tensor) -> Tensor:
@@ -251,13 +270,10 @@ def _sinusoid(t: np.ndarray, dim: int) -> np.ndarray:
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=-1)
 
 
-def _upsample2(x: np.ndarray) -> np.ndarray:
-    return np.repeat(np.repeat(x, 2, axis=2), 2, axis=3)
-
-
 # Inputs whose patches ``_conv3x3`` holds at once. Its buffer is then at most
-# (4, C, 3, 3, H, W) float64, 1.2 MB at dec0.fuse; patches of a whole chunk of 8
-# raised a pipeline's peak RSS by 2-3 MB and ran no faster.
+# (4, C, 3, 3, H, W) float64, 0.6 MB at the full-resolution convs of the default
+# model; patches of a whole chunk of 8 raised a pipeline's peak RSS by 2-3 MB and
+# ran no faster.
 _CONV_INPUTS = 4
 
 
@@ -302,12 +318,39 @@ def _conv3x3(x: np.ndarray, w: np.ndarray, stride: int = 1) -> np.ndarray:
     return out
 
 
+# Per output parity p along one axis, the rows of the 3x3 taps that read the
+# low-resolution offsets -1, 0, +1 of a 2x nearest upsampling: output 2i + p reads
+# upsampled rows 2i + p - 1 .. 2i + p + 1, which repeat low-res rows i - 1, i, i
+# (p = 0) or i, i, i + 1 (p = 1). The zero padding of the upsampled image is the
+# zero padding of the low-res one.
+_PHASE_TAPS = np.array([[[1, 0, 0], [0, 1, 1], [0, 0, 0]], [[0, 0, 0], [1, 1, 0], [0, 0, 1]]], dtype=np.float64)
+
+
+def _phase_kernels(w: np.ndarray) -> np.ndarray:
+    """(C_out, C, 3, 3) weights of a 3x3 conv over a 2x nearest upsampling, as
+    (4 * C_out, C, 3, 3) weights of a 3x3 conv over the low-res input: block
+    2 * py + px holds output parity (py, px)'s 2x2 kernel, the sums of the taps
+    that read one replicated pixel, and is zero on the third row and column."""
+    cout, c = w.shape[:2]
+    return np.einsum("pak,qbl,ockl->pqocab", _PHASE_TAPS, _PHASE_TAPS, w).reshape(4 * cout, c, 3, 3)
+
+
+def _upsample_conv(x: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """3x3 conv of the 2x nearest upsampling of a (B, C, H, W) batch, from its
+    ``_phase_kernels``: one conv of the low-res input gives the four output
+    parities, which interleave into (B, C_out, 2H, 2W)."""
+    b, _, h, wd = x.shape
+    cout = phases.shape[0] // 4
+    y = _conv3x3(x, phases).reshape(b, 2, 2, cout, h, wd)
+    return y.transpose(0, 3, 4, 1, 5, 2).reshape(b, cout, 2 * h, 2 * wd)
+
+
 # Cap on ``model_elements``: the float64 elements of the weights, of every
 # layer's input and of the attention scores in one input's forward. A forward
 # holds FORWARD_CHUNK inputs at once, so the cap keeps one chunk's tensors near
-# 8 * 2**22 * 8 B = 256 MiB. The default model has 51,520 elements. Checked
+# 16 * 2**21 * 8 B = 256 MiB. The default model has 51,520 elements. Checked
 # before any array is built, so an oversized flag fails at once.
-MAX_MODEL_ELEMENTS = 2**22
+MAX_MODEL_ELEMENTS = 2**21
 
 # Cap on the number of inputs of one input set (calibration, proxy or eval). At
 # about 0.1 s per calibration input on the default model, it keeps a sensitivity
@@ -505,9 +548,11 @@ def make_input_set(seed: int, n: int, model: ToyModel) -> list[tuple[Tensor, Ten
 
 
 # Inputs per batched forward. On the default sensitivity stage (one thread of a
-# Xeon vCPU), chunks of 4, 8, 16 and 32 took 3.4, 3.1, 3.0 and 3.5 s at a peak
-# RSS of 41.2, 42.2, 43.2 and 45.7 MB; single-input forwards took ~10 s at 40.5 MB.
-FORWARD_CHUNK = 8
+# Xeon vCPU), ``analyze`` of both kinds took a median 2.10, 1.76 and 1.71 s at
+# chunks of 8, 16 and 32 (six alternating rounds in one process), and a fresh
+# stage peaked at 42.8, 43.1 and 44.9 MB RSS: 16 takes most of the gain for a
+# seventh of the memory 32 adds.
+FORWARD_CHUNK = 16
 
 
 def stack_inputs(inputs) -> tuple[Tensor, Tensor, np.ndarray]:
@@ -543,7 +588,7 @@ class _Run:
         self.bos_aware = bos_aware
         self.trace = trace
         self.calib = calib
-        self.text_kv = None  # a chunk's FP text K/V projections, set by ``StateCache.run_chunk``
+        self.fp_terms = None  # a chunk's FP terms by the layer that reads them, set by ``StateCache.run_chunk``
 
     def _record(self, lid: str, kind: str, parts: list[np.ndarray], split: int | None = None):
         if self.trace is not None:
@@ -568,11 +613,11 @@ class _Run:
             raise ConfigError(f"calibration for {lid} is {rng.kind!r}, expected {expect_kind!r}")
         return rng.grid(bits, slot)
 
-    def _quant_in(self, lid: str, x: np.ndarray) -> np.ndarray:
+    def _quant_in(self, lid: str, x: np.ndarray, kind: str = "tensor", slot: int = 0) -> np.ndarray:
         bits = self.config.act_bits[lid]
         if bits is None:
             return x
-        return quantizer.fake_quant(x, self._act_params(lid, bits, "tensor"))
+        return quantizer.fake_quant(x, self._act_params(lid, bits, kind, slot))
 
     def _weight(self, lid: str) -> np.ndarray:
         bits = self.config.weight_bits[lid]
@@ -589,17 +634,25 @@ class _Run:
             self.trace[lid]["macs"] = int(rows.shape[1] * rows.shape[2] * out.shape[2])
         return out[:, 0] if x.ndim == 2 else out
 
-    def kv_linear(self, lid: str, embedding: np.ndarray) -> np.ndarray:
-        """Text-embedding consumer; first-token-aware when enabled. At full
-        precision it reads its output from the run's ``text_kv``, when the run
-        has one, or computes it there once, read-only."""
-        if self.text_kv is None or self.config.weight_bits[lid] is not None or self.config.act_bits[lid] is not None:
-            return self._kv_project(lid, embedding)
-        out = self.text_kv.get(lid)
+    def _is_fp(self, lids) -> bool:
+        return all(self.config.weight_bits[lid] is None and self.config.act_bits[lid] is None for lid in lids)
+
+    def _fp_term(self, lid: str, compute: Callable[[], np.ndarray]) -> np.ndarray:
+        """``compute()``, an FP function of the chunk alone, read from the run's
+        ``fp_terms`` when the run has them, or computed there once, read-only."""
+        if self.fp_terms is None:
+            return compute()
+        out = self.fp_terms.get(lid)
         if out is None:
-            out = self.text_kv[lid] = self._kv_project(lid, embedding)
+            out = self.fp_terms[lid] = compute()
             out.flags.writeable = False
         return out
+
+    def kv_linear(self, lid: str, embedding: np.ndarray) -> np.ndarray:
+        """Text-embedding consumer; first-token-aware when enabled. At full
+        precision its output is an FP term of the chunk."""
+        project = functools.partial(self._kv_project, lid, embedding)
+        return self._fp_term(lid, project) if self._is_fp((lid,)) else project()
 
     def _kv_project(self, lid: str, embedding: np.ndarray) -> np.ndarray:
         if not self.bos_aware:
@@ -629,18 +682,32 @@ class _Run:
             self.trace[lid]["macs"] = int(out.shape[2] * out.shape[3] * out.shape[1] * x.shape[1] * 9)
         return out
 
-    def fuse_conv(self, lid: str, x: np.ndarray, split: int) -> np.ndarray:
-        """Conv over a concatenated skip tensor; halves quantized separately."""
-        layer = self.model.layers[lid]
-        self._record(lid, "halves", [x[:, :split], x[:, split:]], split=split)
-        bits = self.config.act_bits[lid]
-        if bits is not None:
-            a = quantizer.fake_quant(x[:, :split], self._act_params(lid, bits, "halves", 0))
-            b = quantizer.fake_quant(x[:, split:], self._act_params(lid, bits, "halves", 1))
-            x = np.concatenate([a, b], axis=1)
-        out = _conv3x3(x, self._weight(lid), stride=layer.stride)
+    def up_conv(self, lid: str, x: np.ndarray) -> np.ndarray:
+        """Conv over the 2x nearest upsampling of ``x``, run as the four 2x2 phase
+        convs of ``_upsample_conv`` on ``x`` itself. Quantizing and calibrating
+        act elementwise, so they act on ``x``; the trace counts the logical
+        conv's input and MACs."""
+        self._record(lid, "tensor", [x])
+        out = _upsample_conv(self._quant_in(lid, x), self.model.phase_weight(lid, self.config.weight_bits[lid]))
         if self.trace is not None:
+            self.trace[lid]["act_elems"] = 4 * int(x[0].size)
             self.trace[lid]["macs"] = int(out.shape[2] * out.shape[3] * out.shape[1] * x.shape[1] * 9)
+        return out
+
+    def fuse_conv(self, lid: str, x: np.ndarray, skip: np.ndarray, skip_layers) -> np.ndarray:
+        """Conv over the channel concatenation of ``x`` and ``skip``, each half
+        quantized on its own grid, run as the sum of a conv over each half. The
+        skip half's conv is an FP term of the chunk when this layer and
+        ``skip_layers``, the layers ``skip`` was computed by, are all at full
+        precision."""
+        split = x.shape[1]
+        self._record(lid, "halves", [x, skip], split=split)
+        w = self._weight(lid)
+        out = _conv3x3(self._quant_in(lid, x, "halves", 0), w[:, :split])
+        skip_term = functools.partial(_conv3x3, self._quant_in(lid, skip, "halves", 1), w[:, split:])
+        out += self._fp_term(lid, skip_term) if self._is_fp((*skip_layers, lid)) else skip_term()
+        if self.trace is not None:
+            self.trace[lid]["macs"] = int(out.shape[2] * out.shape[3] * out.shape[1] * w.shape[1] * 9)
         return out
 
     def attention(self, prefix: str, tokens: np.ndarray, kv: np.ndarray | None) -> np.ndarray:
@@ -723,12 +790,13 @@ def _mid_ffn(run: _Run, s: dict) -> dict:
 
 
 def _dec0_up(run: _Run, s: dict) -> dict:
-    return {**s, "x": run.conv("dec0.up_conv", _upsample2(s["x"]))}
+    return {**s, "x": run.up_conv("dec0.up_conv", s["x"])}
 
 
 def _dec0_fuse(run: _Run, s: dict) -> dict:
-    x = run.fuse_conv("dec0.fuse", np.concatenate([s["x"], s["skip"]], axis=1), split=run.model.width)
-    return {"x": x, "emb": s["emb"]}
+    order = run.model.layer_order
+    skip_layers = order[:order.index("enc1.down")]  # the layers before the segment that takes "skip"
+    return {"x": run.fuse_conv("dec0.fuse", s["x"], s["skip"], skip_layers), "emb": s["emb"]}
 
 
 def _dec0_cross(run: _Run, s: dict) -> dict:
@@ -877,8 +945,8 @@ def _chunk_key(entry: dict) -> bytes:
 
 
 class StateCache:
-    """Segment states and FP text K/V projections of input chunks, shared by the
-    ``forward`` calls of a planned sequence of configs.
+    """Segment states and FP terms of input chunks, shared by the ``forward``
+    calls of a planned sequence of configs.
 
     It is made for the configs in the order they will run (the plan). Config
     ``j`` resumes at ``r[j]``, the number of leading segments whose layers it
@@ -894,8 +962,11 @@ class StateCache:
     ``k`` is in its config's ``needed`` set, and drops every other state. A
     config outside the plan keeps nothing, and a config run out of order only
     resumes less far; neither changes an output. A chunk's entry also holds its
-    FP text K/V projections, read-only. A cache serves one ``bos_aware`` setting
-    and one ``act_ranges`` object.
+    FP terms, read-only, keyed by the layer that reads them: the text K/V
+    projections, and the skip half's conv of ``dec0.fuse``, which is an FP term
+    whenever the layers before ``enc1.down`` and ``dec0.fuse`` run at full
+    precision. A cache serves one ``bos_aware`` setting and one ``act_ranges``
+    object.
     """
 
     def __init__(self, model: ToyModel, configs):
@@ -929,7 +1000,7 @@ class StateCache:
             self._setup = setup
         elif setup[0] != self._setup[0] or setup[1] is not self._setup[1]:
             raise ConfigError("a state cache serves one bos_aware setting and one act_ranges object")
-        path, run.text_kv = self._chunks.setdefault(_chunk_key(entry), ([], {}))
+        path, run.fp_terms = self._chunks.setdefault(_chunk_key(entry), ([], {}))
         bits = _run_bits(run.config, self._segments)
         keep = self.keep.get(bits, frozenset())
         state, start, kept = entry, 0, 0
@@ -1056,5 +1127,6 @@ def load_model(json_path: Path | str, weights_dir: Path | str) -> ToyModel:
             raise ValidationError(f"layer {lid}: weight shape {w.shape} != {layer.weight.shape}")
         layer.weight[...] = w
     model._fq_weights.clear()
+    model._phase_weights.clear()
     model._bos_rows.clear()
     return model

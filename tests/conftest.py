@@ -22,6 +22,12 @@ def small_inputs(model):
 
 
 @pytest.fixture(scope="session")
+def two_chunk_inputs(model):
+    """A full forward chunk and a partial one of 3 inputs; the first 8 are ``small_inputs``."""
+    return toy_model.make_input_set(CALIB_SEED, toy_model.FORWARD_CHUNK + 3, model)
+
+
+@pytest.fixture(scope="session")
 def weight_table(model, calib_inputs):
     return sensitivity.analyze(model, calib_inputs, tensor_kind="weight", bos_aware=True)
 

@@ -1,6 +1,6 @@
 """Code only the tests use: allocation baselines and their long-tail ranking, a
-reference sensitivity scorer, a state-cache recorder, reference kernels, a
-quant-params wire format, checksums, MSE."""
+reference sensitivity scorer, a state-cache recorder, reference kernels and
+layers, a quant-params wire format, checksums, MSE."""
 
 from __future__ import annotations
 
@@ -156,6 +156,12 @@ def reduce_softmax_rows(x: np.ndarray) -> np.ndarray:
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e
+
+
+def upsample2(x: np.ndarray) -> np.ndarray:
+    """2x nearest upsampling of a (B, C, H, W) batch: the input ``dec0.up_conv``
+    convolves, which ``toy_model._upsample_conv`` never builds."""
+    return np.repeat(np.repeat(x, 2, axis=2), 2, axis=3)
 
 
 def quant_params_to_json_dict(layer_id: str, tensor_kind: str, params: quantizer.QuantParams) -> dict:

@@ -538,8 +538,8 @@ def _sweep_json(res):
 def test_cached_sweep_matches_scoring_every_cell_from_the_input(small_cases_by_bos, monkeypatch, kind, bos):
     model, by_bos = small_cases_by_bos
     tables, ranges = by_bos[bos]
-    # 10 proxy inputs: a full chunk and a partial one
-    opts = al.AllocOptions(bos_aware=bos, proxy_inputs=10, n_budgets=3)
+    # a full chunk and a partial one of proxy inputs
+    opts = al.AllocOptions(bos_aware=bos, proxy_inputs=tm.FORWARD_CHUNK + 2, n_budgets=3)
     caches = []
     real_cache, real_score = tm.StateCache, al.proxy_score
 

@@ -89,7 +89,7 @@ def test_analyze_calls_references_forward_and_ssim(model, small_inputs, monkeypa
 
 
 def test_probe_layer_reaches_forward_once_per_chunk(model, small_inputs, monkeypatch):
-    inputs = tm.make_input_set(5, tm.FORWARD_CHUNK + 2, model)  # two chunks: 8 inputs and 2
+    inputs = tm.make_input_set(5, tm.FORWARD_CHUNK + 2, model)  # two chunks: FORWARD_CHUNK inputs and 2
     calls = Counter()
     real_forward, real_probe = tm.forward, sv.probe_layer
 
@@ -161,5 +161,5 @@ def test_proxy_score_reaches_forward_once_per_chunk(model, act_table, monkeypatc
     res = al.allocate(model, act_table, 7.5, tensor_kind=sv.ACTIVATION, options=opts, act_ranges=ranges)
     distinct = {json.dumps(c.to_json_dict(), sort_keys=True) for c in res.sweep_configs}
     assert sorted(scored) == sorted(distinct) and len(distinct) > 1
-    assert calls["per_score", 2] == len(distinct)  # two chunks: 8 inputs and 2
+    assert calls["per_score", 2] == len(distinct)  # two chunks: FORWARD_CHUNK inputs and 2
     assert calls["forward"] == 2 * (len(distinct) + 1)  # and the FP references

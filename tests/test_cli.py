@@ -10,13 +10,14 @@ from pathlib import Path
 import tempfile
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixprec import allocator, cli, manifest as mf, quantizer, toy_model
 from mixprec.errors import ParameterError
-from mixprec.tensor_core import sha256_file
+from mixprec.tensor_core import load_tensor, save_tensor, sha256_file
 
 SMALL = [
     "--width", "4", "--spatial", "8", "--tokens", "4", "--text-channels", "8",
@@ -744,6 +745,23 @@ TINY = [
     "--width", "2", "--spatial", "4", "--tokens", "2", "--text-channels", "2", "--time-dim", "2",
     "--inputs", "2", "--proxy-inputs", "2", "--eval-inputs", "2", "--n-budgets", "1", "--bits", "2,8",
 ]
+
+
+def test_sensitivity_of_a_model_with_non_finite_metrics_exits_3(tmp_path, capsys):
+    # out.conv_out's weights at 1e200, checksums recorded again: the outputs'
+    # SSIM stabilizers overflow, which used to end in an OverflowError (exit 1)
+    out = tmp_path / "run"
+    assert run(["gen-model", "--out-dir", str(out), *TINY]) == 0
+    weight = out / "weights" / "out.conv_out"
+    save_tensor(np.full_like(load_tensor(weight), 1e200), weight)
+    data = json.loads((out / "manifest.json").read_text())
+    for suffix in (".bin", ".json"):
+        data["checksums"][f"weights/out.conv_out{suffix}"] = sha256_file(out / f"weights/out.conv_out{suffix}")
+    (out / "manifest.json").write_text(json.dumps(data))
+    before = tree_checksums(out)
+    assert run(["sensitivity", "--manifest", str(out / "manifest.json")]) == 3
+    assert "undefined" in capsys.readouterr().err
+    assert tree_checksums(out) == before
 
 
 @pytest.fixture(scope="module")

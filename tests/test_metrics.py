@@ -133,6 +133,40 @@ def test_sqnr_joint_scale_invariance():
         assert abs(mx.sqnr_db(a * ref, a * test).value - base) < 1e-9
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_output_is_undefined_never_a_score(bad):
+    # a NaN output used to score the SQNR cap, and an inf one to raise a raw ValueError
+    refs, outs = _batch_pair(700, n=3)
+    outs[1, 0, 2, 3] = bad
+    batch = mx.ReferenceBatch.of(refs)
+    with pytest.raises(UndefinedMetricError):
+        mx.sqnr_db(refs[1], outs[1])
+    with pytest.raises(UndefinedMetricError):
+        mx.sqnr_db_batch(batch, outs)
+    with pytest.raises(UndefinedMetricError):
+        mx.ssim(refs[1], outs[1], mx.SsimWeights.for_reference(refs[1]))
+    with pytest.raises(UndefinedMetricError):
+        mx.ssim_batch(batch, outs)
+    with pytest.raises(UndefinedMetricError):  # nor as a reference
+        mx.ReferenceBatch.of(outs)
+
+
+@pytest.mark.parametrize("data_range", [1e200, math.inf, math.nan])
+def test_ssim_stabilizers_that_overflow_are_undefined(data_range):
+    # (0.01 * 1e200) ** 2 used to raise a raw OverflowError
+    with pytest.raises(UndefinedMetricError):
+        mx.SsimWeights.for_data_range(data_range)
+    refs = np.stack([np.linspace(0.0, 1.0, 8), np.linspace(-1.0, 1.0, 8)])
+    refs[1, 0] = data_range
+    with pytest.raises(UndefinedMetricError):
+        mx.ReferenceBatch.of(refs)
+    with pytest.raises(UndefinedMetricError):
+        mx.SsimWeights.for_reference(refs[1])
+    big = mx.SsimWeights.for_data_range(1e150)  # large but finite stabilizers keep their value
+    assert (big.c1, big.c2) == ((0.01 * 1e150) ** 2, (0.03 * 1e150) ** 2)
+
+
 def test_metric_score_kinds():
     x = tc.random_normal([8], 0.0, 1.0, seed=11)
     assert mx.ssim(x, x).kind == mx.SSIM

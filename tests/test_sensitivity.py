@@ -61,9 +61,9 @@ def test_analyze_deterministic_rerun(model, small_inputs):
     assert a.entries == b.entries
 
 
-def test_probe_layer_matches_single_input_forwards(model, small_inputs):
-    # every layer and both tensor kinds at 4 bits, over two chunks (8 + 3 inputs)
-    inputs = small_inputs + small_inputs[:3]
+def test_probe_layer_matches_single_input_forwards(model, two_chunk_inputs):
+    # every layer and both tensor kinds at 4 bits, over a full chunk and a partial one
+    inputs = two_chunk_inputs
     refs = sv.fp_references(model, inputs, bos_aware=True)
     ranges = tm.calibrate_activations(model, inputs, bos_aware=True)
     for ref, inp in zip(refs, inputs):
@@ -186,9 +186,9 @@ def deep_model():
 @pytest.mark.parametrize("bos_aware", [True, False])
 @pytest.mark.parametrize("which", ["default", "depth2"])
 def test_analyze_equals_single_input_oracle(model, deep_model, kind, bos_aware, which):
-    # 11 inputs run as chunks of 8 + 3; every probe resumes from a cached segment state
+    # a full chunk and a partial one of 3 inputs; every probe resumes from a cached segment state
     net = model if which == "default" else deep_model
-    inputs = tm.make_input_set(202, 11, net)
+    inputs = tm.make_input_set(202, tm.FORWARD_CHUNK + 3, net)
     bits = (2, 8) if which == "default" else (2, 4, 8)
     got = sv.analyze(net, inputs, bit_widths=bits, tensor_kind=kind, bos_aware=bos_aware)
     want = helpers.per_input_sensitivity_table(net, inputs, bits, kind, bos_aware, single_input_forwards=True)
@@ -200,8 +200,8 @@ def _probe_cache(model, probes):
     return tm.StateCache(model, [sv._probe_config(model, *probe) for probe in probes])
 
 
-def test_probe_resumed_from_any_earlier_segment_is_identical(model, small_inputs):
-    inputs = small_inputs + small_inputs[:3]
+def test_probe_resumed_from_any_earlier_segment_is_identical(model, two_chunk_inputs):
+    inputs = two_chunk_inputs
     refs = sv.fp_references(model, inputs, bos_aware=True)
     ranges = tm.calibrate_activations(model, inputs, bos_aware=True)
     lid = "dec0.fuse"
@@ -237,15 +237,15 @@ def test_probe_rejects_states_past_its_layer(model, small_inputs):
         sv.probe_layer(model, small_inputs, refs[:-1], "mid.cross.to_q", sv.WEIGHT, 4, cache=cache)
 
 
-def test_cached_segment_states_are_read_only(model, small_inputs):
-    inputs = small_inputs + small_inputs[:3]
+def test_cached_segment_states_are_read_only(model, two_chunk_inputs):
+    inputs = two_chunk_inputs
     refs = sv.fp_references(model, inputs, bos_aware=True)
     probes = [(lid, sv.WEIGHT, 4) for lid in ("enc1.down", "mid.cross.to_q", "dec0.fuse", "out.conv_out")]
     cache = _probe_cache(model, probes)
-    checked = kv_checked = 0
+    checked = terms_checked = 0
     for probe in probes:
         sv.probe_layer(model, inputs, refs, *probe, bos_aware=True, cache=cache)
-        for path, text_kv in cache._chunks.values():
+        for path, fp_terms in cache._chunks.values():
             for state in path:
                 for array in state.arrays.values():
                     with pytest.raises(ValueError):
@@ -255,11 +255,11 @@ def test_cached_segment_states_are_read_only(model, small_inputs):
                     checked += 1
                 with pytest.raises(TypeError):
                     state.arrays["x"] = np.zeros(1)
-            for out in text_kv.values():
+            for out in fp_terms.values():
                 with pytest.raises(ValueError):
                     out[...] = 0.0
-                kv_checked += 1
-    assert checked and kv_checked
+                terms_checked += 1
+    assert checked and terms_checked
 
 
 def test_table_score_lookup():
@@ -311,8 +311,8 @@ def test_analyze_rejects_bad_kind_tuples(model, small_inputs, kinds):
         sv.analyze(model, small_inputs[:1], bit_widths=(4,), tensor_kind=kinds)
 
 
-def test_probe_scores_only_the_metrics_it_is_asked_for(model, small_inputs):
-    inputs = small_inputs + small_inputs[:2]
+def test_probe_scores_only_the_metrics_it_is_asked_for(model, two_chunk_inputs):
+    inputs = two_chunk_inputs[:tm.FORWARD_CHUNK + 2]
     refs = sv.fp_references(model, inputs, bos_aware=True)
     batches = sv.reference_batches(refs)
     assert [b.size for b in batches] == [tm.FORWARD_CHUNK, 2]
@@ -324,8 +324,8 @@ def test_probe_scores_only_the_metrics_it_is_asked_for(model, small_inputs):
         sv.probe_layer(model, inputs, refs, "mid.ffn.fc1", sv.WEIGHT, 2, metric_kinds=("MSE",))
 
 
-def test_probe_with_a_shared_text_kv_cache_is_identical(model, small_inputs):
-    inputs = small_inputs + small_inputs[:3]
+def test_probe_with_a_shared_text_kv_cache_is_identical(model, two_chunk_inputs):
+    inputs = two_chunk_inputs
     refs = sv.fp_references(model, inputs, bos_aware=True)
     ranges = tm.calibrate_activations(model, inputs, bos_aware=True)
     probes = [
@@ -338,13 +338,13 @@ def test_probe_with_a_shared_text_kv_cache_is_identical(model, small_inputs):
         plain = sv.probe_layer(model, inputs, refs, *probe, bos_aware=True, act_ranges=ranges)
         shared = sv.probe_layer(model, inputs, refs, *probe, bos_aware=True, act_ranges=ranges, cache=cache)
         assert shared == plain, probe
-    # each chunk computed every FP projection once and kept it
-    projections = {f"{p}.{n}" for p in ("mid.cross", "dec0.cross") for n in ("to_k", "to_v")}
-    assert [set(text_kv) for _, text_kv in cache._chunks.values()] == [projections] * 2
+    # each chunk computed every FP term once and kept it: the K/V projections and the fuse conv's skip half
+    terms = {f"{p}.{n}" for p in ("mid.cross", "dec0.cross") for n in ("to_k", "to_v")} | {"dec0.fuse"}
+    assert [set(fp_terms) for _, fp_terms in cache._chunks.values()] == [terms] * 2
 
 
-def test_two_kind_analyze_holds_at_most_one_state_per_chunk(model, small_inputs, monkeypatch):
-    inputs = small_inputs + small_inputs[:3]  # two chunks
+def test_two_kind_analyze_holds_at_most_one_state_per_chunk(model, two_chunk_inputs, monkeypatch):
+    inputs = two_chunk_inputs  # two chunks
     caches = helpers.record_state_caches(monkeypatch)
     real_forward = tm.forward
     held = []

@@ -55,6 +55,12 @@ def test_shape_audit_clean(model):
     assert tm.audit_shapes(model) == []
 
 
+@pytest.mark.parametrize("depth,width,spatial", list(itertools.product((1, 2), (2, 16), (4, 16))))
+def test_shape_audit_clean_across_shapes(depth, width, spatial):
+    # the phase-split up_conv and the split fuse report the logical convs' counts
+    assert tm.audit_shapes(tm.build_toy_unet(3, width=width, depth=depth, spatial=spatial)) == []
+
+
 def test_build_rejects_bad_sizes():
     with pytest.raises(ParameterError):
         tm.build_toy_unet(1, width=1)
@@ -149,6 +155,27 @@ def test_forward_batch_matches_single_inputs(model, small_inputs, probe, bos):
     assert np.array_equal(batched, singles)
 
 
+@pytest.mark.parametrize(
+    "probe",
+    [None, ("weight", "dec0.up_conv"), ("activation", "dec0.up_conv"), ("weight", "dec0.fuse"),
+     ("activation", "dec0.fuse"), ("weight", "enc0.res0.conv")],
+)
+def test_forward_chunk_outputs_equal_single_input_outputs_bitwise(model, two_chunk_inputs, probe):
+    inputs = two_chunk_inputs[:tm.FORWARD_CHUNK]
+    ranges = tm.calibrate_activations(model, inputs)
+    fp = tm.QuantConfig.all_fp(model.layer_order)
+    cfg = tm.QuantConfig.all_fp(model.layer_order)
+    if probe is not None:
+        kind, lid = probe
+        (cfg.weight_bits if kind == "weight" else cfg.act_bits)[lid] = 4
+    singles = np.stack([tm.forward(model, *inp, config=cfg, act_ranges=ranges) for inp in inputs])
+    assert np.array_equal(tm.forward(model, *tm.stack_inputs(inputs), config=cfg, act_ranges=ranges), singles)
+    # and through a cache, after an FP run that left the chunk's FP terms and states
+    cache = tm.StateCache(model, [fp, cfg])
+    tm.forward(model, *tm.stack_inputs(inputs), config=fp, act_ranges=ranges, cache=cache)
+    assert np.array_equal(tm.forward(model, *tm.stack_inputs(inputs), config=cfg, act_ranges=ranges, cache=cache), singles)
+
+
 def test_forward_batch_broadcasts_scalar_timestep(model, small_inputs):
     latents, embeddings, _ = tm.stack_inputs(small_inputs[:3])
     batched = tm.forward(model, latents, embeddings, 0.25)
@@ -169,8 +196,8 @@ def test_forward_batch_rejects_mismatched_shapes(model, small_inputs):
         tm.stack_inputs([small_inputs[0], (np.zeros((4, 8, 8)), *small_inputs[1][1:])])
 
 
-def test_forward_inputs_chunks_in_input_order(model, small_inputs):
-    inputs = small_inputs + small_inputs[:3]  # 11 inputs: one full chunk and a partial one
+def test_forward_inputs_chunks_in_input_order(model, two_chunk_inputs):
+    inputs = two_chunk_inputs  # one full chunk and a partial one
     assert [len(c[0]) for c in tm.input_chunks(inputs)] == [tm.FORWARD_CHUNK, len(inputs) - tm.FORWARD_CHUNK]
     outs = tm.forward_inputs(model, inputs, bos_aware=True)
     assert len(outs) == len(inputs)
@@ -179,8 +206,8 @@ def test_forward_inputs_chunks_in_input_order(model, small_inputs):
 
 
 @pytest.mark.parametrize("bos", [False, True])
-def test_calibrate_activations_batched_equals_per_input(model, small_inputs, bos):
-    inputs = small_inputs + small_inputs[:3]
+def test_calibrate_activations_batched_equals_per_input(model, two_chunk_inputs, bos):
+    inputs = two_chunk_inputs
     batched = tm.calibrate_activations(model, inputs, bos_aware=bos)
     merged = {}
     for inp in inputs:
@@ -232,6 +259,54 @@ def test_conv3x3_batch_outputs_equal_single_input_outputs_bitwise(stride):
         batched = tm._conv3x3(x, w, stride)
         for i in range(b):
             assert np.array_equal(batched[i], tm._conv3x3(x[i:i + 1], w, stride)[0]), (h, wd, cout, b, i)
+
+
+# (weight, activation) bits of the one quantized layer: FP, each tensor alone, both.
+LAYER_BITS = ((None, None), (4, None), (None, 4), (2, 8))
+
+
+def _one_layer_run(net, lid, w_bits, a_bits, ranges, calib=None):
+    cfg = tm.QuantConfig.all_fp(net.layer_order)
+    cfg.weight_bits[lid], cfg.act_bits[lid] = w_bits, a_bits
+    return tm._Run(net, cfg, ranges, False, None, calib=calib)
+
+
+@pytest.mark.parametrize("spatial", [4, 6, 16])
+def test_up_conv_equals_the_conv_of_the_upsampled_input(spatial):
+    net = tm.build_toy_unet(2, width=4, spatial=spatial, text_tokens=2, text_channels=2, time_dim=2)
+    lid = "dec0.up_conv"
+    rng = np.random.Generator(np.random.Philox(10))
+    x = rng.normal(size=(3, 2 * net.width, spatial // 2, spatial // 2)) * 3
+    up = helpers.upsample2(x)
+    ranges = {lid: tm.ActRange("tensor", (float(up.min()),), (float(up.max()),))}
+    for w_bits, a_bits in LAYER_BITS:
+        calib = {}
+        got = _one_layer_run(net, lid, w_bits, a_bits, ranges, calib).up_conv(lid, x)
+        assert calib == ranges  # calibrated on the low-res input, with the upsampled input's range
+        xq = up if a_bits is None else quantizer.fake_quant(up, ranges[lid].grid(a_bits))
+        w = net.layers[lid].weight if w_bits is None else net.fq_weight(lid, w_bits)
+        np.testing.assert_allclose(got, tm._conv3x3(xq, w), rtol=1e-12, atol=1e-12)
+        assert net.phase_weight(lid, w_bits) is net.phase_weight(lid, w_bits)  # memoized
+
+
+def test_fuse_conv_equals_the_conv_of_the_concatenated_halves(model):
+    lid = "dec0.fuse"
+    rng = np.random.Generator(np.random.Philox(11))
+    x = rng.normal(size=(3, model.width, model.spatial, model.spatial))
+    skip = rng.normal(size=x.shape) * 4
+    ranges = {lid: tm.ActRange("halves", (float(x.min()), float(skip.min())), (float(x.max()), float(skip.max())),
+                               split=model.width)}
+    for w_bits, a_bits in LAYER_BITS:
+        run = _one_layer_run(model, lid, w_bits, a_bits, ranges)
+        for fp_terms in (None, {}):  # a run with a chunk's FP terms and one without
+            run.fp_terms = fp_terms
+            got = run.fuse_conv(lid, x, skip, skip_layers=("enc0.conv_in",))
+            halves = [x, skip]
+            if a_bits is not None:
+                halves = [quantizer.fake_quant(h, ranges[lid].grid(a_bits, slot)) for slot, h in enumerate(halves)]
+            w = model.layers[lid].weight if w_bits is None else model.fq_weight(lid, w_bits)
+            np.testing.assert_allclose(got, tm._conv3x3(np.concatenate(halves, axis=1), w), rtol=1e-12, atol=1e-12)
+            assert fp_terms is None or set(fp_terms) == ({lid} if (w_bits, a_bits) == (None, None) else set())
 
 
 # Values at the edges of exp and of the float64 range: signed zeros, infinities,
@@ -421,8 +496,8 @@ def _paths(cache) -> list[list]:
     return [path for path, _ in cache._chunks.values()]
 
 
-def test_resume_from_every_segment_equals_forward(model, small_inputs):
-    inputs = small_inputs + small_inputs[:3]  # a full chunk and a partial one
+def test_resume_from_every_segment_equals_forward(model, two_chunk_inputs):
+    inputs = two_chunk_inputs  # a full chunk and a partial one
     ranges = tm.calibrate_activations(model, inputs)
     fp = tm.QuantConfig.all_fp(model.layer_order)
     plan = []
@@ -457,8 +532,8 @@ def _mixed_config(model, seed: int) -> tm.QuantConfig:
 
 
 @pytest.mark.parametrize("bos_aware", [False, True])
-def test_resume_from_a_quantized_state_equals_forward(model, small_inputs, bos_aware):
-    inputs = small_inputs + small_inputs[:3]
+def test_resume_from_a_quantized_state_equals_forward(model, two_chunk_inputs, bos_aware):
+    inputs = two_chunk_inputs
     ranges = tm.calibrate_activations(model, inputs, bos_aware=bos_aware)
     built = _mixed_config(model, 1)
     other = _mixed_config(model, 2)
@@ -504,8 +579,8 @@ def test_resume_rejects_a_config_that_differs_on_a_passed_layer(model, small_inp
         assert _paths(cache) == [[]]  # the state was passed over, then dropped
 
 
-def test_state_cache_forward_equals_forward_along_any_config_order(model, small_inputs):
-    inputs = small_inputs + small_inputs[:3]  # a full chunk and a partial one
+def test_state_cache_forward_equals_forward_along_any_config_order(model, two_chunk_inputs):
+    inputs = two_chunk_inputs  # a full chunk and a partial one
     ranges = tm.calibrate_activations(model, inputs, bos_aware=True)
     segs = tm._segment_list(model.depth)
     base = _mixed_config(model, 3)
@@ -528,8 +603,8 @@ def test_state_cache_forward_equals_forward_along_any_config_order(model, small_
 
 
 @pytest.mark.parametrize("bos_aware", [False, True])
-def test_state_cache_config_outside_the_plan_order_equals_forward(model, small_inputs, bos_aware):
-    inputs = small_inputs + small_inputs[:3]
+def test_state_cache_config_outside_the_plan_order_equals_forward(model, two_chunk_inputs, bos_aware):
+    inputs = two_chunk_inputs
     ranges = tm.calibrate_activations(model, inputs, bos_aware=bos_aware)
     plan = [_mixed_config(model, seed) for seed in (4, 5, 6)]
     for lid in ("dec0.fuse", "mid.cross.to_k", "enc1.down"):
@@ -590,8 +665,8 @@ def test_state_cache_leaves_caller_arrays_writable_and_checks_its_setup(model, s
 
 
 @pytest.mark.parametrize("bos_aware", [True, False])
-def test_text_kv_cache_resume_equals_plain_resume(model, small_inputs, bos_aware):
-    inputs = small_inputs + small_inputs[:2]
+def test_text_kv_cache_resume_equals_plain_resume(model, two_chunk_inputs, bos_aware):
+    inputs = two_chunk_inputs[:tm.FORWARD_CHUNK + 2]
     ranges = tm.calibrate_activations(model, inputs, bos_aware=bos_aware)
     configs = [tm.QuantConfig.all_fp(model.layer_order)]
     for lid in ("mid.cross.to_k", "dec0.cross.to_v", "mid.cross.to_q"):
@@ -604,11 +679,44 @@ def test_text_kv_cache_resume_equals_plain_resume(model, small_inputs, bos_aware
         plain = tm.forward_inputs(model, inputs, config=cfg, bos_aware=bos_aware, act_ranges=ranges)
         cached = tm.forward_inputs(model, inputs, config=cfg, bos_aware=bos_aware, act_ranges=ranges, cache=cache)
         assert all(np.array_equal(a, b) for a, b in zip(plain, cached, strict=True))
-    # one kept output per chunk and FP projection, each read-only
+    # one kept output per chunk and FP term (each K/V projection, and the fuse
+    # conv's skip half), each read-only
     assert len(cache._chunks) == 2
     for _, outputs in cache._chunks.values():
-        assert set(outputs) == {f"{p}.{n}" for p in ("mid.cross", "dec0.cross") for n in ("to_k", "to_v")}
+        assert set(outputs) == {f"{p}.{n}" for p in ("mid.cross", "dec0.cross") for n in ("to_k", "to_v")} | {
+            "dec0.fuse"
+        }
         assert not any(out.flags.writeable for out in outputs.values())
+
+
+def test_fuse_skip_term_is_reused_only_under_an_fp_prefix(model, two_chunk_inputs):
+    inputs = two_chunk_inputs
+    ranges = tm.calibrate_activations(model, inputs)
+
+    def probe(lid, bits_of, bits):
+        cfg = tm.QuantConfig.all_fp(model.layer_order)
+        getattr(cfg, bits_of)[lid] = bits
+        return cfg
+
+    fp = tm.QuantConfig.all_fp(model.layer_order)
+    # configs that may reuse the FP skip term, each followed by one that quantizes
+    # a layer ``skip`` passes through, or the fuse conv itself, and must not
+    plan = [
+        fp, probe("mid.cross.to_q", "weight_bits", 2), probe("enc0.res0.conv", "weight_bits", 4),
+        probe("dec1.res0.conv", "act_bits", 8), probe("dec0.fuse", "act_bits", 4),
+        probe("out.conv_out", "weight_bits", 2), probe("dec0.fuse", "weight_bits", 2),
+        probe("dec0.up_conv", "act_bits", 2), probe("enc0.res0.conv", "act_bits", 8), fp,
+    ]
+    cache = tm.StateCache(model, plan)
+    terms = []
+    for position, cfg in enumerate(plan):
+        got = tm.forward_inputs(model, inputs, config=cfg, act_ranges=ranges, cache=cache)
+        want = tm.forward_inputs(model, inputs, config=cfg, act_ranges=ranges)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True)), position
+        terms.append([fp_terms["dec0.fuse"] for _, fp_terms in cache._chunks.values()])
+    # each chunk computed its term once, under the first FP run, and kept it read-only
+    assert len(terms[0]) == 2 and not any(t.flags.writeable for t in terms[0])
+    assert all(all(a is b for a, b in zip(held, terms[0], strict=True)) for held in terms)
 
 
 def test_state_cache_text_kv_follows_the_chunk_bytes(model, small_inputs):
