@@ -264,7 +264,6 @@ class AllocOptions:
     proxy_inputs: int = 8
     proxy_seed: int = 12021
     bos_aware: bool = False
-    sqnr_cap_db: float = metrics.DEFAULT_SQNR_CAP_DB
 
     def __post_init__(self):
         check_delta_avg_bits(self.delta_avg_bits)
@@ -315,9 +314,7 @@ def _greedy_fill(choices, spend, budget, elems, bits_grid, score_fn) -> int:
         spend += dc
 
 
-def proxy_score(
-    model, config, inputs, refs, *, bos_aware=False, act_ranges=None, cap_db=metrics.DEFAULT_SQNR_CAP_DB, cache=None
-) -> float:
+def proxy_score(model, config, inputs, refs, *, bos_aware=False, act_ranges=None, cache=None) -> float:
     """Mean output SQNR of the configured model over a small input set.
 
     ``cache`` is a ``toy_model.StateCache`` shared by the configs of one sweep;
@@ -328,7 +325,7 @@ def proxy_score(
     )
     total = 0.0
     for ref, out in zip(refs, outs):
-        total += metrics.sqnr_db(ref, out, cap_db=cap_db).value
+        total += metrics.sqnr_db(ref, out).value
     return total / len(refs)
 
 
@@ -399,7 +396,7 @@ def allocate(
         scores = {
             key: proxy_score(
                 model, distinct[key], inputs, refs,
-                bos_aware=options.bos_aware, act_ranges=act_ranges, cap_db=options.sqnr_cap_db, cache=cache,
+                bos_aware=options.bos_aware, act_ranges=act_ranges, cache=cache,
             )
             for key in order
         }

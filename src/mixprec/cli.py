@@ -300,14 +300,12 @@ def run_sensitivity(args) -> int:
     model = _load_model_checked(data, root)
     params = _checked_params(data)
     seeds = _checked_seeds(data)
-    n_inputs = args.inputs if args.inputs is not None else params["inputs"]
-    bits = args.bits if args.bits is not None else params["bits"]
-    bos_aware = params["bos_aware"] if args.bos_aware is None else args.bos_aware
+    bits = params["bits"]
 
-    inputs = toy_model.make_input_set(seeds["calibration"], n_inputs, model)
+    inputs = toy_model.make_input_set(seeds["calibration"], params["inputs"], model)
     kinds = (WEIGHT, ACTIVATION) if args.kind == "both" else (args.kind,)
     # One analysis for both kinds shares their FP references, ranges and walk.
-    tables = sensitivity.analyze(model, inputs, bit_widths=bits, tensor_kind=kinds, bos_aware=bos_aware)
+    tables = sensitivity.analyze(model, inputs, bit_widths=bits, tensor_kind=kinds, bos_aware=params["bos_aware"])
     written = []
     for kind in kinds:
         table = tables.of_kind(kind)
@@ -520,10 +518,7 @@ def run_pipeline(args) -> int:
         if rc:
             return rc
         args.manifest = str(Path(args.out_dir) / "manifest.json")
-    ns = argparse.Namespace(
-        manifest=args.manifest, kind="both", inputs=None, bits=None, bos_aware=None
-    )
-    rc = run_sensitivity(ns)
+    rc = run_sensitivity(argparse.Namespace(manifest=args.manifest, kind="both"))
     if rc:
         return rc
     ns = argparse.Namespace(
@@ -580,12 +575,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_gen_model_flags(p)
     p.set_defaults(func=run_gen_model)
 
-    p = sub.add_parser("sensitivity", help="per-layer sensitivity tables")
+    p = sub.add_parser(
+        "sensitivity", help="per-layer sensitivity tables at the manifest's inputs, bits and first-token setting"
+    )
     p.add_argument("--manifest", required=True)
     p.add_argument("--kind", choices=[WEIGHT, ACTIVATION, "both"], default="both")
-    p.add_argument("--inputs", type=_input_count("--inputs"), default=None)
-    p.add_argument("--bits", type=_bits_list, default=None)
-    p.add_argument("--bos-aware", action=argparse.BooleanOptionalAction, default=None)
     p.set_defaults(func=run_sensitivity)
 
     p = sub.add_parser("allocate", help="bit-width allocation under a budget")

@@ -3,11 +3,11 @@
 SSIM here uses a single window spanning the whole image and population
 (1/N) statistics. The textbook formula has no stabilizing constants and
 divides by zero on constant images, so stabilizers c1/c2 are added with
-the usual (0.01*L)^2 / (0.03*L)^2 defaults; setting both to zero recovers
-the unstabilized form.
+the usual (0.01*L)^2 / (0.03*L)^2 defaults.
 
 SQNR is reported in decibels, 10*log10(signal energy / error energy),
-capped so the zero-noise case stays finite and sortable.
+capped at ``SQNR_CAP_DB`` (100 dB) so the zero-noise case stays finite and
+sortable.
 
 Both metrics raise ``UndefinedMetricError`` when an input is not finite, or
 when a statistic they need (a moment, an energy, a stabilizer) overflows, so a
@@ -34,7 +34,7 @@ from .tensor_core import Tensor, l2_norm_sq
 SSIM = "SSIM"
 SQNR_DB = "SQNR_dB"
 
-DEFAULT_SQNR_CAP_DB = 100.0
+SQNR_CAP_DB = 100.0
 
 
 class MetricScore(NamedTuple):
@@ -44,22 +44,17 @@ class MetricScore(NamedTuple):
 
 @dataclass(frozen=True)
 class SsimWeights:
-    """Component exponents and stabilizers for the similarity index."""
+    """Stabilizers for the similarity index."""
 
-    alpha: float = 1.0
-    beta: float = 1.0
-    gamma: float = 1.0
     c1: float = 1e-4  # (0.01 * L)^2 at data range L = 1
     c2: float = 9e-4  # (0.03 * L)^2
 
     def __post_init__(self):
-        if min(self.alpha, self.beta, self.gamma) < 0:
-            raise ParameterError("exponents must be nonnegative")
         if self.c1 < 0 or self.c2 < 0:
             raise ParameterError("stabilizers must be nonnegative")
 
     @classmethod
-    def for_data_range(cls, data_range: float, alpha: float = 1.0, beta: float = 1.0, gamma: float = 1.0):
+    def for_data_range(cls, data_range: float):
         l = max(float(data_range), 0.0)
         try:
             c1, c2 = (0.01 * l) ** 2, (0.03 * l) ** 2
@@ -67,17 +62,13 @@ class SsimWeights:
             c1 = c2 = math.inf
         if not math.isfinite(c2):
             raise UndefinedMetricError(f"similarity undefined: data range {data_range!r} has no finite stabilizers")
-        return cls(alpha=alpha, beta=beta, gamma=gamma, c1=c1, c2=c2)
+        return cls(c1=c1, c2=c2)
 
     @classmethod
     def for_reference(cls, reference: Tensor):
         """Stabilizers for the reference's data range; a constant reference uses range 1."""
         data_range = float(np.max(reference) - np.min(reference))
         return cls.for_data_range(1.0 if data_range == 0 else data_range)
-
-    @classmethod
-    def unstabilized(cls):
-        return cls(c1=0.0, c2=0.0)
 
 
 def _moments(x: np.ndarray, y: np.ndarray):
@@ -118,35 +109,32 @@ def _components(mu_x: float, mu_y: float, var_x: float, var_y: float, cov: float
 
 
 def ssim(x: Tensor, y: Tensor, weights: SsimWeights | None = None) -> MetricScore:
-    """Structural similarity: l^alpha * c^beta * s^gamma over the full image."""
-    w = weights or SsimWeights()
-    return MetricScore(value=_combine(ssim_components(x, y, w), w), kind=SSIM)
+    """Structural similarity: luminance * contrast * structure over the full image."""
+    return MetricScore(value=_combine(ssim_components(x, y, weights)), kind=SSIM)
 
 
-def _combine(components, w: SsimWeights) -> float:
+def _combine(components) -> float:
     lum, con, struct = components
-    return float((lum ** w.alpha) * (con ** w.beta) * (struct ** w.gamma))
+    return float(lum * con * struct)
 
 
-def sqnr_db(reference: Tensor, test: Tensor, cap_db: float = DEFAULT_SQNR_CAP_DB) -> MetricScore:
-    """Signal-to-quantization-noise ratio in dB, capped at ``cap_db``."""
-    if not math.isfinite(cap_db):
-        raise ParameterError("cap_db must be finite")
+def sqnr_db(reference: Tensor, test: Tensor) -> MetricScore:
+    """Signal-to-quantization-noise ratio in dB, capped at ``SQNR_CAP_DB``."""
     reference = np.asarray(reference, dtype=np.float64)
     test = np.asarray(test, dtype=np.float64)
     if reference.shape != test.shape:
         raise ShapeError(f"shape mismatch: {reference.shape} vs {test.shape}")
-    return MetricScore(value=_sqnr_value(l2_norm_sq(reference), l2_norm_sq(reference - test), cap_db), kind=SQNR_DB)
+    return MetricScore(value=_sqnr_value(l2_norm_sq(reference), l2_norm_sq(reference - test)), kind=SQNR_DB)
 
 
-def _sqnr_value(signal: float, noise: float, cap_db: float) -> float:
+def _sqnr_value(signal: float, noise: float) -> float:
     if not (math.isfinite(signal) and math.isfinite(noise)):
         raise UndefinedMetricError("SQNR undefined: an input is not finite, or its energy overflows")
     if signal == 0.0:
         raise UndefinedMetricError("reference signal is identically zero")
     if noise == 0.0:
-        return float(cap_db)
-    return float(min(cap_db, 10.0 * math.log10(signal / noise)))
+        return SQNR_CAP_DB
+    return float(min(SQNR_CAP_DB, 10.0 * math.log10(signal / noise)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,7 +200,7 @@ def ssim_batch(references: ReferenceBatch, outputs) -> list[float]:
     variances = (centered ** 2).mean(axis=axes)
     covariances = (_centered(references.values, references.means) * centered).mean(axis=axes)
     return [
-        _combine(_components(mu_x, mu_y, var_x, var_y, cov, w), w)
+        _combine(_components(mu_x, mu_y, var_x, var_y, cov, w))
         for mu_x, mu_y, var_x, var_y, cov, w in zip(
             references.means.tolist(), means.tolist(), references.variances, variances.tolist(),
             covariances.tolist(), references.weights,
@@ -220,9 +208,7 @@ def ssim_batch(references: ReferenceBatch, outputs) -> list[float]:
     ]
 
 
-def sqnr_db_batch(references: ReferenceBatch, outputs, cap_db: float = DEFAULT_SQNR_CAP_DB) -> list[float]:
+def sqnr_db_batch(references: ReferenceBatch, outputs) -> list[float]:
     """SQNR in dB of each output against its reference; the same bits as ``sqnr_db``."""
-    if not math.isfinite(cap_db):
-        raise ParameterError("cap_db must be finite")
     noise = references.values - _batch_outputs(references, outputs)
-    return [_sqnr_value(signal, l2_norm_sq(d), cap_db) for signal, d in zip(references.energies, noise)]
+    return [_sqnr_value(signal, l2_norm_sq(d)) for signal, d in zip(references.energies, noise)]

@@ -7,8 +7,8 @@ half-away-from-zero so fixtures stay bit-exact across platforms.
 
 Also hosts the first-token-aware path for text embeddings: the first token
 row of a CLIP-style embedding is a constant, extreme-magnitude outlier, so
-it is carried at full precision (its layer output precomputed once) while
-the remaining rows are quantized on their own, much tighter, grid.
+its layer output is computed at full precision by the caller while the
+remaining rows are quantized on their own, much tighter, grid.
 """
 
 from __future__ import annotations
@@ -174,11 +174,6 @@ def split_bos(embedding: Tensor) -> BosSplit:
     return BosSplit(bos_feature=embedding[..., :1, :].copy(), rest=embedding[..., 1:, :].copy())
 
 
-def bos_cache_entry(embedding: Tensor, weight: Tensor) -> Tensor:
-    """Full-precision layer output for the first token row; one row of out_channels values."""
-    return split_bos(embedding).bos_feature @ np.asarray(weight, dtype=np.float64).T
-
-
 def _warn_if_params_cover_outlier(split: BosSplit, a_params: QuantParams) -> None:
     # A grid calibrated on the non-outlier rows cannot reach the outlier; if it
     # does, the caller almost certainly calibrated with the first row included.
@@ -206,24 +201,20 @@ def _warn_if_params_cover_outlier(split: BosSplit, a_params: QuantParams) -> Non
 def bos_aware_linear(
     embedding: Tensor,
     weight: Tensor,
-    w_params: QuantParams | None = None,
-    a_params: QuantParams | None = None,
-    bos_output: Tensor | None = None,
+    a_params: QuantParams | None,
+    bos_output: Tensor,
 ) -> Tensor:
     """Linear layer that keeps the first token row at full precision.
 
-    Row 0 of the output is the full-precision product for the first token
-    (``bos_output`` if a precomputed cache row is supplied); the remaining
-    rows go through fake-quantized activation and weight. ``None`` params
-    leave that operand unquantized. A (B, tokens, channels) batch of
-    embeddings takes a (B, 1, out) ``bos_output`` and gives (B, tokens, out).
+    Row 0 of the output is ``bos_output``, the full-precision product of the
+    first token row, which the caller computes with the full-precision weight.
+    The remaining rows are the product of their activation, fake-quantized on
+    ``a_params`` (``None``: unquantized), and ``weight`` as given, already
+    fake-quantized or not. A (B, tokens, channels) batch of embeddings takes a
+    (B, 1, out) ``bos_output`` and gives (B, tokens, out).
     """
-    weight = np.asarray(weight, dtype=np.float64)
     split = split_bos(embedding)
     if a_params is not None:
         _warn_if_params_cover_outlier(split, a_params)
     rest = split.rest if a_params is None else fake_quant(split.rest, a_params)
-    w = weight if w_params is None else fake_quant(weight, w_params)
-    if bos_output is None:
-        bos_output = split.bos_feature @ weight.T
-    return np.concatenate([bos_output, rest @ w.T], axis=-2)
+    return np.concatenate([bos_output, rest @ np.asarray(weight, dtype=np.float64).T], axis=-2)

@@ -24,7 +24,6 @@ input gives.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -54,7 +53,7 @@ class SensitivityEntry:
 @dataclass(frozen=True)
 class SensitivityTable:
     entries: tuple[SensitivityEntry, ...]
-    # (layer, bits, kind) and (layer, bits, None) -> score of the first such entry
+    # (layer, bits, kind) -> score of the first such entry
     _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -62,7 +61,6 @@ class SensitivityTable:
         index: dict = {}
         for e in entries:
             index.setdefault((e.layer_id, e.bit_width, e.tensor_kind), e.score)
-            index.setdefault((e.layer_id, e.bit_width, None), e.score)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "_index", index)
 
@@ -79,8 +77,8 @@ class SensitivityTable:
         """The entries of one tensor kind, in table order."""
         return SensitivityTable(tuple(e for e in self.entries if e.tensor_kind == tensor_kind))
 
-    def score(self, layer_id: str, bit_width: int, tensor_kind: str | None = None) -> float:
-        """Score of the first entry for the layer and bits (and kind, when given)."""
+    def score(self, layer_id: str, bit_width: int, tensor_kind: str) -> float:
+        """Score of the first entry for the layer, bits and kind."""
         try:
             return self._index[layer_id, bit_width, tensor_kind]
         except KeyError:
@@ -152,7 +150,6 @@ def probe_layer(
     *,
     bos_aware: bool = False,
     act_ranges=None,
-    sqnr_cap_db: float = metrics.DEFAULT_SQNR_CAP_DB,
     cache: toy_model.StateCache | None = None,
     metric_kinds: tuple[str, ...] = (metrics.SSIM, metrics.SQNR_DB),
 ) -> tuple[float, ...]:
@@ -170,10 +167,7 @@ def probe_layer(
     inputs in input order.
     """
     cfg = _probe_config(model, layer_id, tensor_kind, bit_width)
-    scorer_of = {
-        metrics.SSIM: metrics.ssim_batch,
-        metrics.SQNR_DB: functools.partial(metrics.sqnr_db_batch, cap_db=sqnr_cap_db),
-    }
+    scorer_of = {metrics.SSIM: metrics.ssim_batch, metrics.SQNR_DB: metrics.sqnr_db_batch}
     if any(kind not in scorer_of for kind in metric_kinds):
         raise ParameterError(f"metric kinds must be among {tuple(scorer_of)}")
     scorers = [scorer_of[kind] for kind in metric_kinds]

@@ -151,7 +151,6 @@ class ActRange:
     kind: str
     lo: tuple[float, ...]
     hi: tuple[float, ...]
-    split: int | None = None
     _grids: dict = field(default_factory=dict, repr=False, compare=False)
 
     def grid(self, bits: int, slot: int = 0) -> quantizer.QuantParams:
@@ -178,7 +177,6 @@ class ToyModel:
     layer_order: list[str]
     _fq_weights: dict = field(default_factory=dict, repr=False)
     _phase_weights: dict = field(default_factory=dict, repr=False)
-    _bos_rows: dict = field(default_factory=dict, repr=False)
 
     def layer_ids(self) -> list[str]:
         return list(self.layer_order)
@@ -202,15 +200,6 @@ class ToyModel:
         if cached is None:
             w = self.layers[layer_id].weight if bits is None else self.fq_weight(layer_id, bits)
             cached = self._phase_weights[key] = _phase_kernels(w)
-        return cached
-
-    def bos_row(self, layer_id: str, embedding: Tensor) -> Tensor:
-        """Cached full-precision first-token output row for a to_k/to_v layer."""
-        key = (layer_id, embedding[0].tobytes())
-        cached = self._bos_rows.get(key)
-        if cached is None:
-            cached = quantizer.bos_cache_entry(embedding, self.layers[layer_id].weight)
-            self._bos_rows[key] = cached
         return cached
 
 
@@ -358,7 +347,7 @@ MAX_MODEL_ELEMENTS = 2**21
 MAX_INPUTS = 1024
 
 
-def model_elements(
+def _layer_specs(
     width: int,
     depth: int,
     *,
@@ -367,73 +356,9 @@ def model_elements(
     text_tokens: int,
     text_channels: int,
     time_dim: int,
-) -> int:
-    """Weights plus every layer's input elements plus the attention scores of one
-    input's forward; by arithmetic on the shape alone, so it costs no memory.
-    Equals the sum of ``param_count + act_elem_count`` over the built model's
-    layers, plus ``tok_mid**2 + (tok_mid + tok_full) * text_tokens``."""
-    w1, w2, lat, tok, ch, td = width, 2 * width, latent_channels, text_tokens, text_channels, time_dim
-    s1, s2 = spatial, spatial // 2
-    tok_mid, tok_full = s2 * s2, s1 * s1
-    params = (
-        2 * td * td + (w1 + w2) * td  # time MLP and stage projections
-        + 9 * (w1 * lat + w2 * w1 + w1 * w2 + 2 * w1 * w1 + lat * w1)  # unrepeated convs
-        + 9 * depth * (w1 * w1 + 2 * w2 * w2)  # residual convs
-        + 10 * w2 * w2 + 2 * w2 * ch  # mid self-attention, cross-attention, FFN
-        + 2 * w1 * w1 + 2 * w1 * ch  # dec0 cross-attention
-    )
-    acts = (
-        4 * td
-        + (lat + w1 + w2 + 2 * w1 + w1) * s1 * s1  # conv_in, down, up_conv, fuse, conv_out
-        + depth * (w1 * s1 * s1 + 2 * w2 * s2 * s2)  # residual convs
-        + 9 * tok_mid * w2 + 4 * tok * ch + 2 * tok_full * w1  # attention blocks and FFN
-    )
-    scores = tok_mid * tok_mid + (tok_mid + tok_full) * tok
-    return params + acts + scores
-
-
-def check_model_size(width: int, depth: int, **shape) -> None:
-    """``ParameterError`` when ``model_elements`` exceeds ``MAX_MODEL_ELEMENTS``."""
-    elements = model_elements(width, depth, **shape)
-    if elements > MAX_MODEL_ELEMENTS:
-        raise ParameterError(
-            f"the model would hold {elements} tensor elements per input, over the cap of {MAX_MODEL_ELEMENTS}"
-        )
-
-
-def check_input_count(n: int) -> None:
-    """``ParameterError`` unless 1 <= n <= ``MAX_INPUTS``."""
-    if not 1 <= n <= MAX_INPUTS:
-        raise ParameterError(f"an input set holds 1 to {MAX_INPUTS} inputs, not {n}")
-
-
-def build_toy_unet(
-    seed: int,
-    width: int = 8,
-    depth: int = 1,
-    *,
-    spatial: int = 16,
-    latent_channels: int = 4,
-    text_tokens: int = 8,
-    text_channels: int = 16,
-    time_dim: int = 16,
-) -> ToyModel:
-    """Build the fixed two-stage graph with deterministic weights from ``seed``."""
-    if width < 2:
-        raise ParameterError("width must be >= 2")
-    if depth < 1:
-        raise ParameterError("depth must be >= 1")
-    if spatial < 4 or spatial % 2:
-        raise ParameterError("spatial must be even and >= 4")
-    if text_tokens < 2:
-        raise ParameterError("text_tokens must be >= 2")
-    if time_dim < 2 or time_dim % 2:
-        raise ParameterError("time_dim must be even and >= 2")
-    check_model_size(
-        width, depth, spatial=spatial, latent_channels=latent_channels,
-        text_tokens=text_tokens, text_channels=text_channels, time_dim=time_dim,
-    )
-
+) -> list[tuple[str, LayerKind, str, tuple, int, int]]:
+    """Every weighted layer in run order, as (id, kind, op, weight shape,
+    input elements, MACs) of one input's forward; from the shape alone."""
     w1, w2 = width, 2 * width
     s1, s2 = spatial, spatial // 2
     tok_mid, tok_full = s2 * s2, s1 * s1
@@ -476,18 +401,77 @@ def build_toy_unet(
     linear("dec0.cross.to_v", LayerKind.CROSS_ATTN_TO_V, w1, text_channels, text_tokens)
     linear("dec0.cross.to_out", LayerKind.CROSS_ATTN_TO_OUT, w1, w1, tok_full)
     conv("out.conv_out", LayerKind.CONV_OUT, latent_channels, w1, s1)
+    return specs
+
+
+def model_elements(width: int, depth: int, **shape) -> int:
+    """Weights plus every layer's input elements plus the attention scores of one
+    input's forward: the sum of ``param_count + act_elem_count`` over the layers
+    of ``_layer_specs``, plus ``tok_mid**2 + (tok_mid + tok_full) * text_tokens``.
+    Every residual level adds the same layers, so the sum is affine in ``depth``
+    and is taken from depths 1 and 2: it costs no memory, and no time at any depth."""
+    one, two = (
+        sum(math.prod(w_shape) + act_elems for _, _, _, w_shape, act_elems, _ in _layer_specs(width, d, **shape))
+        for d in (1, 2)
+    )
+    tok_mid, tok_full = (shape["spatial"] // 2) ** 2, shape["spatial"] ** 2
+    return one + (depth - 1) * (two - one) + tok_mid * tok_mid + (tok_mid + tok_full) * shape["text_tokens"]
+
+
+def check_model_size(width: int, depth: int, **shape) -> None:
+    """``ParameterError`` when ``model_elements`` exceeds ``MAX_MODEL_ELEMENTS``."""
+    elements = model_elements(width, depth, **shape)
+    if elements > MAX_MODEL_ELEMENTS:
+        raise ParameterError(
+            f"the model would hold {elements} tensor elements per input, over the cap of {MAX_MODEL_ELEMENTS}"
+        )
+
+
+def check_input_count(n: int) -> None:
+    """``ParameterError`` unless 1 <= n <= ``MAX_INPUTS``."""
+    if not 1 <= n <= MAX_INPUTS:
+        raise ParameterError(f"an input set holds 1 to {MAX_INPUTS} inputs, not {n}")
+
+
+def build_toy_unet(
+    seed: int,
+    width: int = 8,
+    depth: int = 1,
+    *,
+    spatial: int = 16,
+    latent_channels: int = 4,
+    text_tokens: int = 8,
+    text_channels: int = 16,
+    time_dim: int = 16,
+) -> ToyModel:
+    """Build the fixed two-stage graph with deterministic weights from ``seed``."""
+    if width < 2:
+        raise ParameterError("width must be >= 2")
+    if depth < 1:
+        raise ParameterError("depth must be >= 1")
+    if spatial < 4 or spatial % 2:
+        raise ParameterError("spatial must be even and >= 4")
+    if text_tokens < 2:
+        raise ParameterError("text_tokens must be >= 2")
+    if time_dim < 2 or time_dim % 2:
+        raise ParameterError("time_dim must be even and >= 2")
+    shape = dict(
+        spatial=spatial, latent_channels=latent_channels,
+        text_tokens=text_tokens, text_channels=text_channels, time_dim=time_dim,
+    )
+    check_model_size(width, depth, **shape)
 
     layers: dict[str, LayerDescriptor] = {}
     order: list[str] = []
-    for lid, kind, op, shape, act_elems, macs in specs:
-        fan_in = shape[1] if op == "linear" else shape[1] * 9
-        weight = random_normal(shape, 0.0, 1.0 / math.sqrt(fan_in), derive_seed(seed, f"weight/{lid}"))
+    for lid, kind, op, w_shape, act_elems, macs in _layer_specs(width, depth, **shape):
+        fan_in = w_shape[1] if op == "linear" else w_shape[1] * 9
+        weight = random_normal(w_shape, 0.0, 1.0 / math.sqrt(fan_in), derive_seed(seed, f"weight/{lid}"))
         layers[lid] = LayerDescriptor(
             id=lid,
             kind=kind,
             group=group_for_kind(kind),
             weight=weight,
-            param_count=int(np.prod(shape)),
+            param_count=math.prod(w_shape),
             act_elem_count=act_elems,
             mac_count=macs,
             op=op,
@@ -590,7 +574,7 @@ class _Run:
         self.calib = calib
         self.fp_terms = None  # a chunk's FP terms by the layer that reads them, set by ``StateCache.run_chunk``
 
-    def _record(self, lid: str, kind: str, parts: list[np.ndarray], split: int | None = None):
+    def _record(self, lid: str, kind: str, parts: list[np.ndarray]):
         if self.trace is not None:
             self.trace[lid] = {
                 "act_elems": int(sum(p[0].size for p in parts)),
@@ -603,7 +587,7 @@ class _Run:
             if prev is not None:
                 lo = tuple(min(a, b) for a, b in zip(prev.lo, lo))
                 hi = tuple(max(a, b) for a, b in zip(prev.hi, hi))
-            self.calib[lid] = ActRange(kind=kind, lo=lo, hi=hi, split=split)
+            self.calib[lid] = ActRange(kind=kind, lo=lo, hi=hi)
 
     def _act_params(self, lid: str, bits: int, expect_kind: str, slot: int = 0):
         if self.act_ranges is None or lid not in self.act_ranges:
@@ -661,13 +645,8 @@ class _Run:
         self._record(lid, "rest_rows", [rest])
         bits = self.config.act_bits[lid]
         a_params = None if bits is None else self._act_params(lid, bits, "rest_rows")
-        out = quantizer.bos_aware_linear(
-            embedding,
-            self._weight(lid),
-            w_params=None,
-            a_params=a_params,
-            bos_output=np.stack([self.model.bos_row(lid, e) for e in embedding]),
-        )
+        bos_output = embedding[:, :1] @ self.model.layers[lid].weight.T
+        out = quantizer.bos_aware_linear(embedding, self._weight(lid), a_params, bos_output)
         if self.trace is not None:
             self.trace[lid]["macs"] = int(embedding.shape[1] * embedding.shape[2] * out.shape[2])
             self.trace[lid]["act_elems"] = int(embedding[0].size)
@@ -701,7 +680,7 @@ class _Run:
         ``skip_layers``, the layers ``skip`` was computed by, are all at full
         precision."""
         split = x.shape[1]
-        self._record(lid, "halves", [x, skip], split=split)
+        self._record(lid, "halves", [x, skip])
         w = self._weight(lid)
         out = _conv3x3(self._quant_in(lid, x, "halves", 0), w[:, :split])
         skip_term = functools.partial(_conv3x3, self._quant_in(lid, skip, "halves", 1), w[:, split:])
@@ -963,7 +942,8 @@ class StateCache:
     config outside the plan keeps nothing, and a config run out of order only
     resumes less far; neither changes an output. A chunk's entry also holds its
     FP terms, read-only, keyed by the layer that reads them: the text K/V
-    projections, and the skip half's conv of ``dec0.fuse``, which is an FP term
+    projections (first-token rows included, so nothing else caches those
+    rows), and the skip half's conv of ``dec0.fuse``, which is an FP term
     whenever the layers before ``enc1.down`` and ``dec0.fuse`` run at full
     precision. A cache serves one ``bos_aware`` setting and one ``act_ranges``
     object.
@@ -1128,5 +1108,4 @@ def load_model(json_path: Path | str, weights_dir: Path | str) -> ToyModel:
         layer.weight[...] = w
     model._fq_weights.clear()
     model._phase_weights.clear()
-    model._bos_rows.clear()
     return model

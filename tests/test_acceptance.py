@@ -211,9 +211,9 @@ def test_criterion_8_pareto_correctness(model, weight_table):
 def test_criterion_9_sensitivity_monotonicity(model, weight_table, act_table):
     with criterion(9, ">=95% of (layer, tensor_kind) pairs monotone in bit-width"):
         total = violations = 0
-        for table in (weight_table, act_table):
+        for kind, table in (("weight", weight_table), ("activation", act_table)):
             for lid in model.layer_order:
-                s2, s4, s8 = (table.score(lid, b) for b in (2, 4, 8))
+                s2, s4, s8 = (table.score(lid, b, kind) for b in (2, 4, 8))
                 total += 1
                 if not (s8 >= s4 >= s2):
                     violations += 1
@@ -228,8 +228,8 @@ def test_observation_time_embedding_insensitive(model, weight_table):
     time_ids = [lid for lid in quality if model.layers[lid].kind == tm.LayerKind.TIME_EMBED]
     rest = [lid for lid in quality if lid not in time_ids]
     for bits in (2, 4):
-        t_mean = float(np.mean([weight_table.score(lid, bits) for lid in time_ids]))
-        r_mean = float(np.mean([weight_table.score(lid, bits) for lid in rest]))
+        t_mean = float(np.mean([weight_table.score(lid, bits, "weight") for lid in time_ids]))
+        r_mean = float(np.mean([weight_table.score(lid, bits, "weight") for lid in rest]))
         print(f"[OBS ] time-embed mean SQNR@{bits} {t_mean:.2f} dB vs other quality {r_mean:.2f} dB")
         assert t_mean > r_mean
 

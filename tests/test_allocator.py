@@ -486,7 +486,7 @@ def test_allocate_matches_scoring_every_cell(small_case, kind, target):
     inputs = tm.make_input_set(opts.proxy_seed, opts.proxy_inputs, model)
     refs = sv.fp_references(model, inputs, bos_aware=True)
     scores = [
-        al.proxy_score(model, cfg, inputs, refs, bos_aware=True, act_ranges=ranges, cap_db=opts.sqnr_cap_db)
+        al.proxy_score(model, cfg, inputs, refs, bos_aware=True, act_ranges=ranges)
         for cfg in res.sweep_configs
     ]
     assert [p.score for p in res.sweep] == scores
@@ -560,7 +560,7 @@ def test_cached_sweep_matches_scoring_every_cell_from_the_input(small_cases_by_b
     assert _sweep_json(res) == _sweep_json(want)
     inputs, refs = al.proxy_set(model, opts)
     assert [p.score for p in res.sweep] == [
-        real_score(model, cfg, inputs, refs, bos_aware=bos, act_ranges=ranges, cap_db=opts.sqnr_cap_db)
+        real_score(model, cfg, inputs, refs, bos_aware=bos, act_ranges=ranges)
         for cfg in res.sweep_configs
     ]
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixprec import allocator, cli, manifest as mf, quantizer, toy_model
+from mixprec import allocator, cli, manifest as mf, quantizer, sensitivity, toy_model
 from mixprec.errors import ParameterError
 from mixprec.tensor_core import load_tensor, save_tensor, sha256_file
 
@@ -115,6 +115,29 @@ def test_retain_fp_flag_is_gone(pipeline_dir, tmp_path):
             run([*argv, "--retain-fp", "0"])
         assert exc.value.code == 2
     assert not (tmp_path / "g").exists() and not (tmp_path / "p").exists()
+
+
+@pytest.mark.parametrize(
+    "flags", [["--inputs", "4"], ["--bits", "2,4"], ["--no-bos-aware"], ["--bos-aware"]],
+    ids=["inputs", "bits", "no-bos-aware", "bos-aware"],
+)
+def test_sensitivity_overrides_are_gone(pipeline_dir, flags):
+    # an override used to write tables that the manifest, and so allocate and evaluate, did not describe
+    before = tree_checksums(pipeline_dir)
+    with pytest.raises(SystemExit) as exc:
+        run(["sensitivity", "--manifest", str(pipeline_dir / "manifest.json"), *flags])
+    assert exc.value.code == 2
+    assert tree_checksums(pipeline_dir) == before
+
+
+def test_sensitivity_reads_inputs_bits_and_bos_aware_from_the_manifest(pipeline_dir, tmp_path):
+    manifest = _copy_with_params(pipeline_dir, tmp_path, inputs=2, bits=[8, 2], bos_aware=False)
+    assert run(["sensitivity", "--manifest", str(manifest), "--kind", "weight"]) == 0
+    data = json.loads(manifest.read_text())
+    model = toy_model.load_model(manifest.parent / "model.json", manifest.parent / data["model"]["weights_dir"])
+    inputs = toy_model.make_input_set(data["seeds"]["calibration"], 2, model)
+    want = sensitivity.analyze(model, inputs, bit_widths=(2, 8), tensor_kind="weight", bos_aware=False)
+    assert (manifest.parent / "sensitivity_weight.jsonl").read_text() == want.to_jsonl()
 
 
 @pytest.mark.parametrize("retain_fp", [0.01, 1.0])
@@ -726,7 +749,6 @@ def test_input_count_flags_are_capped(pipeline_dir, tmp_path, monkeypatch):
     for argv in (["gen-model", "--out-dir", str(tmp_path / "g"), "--inputs", too_many],
                  ["gen-model", "--out-dir", str(tmp_path / "g"), "--proxy-inputs", too_many],
                  ["gen-model", "--out-dir", str(tmp_path / "g"), "--eval-inputs", too_many],
-                 ["sensitivity", "--manifest", manifest, "--inputs", too_many],
                  ["evaluate", "--manifest", manifest, "--inputs", too_many]):
         with pytest.raises(SystemExit) as exc:
             run(argv)

@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from mixprec import metrics as mx
 from mixprec import tensor_core as tc
-from mixprec.errors import ParameterError, ShapeError, UndefinedMetricError
+from mixprec.errors import ShapeError, UndefinedMetricError
 
 
 def scalar_ssim(x, y, c1, c2):
@@ -39,7 +39,7 @@ def test_ssim_constant_images_with_stabilizers():
 def test_ssim_constant_images_unstabilized_undefined():
     x = tc.full([8, 8], 0.5)
     with pytest.raises(UndefinedMetricError):
-        mx.ssim(x, x, mx.SsimWeights.unstabilized())
+        mx.ssim(x, x, mx.SsimWeights(c1=0.0, c2=0.0))
 
 
 def test_ssim_shape_mismatch():
@@ -80,7 +80,7 @@ def test_ssim_symmetric(x, y):
 def test_ssim_offset_invariance_of_contrast_and_structure():
     x = tc.random_normal([50], 0.0, 1.0, seed=8)
     y = tc.random_normal([50], 0.0, 1.0, seed=9)
-    w = mx.SsimWeights.unstabilized()
+    w = mx.SsimWeights(c1=0.0, c2=0.0)
     _, con0, str0 = mx.ssim_components(x, y, w)
     _, con1, str1 = mx.ssim_components(x + 3.0, y + 3.0, w)
     assert con1 == pytest.approx(con0, rel=1e-9)
@@ -96,8 +96,7 @@ def test_ssim_range_with_unit_exponents():
 
 def test_sqnr_zero_noise_hits_cap():
     x = tc.random_normal([20], 0.0, 1.0, seed=1)
-    assert mx.sqnr_db(x, x).value == 100.0
-    assert mx.sqnr_db(x, x, cap_db=40.0).value == 40.0
+    assert mx.sqnr_db(x, x).value == mx.SQNR_CAP_DB == 100.0
 
 
 def test_sqnr_twenty_db_example():
@@ -111,11 +110,6 @@ def test_sqnr_twenty_db_example():
 def test_sqnr_zero_reference_undefined():
     with pytest.raises(UndefinedMetricError):
         mx.sqnr_db(np.zeros(4), np.ones(4))
-
-
-def test_sqnr_requires_finite_cap():
-    with pytest.raises(ParameterError):
-        mx.sqnr_db(np.ones(4), np.zeros(4), cap_db=math.inf)
 
 
 def test_sqnr_strictly_decreasing_in_noise_scale():
@@ -186,18 +180,18 @@ def test_batched_ssim_and_sqnr_give_the_per_input_bits():
     batch = mx.ReferenceBatch.of(refs)
     assert batch.size == len(refs)
     ssim_want = [mx.ssim(r, o, mx.SsimWeights.for_reference(r)).value for r, o in zip(refs, outs)]
-    sqnr_want = [mx.sqnr_db(r, o, cap_db=60.0).value for r, o in zip(refs, outs)]
+    sqnr_want = [mx.sqnr_db(r, o).value for r, o in zip(refs, outs)]
     assert mx.ssim_batch(batch, outs) == ssim_want
-    assert mx.sqnr_db_batch(batch, outs, cap_db=60.0) == sqnr_want
+    assert mx.sqnr_db_batch(batch, outs) == sqnr_want
     assert batch.weights[2] == mx.SsimWeights.for_data_range(1.0)
-    assert sqnr_want[3] == 60.0
+    assert sqnr_want[3] == mx.SQNR_CAP_DB
 
 
 def test_batched_ssim_of_a_reference_with_itself_is_one():
     refs, _ = _batch_pair(500, n=3)
     batch = mx.ReferenceBatch.of(refs)
     assert mx.ssim_batch(batch, refs) == pytest.approx([1.0] * 3, abs=1e-12)
-    assert mx.sqnr_db_batch(batch, refs) == [mx.DEFAULT_SQNR_CAP_DB] * 3
+    assert mx.sqnr_db_batch(batch, refs) == [mx.SQNR_CAP_DB] * 3
 
 
 @given(
@@ -228,8 +222,6 @@ def test_batched_metrics_check_their_arguments():
         mx.ssim_batch(batch, outs[:1])
     with pytest.raises(ShapeError):
         mx.sqnr_db_batch(batch, outs[:, :2])
-    with pytest.raises(ParameterError):
-        mx.sqnr_db_batch(batch, outs, cap_db=math.nan)
     with pytest.raises(ShapeError):
         mx.ReferenceBatch.of(np.zeros(4))
     refs[1] = 0.0

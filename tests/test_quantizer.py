@@ -150,10 +150,9 @@ def test_bos_aware_linear_batch_matches_per_embedding():
     embs = np.stack([synth_text_embedding(s, tokens=8, channels=16) for s in (1, 2, 3)])
     w = tc.random_normal([12, 16], 0.0, 0.25, seed=21)
     a_params = q.calibrate_minmax(embs[:, 1:], 8)
-    bos = np.stack([q.bos_cache_entry(e, w) for e in embs])
-    batched = q.bos_aware_linear(embs, w, a_params=a_params, bos_output=bos)
+    batched = q.bos_aware_linear(embs, w, a_params, _bos_output(embs, w))
     for e, out in zip(embs, batched):
-        assert np.array_equal(out, q.bos_aware_linear(e, w, a_params=a_params))
+        assert np.array_equal(out, q.bos_aware_linear(e, w, a_params, _bos_output(e, w)))
 
 
 def test_split_bos_outlier_ratio_on_synthetic_embedding():
@@ -166,13 +165,18 @@ def _linear_ref(emb, w):
     return emb @ w.T
 
 
+def _bos_output(emb, w):
+    """The full-precision first-token rows: (1, out), or (B, 1, out) for a batch."""
+    return emb[..., :1, :] @ w.T
+
+
 def test_bos_aware_zero_bos_row_matches_plain():
     emb = tc.random_normal([6, 8], 0.0, 1.0, seed=11)
     emb[0] = 0.0
     w = tc.random_normal([4, 8], 0.0, 0.5, seed=12)
     a_params = q.calibrate_minmax(emb[1:], 8)
     plain = q.fake_quant(emb, a_params) @ w.T
-    aware = q.bos_aware_linear(emb, w, a_params=a_params)
+    aware = q.bos_aware_linear(emb, w, a_params, _bos_output(emb, w))
     assert np.allclose(aware, plain, atol=1e-12)
     # row 0 is exact in both: zero row quantizes to ~zero and multiplies to ~zero
     assert np.allclose(aware[0], _linear_ref(emb, w)[0])
@@ -182,25 +186,18 @@ def test_bos_aware_identity_weight_on_grid():
     emb = np.vstack([np.full(4, 900.0), np.array([[-1.0, 0.0, 1.0, 2.0]] * 3)])
     w = np.eye(4)
     a_params = q.calibrate_minmax(emb[1:], 2)  # grid {-1,0,1,2}
-    out = q.bos_aware_linear(emb, w, a_params=a_params)
+    out = q.bos_aware_linear(emb, w, a_params, _bos_output(emb, w))
     assert np.array_equal(out, emb)  # rest rows on-grid, bos row exact
 
 
 def test_bos_aware_bos_row_bitexact():
     emb = synth_text_embedding(9, tokens=8, channels=16)
     w = tc.random_normal([12, 16], 0.0, 0.25, seed=21)
-    w_params = q.calibrate_minmax(w, 8, q.PER_CHANNEL, 0)
+    wq = q.fake_quant(w, q.calibrate_minmax(w, 8, q.PER_CHANNEL, 0))
     a_params = q.calibrate_minmax(emb[1:], 8)
-    out = q.bos_aware_linear(emb, w, w_params=w_params, a_params=a_params)
-    assert np.array_equal(out[0], (emb[:1] @ w.T)[0])
-
-
-def test_bos_aware_cache_row_size_is_out_channels():
-    emb = synth_text_embedding(1, tokens=8, channels=16)
-    w = tc.random_normal([10, 16], 0.0, 0.25, seed=22)
-    cache = q.bos_cache_entry(emb, w)
-    assert cache.shape == (1, 10)
-    assert cache.size == 10
+    out = q.bos_aware_linear(emb, wq, a_params, _bos_output(emb, w))
+    assert np.array_equal(out[0], (emb[:1] @ w.T)[0])  # the full-precision weight's row, not wq's
+    assert np.array_equal(out[1:], q.fake_quant(emb[1:], a_params) @ wq.T)
 
 
 def test_bos_aware_error_ratio_vs_naive():
@@ -213,7 +210,7 @@ def test_bos_aware_error_ratio_vs_naive():
     naive_out = (q.fake_quant(emb, naive_params) @ w.T)[1:]
 
     aware_params = q.calibrate_minmax(emb[1:], 8)
-    aware_out = q.bos_aware_linear(emb, w, a_params=aware_params)[1:]
+    aware_out = q.bos_aware_linear(emb, w, aware_params, _bos_output(emb, w))[1:]
 
     assert helpers.mse(ref, aware_out) <= 0.01 * helpers.mse(ref, naive_out)
 
@@ -237,12 +234,13 @@ def test_calibration_mismatch_warning():
     w = tc.random_normal([16, 16], 0.0, 0.25, seed=24)
     bad_params = q.calibrate_minmax(emb, 8)  # includes the outlier row
     with pytest.warns(CalibrationMismatchWarning):
-        q.bos_aware_linear(emb, w, a_params=bad_params)
+        q.bos_aware_linear(emb, w, bad_params, _bos_output(emb, w))
     with pytest.warns(CalibrationMismatchWarning):  # any embedding of a batch warns
-        q.bos_aware_linear(np.stack([emb, np.zeros_like(emb)]), w, a_params=bad_params)
+        batch = np.stack([emb, np.zeros_like(emb)])
+        q.bos_aware_linear(batch, w, bad_params, _bos_output(batch, w))
     good_params = q.calibrate_minmax(emb[1:], 8)
     import warnings
 
     with warnings.catch_warnings():
         warnings.simplefilter("error", CalibrationMismatchWarning)
-        q.bos_aware_linear(emb, w, a_params=good_params)
+        q.bos_aware_linear(emb, w, good_params, _bos_output(emb, w))

@@ -269,11 +269,10 @@ def test_table_score_lookup():
         sv.SensitivityEntry("a", "weight", 2, 0.75, metrics.SSIM, 1),
     ]
     table = sv.SensitivityTable(entries)
-    assert table.score("a", 2) == 0.5
     assert table.score("a", 2, "activation") == 0.25
-    assert table.score("a", 2, "weight") == 0.5
-    assert table.score("a", 2.0) == 0.5
-    for key in (("a", 4, None), ("b", 2, None), ("a", 2, "bias")):
+    assert table.score("a", 2, "weight") == 0.5  # the first weight entry
+    assert table.score("a", 2.0, "weight") == 0.5
+    for key in (("a", 4, "weight"), ("b", 2, "weight"), ("a", 2, "bias")):
         with pytest.raises(KeyError) as exc:
             table.score(*key)
         assert exc.value.args == (key,)

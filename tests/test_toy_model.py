@@ -217,7 +217,6 @@ def test_calibrate_activations_batched_equals_per_input(model, two_chunk_inputs,
                 kind=r.kind,
                 lo=tuple(min(a, b) for a, b in zip(prev.lo, r.lo)),
                 hi=tuple(max(a, b) for a, b in zip(prev.hi, r.hi)),
-                split=r.split,
             )
     assert batched == merged
 
@@ -294,8 +293,7 @@ def test_fuse_conv_equals_the_conv_of_the_concatenated_halves(model):
     rng = np.random.Generator(np.random.Philox(11))
     x = rng.normal(size=(3, model.width, model.spatial, model.spatial))
     skip = rng.normal(size=x.shape) * 4
-    ranges = {lid: tm.ActRange("halves", (float(x.min()), float(skip.min())), (float(x.max()), float(skip.max())),
-                               split=model.width)}
+    ranges = {lid: tm.ActRange("halves", (float(x.min()), float(skip.min())), (float(x.max()), float(skip.max())))}
     for w_bits, a_bits in LAYER_BITS:
         run = _one_layer_run(model, lid, w_bits, a_bits, ranges)
         for fp_terms in (None, {}):  # a run with a chunk's FP terms and one without
@@ -438,12 +436,19 @@ def test_shortcut_split_never_worse_than_shared_grid(model, small_inputs):
         assert split_err <= shared_err
 
 
-def test_bos_cache_stores_out_channels(model, small_inputs):
-    _, emb, _ = small_inputs[0]
-    row = model.bos_row("mid.cross.to_k", emb)
-    assert row.size == model.layers["mid.cross.to_k"].weight.shape[0]
-    again = model.bos_row("mid.cross.to_k", emb)
-    assert again is row  # cached, write-once
+def test_kv_first_token_rows_are_the_fp_product(model, small_inputs):
+    inputs = small_inputs[:4]
+    emb = tm.stack_inputs(inputs)[1]
+    ranges = tm.calibrate_activations(model, inputs, bos_aware=True)
+    for lid in ("mid.cross.to_k", "dec0.cross.to_v"):
+        w = model.layers[lid].weight
+        for w_bits, a_bits in LAYER_BITS:
+            cfg = tm.QuantConfig.all_fp(model.layer_order)
+            cfg.weight_bits[lid], cfg.act_bits[lid] = w_bits, a_bits
+            out = tm._Run(model, cfg, ranges, True, None, calib=None).kv_linear(lid, emb)
+            assert out.shape == (len(inputs), model.text_tokens, w.shape[0])
+            for e, rows in zip(emb, out):  # each input's row, at the full-precision weight whatever the bits
+                assert np.array_equal(rows[:1], e[:1] @ w.T)
 
 
 def test_model_json_export_fields(model):
