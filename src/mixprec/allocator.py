@@ -7,18 +7,20 @@ traceback; its table is capped at ``MAX_DP_CELLS`` cells.
 
 The top-level sweep mirrors the deployment flow: scan a handful of budgets
 just below the target, split each between the content and quality layer
-groups at several ratios, solve the two knapsacks, and keep the merged
-configuration whose fast proxy evaluation (mean output SQNR over a small
-input set) is best. The sweep runs in two passes: every cell is solved first,
-then each distinct config is proxy-scored once, in lexicographic layer order,
-resuming from the segment states it shares with the config before it. Its
-size is capped at ``MAX_SWEEP_CELLS`` cells. Every layer of the allocated
-tensor kind gets a width from the grid; none is held back at full precision.
-Activation allocation scores its proxy with the activation ranges calibrated on
-the calibration inputs, the ranges the sensitivity tables were measured under.
-Summaries account storage in bits and compute in bit-operations; a layer whose
-weight or activation stays full precision (its kind was not allocated)
-computes at FP16.
+groups at each ratio of the tensor kind's fixed grid
+(``DEFAULT_RATIO_GRID_WEIGHT`` or ``DEFAULT_RATIO_GRID_ACT``), solve the two
+knapsacks, and keep the merged configuration whose fast proxy evaluation
+(mean output SQNR over a small input set) is best. The sweep runs in two
+passes: every cell is solved first, then each distinct config is proxy-scored
+once, in lexicographic layer order, resuming from the segment states it
+shares with the config before it. Its size is capped at ``MAX_SWEEP_CELLS``
+cells. Every layer of the allocated tensor kind gets a width from the grid;
+none is held back at full precision. Activation allocation scores its proxy
+with the activation ranges calibrated on the calibration inputs, the ranges
+the sensitivity tables were measured under. Weight and activation allocation
+share one ``AllocOptions`` and one proxy set. Summaries account storage in
+bits and compute in bit-operations; a layer whose weight or activation stays
+full precision (its kind was not allocated) computes at FP16.
 """
 
 from __future__ import annotations
@@ -260,7 +262,6 @@ class AllocOptions:
     bit_widths: tuple[int, ...] = BIT_WIDTHS
     n_budgets: int = 5
     delta_avg_bits: float = 0.25
-    ratio_grid: tuple[float, ...] | None = None  # None: per-kind default
     proxy_inputs: int = 8
     proxy_seed: int = 12021
     bos_aware: bool = False
@@ -353,9 +354,7 @@ def allocate(
     """
     if not 2 <= target_avg_bits <= 8:
         raise ParameterError("target average bits must lie in [2, 8]")
-    grid = options.ratio_grid
-    if grid is None:
-        grid = DEFAULT_RATIO_GRID_WEIGHT if tensor_kind == WEIGHT else DEFAULT_RATIO_GRID_ACT
+    grid = DEFAULT_RATIO_GRID_WEIGHT if tensor_kind == WEIGHT else DEFAULT_RATIO_GRID_ACT
     check_sweep_cells(options.n_budgets, len(grid))
     if tensor_kind == ACTIVATION and act_ranges is None:
         raise ParameterError("activation allocation needs act_ranges calibrated on the calibration inputs")
@@ -487,37 +486,25 @@ def allocate_mixed(
     weight_target: float | None = None,
     act_target: float | None = None,
     *,
-    weight_options: AllocOptions = AllocOptions(),
-    act_options: AllocOptions = AllocOptions(),
+    options: AllocOptions = AllocOptions(),
     act_ranges=None,
 ) -> tuple[BitWidthConfig, dict[str, AllocationResult]]:
-    """Run weight and activation allocations independently and merge them."""
+    """Run weight and activation allocations independently, with the same
+    options and on one proxy set, and merge them."""
     results: dict[str, AllocationResult] = {}
     merged = toy_model.QuantConfig.all_fp(model.layer_order)
-    # Both kinds score on one proxy set when their options draw the same one.
-    proxies: dict[tuple, tuple[list, list]] = {}
-
-    def proxy_for(options: AllocOptions) -> tuple[list, list]:
-        key = (options.proxy_seed, options.proxy_inputs, options.bos_aware)
-        if key not in proxies:
-            proxies[key] = proxy_set(model, options)
-        return proxies[key]
-
+    proxy = proxy_set(model, options)
     if weight_target is not None:
         if weight_table is None:
             raise ValidationError("weight allocation requested but no weight sensitivity table given")
-        res = allocate(
-            model, weight_table, weight_target, tensor_kind=WEIGHT, options=weight_options,
-            proxy=proxy_for(weight_options),
-        )
+        res = allocate(model, weight_table, weight_target, tensor_kind=WEIGHT, options=options, proxy=proxy)
         results[WEIGHT] = res
         merged.weight_bits = dict(res.config.config.weight_bits)
     if act_target is not None:
         if act_table is None:
             raise ValidationError("activation allocation requested but no activation table given")
         res = allocate(
-            model, act_table, act_target, tensor_kind=ACTIVATION, options=act_options, act_ranges=act_ranges,
-            proxy=proxy_for(act_options),
+            model, act_table, act_target, tensor_kind=ACTIVATION, options=options, act_ranges=act_ranges, proxy=proxy
         )
         results[ACTIVATION] = res
         merged.act_bits = dict(res.config.config.act_bits)

@@ -1,8 +1,12 @@
 """Batch pipeline driver: gen-model, sensitivity, allocate, evaluate.
 
-Every subcommand is a pure function of its flags, input files, and seeds;
-re-running a stage reproduces byte-identical artifacts. Exit codes:
-0 success, 2 usage, 3 validation, 4 infeasible budget, 5 I/O.
+``gen-model`` takes every setting of a run as a flag and records it in the
+run's manifest. Every later stage takes only ``--manifest`` (and ``evaluate``
+an optional ``--config`` to score), and reads its settings from the manifest's
+params and seeds alone, so the manifest is the run's one record. Each stage is
+a pure function of the manifest and the files it names; re-running a stage
+reproduces byte-identical artifacts. Exit codes: 0 success, 2 usage,
+3 validation, 4 infeasible budget, 5 I/O.
 """
 
 from __future__ import annotations
@@ -80,6 +84,15 @@ def _check_target(value) -> float | None:
     return value
 
 
+def _check_n_budgets(value) -> int:
+    """Budgets per allocation sweep: swept over either kind's ratio grid, they
+    must fit ``allocator.MAX_SWEEP_CELLS``."""
+    value = _check_int(value, 1, "n_budgets")
+    for grid in (allocator.DEFAULT_RATIO_GRID_WEIGHT, allocator.DEFAULT_RATIO_GRID_ACT):
+        allocator.check_sweep_cells(value, len(grid))
+    return value
+
+
 def _flag_type(convert, check, bad_text: str):
     """An argparse type: ``convert`` the text, then apply ``check``, the rule its manifest param gets too."""
 
@@ -127,6 +140,7 @@ _target_bits = _flag_type(
     "target bits must be a number or 'fp'",
 )
 _delta_bits = _flag_type(float, allocator.check_delta_avg_bits, "delta bits must be a number")
+_n_budgets = _flag_type(int, _check_n_budgets, "n_budgets must be an integer")
 
 # Every manifest param a stage reads, checked by the rule of the flag that sets it.
 _PARAM_CHECKS = {
@@ -137,7 +151,7 @@ _PARAM_CHECKS = {
     "act_target_bits": _check_target,
     "proxy_inputs": lambda v: _check_count(v, "proxy_inputs"),
     "eval_inputs": lambda v: _check_count(v, "eval_inputs"),
-    "n_budgets": lambda v: _check_int(v, 1, "n_budgets"),
+    "n_budgets": _check_n_budgets,
     "delta_avg_bits": allocator.check_delta_avg_bits,
 }
 # Defaults for the params that older manifests do not record.
@@ -175,37 +189,21 @@ def _checked_seeds(data: dict) -> dict:
     return seeds
 
 
-def _ratio_grid(text: str) -> tuple[float, ...]:
-    try:
-        lo, hi, n = text.split(":")
-        lo, hi, n = float(lo), float(hi), int(n)
-    except ValueError:
-        raise argparse.ArgumentTypeError("ratio grid must look like LO:HI:N")
-    if n < 1 or not (math.isfinite(lo) and math.isfinite(hi)) or lo <= 0 or hi < lo:
-        raise argparse.ArgumentTypeError("ratio grid needs finite 0 < LO <= HI and N >= 1")
-    try:
-        allocator.check_sweep_cells(1, n)
-    except ParameterError as exc:
-        raise argparse.ArgumentTypeError(f"ratio grid: {exc}")
-    if n == 1:
-        return (lo,)
-    step = (hi - lo) / (n - 1)
-    return tuple(lo + i * step for i in range(n))
+def _targets(params: dict) -> dict[str, float]:
+    """The target average bits of each tensor kind the run allocates, weights first;
+    a kind whose target is FP is left out. A run that allocates neither is invalid."""
+    targets = {
+        kind: params[key]
+        for kind, key in ((WEIGHT, "target_bits"), (ACTIVATION, "act_target_bits"))
+        if params[key] is not None
+    }
+    if not targets:
+        raise ValidationError("nothing to allocate: both weight and activation targets are FP")
+    return targets
 
 
 class _UsageError(Exception):
     """A combination of flags that no single flag's parser can reject; exits 2."""
-
-
-def _check_sweep(n_budgets: int, n_ratios: int, from_flag: bool) -> None:
-    """An allocation sweep over ``allocator.MAX_SWEEP_CELLS`` is a usage error when
-    a flag set its size, and a bad manifest param when the manifest did."""
-    try:
-        allocator.check_sweep_cells(n_budgets, n_ratios)
-    except ParameterError as exc:
-        if from_flag:
-            raise _UsageError(str(exc)) from exc
-        raise ValidationError(f"manifest params.n_budgets: {exc}") from exc
 
 
 def _fmt(value: float) -> str:
@@ -216,9 +214,8 @@ def _fmt(value: float) -> str:
 
 
 def run_gen_model(args) -> int:
-    # The manifest's n_budgets sweeps the default ratio grids unless allocate overrides them.
-    for grid in (allocator.DEFAULT_RATIO_GRID_WEIGHT, allocator.DEFAULT_RATIO_GRID_ACT):
-        _check_sweep(args.n_budgets, len(grid), from_flag=True)
+    if args.target_bits is None and args.act_target_bits is None:
+        raise _UsageError("nothing to allocate: --target-bits and --act-target-bits are both fp")
     try:
         toy_model.check_model_size(
             args.width, args.depth, spatial=args.spatial, latent_channels=args.latent_channels,
@@ -301,9 +298,9 @@ def run_sensitivity(args) -> int:
     params = _checked_params(data)
     seeds = _checked_seeds(data)
     bits = params["bits"]
+    kinds = tuple(_targets(params))  # the kinds whose tables allocate reads
 
     inputs = toy_model.make_input_set(seeds["calibration"], params["inputs"], model)
-    kinds = (WEIGHT, ACTIVATION) if args.kind == "both" else (args.kind,)
     # One analysis for both kinds shares their FP references, ranges and walk.
     tables = sensitivity.analyze(model, inputs, bit_widths=bits, tensor_kind=kinds, bos_aware=params["bos_aware"])
     written = []
@@ -341,47 +338,30 @@ def run_allocate(args) -> int:
     model = _load_model_checked(data, root)
     params = _checked_params(data)
     seeds = _checked_seeds(data)
-    weight_target = args.target_bits if args.target_bits is not _UNSET else params["target_bits"]
-    act_target = args.act_target_bits if args.act_target_bits is not _UNSET else params["act_target_bits"]
-    bits = tuple(params["bits"])
+    targets = _targets(params)
     bos_aware = params["bos_aware"]
-    if weight_target is None and act_target is None:
-        raise ValidationError("nothing to allocate: both weight and activation targets are FP")
-
-    n_budgets = args.n_budgets if args.n_budgets is not None else params["n_budgets"]
-    for target, grid, default in (
-        (weight_target, args.ratio_grid, allocator.DEFAULT_RATIO_GRID_WEIGHT),
-        (act_target, args.act_ratio_grid, allocator.DEFAULT_RATIO_GRID_ACT),
-    ):
-        if target is not None:
-            _check_sweep(n_budgets, len(grid or default), from_flag=args.n_budgets is not None or grid is not None)
-
-    common = dict(
-        bit_widths=bits,
-        n_budgets=n_budgets,
-        delta_avg_bits=args.delta_bits if args.delta_bits is not None else params["delta_avg_bits"],
+    options = allocator.AllocOptions(
+        bit_widths=tuple(params["bits"]),
+        n_budgets=params["n_budgets"],
+        delta_avg_bits=params["delta_avg_bits"],
         proxy_inputs=params["proxy_inputs"],
         proxy_seed=seeds["proxy"],
         bos_aware=bos_aware,
     )
-    weight_options = allocator.AllocOptions(ratio_grid=args.ratio_grid, **common)
-    act_options = allocator.AllocOptions(ratio_grid=args.act_ratio_grid, **common)
 
-    weight_table = _load_table(data, root, WEIGHT) if weight_target is not None else None
-    act_table = _load_table(data, root, ACTIVATION) if act_target is not None else None
+    tables = {kind: _load_table(data, root, kind) for kind in targets}
     act_ranges = None
-    if act_target is not None:
+    if ACTIVATION in targets:
         calib_inputs = toy_model.make_input_set(seeds["calibration"], params["inputs"], model)
         act_ranges = toy_model.calibrate_activations(model, calib_inputs, bos_aware=bos_aware)
 
     config, results = allocator.allocate_mixed(
         model,
-        weight_table=weight_table,
-        act_table=act_table,
-        weight_target=weight_target,
-        act_target=act_target,
-        weight_options=weight_options,
-        act_options=act_options,
+        weight_table=tables.get(WEIGHT),
+        act_table=tables.get(ACTIVATION),
+        weight_target=targets.get(WEIGHT),
+        act_target=targets.get(ACTIVATION),
+        options=options,
         act_ranges=act_ranges,
     )
 
@@ -389,7 +369,7 @@ def run_allocate(args) -> int:
     mf.write_json(root / config_rel, config.to_json_dict())
 
     # Frontier over the weight sweep when weights were allocated, else activations.
-    frontier_kind = WEIGHT if weight_target is not None else ACTIVATION
+    frontier_kind = WEIGHT if WEIGHT in targets else ACTIVATION
     res = results[frontier_kind]
     frontier = allocator.pareto_frontier(res.sweep)
     cfg_dir_rel = data["artifacts"]["frontier_configs_dir"]
@@ -445,7 +425,7 @@ def run_evaluate(args) -> int:
     bw.config.validate(model.layer_order)
 
     bos_aware = params["bos_aware"]
-    n_eval = args.inputs if args.inputs is not None else params["eval_inputs"]
+    n_eval = params["eval_inputs"]
     eval_inputs = toy_model.make_input_set(seeds["eval"], n_eval, model)
     act_ranges = None
     if bw.config.wants_act_quant():
@@ -490,16 +470,8 @@ def run_evaluate(args) -> int:
         "sqnr_db": report["metrics"]["sqnr_db_mean"] - report["baseline"]["sqnr_db_mean"],
     }
 
-    suffix = ".json" if args.format == "json" else ".csv"
-    report_rel = str(Path(data["artifacts"]["report"]).with_suffix(suffix))
-    if args.format == "json":
-        mf.write_json(root / report_rel, report)
-    else:
-        lines = ["index,ssim,sqnr_db\n"]
-        lines += [f"{r['index']},{_fmt(r['ssim'])},{_fmt(r['sqnr_db'])}\n" for r in rows]
-        lines.append(f"mean,{_fmt(report['metrics']['ssim_mean'])},{_fmt(report['metrics']['sqnr_db_mean'])}\n")
-        mf.write_atomic(root / report_rel, "".join(lines))
-    data["artifacts"]["report"] = report_rel
+    report_rel = data["artifacts"]["report"]
+    mf.write_json(root / report_rel, report)
     mf.record_checksums(data, root, [report_rel])
     mf.save_manifest(data, root / Path(args.manifest).name)
     print(
@@ -513,33 +485,15 @@ def run_evaluate(args) -> int:
 
 
 def run_pipeline(args) -> int:
-    if args.manifest is None:
-        rc = run_gen_model(args)
-        if rc:
-            return rc
-        args.manifest = str(Path(args.out_dir) / "manifest.json")
-    rc = run_sensitivity(argparse.Namespace(manifest=args.manifest, kind="both"))
-    if rc:
-        return rc
-    ns = argparse.Namespace(
-        manifest=args.manifest,
-        target_bits=_UNSET,
-        act_target_bits=_UNSET,
-        n_budgets=None,
-        delta_bits=None,
-        ratio_grid=None,
-        act_ratio_grid=None,
-    )
-    rc = run_allocate(ns)
-    if rc:
-        return rc
-    ns = argparse.Namespace(manifest=args.manifest, config=None, format="json", inputs=None)
-    return run_evaluate(ns)
+    """``gen-model``, then each later stage on the manifest it wrote; every stage returns 0 or raises."""
+    run_gen_model(args)
+    manifest = str(Path(args.out_dir) / "manifest.json")
+    run_sensitivity(argparse.Namespace(manifest=manifest))
+    run_allocate(argparse.Namespace(manifest=manifest))
+    return run_evaluate(argparse.Namespace(manifest=manifest, config=None))
 
 
 # ---------------------------------------------------------------------- main
-
-_UNSET = object()
 
 
 def _add_gen_model_flags(p: argparse.ArgumentParser) -> None:
@@ -560,7 +514,7 @@ def _add_gen_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--act-target-bits", type=_target_bits, default=8.0)
     p.add_argument("--proxy-inputs", type=_input_count("--proxy-inputs"), default=8)
     p.add_argument("--eval-inputs", type=_input_count("--eval-inputs"), default=16)
-    p.add_argument("--n-budgets", type=_int_at_least(1, "--n-budgets"), default=5)
+    p.add_argument("--n-budgets", type=_n_budgets, default=5)
     p.add_argument("--delta-bits", type=_delta_bits, default=0.25)
     p.add_argument("--calib-seed", type=_int_at_least(0, "--calib-seed"), default=None)
     p.add_argument("--proxy-seed", type=_int_at_least(0, "--proxy-seed"), default=None)
@@ -576,52 +530,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=run_gen_model)
 
     p = sub.add_parser(
-        "sensitivity", help="per-layer sensitivity tables at the manifest's inputs, bits and first-token setting"
+        "sensitivity", help="per-layer sensitivity tables of each allocated kind at the manifest's settings"
     )
     p.add_argument("--manifest", required=True)
-    p.add_argument("--kind", choices=[WEIGHT, ACTIVATION, "both"], default="both")
     p.set_defaults(func=run_sensitivity)
 
-    p = sub.add_parser("allocate", help="bit-width allocation under a budget")
+    p = sub.add_parser("allocate", help="bit-width allocation under the manifest's budget")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--target-bits", type=_target_bits, default=_UNSET,
-                   help="average weight bits, or 'fp' to leave weights unquantized")
-    p.add_argument("--act-target-bits", type=_target_bits, default=_UNSET)
-    p.add_argument("--n-budgets", type=_int_at_least(1, "--n-budgets"), default=None)
-    p.add_argument("--delta-bits", type=_delta_bits, default=None)
-    p.add_argument("--ratio-grid", type=_ratio_grid, default=None, metavar="LO:HI:N")
-    p.add_argument("--act-ratio-grid", type=_ratio_grid, default=None, metavar="LO:HI:N")
     p.set_defaults(func=run_allocate)
 
-    p = sub.add_parser("evaluate", help="score a config against the FP baseline")
+    p = sub.add_parser("evaluate", help="score a config against the FP baseline on the manifest's eval inputs")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--config", default=None, help="config JSON (default: manifest's)")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--inputs", type=_input_count("--inputs"), default=None)
+    p.add_argument("--config", default=None, help="config JSON in the run directory (default: manifest's)")
     p.set_defaults(func=run_evaluate)
 
     p = sub.add_parser("pipeline", help="gen-model + sensitivity + allocate + evaluate")
-    group = p.add_argument_group("existing manifest")
-    group.add_argument("--manifest", default=None, help="re-run all stages of an existing manifest")
-    _add_gen_model_flags_optional(p)
+    _add_gen_model_flags(p)
     p.set_defaults(func=run_pipeline)
 
     return parser
 
 
-def _add_gen_model_flags_optional(p: argparse.ArgumentParser) -> None:
-    # Same flags as gen-model but --out-dir is only required without --manifest.
-    _add_gen_model_flags(p)
-    for action in p._actions:
-        if action.dest == "out_dir":
-            action.required = False
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "command", None) == "pipeline" and args.manifest is None and args.out_dir is None:
-        parser.error("pipeline needs --manifest or --out-dir")
     try:
         return args.func(args)
     except _UsageError as exc:

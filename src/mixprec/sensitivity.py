@@ -28,8 +28,6 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 
-import numpy as np
-
 from . import metrics, toy_model
 from .errors import ParameterError, ValidationError
 from .quantizer import BIT_WIDTHS
@@ -156,10 +154,9 @@ def probe_layer(
     """Quantize one layer's tensor at one bit-width; the mean of each metric of
     ``metric_kinds`` (by default SSIM, then SQNR) against the FP outputs.
 
-    ``inputs`` are the input triples or their stacked ``toy_model.input_chunks``,
-    and ``refs`` the FP outputs (``fp_references``) or their
-    ``reference_batches``; a caller that probes many layers builds both once.
-    Each chunk runs as one
+    ``inputs`` are the stacked ``toy_model.input_chunks`` and ``refs`` the
+    ``reference_batches`` of their FP outputs, one batch per chunk; a caller
+    that probes many layers builds both once. Each chunk runs as one
     ``toy_model.forward`` call, with ``cache`` (made for a plan of probe
     configs, with the same ``bos_aware`` and ``act_ranges``) when given, so the
     call resumes from the deepest state the cache holds for the chunk. Each
@@ -171,10 +168,6 @@ def probe_layer(
     if any(kind not in scorer_of for kind in metric_kinds):
         raise ParameterError(f"metric kinds must be among {tuple(scorer_of)}")
     scorers = [scorer_of[kind] for kind in metric_kinds]
-    if inputs and np.ndim(inputs[0][2]) == 0:  # input triples, not stacked chunks
-        inputs = list(toy_model.input_chunks(inputs))
-    if refs and not isinstance(refs[0], metrics.ReferenceBatch):
-        refs = reference_batches(refs)
     n_in = [len(chunk[2]) for chunk in inputs]
     if n_in != [batch.size for batch in refs]:
         raise ParameterError(f"{sum(n_in)} probe inputs for {sum(b.size for b in refs)} references")

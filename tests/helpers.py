@@ -1,6 +1,6 @@
 """Code only the tests use: allocation baselines and their long-tail ranking, a
-reference sensitivity scorer, a state-cache recorder, reference kernels and
-layers, a quant-params wire format, checksums, MSE."""
+reference sensitivity scorer, probe inputs, a state-cache recorder, reference
+kernels and layers, a quant-params wire format, checksums, MSE."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import numpy as np
 
 from mixprec import metrics, quantizer, toy_model
 from mixprec.errors import InfeasibleBudgetError, ShapeError
-from mixprec.sensitivity import WEIGHT, SensitivityEntry, SensitivityTable, fp_references
+from mixprec.sensitivity import WEIGHT, SensitivityEntry, SensitivityTable, fp_references, reference_batches
 from mixprec.tensor_core import Tensor, make_rng
 
 
@@ -123,6 +123,13 @@ def per_input_sensitivity_table(
         for b in bit_widths:
             entries.append(SensitivityEntry(lid, tensor_kind, b, scores[lid, b][kind], kind, len(refs)))
     return SensitivityTable(entries)
+
+
+def probe_inputs(model, inputs, bos_aware: bool = False) -> tuple[list, list]:
+    """The stacked input chunks and the batches of their FP outputs, the two
+    forms ``sensitivity.probe_layer`` takes, as ``sensitivity.analyze`` builds them."""
+    refs = fp_references(model, inputs, bos_aware=bos_aware)
+    return list(toy_model.input_chunks(inputs)), reference_batches(refs)
 
 
 def record_state_caches(monkeypatch) -> list:

@@ -151,10 +151,10 @@ def test_criterion_5_bos_aware_effectiveness(model, calib_inputs):
 
 def test_criterion_6_metric_decoupled_grouping(model, calib_inputs):
     with criterion(6, "mean SSIM at 2-bit: content group strictly below quality group"):
-        refs = sv.fp_references(model, calib_inputs, bos_aware=True)
+        chunks, refs = helpers.probe_inputs(model, calib_inputs, bos_aware=True)
         ssim_scores = {}
         for lid in model.layer_order:
-            s, _ = sv.probe_layer(model, calib_inputs, refs, lid, "weight", 2, bos_aware=True)
+            s, _ = sv.probe_layer(model, chunks, refs, lid, "weight", 2, bos_aware=True)
             ssim_scores[lid] = s
         content = [s for lid, s in ssim_scores.items() if model.layers[lid].group == tm.CONTENT]
         quality = [s for lid, s in ssim_scores.items() if model.layers[lid].group == tm.QUALITY]

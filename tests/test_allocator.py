@@ -396,8 +396,7 @@ def test_allocate_mixed_merges_kinds(model, weight_table, act_table, act_ranges)
         act_table=act_table,
         weight_target=4.0,
         act_target=8.0,
-        weight_options=opts,
-        act_options=opts,
+        options=opts,
         act_ranges=act_ranges,
     )
     assert set(results) == {"weight", "activation"}
@@ -583,8 +582,9 @@ def test_allocate_bounds_the_sweep_before_any_solve(small_case, monkeypatch):
 
     cases = [
         (al.AllocOptions(n_budgets=al.MAX_SWEEP_CELLS // 8 + 1, proxy_inputs=1), sv.WEIGHT),
-        (al.AllocOptions(n_budgets=2, ratio_grid=(1.0,) * (al.MAX_SWEEP_CELLS // 2 + 1), proxy_inputs=1), sv.ACTIVATION),
+        (al.AllocOptions(n_budgets=2, proxy_inputs=1), sv.ACTIVATION),
     ]
+    monkeypatch.setattr(al, "DEFAULT_RATIO_GRID_ACT", (1.0,) * (al.MAX_SWEEP_CELLS // 2 + 1))
     for name in ("solve_mckp", "proxy_set", "proxy_score"):
         monkeypatch.setattr(al, name, no_work)
     for opts, kind in cases:
@@ -595,10 +595,12 @@ def test_allocate_bounds_the_sweep_before_any_solve(small_case, monkeypatch):
 def test_allocate_runs_a_sweep_at_the_cap(small_case, monkeypatch):
     model, tables, _ = small_case
     monkeypatch.setattr(al, "MAX_SWEEP_CELLS", 6)
-    at_cap = al.AllocOptions(n_budgets=3, ratio_grid=(0.8, 1.2), proxy_inputs=1)
+    monkeypatch.setattr(al, "DEFAULT_RATIO_GRID_WEIGHT", (0.8, 1.2))
+    at_cap = al.AllocOptions(n_budgets=3, proxy_inputs=1)
     assert len(al.allocate(model, tables[sv.WEIGHT], 4.0, options=at_cap).sweep) == 6
+    monkeypatch.setattr(al, "DEFAULT_RATIO_GRID_WEIGHT", (0.8, 1.0, 1.2))
     with pytest.raises(ParameterError, match="cells"):
-        al.allocate(model, tables[sv.WEIGHT], 4.0, options=al.AllocOptions(n_budgets=3, ratio_grid=(0.8, 1.0, 1.2)))
+        al.allocate(model, tables[sv.WEIGHT], 4.0, options=at_cap)
 
 
 def test_allocate_mixed_builds_one_proxy_set_for_both_kinds(small_case, monkeypatch):
@@ -613,14 +615,9 @@ def test_allocate_mixed_builds_one_proxy_set_for_both_kinds(small_case, monkeypa
     monkeypatch.setattr(al, "proxy_set", counting)
     opts = al.AllocOptions(bos_aware=True, proxy_inputs=2)
     _, shared = al.allocate_mixed(model, tables[sv.WEIGHT], tables[sv.ACTIVATION], 6.0, 6.0,
-                                  weight_options=opts, act_options=opts, act_ranges=ranges)
-    assert len(built) == 1
+                                  options=opts, act_ranges=ranges)
+    assert built == [opts]
     monkeypatch.undo()
     for kind, target in ((sv.WEIGHT, 6.0), (sv.ACTIVATION, 6.0)):
         alone = al.allocate(model, tables[kind], target, tensor_kind=kind, options=opts, act_ranges=ranges)
         assert _sweep_json(shared[kind]) == _sweep_json(alone)
-    monkeypatch.setattr(al, "proxy_set", counting)
-    built.clear()
-    al.allocate_mixed(model, tables[sv.WEIGHT], tables[sv.ACTIVATION], 6.0, 6.0, weight_options=opts,
-                      act_options=al.AllocOptions(bos_aware=True, proxy_inputs=3), act_ranges=ranges)
-    assert len(built) == 2  # a different proxy set is drawn on its own

@@ -64,6 +64,15 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+def test_both_targets_fp_is_a_usage_error_before_anything_is_written(tmp_path, capsys):
+    for command in ("gen-model", "pipeline"):
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--out-dir", str(tmp_path / command), "--target-bits", "fp", "--act-target-bits", "fp"])
+        assert exc.value.code == 2
+        assert "nothing to allocate" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_sensitivity_requires_model(tmp_path):
     manifest = tmp_path / "manifest.json"
     manifest.write_text('{"version": 1, "model": {"json": "model.json", "weights_dir": "w"}, '
@@ -96,7 +105,7 @@ def test_sensitivity_output_complete(pipeline_dir):
 
 def test_sensitivity_rerun_identical(pipeline_dir):
     before = sha256_file(pipeline_dir / "sensitivity_weight.jsonl")
-    assert run(["sensitivity", "--manifest", str(pipeline_dir / "manifest.json"), "--kind", "weight"]) == 0
+    assert run(["sensitivity", "--manifest", str(pipeline_dir / "manifest.json")]) == 0
     assert sha256_file(pipeline_dir / "sensitivity_weight.jsonl") == before
 
 
@@ -130,9 +139,65 @@ def test_sensitivity_overrides_are_gone(pipeline_dir, flags):
     assert tree_checksums(pipeline_dir) == before
 
 
+# every flag that let a stage after gen-model override or bypass the manifest
+STAGE_OVERRIDES = {
+    "allocate-target-bits": ("allocate", ["--target-bits", "3"]),
+    "allocate-act-target-bits": ("allocate", ["--act-target-bits", "fp"]),
+    "allocate-n-budgets": ("allocate", ["--n-budgets", "3"]),
+    "allocate-delta-bits": ("allocate", ["--delta-bits", "0.5"]),
+    "allocate-ratio-grid": ("allocate", ["--ratio-grid", "0.5:1.5:3"]),
+    "allocate-act-ratio-grid": ("allocate", ["--act-ratio-grid", "0.9:1.1:3"]),
+    "evaluate-inputs": ("evaluate", ["--inputs", "1"]),
+    "evaluate-format": ("evaluate", ["--format", "csv"]),
+    "sensitivity-kind": ("sensitivity", ["--kind", "weight"]),
+    "pipeline-manifest": ("pipeline", []),
+}
+
+
+@pytest.mark.parametrize("override", STAGE_OVERRIDES)
+def test_stage_overrides_are_gone(pipeline_dir, tmp_path, capsys, override):
+    # each wrote artifacts that the manifest, the run's one record, did not describe
+    stage, flags = STAGE_OVERRIDES[override]
+    if stage == "pipeline":  # pipeline --manifest used to re-run the stages of an existing tree
+        flags = ["--out-dir", str(tmp_path / "p")]
+    before = tree_checksums(pipeline_dir)
+    with pytest.raises(SystemExit) as exc:
+        run([stage, "--manifest", str(pipeline_dir / "manifest.json"), *flags])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert tree_checksums(pipeline_dir) == before
+    assert not (tmp_path / "p").exists()
+
+
+@pytest.mark.parametrize("fp_kind", ["activation", "weight"])
+def test_single_kind_run_writes_and_reads_only_its_table(tmp_path, fp_kind):
+    out = tmp_path / "run"
+    target_flag = "--act-target-bits" if fp_kind == "activation" else "--target-bits"
+    assert run(["gen-model", "--seed", "3", "--out-dir", str(out), *SMALL, target_flag, "fp"]) == 0
+    kind = "weight" if fp_kind == "activation" else "activation"
+    manifest = str(out / "manifest.json")
+    assert run(["sensitivity", "--manifest", manifest]) == 0
+    assert sorted(p.name for p in out.glob("sensitivity_*")) == [f"sensitivity_{kind}.jsonl"]
+    assert [rel for rel in json.loads((out / "manifest.json").read_text())["checksums"]
+            if rel.startswith("sensitivity_")] == [f"sensitivity_{kind}.jsonl"]
+    assert run(["allocate", "--manifest", manifest]) == 0
+    assert run(["evaluate", "--manifest", manifest]) == 0
+    config = json.loads((out / "config.json").read_text())
+    assert all(entry[fp_kind] is None and entry[kind] is not None for entry in config["layers"].values())
+
+
+@pytest.mark.parametrize("stage", ["sensitivity", "allocate"])
+def test_manifest_with_both_targets_fp_exits_3(pipeline_dir, tmp_path, capsys, stage):
+    manifest = _copy_with_params(pipeline_dir, tmp_path, target_bits=None, act_target_bits=None)
+    before = tree_checksums(manifest.parent)
+    assert run([stage, "--manifest", str(manifest)]) == 3
+    assert "nothing to allocate" in capsys.readouterr().err
+    assert tree_checksums(manifest.parent) == before
+
+
 def test_sensitivity_reads_inputs_bits_and_bos_aware_from_the_manifest(pipeline_dir, tmp_path):
-    manifest = _copy_with_params(pipeline_dir, tmp_path, inputs=2, bits=[8, 2], bos_aware=False)
-    assert run(["sensitivity", "--manifest", str(manifest), "--kind", "weight"]) == 0
+    manifest = _copy_with_params(pipeline_dir, tmp_path, inputs=2, bits=[8, 2], bos_aware=False, act_target_bits=None)
+    assert run(["sensitivity", "--manifest", str(manifest)]) == 0
     data = json.loads(manifest.read_text())
     model = toy_model.load_model(manifest.parent / "model.json", manifest.parent / data["model"]["weights_dir"])
     inputs = toy_model.make_input_set(data["seeds"]["calibration"], 2, model)
@@ -155,7 +220,7 @@ def test_manifest_with_jobs_param_still_loads(pipeline_dir, tmp_path):
     manifest = json.loads((copy / "manifest.json").read_text())
     manifest["params"]["jobs"] = 4
     (copy / "manifest.json").write_text(json.dumps(manifest))
-    assert run(["sensitivity", "--manifest", str(copy / "manifest.json"), "--kind", "weight"]) == 0
+    assert run(["sensitivity", "--manifest", str(copy / "manifest.json")]) == 0
     assert sha256_file(copy / "sensitivity_weight.jsonl") == sha256_file(pipeline_dir / "sensitivity_weight.jsonl")
 
 
@@ -166,32 +231,22 @@ def run_subprocess(argv, timeout=60):
                           text=True, timeout=timeout)
 
 
-def test_allocate_delta_bits_nan_exits_2_without_hanging(pipeline_dir):
-    # used to loop forever in the budget sweep
-    proc = run_subprocess(["allocate", "--manifest", str(pipeline_dir / "manifest.json"), "--delta-bits", "nan"])
+def test_allocate_delta_bits_nan_exits_2_without_hanging(tmp_path):
+    # a nan sweep width used to loop forever in allocate's budget sweep
+    proc = run_subprocess(["gen-model", "--out-dir", str(tmp_path / "g"), "--delta-bits", "nan"])
     assert proc.returncode == 2
     assert "delta" in proc.stderr
+    assert not (tmp_path / "g").exists()
 
 
-def test_negative_delta_bits_exits_2(pipeline_dir, tmp_path):
+def test_negative_delta_bits_exits_2(tmp_path):
     # used to succeed with an allocation above the average-bit targets
-    proc = run_subprocess(["allocate", "--manifest", str(pipeline_dir / "manifest.json"), "--delta-bits", "-1"])
-    assert proc.returncode == 2
-    for argv in (["gen-model", "--out-dir", str(tmp_path / "g")], ["pipeline", "--out-dir", str(tmp_path / "p")],
-                 ["allocate", "--manifest", str(pipeline_dir / "manifest.json")]):
+    for argv in (["gen-model", "--out-dir", str(tmp_path / "g")], ["pipeline", "--out-dir", str(tmp_path / "p")]):
         for bad in ("-1", "-0.5", "inf", "-inf", "nan", "abc"):
             with pytest.raises(SystemExit) as exc:
                 run([*argv, "--delta-bits", bad])
             assert exc.value.code == 2
     assert not (tmp_path / "g").exists() and not (tmp_path / "p").exists()
-
-
-def test_nonfinite_ratio_grid_exits_2_without_hanging(pipeline_dir):
-    # nan and inf ratios used to give nan budgets that the knapsack search never pruned
-    for grid in ("nan:1:3", "1:inf:3"):
-        proc = run_subprocess(["allocate", "--manifest", str(pipeline_dir / "manifest.json"), "--ratio-grid", grid])
-        assert proc.returncode == 2
-        assert "ratio grid" in proc.stderr
 
 
 def test_manifest_delta_bits_nan_exits_3(pipeline_dir, tmp_path):
@@ -466,16 +521,6 @@ def test_evaluate_all_fp_config(pipeline_dir):
     assert run(["evaluate", "--manifest", str(pipeline_dir / "manifest.json")]) == 0
 
 
-def test_evaluate_csv_format(pipeline_dir):
-    assert run(["evaluate", "--manifest", str(pipeline_dir / "manifest.json"), "--format", "csv"]) == 0
-    text = (pipeline_dir / "report.csv").read_text()
-    assert text.splitlines()[0] == "index,ssim,sqnr_db"
-    # switching back to json restores the json report path
-    assert run(["evaluate", "--manifest", str(pipeline_dir / "manifest.json")]) == 0
-    manifest = json.loads((pipeline_dir / "manifest.json").read_text())
-    assert manifest["artifacts"]["report"] == "report.json"
-
-
 @pytest.mark.parametrize("fp_retained", [{}, {"activation": ["enc0.conv_in"]}], ids=["empty", "one_layer"])
 def test_evaluate_accepts_config_with_fp_retained_key(pipeline_dir, tmp_path, fp_retained):
     # configs written before FP16 retention was removed carry an fp_retained key; it is ignored
@@ -494,9 +539,12 @@ def test_allocate_infeasible_exit_4(tmp_path, capsys):
     out = tmp_path / "run"
     tiny_4_8 = [*TINY[:TINY.index("--bits")], "--bits", "4,8"]
     assert run(["pipeline", "--out-dir", str(out), "--seed", "5", *tiny_4_8]) == 0
+    data = json.loads((out / "manifest.json").read_text())
+    data["params"]["target_bits"] = 2
+    (out / "manifest.json").write_text(json.dumps(data))
     before = tree_checksums(out)
     capsys.readouterr()
-    assert run(["allocate", "--manifest", str(out / "manifest.json"), "--target-bits", "2"]) == 4
+    assert run(["allocate", "--manifest", str(out / "manifest.json")]) == 4
     assert "minimum achievable average is 4.0000 bits" in capsys.readouterr().err
     assert tree_checksums(out) == before
 
@@ -517,7 +565,7 @@ def test_weight_only_allocation(tmp_path):
     out = tmp_path / "wonly"
     run(["gen-model", "--seed", "3", "--out-dir", str(out), *SMALL,
          "--act-target-bits", "fp", "--target-bits", "4"])
-    assert run(["sensitivity", "--manifest", str(out / "manifest.json"), "--kind", "weight"]) == 0
+    assert run(["sensitivity", "--manifest", str(out / "manifest.json")]) == 0
     assert run(["allocate", "--manifest", str(out / "manifest.json")]) == 0
     config = json.loads((out / "config.json").read_text())
     assert all(entry["activation"] is None for entry in config["layers"].values())
@@ -588,13 +636,12 @@ def test_manifest_section_not_an_object_exits_3(pipeline_dir, tmp_path, capsys, 
 
 
 def test_oversized_sweep_flags_exit_2_without_hanging(pipeline_dir):
-    # both used to run until killed
-    manifest = str(pipeline_dir / "manifest.json")
-    for flags in (["--ratio-grid", "1:2:100000"], ["--act-ratio-grid", "1:2:1000000000000"],
-                  ["--n-budgets", "1000000"], ["--n-budgets", "200"]):
-        proc = run_subprocess(["allocate", "--manifest", manifest, *flags], timeout=30)
-        assert proc.returncode == 2, flags
-        assert "cells" in proc.stderr, flags
+    # sweeps this size used to run allocate until killed
+    for n_budgets in ("1000000", "200"):
+        proc = run_subprocess(["gen-model", "--out-dir", str(pipeline_dir / "unused"), "--n-budgets", n_budgets],
+                              timeout=30)
+        assert proc.returncode == 2, n_budgets
+        assert "cells" in proc.stderr, n_budgets
     for argv in (["gen-model", "--out-dir", str(pipeline_dir / "unused")], ["pipeline", "--out-dir", str(pipeline_dir / "unused")]):
         with pytest.raises(SystemExit) as exc:
             run([*argv, "--n-budgets", str(allocator.MAX_SWEEP_CELLS // 8 + 1)])
@@ -614,16 +661,23 @@ def test_sweep_cap_boundary_through_the_cli(pipeline_dir, tmp_path, monkeypatch)
     monkeypatch.setattr(allocator, "MAX_SWEEP_CELLS", 16)
     manifest = _copy_with_params(pipeline_dir, tmp_path)
     assert run(["allocate", "--manifest", str(manifest)]) == 0
-    assert run(["allocate", "--manifest", str(manifest), "--n-budgets", "2", "--ratio-grid", "0.5:1.5:8"]) == 0
-    for flags in (["--n-budgets", "3"], ["--ratio-grid", "0.5:1.5:9"], ["--act-ratio-grid", "1:1:17"]):
-        with pytest.raises(SystemExit) as exc:
-            run(["allocate", "--manifest", str(manifest), *flags])
-        assert exc.value.code == 2, flags
-    data = json.loads(manifest.read_text())
-    data["params"]["n_budgets"] = 3
-    manifest.write_text(json.dumps(data))
-    assert run(["allocate", "--manifest", str(manifest)]) == 3
-    assert run(["allocate", "--manifest", str(manifest), "--n-budgets", "2"]) == 0
+    assert run(["gen-model", "--out-dir", str(tmp_path / "at"), *SMALL]) == 0
+    with pytest.raises(SystemExit) as exc:
+        run(["gen-model", "--out-dir", str(tmp_path / "over"), *SMALL, "--n-budgets", "3"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "over").exists()
+
+    def allocate_at(n_budgets):
+        data = json.loads(manifest.read_text())
+        data["params"]["n_budgets"] = n_budgets
+        manifest.write_text(json.dumps(data))
+        return run(["allocate", "--manifest", str(manifest)])
+
+    assert allocate_at(3) == 3
+    assert allocate_at(2) == 0
+    # n_budgets is checked against both kinds' grids
+    monkeypatch.setattr(allocator, "DEFAULT_RATIO_GRID_ACT", (1.0,) * 9)
+    assert allocate_at(2) == 3
 
 
 def test_manifest_artifact_number_exits_3(pipeline_dir, tmp_path, capsys):
@@ -668,6 +722,7 @@ def test_manifest_artifact_inside_a_subdirectory_is_accepted(pipeline_dir, tmp_p
     edit = lambda d: {**d, "artifacts": {**d["artifacts"], "report": "weights/../report.json"}}  # noqa: E731
     manifest = _write_manifest(pipeline_dir, tmp_path, edit)
     assert run(["evaluate", "--manifest", str(manifest)]) == 0
+    assert json.loads(manifest.read_text())["artifacts"]["report"] == "weights/../report.json"
 
 
 def test_manifest_model_paths_outside_the_run_dir_exit_3(tiny_tree, tmp_path, capsys):
@@ -743,23 +798,22 @@ def test_model_size_cap_boundary_through_the_cli(tmp_path, monkeypatch):
     assert run(["sensitivity", "--manifest", str(tmp_path / "at" / "manifest.json")]) == 3
 
 
-def test_input_count_flags_are_capped(pipeline_dir, tmp_path, monkeypatch):
-    manifest = str(pipeline_dir / "manifest.json")
+def test_input_count_flags_are_capped(pipeline_dir, tmp_path, monkeypatch, capsys):
     too_many = str(toy_model.MAX_INPUTS + 1)
-    for argv in (["gen-model", "--out-dir", str(tmp_path / "g"), "--inputs", too_many],
-                 ["gen-model", "--out-dir", str(tmp_path / "g"), "--proxy-inputs", too_many],
-                 ["gen-model", "--out-dir", str(tmp_path / "g"), "--eval-inputs", too_many],
-                 ["evaluate", "--manifest", manifest, "--inputs", too_many]):
+    for flag in ("--inputs", "--proxy-inputs", "--eval-inputs"):
         with pytest.raises(SystemExit) as exc:
-            run(argv)
-        assert exc.value.code == 2, argv
+            run(["gen-model", "--out-dir", str(tmp_path / "g"), flag, too_many])
+        assert exc.value.code == 2, flag
     assert not (tmp_path / "g").exists()
-    copy = _copy_with_params(pipeline_dir, tmp_path)
+    copy = _copy_with_params(pipeline_dir, tmp_path, eval_inputs=4)
     monkeypatch.setattr(toy_model, "MAX_INPUTS", 4)  # SMALL records 4 calibration inputs
-    assert run(["evaluate", "--manifest", str(copy), "--inputs", "4"]) == 0
-    with pytest.raises(SystemExit) as exc:
-        run(["evaluate", "--manifest", str(copy), "--inputs", "5"])
-    assert exc.value.code == 2
+    assert run(["evaluate", "--manifest", str(copy)]) == 0
+    assert json.loads((copy.parent / "report.json").read_text())["n_inputs"] == 4
+    data = json.loads(copy.read_text())
+    data["params"]["eval_inputs"] = 5
+    copy.write_text(json.dumps(data))
+    assert run(["evaluate", "--manifest", str(copy)]) == 3
+    assert "params.eval_inputs" in capsys.readouterr().err
 
 
 # A tiny pipeline tree for the property test: each stage on it takes a fraction of a second.

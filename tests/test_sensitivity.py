@@ -35,9 +35,9 @@ def test_on_grid_weight_scores_perfect(model, small_inputs):
             codes[:, 1] = 255.0
             flat[...] = codes * step
             model._fq_weights.clear()
-        refs = sv.fp_references(model, small_inputs)
-        ssim_score, _ = sv.probe_layer(model, small_inputs, refs, content_id, "weight", 8)
-        _, sqnr_score = sv.probe_layer(model, small_inputs, refs, quality_id, "weight", 8)
+        chunks, refs = helpers.probe_inputs(model, small_inputs)
+        ssim_score, _ = sv.probe_layer(model, chunks, refs, content_id, "weight", 8)
+        _, sqnr_score = sv.probe_layer(model, chunks, refs, quality_id, "weight", 8)
         assert ssim_score == pytest.approx(1.0, abs=1e-12)
         assert sqnr_score == 100.0
     finally:
@@ -65,6 +65,7 @@ def test_probe_layer_matches_single_input_forwards(model, two_chunk_inputs):
     # every layer and both tensor kinds at 4 bits, over a full chunk and a partial one
     inputs = two_chunk_inputs
     refs = sv.fp_references(model, inputs, bos_aware=True)
+    chunks, batches = helpers.probe_inputs(model, inputs, bos_aware=True)
     ranges = tm.calibrate_activations(model, inputs, bos_aware=True)
     for ref, inp in zip(refs, inputs):
         np.testing.assert_allclose(ref, tm.forward(model, *inp, bos_aware=True), rtol=1e-12, atol=1e-12)
@@ -78,7 +79,7 @@ def test_probe_layer_matches_single_input_forwards(model, two_chunk_inputs):
                 rng = float(ref.max() - ref.min())
                 ssim_sum += metrics.ssim(ref, out, metrics.SsimWeights.for_data_range(rng)).value
                 sqnr_sum += metrics.sqnr_db(ref, out).value
-            got = sv.probe_layer(model, inputs, refs, lid, kind, 4, bos_aware=True, act_ranges=ranges)
+            got = sv.probe_layer(model, chunks, batches, lid, kind, 4, bos_aware=True, act_ranges=ranges)
             want = (ssim_sum / len(inputs), sqnr_sum / len(inputs))
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12), (kind, lid)
 
@@ -142,10 +143,10 @@ def test_validate_rejects_incomplete(model, weight_table):
 
 def test_content_layers_take_lowest_ssim_end(model, small_inputs):
     # at 2 bits, the most content-destroying layers are cross-attention/ffn
-    refs = sv.fp_references(model, small_inputs)
+    chunks, refs = helpers.probe_inputs(model, small_inputs)
     ssim_by_layer = {}
     for lid in model.layer_order:
-        ssim_score, _ = sv.probe_layer(model, small_inputs, refs, lid, "weight", 2)
+        ssim_score, _ = sv.probe_layer(model, chunks, refs, lid, "weight", 2)
         ssim_by_layer[lid] = ssim_score
     worst = min(ssim_by_layer, key=ssim_by_layer.get)
     assert model.layers[worst].group == tm.CONTENT
@@ -162,13 +163,11 @@ def test_kv_activation_sensitivity_relaxes_with_bos_handling(model, small_inputs
     ]
 
     def kv_scores(bos):
-        refs = sv.fp_references(model, small_inputs, bos_aware=bos)
+        chunks, refs = helpers.probe_inputs(model, small_inputs, bos_aware=bos)
         ranges = tm.calibrate_activations(model, small_inputs, bos_aware=bos)
         out = {}
         for lid in kv:
-            s, _ = sv.probe_layer(
-                model, small_inputs, refs, lid, "activation", 8, bos_aware=bos, act_ranges=ranges
-            )
+            s, _ = sv.probe_layer(model, chunks, refs, lid, "activation", 8, bos_aware=bos, act_ranges=ranges)
             out[lid] = s
         return out
 
@@ -201,9 +200,8 @@ def _probe_cache(model, probes):
 
 
 def test_probe_resumed_from_any_earlier_segment_is_identical(model, two_chunk_inputs):
-    inputs = two_chunk_inputs
-    refs = sv.fp_references(model, inputs, bos_aware=True)
-    ranges = tm.calibrate_activations(model, inputs, bos_aware=True)
+    inputs, refs = helpers.probe_inputs(model, two_chunk_inputs, bos_aware=True)
+    ranges = tm.calibrate_activations(model, two_chunk_inputs, bos_aware=True)
     lid = "dec0.fuse"
     options = dict(bos_aware=True, act_ranges=ranges)
     whole = sv.probe_layer(model, inputs, refs, lid, sv.ACTIVATION, 4, **options)
@@ -224,22 +222,22 @@ def test_probe_resumed_from_any_earlier_segment_is_identical(model, two_chunk_in
 
 
 def test_probe_rejects_states_past_its_layer(model, small_inputs):
-    refs = sv.fp_references(model, small_inputs)
+    chunks, refs = helpers.probe_inputs(model, small_inputs)
     cache = _probe_cache(model, [("mid.cross.to_q", sv.WEIGHT, 4), ("mid.cross.to_k", sv.WEIGHT, 4)])
-    sv.probe_layer(model, small_inputs, refs, "mid.cross.to_q", sv.WEIGHT, 4, cache=cache)
+    sv.probe_layer(model, chunks, refs, "mid.cross.to_q", sv.WEIGHT, 4, cache=cache)
     cross = next(i for i, s in enumerate(tm._segment_list(model.depth)) if "mid.cross.to_q" in s.layers)
     (path, _), = cache._chunks.values()
     assert [s.index for s in path] == [cross]
     # a probe of an earlier layer runs from the input, not from the state past it
-    want = sv.probe_layer(model, small_inputs, refs, "enc0.conv_in", sv.WEIGHT, 4)
-    assert sv.probe_layer(model, small_inputs, refs, "enc0.conv_in", sv.WEIGHT, 4, cache=cache) == want
+    want = sv.probe_layer(model, chunks, refs, "enc0.conv_in", sv.WEIGHT, 4)
+    assert sv.probe_layer(model, chunks, refs, "enc0.conv_in", sv.WEIGHT, 4, cache=cache) == want
+    _, short_refs = helpers.probe_inputs(model, small_inputs[:-1])
     with pytest.raises(ParameterError):
-        sv.probe_layer(model, small_inputs, refs[:-1], "mid.cross.to_q", sv.WEIGHT, 4, cache=cache)
+        sv.probe_layer(model, chunks, short_refs, "mid.cross.to_q", sv.WEIGHT, 4, cache=cache)
 
 
 def test_cached_segment_states_are_read_only(model, two_chunk_inputs):
-    inputs = two_chunk_inputs
-    refs = sv.fp_references(model, inputs, bos_aware=True)
+    inputs, refs = helpers.probe_inputs(model, two_chunk_inputs, bos_aware=True)
     probes = [(lid, sv.WEIGHT, 4) for lid in ("enc1.down", "mid.cross.to_q", "dec0.fuse", "out.conv_out")]
     cache = _probe_cache(model, probes)
     checked = terms_checked = 0
@@ -311,22 +309,19 @@ def test_analyze_rejects_bad_kind_tuples(model, small_inputs, kinds):
 
 
 def test_probe_scores_only_the_metrics_it_is_asked_for(model, two_chunk_inputs):
-    inputs = two_chunk_inputs[:tm.FORWARD_CHUNK + 2]
-    refs = sv.fp_references(model, inputs, bos_aware=True)
-    batches = sv.reference_batches(refs)
+    inputs, batches = helpers.probe_inputs(model, two_chunk_inputs[:tm.FORWARD_CHUNK + 2], bos_aware=True)
     assert [b.size for b in batches] == [tm.FORWARD_CHUNK, 2]
-    both = sv.probe_layer(model, inputs, refs, "mid.ffn.fc1", sv.WEIGHT, 2, bos_aware=True)
+    both = sv.probe_layer(model, inputs, batches, "mid.ffn.fc1", sv.WEIGHT, 2, bos_aware=True)
     for kinds in ((metrics.SSIM,), (metrics.SQNR_DB,), (metrics.SQNR_DB, metrics.SSIM)):
         got = sv.probe_layer(model, inputs, batches, "mid.ffn.fc1", sv.WEIGHT, 2, bos_aware=True, metric_kinds=kinds)
         assert got == tuple(both[(metrics.SSIM, metrics.SQNR_DB).index(k)] for k in kinds)
     with pytest.raises(ParameterError):
-        sv.probe_layer(model, inputs, refs, "mid.ffn.fc1", sv.WEIGHT, 2, metric_kinds=("MSE",))
+        sv.probe_layer(model, inputs, batches, "mid.ffn.fc1", sv.WEIGHT, 2, metric_kinds=("MSE",))
 
 
 def test_probe_with_a_shared_text_kv_cache_is_identical(model, two_chunk_inputs):
-    inputs = two_chunk_inputs
-    refs = sv.fp_references(model, inputs, bos_aware=True)
-    ranges = tm.calibrate_activations(model, inputs, bos_aware=True)
+    inputs, refs = helpers.probe_inputs(model, two_chunk_inputs, bos_aware=True)
+    ranges = tm.calibrate_activations(model, two_chunk_inputs, bos_aware=True)
     probes = [
         (lid, kind, 2)
         for lid in ("enc0.conv_in", "mid.cross.to_k", "dec0.cross.to_v", "dec0.cross.to_out")
