@@ -15,12 +15,14 @@ passes: every cell is solved first, then each distinct config is proxy-scored
 once, in lexicographic layer order, resuming from the segment states it
 shares with the config before it. Its size is capped at ``MAX_SWEEP_CELLS``
 cells. Every layer of the allocated tensor kind gets a width from the grid;
-none is held back at full precision. Activation allocation scores its proxy
-with the activation ranges calibrated on the calibration inputs, the ranges
-the sensitivity tables were measured under. Weight and activation allocation
-share one ``AllocOptions`` and one proxy set. Summaries account storage in
-bits and compute in bit-operations; a layer whose weight or activation stays
-full precision (its kind was not allocated) computes at FP16.
+none is held back at full precision. A target at or above the grid's top
+width leaves the knapsack no choice: every layer ships at the top width and
+the sensitivity table is never read (``needs_table``). Activation allocation
+scores its proxy with the activation ranges calibrated on the calibration
+inputs, the ranges the sensitivity tables were measured under. Weight and
+activation allocation share one ``AllocOptions`` and one proxy set. Summaries
+account storage in bits and compute in bit-operations; a layer whose weight or
+activation stays full precision (its kind was not allocated) computes at FP16.
 """
 
 from __future__ import annotations
@@ -51,6 +53,14 @@ DEFAULT_RATIO_GRID_ACT = tuple(float(x) for x in np.linspace(0.94, 1.09, 8))
 # new config, one proxy forward: 1024 cells bound both memory (a few MB) and
 # time. The default sweep has 40 cells; the `sweep` benchmark workload 80.
 MAX_SWEEP_CELLS = 1024
+
+
+def needs_table(target: float | None, bit_widths) -> bool:
+    """Whether allocating a tensor kind at ``target`` average bits reads its
+    sensitivity table. An FP target (None) allocates nothing, and a target at or
+    above the grid's top width admits only the all-top assignment; only a target
+    below it leaves the knapsack a choice."""
+    return target is not None and target < max(bit_widths)
 
 
 def check_sweep_cells(n_budgets: int, n_ratios: int) -> None:
@@ -338,7 +348,7 @@ def proxy_set(model: toy_model.ToyModel, options: AllocOptions) -> tuple[list, l
 
 def allocate(
     model: toy_model.ToyModel,
-    table: SensitivityTable,
+    table: SensitivityTable | None,
     target_avg_bits: float,
     *,
     tensor_kind: str = WEIGHT,
@@ -350,7 +360,7 @@ def allocate(
 
     ``proxy`` is ``proxy_set(model, options)``, built here when not given.
     ``act_ranges`` are the calibrated activation ranges; activation allocation
-    requires them.
+    requires them. ``table`` may be None only where ``needs_table`` is false.
     """
     if not 2 <= target_avg_bits <= 8:
         raise ParameterError("target average bits must lie in [2, 8]")
@@ -359,7 +369,15 @@ def allocate(
     if tensor_kind == ACTIVATION and act_ranges is None:
         raise ParameterError("activation allocation needs act_ranges calibrated on the calibration inputs")
     bits_grid = tuple(sorted(options.bit_widths))
-    table.validate_complete(model.layer_order, bits_grid, tensor_kind)
+    # At or above the top width the budget admits the all-top assignment: the sweep is moot.
+    moot = not needs_table(target_avg_bits, bits_grid)
+    if not moot:
+        if table is None:
+            raise ValidationError(
+                f"{tensor_kind} allocation at {target_avg_bits:g} bits needs a {tensor_kind} "
+                "sensitivity table; none given"
+            )
+        table.validate_complete(model.layer_order, bits_grid, tensor_kind)
 
     elem_field = "param_count" if tensor_kind == WEIGHT else "act_elem_count"
     elems = {lid: getattr(model.layers[lid], elem_field) for lid in model.layer_order}
@@ -401,9 +419,8 @@ def allocate(
         }
         return [scores[key] for key in keys]
 
-    # Budget already admits the all-max-bits assignment: the sweep is moot.
-    max_cost = max(bits_grid) * total_elems
-    if max_cost <= budget_all:
+    if moot:
+        max_cost = max(bits_grid) * total_elems
         config = _kind_config(model, tensor_kind, {lid: max(bits_grid) for lid in model.layer_order})
         point = ParetoPoint(avg_bits=max_cost / total_elems, score=score_each([config])[0], ref=0)
         return finish(config, [point], [config], 0)
@@ -490,19 +507,16 @@ def allocate_mixed(
     act_ranges=None,
 ) -> tuple[BitWidthConfig, dict[str, AllocationResult]]:
     """Run weight and activation allocations independently, with the same
-    options and on one proxy set, and merge them."""
+    options and on one proxy set, and merge them. A kind's table may be None
+    where ``needs_table`` is false for its target."""
     results: dict[str, AllocationResult] = {}
     merged = toy_model.QuantConfig.all_fp(model.layer_order)
     proxy = proxy_set(model, options)
     if weight_target is not None:
-        if weight_table is None:
-            raise ValidationError("weight allocation requested but no weight sensitivity table given")
         res = allocate(model, weight_table, weight_target, tensor_kind=WEIGHT, options=options, proxy=proxy)
         results[WEIGHT] = res
         merged.weight_bits = dict(res.config.config.weight_bits)
     if act_target is not None:
-        if act_table is None:
-            raise ValidationError("activation allocation requested but no activation table given")
         res = allocate(
             model, act_table, act_target, tensor_kind=ACTIVATION, options=options, act_ranges=act_ranges, proxy=proxy
         )

@@ -5,7 +5,9 @@ run's manifest. Every later stage takes only ``--manifest`` (and ``evaluate``
 an optional ``--config`` to score), and reads its settings from the manifest's
 params and seeds alone, so the manifest is the run's one record. Each stage is
 a pure function of the manifest and the files it names; re-running a stage
-reproduces byte-identical artifacts. Exit codes: 0 success, 2 usage,
+reproduces byte-identical artifacts. ``sensitivity`` writes a table only for a
+kind whose target is below the grid's top width (``allocator.needs_table``),
+and ``allocate`` reads only those. Exit codes: 0 success, 2 usage,
 3 validation, 4 infeasible budget, 5 I/O.
 """
 
@@ -298,7 +300,11 @@ def run_sensitivity(args) -> int:
     params = _checked_params(data)
     seeds = _checked_seeds(data)
     bits = params["bits"]
-    kinds = tuple(_targets(params))  # the kinds whose tables allocate reads
+    # the kinds whose tables allocate reads: a target at or above the grid's top width needs none
+    kinds = tuple(kind for kind, target in _targets(params).items() if allocator.needs_table(target, bits))
+    if not kinds:
+        print("sensitivity: no table needed; every allocated target is at or above the grid's top width")
+        return EXIT_OK
 
     inputs = toy_model.make_input_set(seeds["calibration"], params["inputs"], model)
     # One analysis for both kinds shares their FP references, ranges and walk.
@@ -349,7 +355,11 @@ def run_allocate(args) -> int:
         bos_aware=bos_aware,
     )
 
-    tables = {kind: _load_table(data, root, kind) for kind in targets}
+    tables = {
+        kind: _load_table(data, root, kind)
+        for kind, target in targets.items()
+        if allocator.needs_table(target, options.bit_widths)
+    }
     act_ranges = None
     if ACTIVATION in targets:
         calib_inputs = toy_model.make_input_set(seeds["calibration"], params["inputs"], model)
@@ -530,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=run_gen_model)
 
     p = sub.add_parser(
-        "sensitivity", help="per-layer sensitivity tables of each allocated kind at the manifest's settings"
+        "sensitivity", help="per-layer sensitivity tables of each kind whose target is below the top bit-width"
     )
     p.add_argument("--manifest", required=True)
     p.set_defaults(func=run_sensitivity)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from mixprec import allocator as al
 from mixprec import sensitivity as sv, toy_model as tm
-from mixprec.errors import InfeasibleBudgetError, ParameterError
+from mixprec.errors import InfeasibleBudgetError, ParameterError, ValidationError
 
 import helpers
 
@@ -403,6 +403,52 @@ def test_allocate_mixed_merges_kinds(model, weight_table, act_table, act_ranges)
     assert config.summary["avg_weight_bits"] <= 4.0 + 1e-9
     assert config.config.weight_bits == results["weight"].config.config.weight_bits
     assert all(b == 8 for b in config.config.act_bits.values())
+
+
+def test_needs_table_only_below_the_top_width():
+    assert not al.needs_table(None, (2, 4, 8))
+    assert not al.needs_table(8.0, (2, 4, 8))
+    assert not al.needs_table(6.0, (2, 4))  # above the top width admits the all-top assignment too
+    assert al.needs_table(4.0, (2, 4, 8))
+    assert al.needs_table(float(np.nextafter(8.0, 0.0)), (8, 2, 4))
+
+
+@pytest.mark.parametrize(
+    "kind,target,grid",
+    [("weight", 8.0, (2, 4, 8)), ("activation", 8.0, (2, 4, 8)), ("weight", 6.0, (2, 4)), ("activation", 4.0, (4,))],
+)
+def test_allocate_without_a_table_at_the_top_width_ships_all_top(
+    model, weight_table, act_table, act_ranges, kind, target, grid
+):
+    opts = al.AllocOptions(bit_widths=grid, bos_aware=True)
+    res = al.allocate(model, None, target, tensor_kind=kind, options=opts, act_ranges=act_ranges)
+    cfg = res.config.config
+    bits, other = (cfg.weight_bits, cfg.act_bits) if kind == "weight" else (cfg.act_bits, cfg.weight_bits)
+    assert set(bits.values()) == {max(grid)} and set(other.values()) == {None}
+    assert len(res.sweep) == 1
+    # a table given changes nothing: it is never read
+    table = weight_table if kind == "weight" else act_table
+    with_table = al.allocate(model, table, target, tensor_kind=kind, options=opts, act_ranges=act_ranges)
+    assert with_table.config == res.config
+    assert with_table.sweep == res.sweep
+
+
+@pytest.mark.parametrize("kind", ["weight", "activation"])
+def test_allocate_without_a_table_below_the_top_width_raises(model, act_ranges, kind):
+    opts = al.AllocOptions(bos_aware=True)
+    match = f"^{kind} allocation at 6 bits needs a {kind} sensitivity table; none given$"
+    with pytest.raises(ValidationError, match=match):
+        al.allocate(model, None, 6.0, tensor_kind=kind, options=opts, act_ranges=act_ranges)
+    targets = {"weight_target": 6.0} if kind == "weight" else {"act_target": 6.0}
+    with pytest.raises(ValidationError, match=match):
+        al.allocate_mixed(model, **targets, options=opts, act_ranges=act_ranges)
+
+
+def test_allocate_mixed_at_the_top_widths_needs_no_table(model, act_ranges):
+    config, results = al.allocate_mixed(model, weight_target=8.0, act_target=8.0,
+                                        options=al.AllocOptions(bos_aware=True), act_ranges=act_ranges)
+    assert set(results) == {"weight", "activation"}
+    assert config.summary["avg_weight_bits"] == config.summary["avg_act_bits"] == 8.0
 
 
 def test_naive_sorting_budget_and_order(model, weight_table):

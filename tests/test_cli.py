@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mixprec import allocator, cli, manifest as mf, quantizer, sensitivity, toy_model
@@ -96,10 +96,18 @@ def pipeline_dir(tmp_path_factory):
     return out
 
 
-def test_sensitivity_output_complete(pipeline_dir):
+@pytest.fixture(scope="module")
+def act6_dir(tmp_path_factory):
+    """A W4A6 tree: both targets lie below the top width, so it holds a table of each kind."""
+    out = tmp_path_factory.mktemp("act6") / "run"
+    assert run(["pipeline", "--seed", "3", "--out-dir", str(out), *SMALL, "--act-target-bits", "6"]) == 0
+    return out
+
+
+def test_sensitivity_output_complete(act6_dir):
     for kind, n_layers in (("weight", None), ("activation", None)):
-        lines = (pipeline_dir / f"sensitivity_{kind}.jsonl").read_text().splitlines()
-        model = json.loads((pipeline_dir / "model.json").read_text())
+        lines = (act6_dir / f"sensitivity_{kind}.jsonl").read_text().splitlines()
+        model = json.loads((act6_dir / "model.json").read_text())
         assert len(lines) == len(model["layers"]) * 3
 
 
@@ -172,8 +180,12 @@ def test_stage_overrides_are_gone(pipeline_dir, tmp_path, capsys, override):
 @pytest.mark.parametrize("fp_kind", ["activation", "weight"])
 def test_single_kind_run_writes_and_reads_only_its_table(tmp_path, fp_kind):
     out = tmp_path / "run"
-    target_flag = "--act-target-bits" if fp_kind == "activation" else "--target-bits"
-    assert run(["gen-model", "--seed", "3", "--out-dir", str(out), *SMALL, target_flag, "fp"]) == 0
+    # the allocated kind's target lies below the top width, so its table is read
+    if fp_kind == "activation":
+        flags = ["--act-target-bits", "fp"]
+    else:
+        flags = ["--target-bits", "fp", "--act-target-bits", "6"]
+    assert run(["gen-model", "--seed", "3", "--out-dir", str(out), *SMALL, *flags]) == 0
     kind = "weight" if fp_kind == "activation" else "activation"
     manifest = str(out / "manifest.json")
     assert run(["sensitivity", "--manifest", manifest]) == 0
@@ -184,6 +196,83 @@ def test_single_kind_run_writes_and_reads_only_its_table(tmp_path, fp_kind):
     assert run(["evaluate", "--manifest", manifest]) == 0
     config = json.loads((out / "config.json").read_text())
     assert all(entry[fp_kind] is None and entry[kind] is not None for entry in config["layers"].values())
+
+
+def _activation_table(root: Path) -> sensitivity.SensitivityTable:
+    """The activation table of a run, at its manifest's settings: what trees at an A8 target used to hold."""
+    data = json.loads((root / "manifest.json").read_text())
+    params = data["params"]
+    model = toy_model.load_model(root / "model.json", root / data["model"]["weights_dir"])
+    inputs = toy_model.make_input_set(data["seeds"]["calibration"], params["inputs"], model)
+    return sensitivity.analyze(model, inputs, bit_widths=params["bits"], tensor_kind="activation",
+                               bos_aware=params["bos_aware"])
+
+
+def test_top_width_activation_target_writes_only_the_weight_table(pipeline_dir, tmp_path, monkeypatch):
+    # at A8 on the 2,4,8 grid allocate ships uniform A8 and never reads an activation table
+    assert sorted(p.name for p in pipeline_dir.glob("sensitivity_*")) == ["sensitivity_weight.jsonl"]
+    assert [rel for rel in json.loads((pipeline_dir / "manifest.json").read_text())["checksums"]
+            if rel.startswith("sensitivity_")] == ["sensitivity_weight.jsonl"]
+    # the same stages given an activation table write the same config, frontier and report
+    manifest = _copy_with_params(pipeline_dir, tmp_path)
+    for name in ("config.json", "frontier.csv", "report.json"):
+        (manifest.parent / name).unlink()
+    act_table = _activation_table(manifest.parent)
+    real = allocator.allocate_mixed
+    given = []
+
+    def with_act_table(model, **kwargs):
+        given.append(kwargs["act_table"])
+        return real(model, **{**kwargs, "act_table": act_table})
+
+    monkeypatch.setattr(allocator, "allocate_mixed", with_act_table)
+    assert run(["allocate", "--manifest", str(manifest)]) == 0
+    assert run(["evaluate", "--manifest", str(manifest)]) == 0
+    assert given == [None]
+    for name in ("config.json", "frontier.csv", "report.json"):
+        assert (manifest.parent / name).read_bytes() == (pipeline_dir / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("flags,top", [(["--target-bits", "8"], 8), (["--bits", "2,4"], 4)], ids=["w8a8", "bits-2-4"])
+def test_top_width_targets_write_no_table(tmp_path, capsys, flags, top):
+    out = tmp_path / "run"
+    manifest = str(out / "manifest.json")
+    assert run(["gen-model", "--seed", "3", "--out-dir", str(out), *SMALL, *flags]) == 0
+    before = tree_checksums(out)
+    assert run(["sensitivity", "--manifest", manifest]) == 0
+    assert "no table needed" in capsys.readouterr().out
+    assert tree_checksums(out) == before
+    assert run(["allocate", "--manifest", manifest]) == 0
+    assert run(["evaluate", "--manifest", manifest]) == 0
+    config = json.loads((out / "config.json").read_text())
+    assert all(entry == {"weight": top, "activation": top} for entry in config["layers"].values())
+    assert json.loads((out / "report.json").read_text())["summary"] == config["summary"]
+    assert not list(out.glob("sensitivity_*"))
+
+
+def test_tree_with_an_unread_activation_table_still_allocates(pipeline_dir, tmp_path):
+    # trees written before the rule hold an A8 activation table that allocate now never opens
+    manifest = _copy_with_params(pipeline_dir, tmp_path)
+    rel = "sensitivity_activation.jsonl"
+    table = manifest.parent / rel
+    table.write_text(_activation_table(manifest.parent).to_jsonl())
+    table.write_text(TABLE_DAMAGES["nan_score"](table.read_text()))
+    data = json.loads(manifest.read_text())
+    data["checksums"][rel] = sha256_file(table)
+    manifest.write_text(json.dumps(data))
+    (manifest.parent / "config.json").unlink()
+    assert run(["allocate", "--manifest", str(manifest)]) == 0
+    assert (manifest.parent / "config.json").read_bytes() == (pipeline_dir / "config.json").read_bytes()
+
+
+def test_lowering_a_target_from_the_top_width_needs_sensitivity_again(pipeline_dir, tmp_path, capsys):
+    manifest = _copy_with_params(pipeline_dir, tmp_path, act_target_bits=6)
+    assert run(["allocate", "--manifest", str(manifest)]) == 3
+    assert "sensitivity_activation.jsonl (run the sensitivity stage first)" in capsys.readouterr().err
+    assert run(["sensitivity", "--manifest", str(manifest)]) == 0
+    assert run(["allocate", "--manifest", str(manifest)]) == 0
+    config = json.loads((manifest.parent / "config.json").read_text())
+    assert config["summary"]["avg_act_bits"] <= 6.0
 
 
 @pytest.mark.parametrize("stage", ["sensitivity", "allocate"])
@@ -350,8 +439,8 @@ TABLE_DAMAGES = {
 
 @pytest.mark.parametrize("damage", TABLE_DAMAGES)
 @pytest.mark.parametrize("kind", ["weight", "activation"])
-def test_malformed_sensitivity_table_exits_3(pipeline_dir, tmp_path, capsys, damage, kind):
-    manifest = _copy_with_params(pipeline_dir, tmp_path)
+def test_malformed_sensitivity_table_exits_3(act6_dir, tmp_path, capsys, damage, kind):
+    manifest = _copy_with_params(act6_dir, tmp_path)
     rel = f"sensitivity_{kind}.jsonl"
     table = manifest.parent / rel
     table.write_text(TABLE_DAMAGES[damage](table.read_text()))
@@ -590,7 +679,7 @@ def test_default_calibration_inputs_is_32():
 
 def test_pipeline_command(tmp_path):
     out = tmp_path / "p"
-    assert run(["pipeline", "--seed", "3", "--out-dir", str(out), *SMALL]) == 0
+    assert run(["pipeline", "--seed", "3", "--out-dir", str(out), *SMALL, "--act-target-bits", "6"]) == 0
     for name in ("model.json", "sensitivity_weight.jsonl", "sensitivity_activation.jsonl",
                  "config.json", "frontier.csv", "report.json", "manifest.json"):
         assert (out / name).exists()
@@ -883,3 +972,32 @@ def test_mutated_manifest_exits_with_a_documented_code(tiny_tree, data):
             except SystemExit as exc:
                 rc = exc.code
             assert rc in (0, 2, 3, 4, 5), (stage, rc)
+
+
+_TARGETS = st.sampled_from([None, 2.0, 3.0, 4.0, 6.0, 8.0]) | st.floats(2, 8)
+
+
+@settings(max_examples=25, deadline=None)
+@given(target=_TARGETS, act_target=_TARGETS, bits=st.sets(st.sampled_from(quantizer.BIT_WIDTHS), min_size=1))
+def test_drawn_targets_and_grids_exit_with_a_documented_code(target, act_target, bits):
+    # Every stage on a tiny model, at any targets (at the top width and fp
+    # included) and any grid, ends in 0, 3 or 4, never a traceback, and
+    # sensitivity writes a table for exactly the kinds allocator.needs_table names.
+    assume(target is not None or act_target is not None)  # both fp is a usage error at gen-model
+    grid = sorted(bits)
+    flags = [*TINY[:TINY.index("--bits")], "--bits", ",".join(map(str, grid))]
+    for flag, value in (("--target-bits", target), ("--act-target-bits", act_target)):
+        flags += [flag, "fp" if value is None else repr(value)]
+    want = sorted(f"sensitivity_{kind}.jsonl" for kind, value in (("weight", target), ("activation", act_target))
+                  if allocator.needs_table(value, grid))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "run"
+        manifest = str(out / "manifest.json")
+        assert run(["gen-model", "--seed", "5", "--out-dir", str(out), *flags]) == 0
+        rc = run(["sensitivity", "--manifest", manifest])
+        assert rc in (0, 3, 4)
+        if rc == 0:
+            assert sorted(p.name for p in out.glob("sensitivity_*")) == want
+        rc = run(["allocate", "--manifest", manifest])
+        assert rc in (0, 3, 4)
+        assert run(["evaluate", "--manifest", manifest]) == (0 if rc == 0 else 3)  # no config: exit 3
