@@ -204,6 +204,11 @@ def _targets(params: dict) -> dict[str, float]:
     return targets
 
 
+def _table_kinds(params: dict) -> tuple[str, ...]:
+    """The kinds whose sensitivity tables allocate reads: a target at or above the grid's top width needs none."""
+    return tuple(kind for kind, target in _targets(params).items() if allocator.needs_table(target, params["bits"]))
+
+
 class _UsageError(Exception):
     """A combination of flags that no single flag's parser can reject; exits 2."""
 
@@ -300,8 +305,7 @@ def run_sensitivity(args) -> int:
     params = _checked_params(data)
     seeds = _checked_seeds(data)
     bits = params["bits"]
-    # the kinds whose tables allocate reads: a target at or above the grid's top width needs none
-    kinds = tuple(kind for kind, target in _targets(params).items() if allocator.needs_table(target, bits))
+    kinds = _table_kinds(params)
     if not kinds:
         print("sensitivity: no table needed; every allocated target is at or above the grid's top width")
         return EXIT_OK
@@ -355,11 +359,7 @@ def run_allocate(args) -> int:
         bos_aware=bos_aware,
     )
 
-    tables = {
-        kind: _load_table(data, root, kind)
-        for kind, target in targets.items()
-        if allocator.needs_table(target, options.bit_widths)
-    }
+    tables = {kind: _load_table(data, root, kind) for kind in _table_kinds(params)}
     act_ranges = None
     if ACTIVATION in targets:
         calib_inputs = toy_model.make_input_set(seeds["calibration"], params["inputs"], model)
