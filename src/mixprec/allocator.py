@@ -392,12 +392,6 @@ def allocate(
             min_achievable_bits=min_cost / total_elems,
         )
 
-    model_costs = toy_model.model_layer_summary(model)
-
-    def finish(config, sweep, sweep_configs, best_ref):
-        bw = BitWidthConfig(config=config, summary=cost_summary(config, model_costs))
-        return AllocationResult(config=bw, sweep=sweep, sweep_configs=sweep_configs, best_ref=best_ref)
-
     inputs, refs = proxy if proxy is not None else proxy_set(model, options)
 
     def score_each(configs) -> list[float]:
@@ -418,12 +412,6 @@ def allocate(
             for key in order
         }
         return [scores[key] for key in keys]
-
-    if moot:
-        max_cost = max(bits_grid) * total_elems
-        config = _kind_config(model, tensor_kind, {lid: max(bits_grid) for lid in model.layer_order})
-        point = ParetoPoint(avg_bits=max_cost / total_elems, score=score_each([config])[0], ref=0)
-        return finish(config, [point], [config], 0)
 
     def group_instance(group: str, budget: float) -> MckpInstance | None:
         lids = [lid for lid in model.layer_order if model.layers[lid].group == group]
@@ -447,13 +435,17 @@ def allocate(
     }
 
     delta = options.delta_avg_bits * total_elems
-    budgets = [float(b) for b in np.linspace(budget_all - delta, budget_all, options.n_budgets)]
+    # A moot sweep solves no budget: its one cell is the all-top assignment.
+    budgets = [] if moot else [float(b) for b in np.linspace(budget_all - delta, budget_all, options.n_budgets)]
 
     def table_score(lid, b):
         return table.score(lid, b, tensor_kind)
 
     # Pass 1: solve every cell. Neither the solver nor the fill reads a proxy score.
     cells: list[tuple[int, dict[str, int], toy_model.QuantConfig]] = []  # (cost, choices, config)
+    if moot:
+        choices = {lid: max(bits_grid) for lid in model.layer_order}
+        cells.append((max(bits_grid) * total_elems, choices, _kind_config(model, tensor_kind, choices)))
     for budget in budgets:
         for k in grid:
             b_content, b_quality = split_budget(budget, mass[toy_model.CONTENT], mass[toy_model.QUALITY], k)
@@ -476,9 +468,7 @@ def allocate(
         # feasible: fall back to the cheapest assignment topped up greedily.
         choices = {lid: min(bits_grid) for lid in model.layer_order}
         spend = _greedy_fill(choices, min_cost, budget_all, elems, bits_grid, table_score)
-        config = _kind_config(model, tensor_kind, choices)
-        point = ParetoPoint(avg_bits=spend / total_elems, score=score_each([config])[0], ref=0)
-        return finish(config, [point], [config], 0)
+        cells.append((spend, choices, _kind_config(model, tensor_kind, choices)))
 
     # Pass 2: score the cells' configs, then keep the best cell in sweep order.
     configs = [config for _, _, config in cells]
@@ -489,11 +479,13 @@ def allocate(
         if best is None or (score, -cost) > best[:2]:
             best = (score, -cost, ref)
     # The winning cell may have been swept at a budget below the target; top it
-    # up against the full budget so the emitted average lands on the target.
+    # up against the full budget so the emitted average lands on the target. A
+    # moot or fallback cell is already full, so its top-up is a no-op.
     best_choices = dict(cells[best[2]][1])
     _greedy_fill(best_choices, -best[1], budget_all, elems, bits_grid, table_score)
     best_config = _kind_config(model, tensor_kind, best_choices)
-    return finish(best_config, points, configs, best[2])
+    bw = BitWidthConfig(config=best_config, summary=cost_summary(best_config, toy_model.model_layer_summary(model)))
+    return AllocationResult(config=bw, sweep=points, sweep_configs=configs, best_ref=best[2])
 
 
 def allocate_mixed(

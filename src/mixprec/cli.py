@@ -14,7 +14,6 @@ and ``allocate`` reads only those. Exit codes: 0 success, 2 usage,
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
@@ -156,13 +155,11 @@ _PARAM_CHECKS = {
     "n_budgets": _check_n_budgets,
     "delta_avg_bits": allocator.check_delta_avg_bits,
 }
-# Defaults for the params that older manifests do not record.
-_PARAM_DEFAULTS = {"n_budgets": 5, "delta_avg_bits": 0.25, "proxy_inputs": 8}
 
 
 def _checked_params(data: dict) -> dict:
     """The manifest's params, each one a stage reads checked; a bad or missing one is a ValidationError."""
-    checked = {**_PARAM_DEFAULTS, **data["params"]}
+    checked = dict(data["params"])
     for key, check in _PARAM_CHECKS.items():
         if key not in checked:
             raise ValidationError(f"manifest params lack {key!r}")
@@ -281,19 +278,15 @@ def run_gen_model(args) -> int:
 
 def _load_model_checked(data: dict, root: Path) -> toy_model.ToyModel:
     """The model, read only after its JSON and then its weights match their checksums."""
-    try:
-        model_rel = data["model"]["json"]
-        model_json = root / model_rel
-        if not model_json.exists():
-            raise ValidationError(f"model JSON missing: {model_json}")
-        mf.verify_artifacts(data, root, [model_rel])
-        with open(model_json) as f:
-            layer_ids = [row["id"] for row in json.load(f)["layers"]]
-        weights = [rel for rel in mf.model_artifact_paths(data, layer_ids) if rel != model_rel]
-        mf.verify_artifacts(data, root, weights)
+    model_rel = data["model"]["json"]
+    mf.verify_artifacts(data, root, [model_rel])
+
+    def load(model_json: Path) -> toy_model.ToyModel:
+        layer_ids = [row["id"] for row in mf.read_json(model_json)["layers"]]
+        mf.verify_artifacts(data, root, [rel for rel in mf.model_artifact_paths(data, layer_ids) if rel != model_rel])
         return toy_model.load_model(model_json, root / data["model"]["weights_dir"])
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise ValidationError(f"model is not a valid model description: {exc!r}") from exc
+
+    return mf.read_artifact(root / model_rel, "model description", load)
 
 
 # --------------------------------------------------------------- sensitivity
@@ -335,12 +328,7 @@ def _load_table(data: dict, root: Path, kind: str) -> sensitivity.SensitivityTab
     if not path.exists():
         raise ValidationError(f"sensitivity table missing: {rel} (run the sensitivity stage first)")
     mf.verify_artifacts(data, root, [rel])
-    try:
-        with open(path) as f:
-            return sensitivity.SensitivityTable.from_jsonl(f.read())
-    except (ValueError, KeyError, TypeError) as exc:
-        # ValueError covers malformed JSON and bytes that are not text; the others, lines of the wrong shape
-        raise ValidationError(f"sensitivity table {rel} is not a valid table: {exc!r}") from exc
+    return mf.read_artifact(path, "table", lambda p: sensitivity.SensitivityTable.from_jsonl(p.read_text("utf-8")))
 
 
 def run_allocate(args) -> int:
@@ -418,20 +406,14 @@ def run_evaluate(args) -> int:
     params = _checked_params(data)
     seeds = _checked_seeds(data)
     config_rel = args.config if args.config is not None else data["artifacts"]["config"]
-    config_path = (root / config_rel).resolve()
-    if not config_path.is_relative_to(root):
-        raise ValidationError(f"config {config_rel} lies outside the run directory {root}")
+    config_path = mf.resolve_inside(root, config_rel, "config")
     if not config_path.exists():
         raise ValidationError(f"config missing: {config_rel} (run the allocate stage first)")
-    rel = config_path.relative_to(root).as_posix()
-    if args.config is None or rel in data.get("checksums", {}):
+    # the manifest's config is recorded under the manifest's name for it; another, by its resolved path
+    rel = config_rel if args.config is None else config_path.relative_to(root).as_posix()
+    if args.config is None or rel in data["checksums"]:
         mf.verify_artifacts(data, root, [rel])
-    try:
-        with open(config_path) as f:
-            bw = allocator.BitWidthConfig.from_json_dict(json.load(f))
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        # ValueError covers malformed JSON; the others, JSON of the wrong shape
-        raise ValidationError(f"config {config_rel} is not a valid config: {exc!r}") from exc
+    bw = mf.read_artifact(config_path, "config", lambda p: allocator.BitWidthConfig.from_json_dict(mf.read_json(p)))
     bw.config.validate(model.layer_order)
 
     bos_aware = params["bos_aware"]

@@ -8,6 +8,8 @@ their checksums. All paths are relative to the manifest's directory.
 from __future__ import annotations
 
 import json
+import struct
+from collections.abc import Callable
 from pathlib import Path
 
 from .errors import ValidationError
@@ -45,11 +47,7 @@ MODEL_KEYS = tuple(default_manifest({}, {})["model"])
 def load_manifest(path: Path | str) -> tuple[dict, Path]:
     """The manifest and its directory; a manifest of the wrong shape is a ValidationError."""
     path = Path(path)
-    try:
-        with open(path) as f:
-            data = json.load(f)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"manifest {path} is not valid JSON: {exc}") from exc
+    data = read_artifact(path, "manifest", read_json)
     if not isinstance(data, dict):
         raise ValidationError(f"manifest {path} must be a JSON object, not {type(data).__name__}")
     if data.get("version") != MANIFEST_VERSION:
@@ -73,15 +71,45 @@ def load_manifest(path: Path | str) -> tuple[dict, Path]:
 
 
 def _check_artifact_path(path: Path, root: Path, name: str, rel) -> None:
-    """An artifact path is a string naming a relative path strictly inside ``root``."""
+    """A manifest path is a string naming a relative path strictly inside ``root``."""
     if not isinstance(rel, str):
         raise ValidationError(f"manifest {path}: {name} must be a path string, not {type(rel).__name__}")
+    if Path(rel).is_absolute():
+        raise ValidationError(f"manifest {path}: {name} {rel!r} lies outside the run directory {root}")
+    resolve_inside(root, rel, f"manifest {path}: {name}")
+
+
+def resolve_inside(root: Path, rel: str, name: str) -> Path:
+    """``root / rel`` resolved; a path that cannot be resolved, or that resolves
+    anywhere but strictly inside ``root``, is a ValidationError naming ``name``."""
     try:
         full = (root / rel).resolve()
     except (OSError, ValueError, RuntimeError) as exc:  # a NUL byte, or a symlink loop
-        raise ValidationError(f"manifest {path}: {name} {rel!r} is not a usable path: {exc}") from exc
-    if Path(rel).is_absolute() or full == root or not full.is_relative_to(root):
-        raise ValidationError(f"manifest {path}: {name} {rel!r} lies outside the run directory {root}")
+        raise ValidationError(f"{name} {rel!r} is not a usable path: {exc}") from exc
+    if full == root or not full.is_relative_to(root):
+        raise ValidationError(f"{name} {rel!r} lies outside the run directory {root}")
+    return full
+
+
+def read_artifact(path: Path, kind: str, parse: Callable[[Path], object]):
+    """``parse(path)``, on a file whose recorded checksum (the manifest has none) the caller has checked.
+
+    Whatever a file that cannot be read as its format raises (bytes that are
+    not UTF-8 and malformed JSON are ValueErrors; JSON of the wrong shape, a
+    KeyError, TypeError or AttributeError; a short binary header, a
+    struct.error) becomes one ValidationError naming the file. A
+    ValidationError raised by ``parse`` passes through unchanged.
+    """
+    try:
+        return parse(path)
+    except ValidationError:
+        raise
+    except (ValueError, KeyError, TypeError, AttributeError, struct.error) as exc:
+        raise ValidationError(f"{path} is not a valid {kind}: {type(exc).__name__}: {exc}") from exc
+
+
+def read_json(path: Path) -> object:
+    return json.loads(Path(path).read_text("utf-8"))
 
 
 def write_json(path: Path | str, data) -> None:

@@ -62,12 +62,6 @@ class SensitivityTable:
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "_index", index)
 
-    def layer_ids(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for e in self.entries:
-            seen.setdefault(e.layer_id, None)
-        return list(seen)
-
     def bit_widths(self) -> tuple[int, ...]:
         return tuple(sorted({e.bit_width for e in self.entries}))
 

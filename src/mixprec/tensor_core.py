@@ -131,10 +131,11 @@ def load_tensor(base_path: Path | str) -> Tensor:
     digest = "sha256:" + sha256_file(bin_path)
     if digest != sidecar.get("checksum"):
         raise ValidationError(f"checksum mismatch for {bin_path}")
-    with open(bin_path, "rb") as f:
-        (rank,) = struct.unpack("<I", f.read(4))
-        shape = struct.unpack(f"<{rank}Q", f.read(8 * rank))
-        data = np.frombuffer(f.read(), dtype="<f8")
+    # Unpacked from the bytes read, so a damaged rank cannot make a read of its size
+    raw = bin_path.read_bytes()
+    (rank,) = struct.unpack_from("<I", raw)
+    shape = struct.unpack_from(f"<{rank}Q", raw, 4)
+    data = np.frombuffer(raw, dtype="<f8", offset=4 + 8 * rank)
     if list(shape) != list(sidecar.get("shape", [])):
         raise ValidationError(f"sidecar shape disagrees with header for {bin_path}")
     expected = int(np.prod(shape))

@@ -48,7 +48,7 @@ import numpy as np
 
 from . import quantizer
 from .errors import ConfigError, InputError, ParameterError, ShapeError, ValidationError
-from .manifest import write_json
+from .manifest import read_artifact, read_json, write_json
 from .quantizer import PER_CHANNEL, PER_TENSOR, params_from_minmax
 from .tensor_core import Tensor, derive_seed, make_rng, load_tensor, random_normal, save_tensor
 
@@ -121,6 +121,8 @@ class QuantConfig:
                 missing = sorted(expected - got)
                 extra = sorted(got - expected)
                 raise ConfigError(f"{name} bits mismatch: missing={missing} extra={extra}")
+            if any(b is not None and type(b) is not int for b in mapping.values()):
+                raise ConfigError(f"{name} bits must be integers or null")
 
     def wants_act_quant(self) -> bool:
         return any(b is not None for b in self.act_bits.values())
@@ -177,9 +179,6 @@ class ToyModel:
     layer_order: list[str]
     _fq_weights: dict = field(default_factory=dict, repr=False)
     _phase_weights: dict = field(default_factory=dict, repr=False)
-
-    def layer_ids(self) -> list[str]:
-        return list(self.layer_order)
 
     def fq_weight(self, layer_id: str, bits: int) -> Tensor:
         """Fake-quantized weight, memoized; per-output-channel grids."""
@@ -1077,10 +1076,7 @@ def save_model(model: ToyModel, json_path: Path | str, weights_dir: Path | str) 
 
 def load_model(json_path: Path | str, weights_dir: Path | str) -> ToyModel:
     """Rebuild the architecture from metadata and read weights from disk."""
-    import json
-
-    with open(json_path) as f:
-        meta = json.load(f)
+    meta = read_json(json_path)
     model = build_toy_unet(
         seed=meta["seed"],
         width=meta["width"],
@@ -1102,7 +1098,7 @@ def load_model(json_path: Path | str, weights_dir: Path | str) -> ToyModel:
             want = want.value if isinstance(want, LayerKind) else want
             if row[field_name] != want:
                 raise ValidationError(f"layer {lid}: stored {field_name} disagrees with architecture")
-        w = load_tensor(weights_dir / lid)
+        w = read_artifact(weights_dir / lid, "weight tensor", load_tensor)
         if w.shape != layer.weight.shape:
             raise ValidationError(f"layer {lid}: weight shape {w.shape} != {layer.weight.shape}")
         layer.weight[...] = w

@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import time
@@ -387,18 +388,44 @@ def test_bad_manifest_param_exits_3(pipeline_dir, tmp_path, capsys, key, value, 
     assert f"params.{key}" in capsys.readouterr().err
 
 
-def test_missing_manifest_param_exits_3(pipeline_dir, tmp_path, capsys):
+@pytest.mark.parametrize("key", cli._PARAM_CHECKS)
+def test_missing_manifest_param_exits_3(pipeline_dir, tmp_path, capsys, key):
+    # manifests written before n_budgets, delta_avg_bits and proxy_inputs were
+    # recorded used to get defaults for them; every param a stage reads is required
     manifest = _copy_with_params(pipeline_dir, tmp_path)
     data = json.loads(manifest.read_text())
-    del data["params"]["eval_inputs"]
+    del data["params"][key]
     manifest.write_text(json.dumps(data))
+    before = tree_checksums(manifest.parent)
     assert run(["evaluate", "--manifest", str(manifest)]) == 3
-    assert "eval_inputs" in capsys.readouterr().err
+    assert f"manifest params lack {key!r}" in capsys.readouterr().err
+    assert tree_checksums(manifest.parent) == before
 
 
+def _record_checksums_again(root: Path, damaged: Path) -> None:
+    """Record a damaged artifact's checksum again, in its weight sidecar when it is
+    a ``.bin`` and in the manifest, so that the stages go on to parse it."""
+    rels = [damaged.relative_to(root).as_posix()]
+    if damaged.suffix == ".bin":
+        sidecar = damaged.with_suffix(".json")
+        meta = json.loads(sidecar.read_text())
+        meta["checksum"] = "sha256:" + sha256_file(damaged)
+        sidecar.write_text(json.dumps(meta))
+        rels.append(sidecar.relative_to(root).as_posix())
+    data = json.loads((root / "manifest.json").read_text())
+    data["checksums"].update({rel: sha256_file(root / rel) for rel in rels})
+    (root / "manifest.json").write_text(json.dumps(data))
+
+
+MODEL_JSON_DAMAGES = {
+    "truncated": lambda raw: raw[: len(raw) // 2],
+    "wrong_shape": lambda raw: b'{"layers": 5}',
+    "non_utf8": lambda raw: b"\xff" + raw,
+}
 # model.json cut short (checksum no longer matches), the same file with its
-# checksum recorded again (so it is parsed), and valid JSON of the wrong shape
-BAD_MODEL_JSON = [("truncated", False), ("truncated", True), ("wrong_shape", True)]
+# checksum recorded again (so it is parsed), valid JSON of the wrong shape,
+# and bytes that are not UTF-8
+BAD_MODEL_JSON = [("truncated", False), ("truncated", True), ("wrong_shape", True), ("non_utf8", True)]
 
 
 @pytest.mark.parametrize("stage", ["sensitivity", "allocate", "evaluate"])
@@ -406,16 +433,43 @@ BAD_MODEL_JSON = [("truncated", False), ("truncated", True), ("wrong_shape", Tru
 def test_bad_model_json_exits_3(pipeline_dir, tmp_path, capsys, stage, damage, rechecksum):
     manifest = _copy_with_params(pipeline_dir, tmp_path)
     model_json = manifest.parent / "model.json"
-    text = model_json.read_text()
-    model_json.write_text(text[: len(text) // 2] if damage == "truncated" else '{"layers": 5}')
+    model_json.write_bytes(MODEL_JSON_DAMAGES[damage](model_json.read_bytes()))
     if rechecksum:
-        data = json.loads(manifest.read_text())
-        data["checksums"]["model.json"] = sha256_file(model_json)
-        manifest.write_text(json.dumps(data))
+        _record_checksums_again(manifest.parent, model_json)
+    before = tree_checksums(manifest.parent)
     assert run([stage, "--manifest", str(manifest)]) == 3
     err = capsys.readouterr().err
     assert ("checksum mismatch: model.json" in err) == (not rechecksum)
-    assert ("not a valid model description" in err) == rechecksum
+    assert ("model.json is not a valid model description" in err) == rechecksum
+    assert tree_checksums(manifest.parent) == before
+
+
+# a damaged sidecar or .bin of one weight tensor, its checksums recorded again;
+# each used to end in a traceback (exit 1)
+WEIGHT_DAMAGES = {
+    "sidecar_non_utf8": (".json", lambda raw: b"\xff" + raw),
+    "sidecar_list": (".json", lambda raw: b"[1]"),
+    "bin_empty": (".bin", lambda raw: b""),
+    "bin_rank_200": (".bin", lambda raw: struct.pack("<I", 200) + bytes(16)),
+    "bin_rank_2_31": (".bin", lambda raw: struct.pack("<I", 2**31) + raw[4:]),  # used to read 16 GiB
+    "bin_payload_too_long": (".bin", lambda raw: raw + b"\0"),
+}
+
+
+@pytest.mark.parametrize("damage", WEIGHT_DAMAGES)
+def test_malformed_weight_file_exits_3(tiny_tree, tmp_path, capsys, damage):
+    copy = tmp_path / "run"
+    shutil.copytree(tiny_tree, copy)
+    suffix, edit = WEIGHT_DAMAGES[damage]
+    path = copy / "weights" / f"enc0.conv_in{suffix}"
+    path.write_bytes(edit(path.read_bytes()))
+    _record_checksums_again(copy, path)
+    before = tree_checksums(copy)
+    assert run(["evaluate", "--manifest", str(copy / "manifest.json")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "weights/enc0.conv_in is not a valid weight tensor" in err
+    assert tree_checksums(copy) == before
 
 
 def _edit_first_entry(edit):
@@ -434,6 +488,7 @@ TABLE_DAMAGES = {
     "not_an_object": lambda text: "[1, 2]\n" + text,
     "string_score": _edit_first_entry(lambda e: {**e, "score": "x"}),
     "nan_score": _edit_first_entry(lambda e: {**e, "score": float("nan")}),
+    "non_utf8": lambda text: "\udcff" + text,  # written with surrogateescape: a 0xff byte
 }
 
 
@@ -443,14 +498,14 @@ def test_malformed_sensitivity_table_exits_3(act6_dir, tmp_path, capsys, damage,
     manifest = _copy_with_params(act6_dir, tmp_path)
     rel = f"sensitivity_{kind}.jsonl"
     table = manifest.parent / rel
-    table.write_text(TABLE_DAMAGES[damage](table.read_text()))
-    data = json.loads(manifest.read_text())
-    data["checksums"][rel] = sha256_file(table)
-    manifest.write_text(json.dumps(data))
+    table.write_text(TABLE_DAMAGES[damage](table.read_text()), errors="surrogateescape")
+    _record_checksums_again(manifest.parent, table)
+    before = tree_checksums(manifest.parent)
     assert run(["allocate", "--manifest", str(manifest)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert f"{rel} is not a valid table" in err or "is not a finite number" in err
+    assert tree_checksums(manifest.parent) == before
 
 
 def test_failed_write_leaves_no_partial_or_temp_file(pipeline_dir, tmp_path, monkeypatch):
@@ -541,8 +596,11 @@ def test_negative_seed_flags_exit_2(tmp_path):
 
 def test_evaluate_malformed_config_exits_3(pipeline_dir, tmp_path):
     manifest = _copy_with_params(pipeline_dir, tmp_path)
+    config = json.loads((manifest.parent / "config.json").read_text())
+    config["layers"][min(config["layers"])]["weight"] = [4]  # used to end in a TypeError traceback
     for name, text in (("truncated.json", '{"layers": {'), ("list.json", "[1, 2]"),
-                       ("no_layers.json", '{"summary": {}}'), ("bad_entry.json", '{"layers": {"a": 4}}')):
+                       ("no_layers.json", '{"summary": {}}'), ("bad_entry.json", '{"layers": {"a": 4}}'),
+                       ("list_bits.json", json.dumps(config))):
         (manifest.parent / name).write_text(text)
         assert run(["evaluate", "--manifest", str(manifest), "--config", name]) == 3, name
 
@@ -552,8 +610,11 @@ def test_evaluate_config_confined_to_run_directory(pipeline_dir, tmp_path):
     outside = tmp_path / "other"
     outside.mkdir()
     shutil.copy(manifest.parent / "config.json", outside / "config.json")
-    for path in (str(outside / "config.json"), "../other/config.json"):
+    (manifest.parent / "loop").symlink_to("loop")
+    before = tree_checksums(manifest.parent)
+    for path in (str(outside / "config.json"), "../other/config.json", "loop"):
         assert run(["evaluate", "--manifest", str(manifest), "--config", path]) == 3, path
+    assert tree_checksums(manifest.parent) == before
     (manifest.parent / "sub").mkdir()
     shutil.copy(manifest.parent / "config.json", manifest.parent / "sub" / "mine.json")
     assert run(["evaluate", "--manifest", str(manifest), "--config", "sub/mine.json"]) == 0
@@ -701,6 +762,20 @@ def test_manifest_top_level_list_exits_3(pipeline_dir, tmp_path, capsys):
         assert "must be a JSON object" in capsys.readouterr().err
 
 
+def test_manifest_not_utf8_exits_3(pipeline_dir, tmp_path, capsys):
+    # used to end in a UnicodeDecodeError traceback in every stage
+    copy = tmp_path / "run"
+    shutil.copytree(pipeline_dir, copy)
+    manifest = copy / "manifest.json"
+    manifest.write_bytes(b"\xff" + manifest.read_bytes())
+    before = tree_checksums(copy)
+    for stage in ("sensitivity", "allocate", "evaluate"):
+        assert run([stage, "--manifest", str(manifest)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "manifest.json is not a valid manifest" in err
+    assert tree_checksums(copy) == before
+
+
 def test_manifest_artifacts_string_exits_3(pipeline_dir, tmp_path, capsys):
     # used to end in a TypeError traceback in sensitivity
     manifest = _write_manifest(pipeline_dir, tmp_path, lambda data: {**data, "artifacts": "x"})
@@ -808,8 +883,14 @@ def test_manifest_missing_artifact_exits_3(pipeline_dir, tmp_path, capsys):
 
 
 def test_manifest_artifact_inside_a_subdirectory_is_accepted(pipeline_dir, tmp_path):
-    edit = lambda d: {**d, "artifacts": {**d["artifacts"], "report": "weights/../report.json"}}  # noqa: E731
+    def edit(d):
+        del d["checksums"]["config.json"]
+        return {**d, "artifacts": {**d["artifacts"], "report": "weights/../report.json",
+                                   "config": "weights/../config.json"}}
+
     manifest = _write_manifest(pipeline_dir, tmp_path, edit)
+    assert run(["allocate", "--manifest", str(manifest)]) == 0
+    # evaluate used to look for the config's checksum under config.json and exit 3
     assert run(["evaluate", "--manifest", str(manifest)]) == 0
     assert json.loads(manifest.read_text())["artifacts"]["report"] == "weights/../report.json"
 
@@ -972,6 +1053,45 @@ def test_mutated_manifest_exits_with_a_documented_code(tiny_tree, data):
             except SystemExit as exc:
                 rc = exc.code
             assert rc in (0, 2, 3, 4, 5), (stage, rc)
+
+
+# each artifact a fuzzed example damages, and the stage that reads it
+_READERS = {
+    "model.json": "evaluate",
+    "weights/enc0.conv_in.json": "evaluate",
+    "weights/enc0.conv_in.bin": "evaluate",
+    "sensitivity_weight.jsonl": "allocate",
+    "config.json": "evaluate",
+}
+
+
+@st.composite
+def _damaged_bytes(draw, raw: bytes) -> bytes:
+    how = draw(st.sampled_from(["truncate", "flip", "non_utf8", "json"]), label="how")
+    if how == "json":
+        return json.dumps(draw(_json_values, label="value")).encode()
+    at = draw(st.integers(0, len(raw) - 1), label="at")
+    if how == "truncate":
+        return raw[:at]
+    if how == "flip":
+        return raw[:at] + bytes([raw[at] ^ draw(st.integers(1, 255), label="mask")]) + raw[at + 1:]
+    return raw[:at] + b"\xff" + raw[at:]  # 0xff never occurs in UTF-8
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_damaged_artifact_exits_0_or_3(tiny_tree, data):
+    # A model, weight, table or config file truncated, with a byte flipped, with
+    # a byte that is not UTF-8, or replaced by another JSON value, its checksums
+    # recorded again, is either read or refused with exit 3: never a traceback.
+    rel = data.draw(st.sampled_from(sorted(_READERS)), label="artifact")
+    damaged = data.draw(_damaged_bytes((tiny_tree / rel).read_bytes()), label="bytes")
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp) / "run"
+        shutil.copytree(tiny_tree, copy)
+        (copy / rel).write_bytes(damaged)
+        _record_checksums_again(copy, copy / rel)
+        assert run([_READERS[rel], "--manifest", str(copy / "manifest.json")]) in (0, 3)
 
 
 _TARGETS = st.sampled_from([None, 2.0, 3.0, 4.0, 6.0, 8.0]) | st.floats(2, 8)

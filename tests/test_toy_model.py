@@ -782,7 +782,7 @@ def test_model_size_cap_boundary(monkeypatch):
     shape = dict(spatial=8, latent_channels=2, text_tokens=4, text_channels=4, time_dim=4)
     size = tm.model_elements(4, 1, **shape)
     monkeypatch.setattr(tm, "MAX_MODEL_ELEMENTS", size)
-    assert tm.build_toy_unet(1, 4, 1, **shape).layer_ids()
+    assert tm.build_toy_unet(1, 4, 1, **shape).layer_order
     monkeypatch.setattr(tm, "MAX_MODEL_ELEMENTS", size - 1)
     monkeypatch.setattr(tm, "random_normal", lambda *a: pytest.fail("an array was built before the size check"))
     with pytest.raises(ParameterError, match="cap"):
