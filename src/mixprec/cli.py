@@ -3,11 +3,12 @@
 ``gen-model`` takes every setting of a run as a flag and records it in the
 run's manifest. Every later stage takes only ``--manifest`` (and ``evaluate``
 an optional ``--config`` to score), and reads its settings from the manifest's
-params and seeds alone, so the manifest is the run's one record. Each stage is
-a pure function of the manifest and the files it names; re-running a stage
-reproduces byte-identical artifacts. ``sensitivity`` writes a table only for a
-kind whose target is below the grid's top width (``allocator.needs_table``),
-and ``allocate`` reads only those. Exit codes: 0 success, 2 usage,
+params and seeds alone, so the manifest is the run's one record. Each stage
+reads and writes the run directory's fixed layout (``manifest.LAYOUT``) and is
+a pure function of the manifest and those files; re-running a stage reproduces
+byte-identical artifacts. ``sensitivity`` writes a table only for a kind whose
+target is below the grid's top width (``allocator.needs_table``), and
+``allocate`` reads only those. Exit codes: 0 success, 2 usage,
 3 validation, 4 infeasible budget, 5 I/O.
 """
 
@@ -267,26 +268,26 @@ def run_gen_model(args) -> int:
         "n_budgets": args.n_budgets,
         "delta_avg_bits": args.delta_bits,
     }
-    data = mf.default_manifest(params, seeds)
-    toy_model.save_model(model, out_dir / data["model"]["json"], out_dir / data["model"]["weights_dir"])
-    mf.record_checksums(data, out_dir, mf.model_artifact_paths(data, model.layer_order))
+    data = {"version": mf.MANIFEST_VERSION, "seeds": seeds, "params": params, "checksums": {}}
+    toy_model.save_model(model, out_dir / mf.MODEL_JSON, out_dir / mf.WEIGHTS_DIR)
+    mf.record_checksums(data, out_dir, mf.model_artifact_paths(model.layer_order))
     mf.save_manifest(data, out_dir / "manifest.json")
-    print(f"model: {len(model.layer_order)} layers -> {out_dir / data['model']['json']}")
+    print(f"model: {len(model.layer_order)} layers -> {out_dir / mf.MODEL_JSON}")
     print(f"manifest: {out_dir / 'manifest.json'}")
     return EXIT_OK
 
 
 def _load_model_checked(data: dict, root: Path) -> toy_model.ToyModel:
-    """The model, read only after its JSON and then its weights match their checksums."""
-    model_rel = data["model"]["json"]
-    mf.verify_artifacts(data, root, [model_rel])
+    """The model, built from its JSON (parsed once) after the JSON and then its weights match their checksums."""
+    mf.verify_artifacts(data, root, [mf.MODEL_JSON])
 
     def load(model_json: Path) -> toy_model.ToyModel:
-        layer_ids = [row["id"] for row in mf.read_json(model_json)["layers"]]
-        mf.verify_artifacts(data, root, [rel for rel in mf.model_artifact_paths(data, layer_ids) if rel != model_rel])
-        return toy_model.load_model(model_json, root / data["model"]["weights_dir"])
+        meta = mf.read_json(model_json)
+        weights = mf.model_artifact_paths([row["id"] for row in meta["layers"]])[1:]  # model.json is checked
+        mf.verify_artifacts(data, root, weights)
+        return toy_model.load_model(meta, root / mf.WEIGHTS_DIR)
 
-    return mf.read_artifact(root / model_rel, "model description", load)
+    return mf.read_artifact(root / mf.MODEL_JSON, "model description", load)
 
 
 # --------------------------------------------------------------- sensitivity
@@ -310,7 +311,7 @@ def run_sensitivity(args) -> int:
     for kind in kinds:
         table = tables.of_kind(kind)
         table.validate_complete(model.layer_order, bits, kind)
-        rel = data["artifacts"][f"sensitivity_{kind}"]
+        rel = mf.table_path(kind)
         mf.write_atomic(root / rel, table.to_jsonl())
         written.append(rel)
         print(f"sensitivity[{kind}]: {len(table.entries)} entries -> {root / rel}")
@@ -323,7 +324,7 @@ def run_sensitivity(args) -> int:
 
 
 def _load_table(data: dict, root: Path, kind: str) -> sensitivity.SensitivityTable:
-    rel = data["artifacts"][f"sensitivity_{kind}"]
+    rel = mf.table_path(kind)
     path = root / rel
     if not path.exists():
         raise ValidationError(f"sensitivity table missing: {rel} (run the sensitivity stage first)")
@@ -363,37 +364,33 @@ def run_allocate(args) -> int:
         act_ranges=act_ranges,
     )
 
-    config_rel = data["artifacts"]["config"]
-    mf.write_json(root / config_rel, config.to_json_dict())
+    mf.write_json(root / mf.CONFIG, config.to_json_dict())
 
     # Frontier over the weight sweep when weights were allocated, else activations.
     frontier_kind = WEIGHT if WEIGHT in targets else ACTIVATION
     res = results[frontier_kind]
     frontier = allocator.pareto_frontier(res.sweep)
-    cfg_dir_rel = data["artifacts"]["frontier_configs_dir"]
-    cfg_dir = root / cfg_dir_rel
-    cfg_dir.mkdir(parents=True, exist_ok=True)
+    (root / mf.FRONTIER_CONFIGS_DIR).mkdir(parents=True, exist_ok=True)
     model_costs = toy_model.model_layer_summary(model)
-    written = [config_rel]
-    frontier_rel = data["artifacts"]["frontier"]
+    written = [mf.CONFIG]
     rows = ["avg_bits,score,config_path\n"]
     for point in frontier:
         cell_cfg = res.sweep_configs[point.ref]
         cell = allocator.BitWidthConfig(config=cell_cfg, summary=allocator.cost_summary(cell_cfg, model_costs))
-        rel = f"{cfg_dir_rel}/{frontier_kind}_{point.ref:03d}.json"
+        rel = f"{mf.FRONTIER_CONFIGS_DIR}/{frontier_kind}_{point.ref:03d}.json"
         mf.write_json(root / rel, cell.to_json_dict())
         written.append(rel)
         rows.append(f"{_fmt(point.avg_bits)},{_fmt(point.score)},{rel}\n")
-    mf.write_atomic(root / frontier_rel, "".join(rows))
-    written.append(frontier_rel)
+    mf.write_atomic(root / mf.FRONTIER, "".join(rows))
+    written.append(mf.FRONTIER)
     mf.record_checksums(data, root, written)
     mf.save_manifest(data, root / Path(args.manifest).name)
     s = config.summary
     print(
         f"allocate: avg W{s['avg_weight_bits']:.3g} A{s['avg_act_bits']:.3g} "
-        f"storage {s['storage_opt_ratio']:.2f}x compute {s['compute_opt_ratio']:.2f}x -> {root / config_rel}"
+        f"storage {s['storage_opt_ratio']:.2f}x compute {s['compute_opt_ratio']:.2f}x -> {root / mf.CONFIG}"
     )
-    print(f"frontier: {len(frontier)} points -> {root / frontier_rel}")
+    print(f"frontier: {len(frontier)} points -> {root / mf.FRONTIER}")
     return EXIT_OK
 
 
@@ -405,12 +402,11 @@ def run_evaluate(args) -> int:
     model = _load_model_checked(data, root)
     params = _checked_params(data)
     seeds = _checked_seeds(data)
-    config_rel = args.config if args.config is not None else data["artifacts"]["config"]
+    config_rel = args.config if args.config is not None else mf.CONFIG
     config_path = mf.resolve_inside(root, config_rel, "config")
     if not config_path.exists():
         raise ValidationError(f"config missing: {config_rel} (run the allocate stage first)")
-    # the manifest's config is recorded under the manifest's name for it; another, by its resolved path
-    rel = config_rel if args.config is None else config_path.relative_to(root).as_posix()
+    rel = config_path.relative_to(root).as_posix()
     if args.config is None or rel in data["checksums"]:
         mf.verify_artifacts(data, root, [rel])
     bw = mf.read_artifact(config_path, "config", lambda p: allocator.BitWidthConfig.from_json_dict(mf.read_json(p)))
@@ -462,13 +458,12 @@ def run_evaluate(args) -> int:
         "sqnr_db": report["metrics"]["sqnr_db_mean"] - report["baseline"]["sqnr_db_mean"],
     }
 
-    report_rel = data["artifacts"]["report"]
-    mf.write_json(root / report_rel, report)
-    mf.record_checksums(data, root, [report_rel])
+    mf.write_json(root / mf.REPORT, report)
+    mf.record_checksums(data, root, [mf.REPORT])
     mf.save_manifest(data, root / Path(args.manifest).name)
     print(
         f"evaluate: ssim {report['metrics']['ssim_mean']:.4f} "
-        f"sqnr {report['metrics']['sqnr_db_mean']:.2f} dB -> {root / report_rel}"
+        f"sqnr {report['metrics']['sqnr_db_mean']:.2f} dB -> {root / mf.REPORT}"
     )
     return EXIT_OK
 
@@ -533,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="score a config against the FP baseline on the manifest's eval inputs")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--config", default=None, help="config JSON in the run directory (default: manifest's)")
+    p.add_argument("--config", default=None, help="config JSON in the run directory (default: config.json)")
     p.set_defaults(func=run_evaluate)
 
     p = sub.add_parser("pipeline", help="gen-model + sensitivity + allocate + evaluate")

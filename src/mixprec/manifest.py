@@ -1,8 +1,8 @@
-"""Pipeline manifest: one JSON file tying together artifacts, seeds, and params.
+"""Pipeline manifest: one JSON file tying together a run's seeds, params and checksums.
 
 Every stage reads the manifest, verifies the checksums of the artifacts it
-consumes, writes its outputs to the paths the manifest names, and records
-their checksums. All paths are relative to the manifest's directory.
+consumes, writes its outputs to the run directory's fixed layout below, and
+records their checksums. All paths are relative to the manifest's directory.
 """
 
 from __future__ import annotations
@@ -15,37 +15,32 @@ from pathlib import Path
 from .errors import ValidationError
 from .tensor_core import sha256_file, write_atomic
 
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
+
+# The run directory's layout: each stage reads and writes these paths and no others.
+MODEL_JSON = "model.json"
+WEIGHTS_DIR = "weights"
+CONFIG = "config.json"
+FRONTIER = "frontier.csv"
+FRONTIER_CONFIGS_DIR = "frontier_configs"
+REPORT = "report.json"
 
 
-def default_manifest(params: dict, seeds: dict) -> dict:
-    return {
-        "version": MANIFEST_VERSION,
-        "model": {"json": "model.json", "weights_dir": "weights"},
-        "seeds": dict(seeds),
-        "params": dict(params),
-        "artifacts": {
-            "sensitivity_weight": "sensitivity_weight.jsonl",
-            "sensitivity_activation": "sensitivity_activation.jsonl",
-            "config": "config.json",
-            "frontier": "frontier.csv",
-            "frontier_configs_dir": "frontier_configs",
-            "report": "report.json",
-        },
-        "checksums": {},
-    }
+def table_path(kind: str) -> str:
+    return f"sensitivity_{kind}.jsonl"
 
+
+# Every layout path, each confined to the run directory when a manifest is loaded.
+LAYOUT = (MODEL_JSON, WEIGHTS_DIR, CONFIG, FRONTIER, FRONTIER_CONFIGS_DIR, REPORT,
+          table_path("weight"), table_path("activation"))
 
 # Sections every stage reads or writes; each must be a JSON object.
-MANIFEST_SECTIONS = ("artifacts", "checksums", "params", "seeds")
-# Artifacts the stages write; each must be named in the manifest.
-ARTIFACT_KEYS = tuple(default_manifest({}, {})["artifacts"])
-# The model's paths, each confined to the run directory like an artifact's.
-MODEL_KEYS = tuple(default_manifest({}, {})["model"])
+MANIFEST_SECTIONS = ("checksums", "params", "seeds")
 
 
 def load_manifest(path: Path | str) -> tuple[dict, Path]:
-    """The manifest and its directory; a manifest of the wrong shape is a ValidationError."""
+    """The manifest and its directory; a manifest of the wrong shape, or a
+    layout path that resolves outside the directory, is a ValidationError."""
     path = Path(path)
     data = read_artifact(path, "manifest", read_json)
     if not isinstance(data, dict):
@@ -56,27 +51,9 @@ def load_manifest(path: Path | str) -> tuple[dict, Path]:
         if not isinstance(data.get(section), dict):
             raise ValidationError(f"manifest {path}: {section} must be a JSON object")
     root = path.parent.resolve()
-    artifacts = data["artifacts"]
-    for key in ARTIFACT_KEYS:
-        if key not in artifacts:
-            raise ValidationError(f"manifest {path}: artifacts lack {key!r}")
-    for key, rel in artifacts.items():
-        _check_artifact_path(path, root, f"artifacts.{key}", rel)
-    model = data.get("model")
-    if not isinstance(model, dict):
-        raise ValidationError(f"manifest {path}: model must be a JSON object")
-    for key in MODEL_KEYS:
-        _check_artifact_path(path, root, f"model.{key}", model.get(key))
+    for rel in LAYOUT:
+        resolve_inside(root, rel, "run directory entry")
     return data, root
-
-
-def _check_artifact_path(path: Path, root: Path, name: str, rel) -> None:
-    """A manifest path is a string naming a relative path strictly inside ``root``."""
-    if not isinstance(rel, str):
-        raise ValidationError(f"manifest {path}: {name} must be a path string, not {type(rel).__name__}")
-    if Path(rel).is_absolute():
-        raise ValidationError(f"manifest {path}: {name} {rel!r} lies outside the run directory {root}")
-    resolve_inside(root, rel, f"manifest {path}: {name}")
 
 
 def resolve_inside(root: Path, rel: str, name: str) -> Path:
@@ -139,10 +116,5 @@ def verify_artifacts(data: dict, root: Path, rel_paths: list[str]) -> None:
             raise ValidationError(f"artifact checksum mismatch: {rel}")
 
 
-def model_artifact_paths(data: dict, layer_ids: list[str]) -> list[str]:
-    wdir = data["model"]["weights_dir"]
-    paths = [data["model"]["json"]]
-    for lid in layer_ids:
-        paths.append(f"{wdir}/{lid}.bin")
-        paths.append(f"{wdir}/{lid}.json")
-    return paths
+def model_artifact_paths(layer_ids: list[str]) -> list[str]:
+    return [MODEL_JSON] + [f"{WEIGHTS_DIR}/{lid}{ext}" for lid in layer_ids for ext in (".bin", ".json")]

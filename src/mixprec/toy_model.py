@@ -48,7 +48,7 @@ import numpy as np
 
 from . import quantizer
 from .errors import ConfigError, InputError, ParameterError, ShapeError, ValidationError
-from .manifest import read_artifact, read_json, write_json
+from .manifest import read_artifact, write_json
 from .quantizer import PER_CHANNEL, PER_TENSOR, params_from_minmax
 from .tensor_core import Tensor, derive_seed, make_rng, load_tensor, random_normal, save_tensor
 
@@ -1074,9 +1074,8 @@ def save_model(model: ToyModel, json_path: Path | str, weights_dir: Path | str) 
     write_json(json_path, model_to_json_dict(model))
 
 
-def load_model(json_path: Path | str, weights_dir: Path | str) -> ToyModel:
-    """Rebuild the architecture from metadata and read weights from disk."""
-    meta = read_json(json_path)
+def load_model(meta: dict, weights_dir: Path | str) -> ToyModel:
+    """Rebuild the architecture from the parsed model JSON and read weights from disk."""
     model = build_toy_unet(
         seed=meta["seed"],
         width=meta["width"],

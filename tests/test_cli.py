@@ -74,11 +74,11 @@ def test_both_targets_fp_is_a_usage_error_before_anything_is_written(tmp_path, c
     assert not any(tmp_path.iterdir())
 
 
-def test_sensitivity_requires_model(tmp_path):
+def test_sensitivity_requires_model(tmp_path, capsys):
     manifest = tmp_path / "manifest.json"
-    manifest.write_text('{"version": 1, "model": {"json": "model.json", "weights_dir": "w"}, '
-                        '"params": {}, "seeds": {}, "artifacts": {}, "checksums": {}}')
+    manifest.write_text('{"version": 2, "params": {}, "seeds": {}, "checksums": {}}')
     assert run(["sensitivity", "--manifest", str(manifest)]) == 3
+    assert "required artifact missing: model.json" in capsys.readouterr().err
 
 
 def test_allocate_requires_tables(tmp_path):
@@ -203,7 +203,7 @@ def _activation_table(root: Path) -> sensitivity.SensitivityTable:
     """The activation table of a run, at its manifest's settings: what trees at an A8 target used to hold."""
     data = json.loads((root / "manifest.json").read_text())
     params = data["params"]
-    model = toy_model.load_model(root / "model.json", root / data["model"]["weights_dir"])
+    model = toy_model.load_model(json.loads((root / mf.MODEL_JSON).read_text()), root / mf.WEIGHTS_DIR)
     inputs = toy_model.make_input_set(data["seeds"]["calibration"], params["inputs"], model)
     return sensitivity.analyze(model, inputs, bit_widths=params["bits"], tensor_kind="activation",
                                bos_aware=params["bos_aware"])
@@ -289,7 +289,8 @@ def test_sensitivity_reads_inputs_bits_and_bos_aware_from_the_manifest(pipeline_
     manifest = _copy_with_params(pipeline_dir, tmp_path, inputs=2, bits=[8, 2], bos_aware=False, act_target_bits=None)
     assert run(["sensitivity", "--manifest", str(manifest)]) == 0
     data = json.loads(manifest.read_text())
-    model = toy_model.load_model(manifest.parent / "model.json", manifest.parent / data["model"]["weights_dir"])
+    model = toy_model.load_model(json.loads((manifest.parent / mf.MODEL_JSON).read_text()),
+                                 manifest.parent / mf.WEIGHTS_DIR)
     inputs = toy_model.make_input_set(data["seeds"]["calibration"], 2, model)
     want = sensitivity.analyze(model, inputs, bit_widths=(2, 8), tensor_kind="weight", bos_aware=False)
     assert (manifest.parent / "sensitivity_weight.jsonl").read_text() == want.to_jsonl()
@@ -776,14 +777,7 @@ def test_manifest_not_utf8_exits_3(pipeline_dir, tmp_path, capsys):
     assert tree_checksums(copy) == before
 
 
-def test_manifest_artifacts_string_exits_3(pipeline_dir, tmp_path, capsys):
-    # used to end in a TypeError traceback in sensitivity
-    manifest = _write_manifest(pipeline_dir, tmp_path, lambda data: {**data, "artifacts": "x"})
-    assert run(["sensitivity", "--manifest", str(manifest)]) == 3
-    assert "artifacts must be a JSON object" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("section", ["artifacts", "checksums", "params", "seeds"])
+@pytest.mark.parametrize("section", ["checksums", "params", "seeds"])
 @pytest.mark.parametrize("value", ["x", [], None, 1, "missing"])
 def test_manifest_section_not_an_object_exits_3(pipeline_dir, tmp_path, capsys, section, value):
     def edit(data):
@@ -797,6 +791,48 @@ def test_manifest_section_not_an_object_exits_3(pipeline_dir, tmp_path, capsys, 
     for stage in ("sensitivity", "allocate", "evaluate"):
         assert run([stage, "--manifest", str(manifest)]) == 3
         assert f"{section} must be a JSON object" in capsys.readouterr().err
+
+
+def test_manifest_names_no_paths(pipeline_dir, tmp_path):
+    # the run directory's layout is fixed (manifest.LAYOUT); the manifest records seeds, params and checksums
+    assert run(["gen-model", "--out-dir", str(tmp_path / "run"), *SMALL]) == 0
+    for root in (tmp_path / "run", pipeline_dir):
+        assert sorted(json.loads((root / "manifest.json").read_text())) == ["checksums", "params", "seeds", "version"]
+
+
+# The paths a version-1 manifest named; version 2 fixes them.
+_V1_PATHS = {
+    "model": {"json": "model.json", "weights_dir": "weights"},
+    "artifacts": {
+        "sensitivity_weight": "sensitivity_weight.jsonl",
+        "sensitivity_activation": "sensitivity_activation.jsonl",
+        "config": "config.json",
+        "frontier": "frontier.csv",
+        "frontier_configs_dir": "frontier_configs",
+        "report": "report.json",
+    },
+}
+
+
+def test_version_1_manifest_exits_3(pipeline_dir, tmp_path, capsys):
+    manifest = _write_manifest(pipeline_dir, tmp_path, lambda d: {**d, **_V1_PATHS, "version": 1})
+    before = tree_checksums(manifest.parent)
+    for stage in ("sensitivity", "allocate", "evaluate"):
+        assert run([stage, "--manifest", str(manifest)]) == 3
+        assert "unsupported version 1" in capsys.readouterr().err
+    assert tree_checksums(manifest.parent) == before
+
+
+@pytest.mark.parametrize("entry", [mf.FRONTIER_CONFIGS_DIR, mf.WEIGHTS_DIR])
+def test_layout_entry_symlinked_out_of_the_run_dir_exits_3(pipeline_dir, tmp_path, capsys, entry):
+    copy, outside = tmp_path / "run", tmp_path / "outside"
+    shutil.copytree(pipeline_dir, copy)
+    shutil.move(copy / entry, outside)
+    (copy / entry).symlink_to(outside, target_is_directory=True)
+    before = tree_checksums(outside)
+    assert run(["allocate", "--manifest", str(copy / "manifest.json")]) == 3
+    assert "outside the run directory" in capsys.readouterr().err
+    assert tree_checksums(outside) == before
 
 
 def test_oversized_sweep_flags_exit_2_without_hanging(pipeline_dir):
@@ -842,106 +878,6 @@ def test_sweep_cap_boundary_through_the_cli(pipeline_dir, tmp_path, monkeypatch)
     # n_budgets is checked against both kinds' grids
     monkeypatch.setattr(allocator, "DEFAULT_RATIO_GRID_ACT", (1.0,) * 9)
     assert allocate_at(2) == 3
-
-
-def test_manifest_artifact_number_exits_3(pipeline_dir, tmp_path, capsys):
-    # used to end in a TypeError traceback (exit 1) in allocate
-    manifest = _write_manifest(pipeline_dir, tmp_path, lambda d: {**d, "artifacts": {**d["artifacts"], "config": 5}})
-    assert run(["allocate", "--manifest", str(manifest)]) == 3
-    assert "error: " in capsys.readouterr().err
-
-
-def test_manifest_artifact_escaping_run_dir_exits_3(pipeline_dir, tmp_path, capsys):
-    # used to exit 0 after writing the frontier outside the run directory
-    edit = lambda d: {**d, "artifacts": {**d["artifacts"], "frontier": "../escaped.csv"}}  # noqa: E731
-    manifest = _write_manifest(pipeline_dir, tmp_path, edit)
-    before = tree_checksums(manifest.parent)
-    assert run(["allocate", "--manifest", str(manifest)]) == 3
-    assert "outside the run directory" in capsys.readouterr().err
-    assert not (tmp_path / "escaped.csv").exists()
-    assert tree_checksums(manifest.parent) == before
-
-
-@pytest.mark.parametrize("key", ["config", "report", "frontier_configs_dir", "sensitivity_weight", "extra"])
-@pytest.mark.parametrize("value", [None, ["config.json"], "/abs/config.json", "", ".", "..", "sub/../../x", "a\0b"])
-def test_manifest_bad_artifact_path_exits_3(pipeline_dir, tmp_path, capsys, key, value):
-    manifest = _write_manifest(pipeline_dir, tmp_path, lambda d: {**d, "artifacts": {**d["artifacts"], key: value}})
-    for stage in ("sensitivity", "allocate", "evaluate"):
-        assert run([stage, "--manifest", str(manifest)]) == 3
-        assert f"artifacts.{key}" in capsys.readouterr().err
-
-
-def test_manifest_missing_artifact_exits_3(pipeline_dir, tmp_path, capsys):
-    for key in mf.ARTIFACT_KEYS:
-        def edit(d):
-            del d["artifacts"][key]
-            return d
-
-        manifest = _write_manifest(pipeline_dir, tmp_path / key, edit)
-        assert run(["evaluate", "--manifest", str(manifest)]) == 3
-        assert f"lack {key!r}" in capsys.readouterr().err
-
-
-def test_manifest_artifact_inside_a_subdirectory_is_accepted(pipeline_dir, tmp_path):
-    def edit(d):
-        del d["checksums"]["config.json"]
-        return {**d, "artifacts": {**d["artifacts"], "report": "weights/../report.json",
-                                   "config": "weights/../config.json"}}
-
-    manifest = _write_manifest(pipeline_dir, tmp_path, edit)
-    assert run(["allocate", "--manifest", str(manifest)]) == 0
-    # evaluate used to look for the config's checksum under config.json and exit 3
-    assert run(["evaluate", "--manifest", str(manifest)]) == 0
-    assert json.loads(manifest.read_text())["artifacts"]["report"] == "weights/../report.json"
-
-
-def test_manifest_model_paths_outside_the_run_dir_exit_3(tiny_tree, tmp_path, capsys):
-    # used to exit 0 after reading the model from a copy beside the run directory
-    copy, other = tmp_path / "run", tmp_path / "other"
-    shutil.copytree(tiny_tree, copy)
-    other.mkdir()
-    shutil.copy(copy / "model.json", other / "model.json")
-    shutil.copytree(copy / "weights", other / "weights")
-    data = json.loads((copy / "manifest.json").read_text())
-    data["model"] = {"json": "../other/model.json", "weights_dir": "../other/weights"}
-    data["checksums"] = {
-        (f"../other/{rel}" if rel == "model.json" or rel.startswith("weights/") else rel): digest
-        for rel, digest in data["checksums"].items()
-    }
-    (copy / "manifest.json").write_text(json.dumps(data))
-    assert run(["evaluate", "--manifest", str(copy / "manifest.json")]) == 3
-    assert "model.json '../other/model.json' lies outside the run directory" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("key", ["json", "weights_dir"])
-@pytest.mark.parametrize("value", ["missing", None, 5, ["model.json"], "/abs/model.json", "", ".", "../model.json"])
-def test_manifest_bad_model_path_exits_3(pipeline_dir, tmp_path, capsys, key, value):
-    def edit(data):
-        if value == "missing":
-            del data["model"][key]
-        else:
-            data["model"][key] = value
-        return data
-
-    manifest = _write_manifest(pipeline_dir, tmp_path, edit)
-    for stage in ("sensitivity", "allocate", "evaluate"):
-        assert run([stage, "--manifest", str(manifest)]) == 3
-        assert f"model.{key}" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("value", ["x", [], None, "missing"])
-def test_manifest_model_not_an_object_exits_3(pipeline_dir, tmp_path, capsys, value):
-    def edit(data):
-        if value == "missing":
-            del data["model"]
-        else:
-            data["model"] = value
-        return data
-
-    manifest = _write_manifest(pipeline_dir, tmp_path, edit)
-    for stage in ("sensitivity", "allocate", "evaluate"):
-        assert run([stage, "--manifest", str(manifest)]) == 3
-        assert "model must be a JSON object" in capsys.readouterr().err
 
 
 def test_oversized_model_flags_exit_2_without_allocating(tmp_path, capsys):
@@ -1029,13 +965,13 @@ _DELETE = object()
 @settings(max_examples=40, deadline=10_000)
 @given(data=st.data())
 def test_mutated_manifest_exits_with_a_documented_code(tiny_tree, data):
-    # Every stage on a manifest with mutated artifacts, params, seeds or
+    # Every stage on a manifest with mutated params, seeds or
     # checksums ends in 0/2/3/4/5, never a traceback. The input-count and sweep
     # caps are patched down so that no valid example runs long; their
     # boundaries have tests of their own.
     manifest = json.loads((tiny_tree / "manifest.json").read_text())
     for _ in range(data.draw(st.integers(1, 3), label="mutations")):
-        section = data.draw(st.sampled_from(["artifacts", "params", "seeds", "checksums"]), label="section")
+        section = data.draw(st.sampled_from(["params", "seeds", "checksums"]), label="section")
         key = data.draw(st.sampled_from(sorted(manifest[section])) | st.text(max_size=6), label="key")
         value = data.draw(st.just(_DELETE) | _json_values, label="value")
         if value is _DELETE:

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -460,7 +461,7 @@ def test_model_json_export_fields(model):
 
 def test_save_load_roundtrip(model, small_inputs, tmp_path):
     tm.save_model(model, tmp_path / "model.json", tmp_path / "weights")
-    back = tm.load_model(tmp_path / "model.json", tmp_path / "weights")
+    back = tm.load_model(json.loads((tmp_path / "model.json").read_text()), tmp_path / "weights")
     latent, emb, t = small_inputs[0]
     assert np.array_equal(tm.forward(model, latent, emb, t), tm.forward(back, latent, emb, t))
 
@@ -472,7 +473,7 @@ def test_load_detects_weight_tamper(model, tmp_path):
     raw[-1] ^= 0x01
     target.write_bytes(bytes(raw))
     with pytest.raises(ValidationError):
-        tm.load_model(tmp_path / "model.json", tmp_path / "weights")
+        tm.load_model(json.loads((tmp_path / "model.json").read_text()), tmp_path / "weights")
 
 
 def test_quantconfig_json_roundtrip(model):
