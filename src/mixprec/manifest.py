@@ -39,8 +39,9 @@ MANIFEST_SECTIONS = ("checksums", "params", "seeds")
 
 
 def load_manifest(path: Path | str) -> tuple[dict, Path]:
-    """The manifest and its directory; a manifest of the wrong shape, or a
-    layout path that resolves outside the directory, is a ValidationError."""
+    """The manifest and its directory; a manifest of the wrong shape (including
+    any section beyond version, params, seeds and checksums), or a layout path
+    that resolves outside the directory, is a ValidationError."""
     path = Path(path)
     data = read_artifact(path, "manifest", read_json)
     if not isinstance(data, dict):
@@ -50,6 +51,11 @@ def load_manifest(path: Path | str) -> tuple[dict, Path]:
     for section in MANIFEST_SECTIONS:
         if not isinstance(data.get(section), dict):
             raise ValidationError(f"manifest {path}: {section} must be a JSON object")
+    # A path section (a version-1 leftover, or a hand edit) would be silently ignored: refuse it.
+    unknown = sorted(set(data) - {"version", *MANIFEST_SECTIONS})
+    if unknown:
+        raise ValidationError(f"manifest {path} has unknown section(s) {', '.join(unknown)}; "
+                              "the run directory's layout is fixed")
     root = path.parent.resolve()
     for rel in LAYOUT:
         resolve_inside(root, rel, "run directory entry")

@@ -835,6 +835,89 @@ def test_layout_entry_symlinked_out_of_the_run_dir_exits_3(pipeline_dir, tmp_pat
     assert tree_checksums(outside) == before
 
 
+# A version-2 manifest that still names a path is refused, not silently ignored.
+def _with_section(section, **paths):
+    return lambda d: {**d, section: {**_V1_PATHS[section], **paths}}
+
+
+def test_manifest_artifacts_string_exits_3(pipeline_dir, tmp_path, capsys):
+    # used to end in a TypeError traceback in sensitivity
+    manifest = _write_manifest(pipeline_dir, tmp_path, lambda data: {**data, "artifacts": "x"})
+    assert run(["sensitivity", "--manifest", str(manifest)]) == 3
+    assert "unknown section(s) artifacts" in capsys.readouterr().err
+
+
+def test_manifest_artifact_number_exits_3(pipeline_dir, tmp_path, capsys):
+    # used to end in a TypeError traceback (exit 1) in allocate
+    manifest = _write_manifest(pipeline_dir, tmp_path, _with_section("artifacts", config=5))
+    assert run(["allocate", "--manifest", str(manifest)]) == 3
+    assert "error: " in capsys.readouterr().err
+
+
+def test_manifest_artifact_escaping_run_dir_exits_3(pipeline_dir, tmp_path, capsys):
+    # used to exit 0 after writing the frontier outside the run directory
+    manifest = _write_manifest(pipeline_dir, tmp_path, _with_section("artifacts", frontier="../escaped.csv"))
+    before = tree_checksums(manifest.parent)
+    assert run(["allocate", "--manifest", str(manifest)]) == 3
+    assert "unknown section(s) artifacts" in capsys.readouterr().err
+    assert not (tmp_path / "escaped.csv").exists()
+    assert tree_checksums(manifest.parent) == before
+
+
+@pytest.mark.parametrize("key", ["config", "report", "frontier_configs_dir", "sensitivity_weight", "extra"])
+@pytest.mark.parametrize("value", [None, ["config.json"], "/abs/config.json", "", ".", "..", "sub/../../x", "a\0b"])
+def test_manifest_bad_artifact_path_exits_3(pipeline_dir, tmp_path, capsys, key, value):
+    manifest = _write_manifest(pipeline_dir, tmp_path, _with_section("artifacts", **{key: value}))
+    before = tree_checksums(manifest.parent)
+    for stage in ("sensitivity", "allocate", "evaluate"):
+        assert run([stage, "--manifest", str(manifest)]) == 3
+        assert "unknown section(s) artifacts" in capsys.readouterr().err
+    assert tree_checksums(manifest.parent) == before
+
+
+def test_manifest_model_paths_outside_the_run_dir_exit_3(tiny_tree, tmp_path, capsys):
+    # used to exit 0 after reading the model from a copy beside the run directory
+    copy, other = tmp_path / "run", tmp_path / "other"
+    shutil.copytree(tiny_tree, copy)
+    other.mkdir()
+    shutil.copy(copy / "model.json", other / "model.json")
+    shutil.copytree(copy / "weights", other / "weights")
+    data = json.loads((copy / "manifest.json").read_text())
+    data["model"] = {"json": "../other/model.json", "weights_dir": "../other/weights"}
+    data["checksums"] = {
+        (f"../other/{rel}" if rel == "model.json" or rel.startswith("weights/") else rel): digest
+        for rel, digest in data["checksums"].items()
+    }
+    (copy / "manifest.json").write_text(json.dumps(data))
+    assert run(["evaluate", "--manifest", str(copy / "manifest.json")]) == 3
+    assert "unknown section(s) model" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["json", "weights_dir"])
+@pytest.mark.parametrize("value", ["missing", None, 5, ["model.json"], "/abs/model.json", "", ".", "../model.json"])
+def test_manifest_bad_model_path_exits_3(pipeline_dir, tmp_path, capsys, key, value):
+    def edit(data):
+        data = _with_section("model")(data)
+        if value == "missing":
+            del data["model"][key]
+        else:
+            data["model"][key] = value
+        return data
+
+    manifest = _write_manifest(pipeline_dir, tmp_path, edit)
+    for stage in ("sensitivity", "allocate", "evaluate"):
+        assert run([stage, "--manifest", str(manifest)]) == 3
+        assert "unknown section(s) model" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["x", [], None])
+def test_manifest_model_not_an_object_exits_3(pipeline_dir, tmp_path, capsys, value):
+    manifest = _write_manifest(pipeline_dir, tmp_path, lambda data: {**data, "model": value})
+    for stage in ("sensitivity", "allocate", "evaluate"):
+        assert run([stage, "--manifest", str(manifest)]) == 3
+        assert "unknown section(s) model" in capsys.readouterr().err
+
+
 def test_oversized_sweep_flags_exit_2_without_hanging(pipeline_dir):
     # sweeps this size used to run allocate until killed
     for n_budgets in ("1000000", "200"):
