@@ -328,22 +328,25 @@ def _greedy_fill(choices, spend, budget, elems, bits_grid, score_fn) -> int:
 def proxy_score(model, config, inputs, refs, *, bos_aware=False, act_ranges=None, cache=None) -> float:
     """Mean output SQNR of the configured model over a small input set.
 
+    ``inputs`` and ``refs`` are ``proxy_set``'s stacked chunks and their FP
+    reference batches; each chunk runs as one ``toy_model.forward`` call.
     ``cache`` is a ``toy_model.StateCache`` shared by the configs of one sweep;
     it changes the work done, never the score.
     """
-    outs = toy_model.forward_inputs(
-        model, inputs, config=config, bos_aware=bos_aware, act_ranges=act_ranges, cache=cache
-    )
     total = 0.0
-    for ref, out in zip(refs, outs):
-        total += metrics.sqnr_db(ref, out).value
-    return total / len(refs)
+    for chunk, batch in zip(inputs, refs, strict=True):
+        out = toy_model.forward(model, *chunk, config=config, bos_aware=bos_aware, act_ranges=act_ranges, cache=cache)
+        for value in metrics.sqnr_db(batch, out):
+            total += value
+    return total / sum(batch.size for batch in refs)
 
 
 def proxy_set(model: toy_model.ToyModel, options: AllocOptions) -> tuple[list, list]:
-    """The proxy inputs an allocation with ``options`` scores on, and their FP outputs."""
+    """The proxy inputs an allocation with ``options`` scores on, stacked in
+    ``toy_model.input_chunks``, and the FP reference batch of each chunk."""
     inputs = toy_model.make_input_set(options.proxy_seed, options.proxy_inputs, model)
-    return inputs, fp_references(model, inputs, bos_aware=options.bos_aware)
+    chunks = list(toy_model.input_chunks(inputs))
+    return chunks, fp_references(model, chunks, bos_aware=options.bos_aware)
 
 
 def allocate(

@@ -230,6 +230,7 @@ def run_gen_model(args) -> int:
         raise _UsageError(str(exc)) from exc
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    mf.check_layout(out_dir.resolve())
     model = toy_model.build_toy_unet(
         seed=args.seed,
         width=args.width,
@@ -420,37 +421,25 @@ def run_evaluate(args) -> int:
         calib_inputs = toy_model.make_input_set(seeds["calibration"], params["inputs"], model)
         act_ranges = toy_model.calibrate_activations(model, calib_inputs, bos_aware=bos_aware)
 
-    refs = sensitivity.fp_references(model, eval_inputs, bos_aware=bos_aware)
-    outs = toy_model.forward_inputs(
-        model, eval_inputs, config=bw.config, bos_aware=bos_aware, act_ranges=act_ranges
-    )
-    rows = []
-    for i, (ref, out) in enumerate(zip(refs, outs)):
-        w = metrics.SsimWeights.for_reference(ref)
-        rows.append(
-            {
-                "index": i,
-                "ssim": metrics.ssim(ref, out, w).value,
-                "sqnr_db": metrics.sqnr_db(ref, out).value,
-            }
-        )
-    base_rows = []
-    for ref in refs:
-        w = metrics.SsimWeights.for_reference(ref)
-        base_rows.append(
-            {"ssim": metrics.ssim(ref, ref, w).value, "sqnr_db": metrics.sqnr_db(ref, ref).value}
-        )
+    chunks = list(toy_model.input_chunks(eval_inputs))
+    ssim, sqnr_db, base_ssim, base_sqnr_db = [], [], [], []
+    for chunk, batch in zip(chunks, sensitivity.fp_references(model, chunks, bos_aware=bos_aware)):
+        out = toy_model.forward(model, *chunk, config=bw.config, bos_aware=bos_aware, act_ranges=act_ranges)
+        ssim += metrics.ssim(batch, out)
+        sqnr_db += metrics.sqnr_db(batch, out)
+        base_ssim += metrics.ssim(batch, batch.values)
+        base_sqnr_db += metrics.sqnr_db(batch, batch.values)
 
-    def mean(key, rs):
-        return sum(r[key] for r in rs) / len(rs)
+    def mean(values):
+        return sum(values) / len(values)
 
     report = {
         "config_path": str(config_rel),
         "bos_aware": bos_aware,
         "n_inputs": n_eval,
-        "metrics": {"ssim_mean": mean("ssim", rows), "sqnr_db_mean": mean("sqnr_db", rows)},
-        "baseline": {"ssim_mean": mean("ssim", base_rows), "sqnr_db_mean": mean("sqnr_db", base_rows)},
-        "per_input": rows,
+        "metrics": {"ssim_mean": mean(ssim), "sqnr_db_mean": mean(sqnr_db)},
+        "baseline": {"ssim_mean": mean(base_ssim), "sqnr_db_mean": mean(base_sqnr_db)},
+        "per_input": [{"index": i, "ssim": a, "sqnr_db": b} for i, (a, b) in enumerate(zip(ssim, sqnr_db))],
         "summary": bw.summary,
     }
     report["deltas"] = {

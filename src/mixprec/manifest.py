@@ -30,7 +30,7 @@ def table_path(kind: str) -> str:
     return f"sensitivity_{kind}.jsonl"
 
 
-# Every layout path, each confined to the run directory when a manifest is loaded.
+# Every layout path, each confined to the run directory (``check_layout``) before a stage reads or writes.
 LAYOUT = (MODEL_JSON, WEIGHTS_DIR, CONFIG, FRONTIER, FRONTIER_CONFIGS_DIR, REPORT,
           table_path("weight"), table_path("activation"))
 
@@ -57,9 +57,15 @@ def load_manifest(path: Path | str) -> tuple[dict, Path]:
         raise ValidationError(f"manifest {path} has unknown section(s) {', '.join(unknown)}; "
                               "the run directory's layout is fixed")
     root = path.parent.resolve()
+    check_layout(root)
+    return data, root
+
+
+def check_layout(root: Path) -> None:
+    """Every ``LAYOUT`` path of the run directory ``root`` (resolved) must resolve
+    inside it; one symlinked out of it is a ValidationError."""
     for rel in LAYOUT:
         resolve_inside(root, rel, "run directory entry")
-    return data, root
 
 
 def resolve_inside(root: Path, rel: str, name: str) -> Path:

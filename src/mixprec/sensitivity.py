@@ -8,18 +8,17 @@ with SQNR in dB. Scores are averaged over the input set.
 
 A probe does only the work that differs between probes. Everything else is
 built once per analysis, for every tensor kind it scores: the stacked input
-chunks, the FP reference outputs with their per-reference statistics
-(``metrics.ReferenceBatch``) and the activation ranges. The probes run in layer
-order (layer, then kind, then bits) through one ``toy_model.StateCache`` made
-for that plan. Each probe resumes every chunk from the FP state the probe before
-it left at the entry of that probe's segment, so the FP prefix runs once per
-chunk, not once per probe. It reads the FP terms the cache keeps per chunk:
-the text K/V projections, and the skip half of ``dec0.fuse`` for every probe
-from ``enc1.down`` on but the fuse conv's own. A probe makes one
-``toy_model.forward`` call per chunk of ``toy_model.FORWARD_CHUNK`` inputs,
-scores each chunk as one batch with its layer group's metric only, and sums
-the scores in input order, so every score has the bits that scoring input by
-input gives.
+chunks, the FP reference batch of each chunk (``fp_references``, which holds
+the per-reference statistics every score reuses) and the activation ranges.
+The probes run in layer order (layer, then kind, then bits) through one
+``toy_model.StateCache`` made for that plan. Each probe resumes every chunk
+from the FP state the probe before it left at the entry of that probe's
+segment, so the FP prefix runs once per chunk, not once per probe. It reads
+the FP terms the cache keeps per chunk: the text K/V projections, and the skip
+half of ``dec0.fuse`` for every probe from ``enc1.down`` on but the fuse conv's
+own. A probe makes one ``toy_model.forward`` call per chunk of
+``toy_model.FORWARD_CHUNK`` inputs, scores the chunk with its layer group's
+metric only, and sums the scores in input order.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from dataclasses import asdict, dataclass, field
 from . import metrics, toy_model
 from .errors import ParameterError, ValidationError
 from .quantizer import BIT_WIDTHS
-from .tensor_core import Tensor
 
 WEIGHT = "weight"
 ACTIVATION = "activation"
@@ -61,9 +59,6 @@ class SensitivityTable:
             index.setdefault((e.layer_id, e.bit_width, e.tensor_kind), e.score)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "_index", index)
-
-    def bit_widths(self) -> tuple[int, ...]:
-        return tuple(sorted({e.bit_width for e in self.entries}))
 
     def of_kind(self, tensor_kind: str) -> "SensitivityTable":
         """The entries of one tensor kind, in table order."""
@@ -101,18 +96,10 @@ class SensitivityTable:
         return cls(entries)
 
 
-def fp_references(
-    model: toy_model.ToyModel, inputs, bos_aware: bool = False
-) -> list[Tensor]:
-    """Full-precision outputs for every input, computed once per analysis."""
-    return toy_model.forward_inputs(model, inputs, bos_aware=bos_aware)
-
-
-def reference_batches(refs: list[Tensor]) -> list[metrics.ReferenceBatch]:
-    """The references cut into chunks as ``toy_model.input_chunks`` cuts their
-    inputs, each stacked with the statistics every probe's scoring reuses."""
-    step = toy_model.FORWARD_CHUNK
-    return [metrics.ReferenceBatch.of(refs[i:i + step]) for i in range(0, len(refs), step)]
+def fp_references(model: toy_model.ToyModel, chunks, bos_aware: bool = False) -> list[metrics.ReferenceBatch]:
+    """The full-precision outputs of each stacked input chunk (``toy_model.input_chunks``),
+    one forward per chunk, as the reference batch every score against them reads."""
+    return [metrics.ReferenceBatch.of(toy_model.forward(model, *chunk, bos_aware=bos_aware)) for chunk in chunks]
 
 
 def group_metric(group: str) -> str:
@@ -148,9 +135,9 @@ def probe_layer(
     """Quantize one layer's tensor at one bit-width; the mean of each metric of
     ``metric_kinds`` (by default SSIM, then SQNR) against the FP outputs.
 
-    ``inputs`` are the stacked ``toy_model.input_chunks`` and ``refs`` the
-    ``reference_batches`` of their FP outputs, one batch per chunk; a caller
-    that probes many layers builds both once. Each chunk runs as one
+    ``inputs`` are the stacked ``toy_model.input_chunks`` and ``refs`` their
+    ``fp_references``, one batch per chunk; a caller that probes many layers
+    builds both once. Each chunk runs as one
     ``toy_model.forward`` call, with ``cache`` (made for a plan of probe
     configs, with the same ``bos_aware`` and ``act_ranges``) when given, so the
     call resumes from the deepest state the cache holds for the chunk. Each
@@ -158,7 +145,7 @@ def probe_layer(
     inputs in input order.
     """
     cfg = _probe_config(model, layer_id, tensor_kind, bit_width)
-    scorer_of = {metrics.SSIM: metrics.ssim_batch, metrics.SQNR_DB: metrics.sqnr_db_batch}
+    scorer_of = {metrics.SSIM: metrics.ssim, metrics.SQNR_DB: metrics.sqnr_db}
     if any(kind not in scorer_of for kind in metric_kinds):
         raise ParameterError(f"metric kinds must be among {tuple(scorer_of)}")
     scorers = [scorer_of[kind] for kind in metric_kinds]
@@ -206,7 +193,7 @@ def analyze(
         raise ParameterError(f"tensor_kind must be one of {TENSOR_KINDS}, or a tuple of distinct ones")
 
     chunks = list(toy_model.input_chunks(inputs))
-    refs = reference_batches(fp_references(model, inputs, bos_aware=bos_aware))
+    refs = fp_references(model, chunks, bos_aware=bos_aware)
     if ACTIVATION in kinds and act_ranges is None:
         act_ranges = toy_model.calibrate_activations(model, inputs, bos_aware=bos_aware)
     plan = [(lid, kind, b) for lid in model.layer_order for kind in kinds for b in bit_widths]

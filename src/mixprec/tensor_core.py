@@ -128,11 +128,10 @@ def load_tensor(base_path: Path | str) -> Tensor:
     json_path = base.parent / (base.name + ".json")
     with open(json_path) as f:
         sidecar = json.load(f)
-    digest = "sha256:" + sha256_file(bin_path)
-    if digest != sidecar.get("checksum"):
-        raise ValidationError(f"checksum mismatch for {bin_path}")
-    # Unpacked from the bytes read, so a damaged rank cannot make a read of its size
+    # Read once: the checksum and the parse see the same bytes, and a damaged rank cannot make a read of its size
     raw = bin_path.read_bytes()
+    if "sha256:" + hashlib.sha256(raw).hexdigest() != sidecar.get("checksum"):
+        raise ValidationError(f"checksum mismatch for {bin_path}")
     (rank,) = struct.unpack_from("<I", raw)
     shape = struct.unpack_from(f"<{rank}Q", raw, 4)
     data = np.frombuffer(raw, dtype="<f8", offset=4 + 8 * rank)

@@ -884,12 +884,6 @@ def forward(
     return out[0] if single else out
 
 
-def forward_inputs(model: ToyModel, inputs, **options) -> list[Tensor]:
-    """``forward`` over a list of (latent, embedding, timestep) inputs in stacked
-    chunks of ``FORWARD_CHUNK``; one output per input, in input order."""
-    return [out for chunk in input_chunks(inputs) for out in forward(model, *chunk, **options)]
-
-
 @dataclass(frozen=True)
 class SegmentState:
     """One input chunk's state at the entry of segment ``index``.

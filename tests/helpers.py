@@ -1,17 +1,19 @@
-"""Code only the tests use: allocation baselines and their long-tail ranking, a
-reference sensitivity scorer, probe inputs, a state-cache recorder, reference
-kernels and layers, a quant-params wire format, checksums, MSE."""
+"""Code only the tests use: allocation baselines and their long-tail ranking,
+per-input metrics and a reference sensitivity scorer, probe inputs, a
+state-cache recorder, reference kernels and layers, a quant-params wire format,
+checksums, MSE."""
 
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 
 from mixprec import metrics, quantizer, toy_model
-from mixprec.errors import InfeasibleBudgetError, ShapeError
-from mixprec.sensitivity import WEIGHT, SensitivityEntry, SensitivityTable, fp_references, reference_batches
-from mixprec.tensor_core import Tensor, make_rng
+from mixprec.errors import InfeasibleBudgetError, ShapeError, UndefinedMetricError
+from mixprec.sensitivity import WEIGHT, SensitivityEntry, SensitivityTable, fp_references
+from mixprec.tensor_core import Tensor, l2_norm_sq, make_rng
 
 
 def _kind_config(model, tensor_kind: str, bits: dict[str, int]) -> toy_model.QuantConfig:
@@ -28,7 +30,7 @@ def _elems_and_budget(model, tensor_kind: str, target_avg_bits: float) -> tuple[
 
 def rank_long_tail(table: SensitivityTable) -> list[tuple[str, float]]:
     """Layers ordered most-sensitive first: ascending score at the lowest bit-width."""
-    low = min(table.bit_widths())
+    low = min(e.bit_width for e in table.entries)
     scored = [(e.layer_id, e.score) for e in table.entries if e.bit_width == low]
     return sorted(scored, key=lambda pair: (pair[1], pair[0]))
 
@@ -84,6 +86,83 @@ def random_config(
     return _kind_config(model, tensor_kind, bits)
 
 
+def forward_inputs(model, inputs, **options) -> list[Tensor]:
+    """``toy_model.forward`` over a list of (latent, embedding, timestep) inputs in
+    stacked ``toy_model.input_chunks``; one output per input, in input order."""
+    return [out for chunk in toy_model.input_chunks(inputs) for out in toy_model.forward(model, *chunk, **options)]
+
+
+# The per-input metrics: the oracle that ``metrics.ssim`` and ``metrics.sqnr_db``,
+# which score a stacked batch against a ``metrics.ReferenceBatch``, must equal
+# bit for bit, input by input.
+
+
+def ssim_weights(reference: Tensor) -> metrics.SsimWeights:
+    """Stabilizers for the reference's data range; a constant reference uses range 1."""
+    data_range = float(np.max(reference) - np.min(reference))
+    return metrics.SsimWeights.for_data_range(1.0 if data_range == 0 else data_range)
+
+
+def ssim_components(x: Tensor, y: Tensor, weights: metrics.SsimWeights | None = None):
+    """Luminance, contrast, and structure terms over one full-image window."""
+    w = weights or metrics.SsimWeights()
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.shape != y.shape:
+        raise ShapeError(f"shape mismatch: {x.shape} vs {y.shape}")
+    mu_x = float(x.mean())
+    mu_y = float(y.mean())
+    var_x = float(((x - mu_x) ** 2).mean())
+    var_y = float(((y - mu_y) ** 2).mean())
+    cov = float(((x - mu_x) * (y - mu_y)).mean())
+    if not all(map(math.isfinite, (mu_x, mu_y, var_x, var_y, cov))):
+        raise UndefinedMetricError("similarity undefined: an input is not finite, or its moments overflow")
+    sd_x, sd_y = math.sqrt(var_x), math.sqrt(var_y)
+    lum_den = mu_x * mu_x + mu_y * mu_y + w.c1
+    con_den = var_x + var_y + w.c2
+    str_den = sd_x * sd_y + w.c2 / 2
+    if lum_den == 0 or con_den == 0 or str_den == 0:
+        raise UndefinedMetricError("similarity undefined: zero-mean or constant inputs with zero stabilizers")
+    return (2 * mu_x * mu_y + w.c1) / lum_den, (2 * sd_x * sd_y + w.c2) / con_den, (cov + w.c2 / 2) / str_den
+
+
+def ssim(x: Tensor, y: Tensor, weights: metrics.SsimWeights | None = None) -> float:
+    """Structural similarity of one pair: luminance * contrast * structure."""
+    lum, con, struct = ssim_components(x, y, weights)
+    return float(lum * con * struct)
+
+
+def sqnr_db(reference: Tensor, test: Tensor) -> float:
+    """Signal-to-quantization-noise ratio in dB of one pair, capped at ``metrics.SQNR_CAP_DB``."""
+    reference = np.asarray(reference, dtype=np.float64)
+    test = np.asarray(test, dtype=np.float64)
+    if reference.shape != test.shape:
+        raise ShapeError(f"shape mismatch: {reference.shape} vs {test.shape}")
+    signal, noise = l2_norm_sq(reference), l2_norm_sq(reference - test)
+    if not (math.isfinite(signal) and math.isfinite(noise)):
+        raise UndefinedMetricError("SQNR undefined: an input is not finite, or its energy overflows")
+    if signal == 0.0:
+        raise UndefinedMetricError("reference signal is identically zero")
+    if noise == 0.0:
+        return metrics.SQNR_CAP_DB
+    return float(min(metrics.SQNR_CAP_DB, 10.0 * math.log10(signal / noise)))
+
+
+def per_input_scores(refs, outs) -> tuple[list[float], list[float]]:
+    """The oracle SSIM (under each reference's data-range weights) and SQNR of
+    each output against its reference, in input order."""
+    pairs = list(zip(refs, outs, strict=True))
+    return [ssim(r, o, ssim_weights(r)) for r, o in pairs], [sqnr_db(r, o) for r, o in pairs]
+
+
+def mean_in_order(values) -> float:
+    """The values summed in input order from 0.0, over their count: every mean the pipeline reports."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total / len(values)
+
+
 def per_input_sensitivity_table(
     model, inputs, bit_widths, tensor_kind: str, bos_aware: bool, *, single_input_forwards: bool = False
 ) -> SensitivityTable:
@@ -92,16 +171,15 @@ def per_input_sensitivity_table(
     Every probe runs from the input: ``forward_inputs`` in chunks with no state
     cache (or, with ``single_input_forwards``, one ``forward`` per input), so
     this oracle shares no resume code with the engine it checks. It scores every
-    output with both metrics one input at a time (``ssim`` under the
-    reference's data-range weights, and ``sqnr_db``), sums them in input order,
-    and keeps its layer group's metric.
+    output with both per-input metrics, sums them in input order, and keeps its
+    layer group's metric.
     """
     ranges = toy_model.calibrate_activations(model, inputs, bos_aware=bos_aware) if tensor_kind != WEIGHT else None
     options = dict(bos_aware=bos_aware, act_ranges=ranges)
     if single_input_forwards:
         refs = [toy_model.forward(model, *inp, bos_aware=bos_aware) for inp in inputs]
     else:
-        refs = fp_references(model, inputs, bos_aware=bos_aware)
+        refs = forward_inputs(model, inputs, bos_aware=bos_aware)
     scores = {}
     for lid in model.layer_order:
         for b in bit_widths:
@@ -109,14 +187,9 @@ def per_input_sensitivity_table(
             if single_input_forwards:
                 outs = [toy_model.forward(model, *inp, config=cfg, **options) for inp in inputs]
             else:
-                outs = toy_model.forward_inputs(model, inputs, config=cfg, **options)
-            ssim_sum = sqnr_sum = 0.0
-            for ref, out in zip(refs, outs, strict=True):
-                data_range = float(ref.max() - ref.min())
-                weights = metrics.SsimWeights.for_data_range(data_range if data_range > 0 else 1.0)
-                ssim_sum += metrics.ssim(ref, out, weights).value
-                sqnr_sum += metrics.sqnr_db(ref, out).value
-            scores[lid, b] = {metrics.SSIM: ssim_sum / len(refs), metrics.SQNR_DB: sqnr_sum / len(refs)}
+                outs = forward_inputs(model, inputs, config=cfg, **options)
+            ssims, sqnrs = per_input_scores(refs, outs)
+            scores[lid, b] = {metrics.SSIM: mean_in_order(ssims), metrics.SQNR_DB: mean_in_order(sqnrs)}
     entries = []
     for lid in model.layer_order:
         kind = metrics.SSIM if model.layers[lid].group == toy_model.CONTENT else metrics.SQNR_DB
@@ -126,10 +199,10 @@ def per_input_sensitivity_table(
 
 
 def probe_inputs(model, inputs, bos_aware: bool = False) -> tuple[list, list]:
-    """The stacked input chunks and the batches of their FP outputs, the two
-    forms ``sensitivity.probe_layer`` takes, as ``sensitivity.analyze`` builds them."""
-    refs = fp_references(model, inputs, bos_aware=bos_aware)
-    return list(toy_model.input_chunks(inputs)), reference_batches(refs)
+    """The stacked input chunks and the reference batches of their FP outputs,
+    the two forms ``sensitivity.probe_layer`` takes, as ``sensitivity.analyze`` builds them."""
+    chunks = list(toy_model.input_chunks(inputs))
+    return chunks, fp_references(model, chunks, bos_aware=bos_aware)
 
 
 def record_state_caches(monkeypatch) -> list:

@@ -80,14 +80,15 @@ def test_criterion_2_roundtrip_bound():
 
 def test_criterion_3_metric_identities():
     with criterion(3, "ssim(x,x)=1 within 1e-12; sqnr joint-scale invariant within 1e-9; cap at 100"):
-        for i in range(10):
-            x = tc.random_normal([13, 13], 0.1 * i, 1.0 + 0.2 * i, seed=400 + i)
-            assert abs(metrics.ssim(x, x).value - 1.0) < 1e-12
-            assert metrics.sqnr_db(x, x).value == 100.0
-            y = x + tc.random_normal([13, 13], 0.0, 0.05, seed=500 + i)
-            base = metrics.sqnr_db(x, y).value
-            for a in (3.0, -7.0, 0.015625, 4096.0):
-                assert abs(metrics.sqnr_db(a * x, a * y).value - base) < 1e-9
+        xs = np.stack([tc.random_normal([13, 13], 0.1 * i, 1.0 + 0.2 * i, seed=400 + i) for i in range(10)])
+        fp = metrics.ReferenceBatch.of(xs)
+        assert all(abs(value - 1.0) < 1e-12 for value in metrics.ssim(fp, xs))
+        assert metrics.sqnr_db(fp, xs) == [100.0] * 10
+        ys = xs + np.stack([tc.random_normal([13, 13], 0.0, 0.05, seed=500 + i) for i in range(10)])
+        base = metrics.sqnr_db(fp, ys)
+        for a in (3.0, -7.0, 0.015625, 4096.0):
+            scaled = metrics.sqnr_db(metrics.ReferenceBatch.of(a * xs), a * ys)
+            assert all(abs(got - want) < 1e-9 for got, want in zip(scaled, base, strict=True))
 
 
 def test_criterion_4_cost_model_table_arithmetic():
@@ -131,16 +132,18 @@ def test_criterion_5_bos_aware_effectiveness(model, calib_inputs):
         assert np.abs(split.bos_feature).max() / np.abs(split.rest).max() >= 50
 
         def mean_sqnr(bos):
-            refs = sv.fp_references(model, calib_inputs, bos_aware=bos)
+            chunks = list(tm.input_chunks(calib_inputs))
+            refs = sv.fp_references(model, chunks, bos_aware=bos)
             ranges = tm.calibrate_activations(model, calib_inputs, bos_aware=bos)
             cfg = tm.QuantConfig.all_fp(model.layer_order)
             for lid in kv:
                 cfg.act_bits[lid] = 8
             vals = [
-                metrics.sqnr_db(
-                    ref, tm.forward(model, *inp, config=cfg, bos_aware=bos, act_ranges=ranges)
-                ).value
-                for inp, ref in zip(calib_inputs, refs)
+                value
+                for chunk, batch in zip(chunks, refs)
+                for value in metrics.sqnr_db(
+                    batch, tm.forward(model, *chunk, config=cfg, bos_aware=bos, act_ranges=ranges)
+                )
             ]
             return float(np.mean(vals))
 
@@ -166,8 +169,7 @@ def test_criterion_7_allocation_dominance(model, weight_table):
     with criterion(7, "allocate >= naive sorting >= mean of 20 random configs at W{3,4,5} in <2min"):
         t0 = time.monotonic()
         opts = al.AllocOptions(bos_aware=True)
-        proxy_inputs = tm.make_input_set(opts.proxy_seed, opts.proxy_inputs, model)
-        refs = sv.fp_references(model, proxy_inputs, bos_aware=True)
+        proxy_inputs, refs = al.proxy_set(model, opts)
 
         def score(cfg):
             return al.proxy_score(model, cfg, proxy_inputs, refs, bos_aware=True)

@@ -498,6 +498,21 @@ def small_case():
     return model, tables, tm.calibrate_activations(model, calib, bos_aware=True)
 
 
+def test_proxy_score_equals_the_per_input_oracle(small_case):
+    # two proxy chunks: FORWARD_CHUNK inputs and 2
+    model, _, ranges = small_case
+    opts = al.AllocOptions(bos_aware=True, proxy_inputs=tm.FORWARD_CHUNK + 2)
+    chunks, refs = al.proxy_set(model, opts)
+    assert [batch.size for batch in refs] == [tm.FORWARD_CHUNK, 2]
+    inputs = tm.make_input_set(opts.proxy_seed, opts.proxy_inputs, model)
+    fp = helpers.forward_inputs(model, inputs, bos_aware=True)
+    for w, a in ((4, 8), (2, None), (None, 4)):
+        cfg = tm.QuantConfig.uniform(model.layer_order, w, a)
+        outs = helpers.forward_inputs(model, inputs, config=cfg, bos_aware=True, act_ranges=ranges)
+        want = helpers.mean_in_order([helpers.sqnr_db(ref, out) for ref, out in zip(fp, outs, strict=True)])
+        assert al.proxy_score(model, cfg, chunks, refs, bos_aware=True, act_ranges=ranges) == want, (w, a)
+
+
 def _small_allocate(small_case, kind, target):
     model, tables, ranges = small_case
     opts = al.AllocOptions(bos_aware=True, proxy_inputs=2)
@@ -528,8 +543,7 @@ def test_allocate_scores_each_distinct_config_once(small_case, monkeypatch, kind
 def test_allocate_matches_scoring_every_cell(small_case, kind, target):
     model, tables, ranges = small_case
     res, opts = _small_allocate(small_case, kind, target)
-    inputs = tm.make_input_set(opts.proxy_seed, opts.proxy_inputs, model)
-    refs = sv.fp_references(model, inputs, bos_aware=True)
+    inputs, refs = al.proxy_set(model, opts)
     scores = [
         al.proxy_score(model, cfg, inputs, refs, bos_aware=True, act_ranges=ranges)
         for cfg in res.sweep_configs

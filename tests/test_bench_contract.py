@@ -14,6 +14,9 @@ import ast
 import importlib
 import inspect
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -21,7 +24,8 @@ from mixprec import allocator as al, metrics, sensitivity as sv, toy_model as tm
 
 import helpers
 
-RUN_PY = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+ROOT = Path(__file__).resolve().parent.parent
+RUN_PY = ROOT / "perfbench" / "run.py"
 
 
 def function_metric_names() -> list[str]:
@@ -44,6 +48,34 @@ def test_every_traced_function_is_public_in_its_module():
         assert inspect.isfunction(value), name
         assert not function.startswith("_"), name
         assert value.__module__ == mod.__name__, name
+
+
+# A pipeline under the benchmark's tracer, at the default targets on a tiny model;
+# prints the calls of every traced function as the last line of its output.
+TRACED_PIPELINE = """
+import json, sys
+sys.path[:0] = sys.argv[1:3]
+import tracer
+from mixprec import cli
+
+t = tracer.Tracer()
+t.install()
+rc = cli.main(["pipeline", "--out-dir", sys.argv[3], "--width", "2", "--spatial", "4", "--tokens", "2",
+               "--text-channels", "2", "--time-dim", "2", "--inputs", "2", "--proxy-inputs", "2",
+               "--eval-inputs", "2", "--n-budgets", "1"])
+print(json.dumps({"rc": rc, "calls": {name: row["calls"] for name, row in t.function_stats().items()}}))
+"""
+
+
+def test_every_traced_function_is_called_by_a_pipeline(tmp_path):
+    argv = [sys.executable, "-c", TRACED_PIPELINE, str(ROOT / "src"), str(ROOT / "perfbench"), str(tmp_path / "run")]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=120, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["rc"] == 0, proc.stdout
+    missing = [name for name in function_metric_names() if result["calls"].get(name, 0) < 1]
+    assert not missing, f"benchmark metrics no pipeline call reaches: {missing}"
 
 
 def test_analyze_calls_probe_layer_once_per_layer_and_bit(model, small_inputs, monkeypatch):
@@ -75,7 +107,7 @@ def test_analyze_calls_references_forward_and_ssim(model, small_inputs, monkeypa
 
     counted(sv, "fp_references")
     counted(tm, "forward")
-    for name in ("ssim", "sqnr_db", "ssim_batch", "sqnr_db_batch"):
+    for name in ("ssim", "sqnr_db"):
         counted(metrics, name)
     inputs = small_inputs[:2]  # one chunk
     sv.analyze(model, inputs, bit_widths=(4,), tensor_kind=sv.WEIGHT)
@@ -83,9 +115,8 @@ def test_analyze_calls_references_forward_and_ssim(model, small_inputs, monkeypa
     assert calls["forward"] == 1 + len(model.layer_order)  # the references, then one call per probe
     # each probe scores its chunk with its layer group's metric only
     content = sum(model.layers[lid].group == tm.CONTENT for lid in model.layer_order)
-    assert calls["ssim_batch"] == content
-    assert calls["sqnr_db_batch"] == len(model.layer_order) - content
-    assert calls["ssim"] == calls["sqnr_db"] == 0
+    assert calls["ssim"] == content
+    assert calls["sqnr_db"] == len(model.layer_order) - content
 
 
 def test_probe_layer_reaches_forward_once_per_chunk(model, small_inputs, monkeypatch):

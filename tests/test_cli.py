@@ -20,6 +20,8 @@ from mixprec import allocator, cli, manifest as mf, quantizer, sensitivity, toy_
 from mixprec.errors import ParameterError
 from mixprec.tensor_core import load_tensor, save_tensor, sha256_file
 
+import helpers
+
 SMALL = [
     "--width", "4", "--spatial", "8", "--tokens", "4", "--text-channels", "8",
     "--time-dim", "8", "--inputs", "4", "--proxy-inputs", "2", "--eval-inputs", "2",
@@ -656,6 +658,35 @@ def test_evaluate_report(pipeline_dir):
     assert len(report["per_input"]) == report["n_inputs"]
 
 
+def test_evaluate_report_equals_the_per_input_oracle(tmp_path):
+    # two eval chunks: FORWARD_CHUNK inputs and 2
+    out, n = tmp_path / "run", toy_model.FORWARD_CHUNK + 2
+    assert run(["pipeline", "--seed", "3", "--out-dir", str(out), *SMALL, "--eval-inputs", str(n)]) == 0
+    data = json.loads((out / "manifest.json").read_text())
+    model = toy_model.load_model(json.loads((out / mf.MODEL_JSON).read_text()), out / mf.WEIGHTS_DIR)
+    config = allocator.BitWidthConfig.from_json_dict(json.loads((out / mf.CONFIG).read_text())).config
+    assert config.wants_act_quant()
+    calib = toy_model.make_input_set(data["seeds"]["calibration"], data["params"]["inputs"], model)
+    ranges = toy_model.calibrate_activations(model, calib, bos_aware=True)
+    inputs = toy_model.make_input_set(data["seeds"]["eval"], n, model)
+    refs = helpers.forward_inputs(model, inputs, bos_aware=True)
+    outs = helpers.forward_inputs(model, inputs, config=config, bos_aware=True, act_ranges=ranges)
+    ssims, sqnrs = helpers.per_input_scores(refs, outs)
+    base_ssims, base_sqnrs = helpers.per_input_scores(refs, refs)
+
+    report = json.loads((out / mf.REPORT).read_text())
+    assert report["n_inputs"] == n
+    assert report["per_input"] == [
+        {"index": i, "ssim": ssim, "sqnr_db": sqnr} for i, (ssim, sqnr) in enumerate(zip(ssims, sqnrs))
+    ]
+    assert report["metrics"] == {
+        "ssim_mean": helpers.mean_in_order(ssims), "sqnr_db_mean": helpers.mean_in_order(sqnrs),
+    }
+    assert report["baseline"] == {
+        "ssim_mean": helpers.mean_in_order(base_ssims), "sqnr_db_mean": helpers.mean_in_order(base_sqnrs),
+    }
+
+
 def test_evaluate_all_fp_config(pipeline_dir):
     config = json.loads((pipeline_dir / "config.json").read_text())
     for entry in config["layers"].values():
@@ -833,6 +864,21 @@ def test_layout_entry_symlinked_out_of_the_run_dir_exits_3(pipeline_dir, tmp_pat
     assert run(["allocate", "--manifest", str(copy / "manifest.json")]) == 3
     assert "outside the run directory" in capsys.readouterr().err
     assert tree_checksums(outside) == before
+
+
+@pytest.mark.parametrize("command", ["gen-model", "pipeline"])
+@pytest.mark.parametrize("entry", [mf.FRONTIER_CONFIGS_DIR, mf.WEIGHTS_DIR])
+def test_gen_model_into_a_layout_entry_symlinked_out_of_the_run_dir_exits_3(tmp_path, capsys, command, entry):
+    run_dir, outside = tmp_path / "run", tmp_path / "outside"
+    run_dir.mkdir()
+    outside.mkdir()
+    (outside / "keep.txt").write_text("kept\n")
+    (run_dir / entry).symlink_to(outside, target_is_directory=True)
+    before = tree_checksums(outside)
+    assert run([command, "--out-dir", str(run_dir), *SMALL]) == 3
+    assert "outside the run directory" in capsys.readouterr().err
+    assert tree_checksums(outside) == before
+    assert [p.name for p in run_dir.iterdir()] == [entry]  # nothing written inside either
 
 
 # A version-2 manifest that still names a path is refused, not silently ignored.

@@ -64,31 +64,30 @@ def test_analyze_deterministic_rerun(model, small_inputs):
 def test_probe_layer_matches_single_input_forwards(model, two_chunk_inputs):
     # every layer and both tensor kinds at 4 bits, over a full chunk and a partial one
     inputs = two_chunk_inputs
-    refs = sv.fp_references(model, inputs, bos_aware=True)
     chunks, batches = helpers.probe_inputs(model, inputs, bos_aware=True)
+    refs = [ref for batch in batches for ref in batch.values]
     ranges = tm.calibrate_activations(model, inputs, bos_aware=True)
-    for ref, inp in zip(refs, inputs):
+    for ref, inp in zip(refs, inputs, strict=True):
         np.testing.assert_allclose(ref, tm.forward(model, *inp, bos_aware=True), rtol=1e-12, atol=1e-12)
     for kind in sv.TENSOR_KINDS:
         for lid in model.layer_order:
             cfg = tm.QuantConfig.all_fp(model.layer_order)
             (cfg.weight_bits if kind == sv.WEIGHT else cfg.act_bits)[lid] = 4
-            ssim_sum = sqnr_sum = 0.0
-            for ref, inp in zip(refs, inputs):
-                out = tm.forward(model, *inp, config=cfg, bos_aware=True, act_ranges=ranges)
-                rng = float(ref.max() - ref.min())
-                ssim_sum += metrics.ssim(ref, out, metrics.SsimWeights.for_data_range(rng)).value
-                sqnr_sum += metrics.sqnr_db(ref, out).value
+            outs = [tm.forward(model, *inp, config=cfg, bos_aware=True, act_ranges=ranges) for inp in inputs]
+            ssims, sqnrs = helpers.per_input_scores(refs, outs)
             got = sv.probe_layer(model, chunks, batches, lid, kind, 4, bos_aware=True, act_ranges=ranges)
-            want = (ssim_sum / len(inputs), sqnr_sum / len(inputs))
+            want = (helpers.mean_in_order(ssims), helpers.mean_in_order(sqnrs))
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12), (kind, lid)
 
 
 def test_fp_reference_reuse_identical(model, small_inputs):
-    first = sv.fp_references(model, small_inputs)
-    second = sv.fp_references(model, small_inputs)
+    chunks = list(tm.input_chunks(small_inputs))
+    first = sv.fp_references(model, chunks)
+    second = sv.fp_references(model, chunks)
+    assert len(first) == len(second) == len(chunks)
     for a, b in zip(first, second):
-        assert helpers.output_checksum(a) == helpers.output_checksum(b)
+        assert helpers.output_checksum(a.values) == helpers.output_checksum(b.values)
+        assert (a.variances, a.weights, a.energies) == (b.variances, b.weights, b.energies)
 
 
 def test_single_fault_isolation(model, small_inputs):
@@ -119,7 +118,7 @@ def test_rank_long_tail_tie_break():
 
 
 def test_rank_uses_lowest_bit_width(weight_table):
-    low = min(weight_table.bit_widths())
+    low = min(e.bit_width for e in weight_table.entries)
     assert low == 2
     ranked = helpers.rank_long_tail(weight_table)
     by_id = {e.layer_id: e.score for e in weight_table.entries if e.bit_width == low}

@@ -117,6 +117,23 @@ def test_tensor_checksum_detects_tamper(tmp_path):
         tc.load_tensor(tmp_path / "t")
 
 
+def test_load_tensor_hashes_the_bytes_it_parses(tmp_path, monkeypatch):
+    # one read of the .bin serves both the sidecar check and the parse: no sha256_file call
+    t = tc.random_normal([3, 4], 0.0, 1.0, seed=3)
+    bin_path, _ = tc.save_tensor(t, tmp_path / "t")
+
+    def no_second_read(path):
+        raise AssertionError(f"load_tensor read {path} again through sha256_file")
+
+    monkeypatch.setattr(tc, "sha256_file", no_second_read)
+    assert np.array_equal(tc.load_tensor(tmp_path / "t"), t)
+    raw = bytearray(bin_path.read_bytes())
+    raw[-1] ^= 0xFF
+    bin_path.write_bytes(bytes(raw))
+    with pytest.raises(ValidationError, match="checksum mismatch"):
+        tc.load_tensor(tmp_path / "t")
+
+
 def test_tensor_file_layout(tmp_path):
     # little-endian u32 rank, u64 extents, f64 payload
     t = np.arange(6, dtype=np.float64).reshape(2, 3)

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from mixprec import metrics, quantizer, toy_model as tm
+from mixprec import quantizer, toy_model as tm
 from mixprec.errors import ConfigError, InputError, ParameterError, ShapeError, ValidationError
 
 import helpers
@@ -200,7 +200,7 @@ def test_forward_batch_rejects_mismatched_shapes(model, small_inputs):
 def test_forward_inputs_chunks_in_input_order(model, two_chunk_inputs):
     inputs = two_chunk_inputs  # one full chunk and a partial one
     assert [len(c[0]) for c in tm.input_chunks(inputs)] == [tm.FORWARD_CHUNK, len(inputs) - tm.FORWARD_CHUNK]
-    outs = tm.forward_inputs(model, inputs, bos_aware=True)
+    outs = helpers.forward_inputs(model, inputs, bos_aware=True)
     assert len(outs) == len(inputs)
     for inp, out in zip(inputs, outs):
         np.testing.assert_allclose(out, tm.forward(model, *inp, bos_aware=True), rtol=1e-12, atol=1e-12)
@@ -358,7 +358,7 @@ def test_weight_bits_sqnr_trend(model, small_inputs):
     def mean_sqnr(bits):
         cfg = tm.QuantConfig.uniform(model.layer_order, bits, None)
         vals = [
-            metrics.sqnr_db(ref, tm.forward(model, *inp, config=cfg)).value
+            helpers.sqnr_db(ref, tm.forward(model, *inp, config=cfg))
             for inp, ref in zip(small_inputs, refs)
         ]
         return float(np.mean(vals))
@@ -382,7 +382,7 @@ def test_bos_aware_improves_kv_activation_quant(model, small_inputs):
         for lid in kv:
             cfg.act_bits[lid] = 8
         vals = [
-            metrics.sqnr_db(ref, tm.forward(model, *inp, config=cfg, bos_aware=bos, act_ranges=ranges)).value
+            helpers.sqnr_db(ref, tm.forward(model, *inp, config=cfg, bos_aware=bos, act_ranges=ranges))
             for inp, ref in zip(small_inputs, refs)
         ]
         return float(np.mean(vals))
@@ -397,7 +397,7 @@ def test_bos_aware_improves_uniform_w8a8(model, calib_inputs, small_inputs):
         ranges = tm.calibrate_activations(model, calib_inputs, bos_aware=bos)
         cfg = tm.QuantConfig.uniform(model.layer_order, 8, 8)
         vals = [
-            metrics.sqnr_db(ref, tm.forward(model, *inp, config=cfg, bos_aware=bos, act_ranges=ranges)).value
+            helpers.sqnr_db(ref, tm.forward(model, *inp, config=cfg, bos_aware=bos, act_ranges=ranges))
             for inp, ref in zip(small_inputs, refs)
         ]
         return float(np.mean(vals))
@@ -517,8 +517,8 @@ def test_resume_from_every_segment_equals_forward(model, two_chunk_inputs):
     for position, cfg in enumerate(plan):
         index = position // 2
         left = [id(s) for path in _paths(cache) for s in path if s.index == index]
-        got = tm.forward_inputs(model, inputs, config=cfg, act_ranges=ranges, cache=cache)
-        want = tm.forward_inputs(model, inputs, config=cfg, act_ranges=ranges)
+        got = helpers.forward_inputs(model, inputs, config=cfg, act_ranges=ranges, cache=cache)
+        want = helpers.forward_inputs(model, inputs, config=cfg, act_ranges=ranges)
         assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True)), position
         if cfg is not fp and index:
             # it resumed from the state the FP run left at its segment, and keeps only that one
@@ -555,8 +555,8 @@ def test_resume_from_a_quantized_state_equals_forward(model, two_chunk_inputs, b
     cache = tm.StateCache(model, plan)
     built_bits = tm._run_bits(built, tm._segment_list(model.depth))
     for position, cfg in enumerate(plan):
-        got = tm.forward_inputs(model, inputs, config=cfg, bos_aware=bos_aware, act_ranges=ranges, cache=cache)
-        want = tm.forward_inputs(model, inputs, config=cfg, bos_aware=bos_aware, act_ranges=ranges)
+        got = helpers.forward_inputs(model, inputs, config=cfg, bos_aware=bos_aware, act_ranges=ranges, cache=cache)
+        want = helpers.forward_inputs(model, inputs, config=cfg, bos_aware=bos_aware, act_ranges=ranges)
         assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True)), position
         if cfg is not built and position // 2:
             # it kept one state built under ``built``, at its own segment or later
@@ -573,14 +573,14 @@ def test_resume_rejects_a_config_that_differs_on_a_passed_layer(model, small_inp
     cross = next(i for i, s in enumerate(tm._segment_list(model.depth)) if "mid.cross.to_q" in s.layers)
     for field, bits in (("weight_bits", 8), ("weight_bits", None), ("act_bits", 4), (None, None)):
         cache = tm.StateCache(model, [built, late])
-        tm.forward_inputs(model, small_inputs, config=built, act_ranges=ranges, cache=cache)
+        helpers.forward_inputs(model, small_inputs, config=built, act_ranges=ranges, cache=cache)
         assert [[s.index for s in path] for path in _paths(cache)] == [[cross]]
         cfg = None  # an FP run on the quantized state
         if field is not None:
             cfg = tm.QuantConfig.uniform(model.layer_order, 4, 8)
             getattr(cfg, field)["enc1.down"] = bits
-        got = tm.forward_inputs(model, small_inputs, config=cfg, act_ranges=ranges, cache=cache)
-        want = tm.forward_inputs(model, small_inputs, config=cfg, act_ranges=ranges)
+        got = helpers.forward_inputs(model, small_inputs, config=cfg, act_ranges=ranges, cache=cache)
+        want = helpers.forward_inputs(model, small_inputs, config=cfg, act_ranges=ranges)
         assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True)), (field, bits)
         assert _paths(cache) == [[]]  # the state was passed over, then dropped
 
@@ -600,8 +600,8 @@ def test_state_cache_forward_equals_forward_along_any_config_order(model, two_ch
     cache = tm.StateCache(model, configs)
     assert any(cache.keep.values()) and not any(0 in keep for keep in cache.keep.values())
     for cfg in configs:
-        got = tm.forward_inputs(model, inputs, config=cfg, bos_aware=True, act_ranges=ranges, cache=cache)
-        want = tm.forward_inputs(model, inputs, config=cfg, bos_aware=True, act_ranges=ranges)
+        got = helpers.forward_inputs(model, inputs, config=cfg, bos_aware=True, act_ranges=ranges, cache=cache)
+        want = helpers.forward_inputs(model, inputs, config=cfg, bos_aware=True, act_ranges=ranges)
         assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
         for path in _paths(cache):
             assert [s.index for s in path] == sorted(s.index for s in path)
@@ -623,8 +623,8 @@ def test_state_cache_config_outside_the_plan_order_equals_forward(model, two_chu
     cache = tm.StateCache(model, plan)
     # the plan backwards, with a config outside it and an FP run between
     for cfg in [*reversed(plan), stranger, fp, *plan, stranger]:
-        got = tm.forward_inputs(model, inputs, config=cfg, bos_aware=bos_aware, act_ranges=ranges, cache=cache)
-        want = tm.forward_inputs(model, inputs, config=cfg, bos_aware=bos_aware, act_ranges=ranges)
+        got = helpers.forward_inputs(model, inputs, config=cfg, bos_aware=bos_aware, act_ranges=ranges, cache=cache)
+        want = helpers.forward_inputs(model, inputs, config=cfg, bos_aware=bos_aware, act_ranges=ranges)
         assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
 
 
@@ -682,8 +682,8 @@ def test_text_kv_cache_resume_equals_plain_resume(model, two_chunk_inputs, bos_a
             configs.append(cfg)
     cache = tm.StateCache(model, configs)
     for cfg in configs * 2:  # the second pass reads what the first one stored
-        plain = tm.forward_inputs(model, inputs, config=cfg, bos_aware=bos_aware, act_ranges=ranges)
-        cached = tm.forward_inputs(model, inputs, config=cfg, bos_aware=bos_aware, act_ranges=ranges, cache=cache)
+        plain = helpers.forward_inputs(model, inputs, config=cfg, bos_aware=bos_aware, act_ranges=ranges)
+        cached = helpers.forward_inputs(model, inputs, config=cfg, bos_aware=bos_aware, act_ranges=ranges, cache=cache)
         assert all(np.array_equal(a, b) for a, b in zip(plain, cached, strict=True))
     # one kept output per chunk and FP term (each K/V projection, and the fuse
     # conv's skip half), each read-only
@@ -716,8 +716,8 @@ def test_fuse_skip_term_is_reused_only_under_an_fp_prefix(model, two_chunk_input
     cache = tm.StateCache(model, plan)
     terms = []
     for position, cfg in enumerate(plan):
-        got = tm.forward_inputs(model, inputs, config=cfg, act_ranges=ranges, cache=cache)
-        want = tm.forward_inputs(model, inputs, config=cfg, act_ranges=ranges)
+        got = helpers.forward_inputs(model, inputs, config=cfg, act_ranges=ranges, cache=cache)
+        want = helpers.forward_inputs(model, inputs, config=cfg, act_ranges=ranges)
         assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True)), position
         terms.append([fp_terms["dec0.fuse"] for _, fp_terms in cache._chunks.values()])
     # each chunk computed its term once, under the first FP run, and kept it read-only
