@@ -156,7 +156,10 @@ def _sqnr_value(signal: float, noise: float) -> float:
         raise UndefinedMetricError("reference signal is identically zero")
     if noise == 0.0:
         return SQNR_CAP_DB
-    return float(min(SQNR_CAP_DB, 10.0 * math.log10(signal / noise)))
+    ratio = signal / noise
+    # a ratio that underflows to zero (a subnormal signal) still has a logarithm
+    db = 10.0 * math.log10(ratio) if ratio > 0.0 else 10.0 * (math.log10(signal) - math.log10(noise))
+    return float(min(SQNR_CAP_DB, db))
 
 
 def sqnr_db(references: ReferenceBatch, outputs) -> list[float]:

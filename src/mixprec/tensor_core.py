@@ -115,8 +115,10 @@ def save_tensor(t: Tensor, base_path: Path | str) -> tuple[Path, Path]:
     bin_path = base.parent / (base.name + ".bin")
     json_path = base.parent / (base.name + ".json")
     header = struct.pack("<I", t.ndim) + struct.pack(f"<{t.ndim}Q", *t.shape)
-    write_atomic(bin_path, header + t.tobytes(order="C"))
-    sidecar = {"shape": list(t.shape), "dtype": "float64", "checksum": "sha256:" + sha256_file(bin_path)}
+    raw = header + t.tobytes(order="C")
+    write_atomic(bin_path, raw)
+    # The checksum of the bytes just written, without reading the file back
+    sidecar = {"shape": list(t.shape), "dtype": "float64", "checksum": "sha256:" + hashlib.sha256(raw).hexdigest()}
     write_atomic(json_path, json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
     return bin_path, json_path
 

@@ -203,17 +203,14 @@ class ToyModel:
 
 
 def _silu(x: np.ndarray) -> np.ndarray:
-    # Overflow-free: e = exp(-|x|) never exceeds 1. The factor max(e, x >= 0) is
-    # 1 where x >= 0 and e elsewhere (NaN where x is), so x * factor / (1 + e) is
-    # where(x >= 0, x, x * e) / (1 + e) bit for bit, without a select.
-    e = np.abs(x)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    out = np.maximum(e, x >= 0)
-    np.multiply(x, out, out=out)
+    # x / (1 + exp(-x)) in four passes. Below about -709.78, exp(-x) overflows to
+    # inf, which is harmless: the result is -0.0.
+    e = np.negative(x)
+    with np.errstate(over="ignore"):
+        np.exp(e, out=e)
     e += 1.0
-    out /= e
-    return out
+    np.divide(x, e, out=e)
+    return e
 
 
 # Row length up to which ``_softmax_rows`` takes the row max as a running
@@ -223,6 +220,14 @@ def _silu(x: np.ndarray) -> np.ndarray:
 # long; at (8, 64, 16) the two were within 5%, and on the 64-wide self-attention
 # rows the reduce took about 0.6x the running max's time.
 _RUNNING_MAX_COLUMNS = 16
+
+
+# Entries more than this below their row max get a softmax weight of +0.0: the
+# exp of such an entry is below the smallest normal float64 (2.2e-308), and
+# numpy's exp takes a slow path for a subnormal or zero result. Over 8 text
+# tokens the first token's key dominates, so about 12% of the cross-attention
+# scores of the default model lie there.
+_SOFTMAX_FLOOR = math.log(np.finfo(np.float64).tiny)
 
 
 def _softmax_rows(x: np.ndarray) -> np.ndarray:
@@ -235,19 +240,26 @@ def _softmax_rows(x: np.ndarray) -> np.ndarray:
         e = x - m[..., None]
     else:
         e = x - x.max(axis=-1, keepdims=True)
+    floored = e < _SOFTMAX_FLOOR
+    np.copyto(e, 0.0, where=floored)  # exp(0) takes the fast path
     np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
+    np.copyto(e, 0.0, where=floored)
+    # Row sums as one product with a column of ones: a reduce over a last axis
+    # of 8 to 64 entries pays its per-row overhead on every row.
+    e /= e @ np.ones((x.shape[-1], 1))
     return e
 
 
 def _norm_chw(x: np.ndarray) -> np.ndarray:
     """RMS-normalize each sample of a (B, C, H, W) batch over all its elements."""
-    ms = (x * x).mean(axis=(1, 2, 3))
-    return x / np.sqrt(ms + 1e-8)[:, None, None, None]
+    flat = x.reshape(x.shape[0], 1, -1)
+    ms = (flat @ flat.transpose(0, 2, 1)) / flat.shape[2]
+    return x / np.sqrt(ms[..., None] + 1e-8)
 
 
 def _norm_rows(tok: np.ndarray) -> np.ndarray:
-    return tok / np.sqrt((tok * tok).mean(axis=-1, keepdims=True) + 1e-8)
+    ms = np.einsum("...i,...i->...", tok, tok)[..., None] / tok.shape[-1]
+    return tok / np.sqrt(ms + 1e-8)
 
 
 def _sinusoid(t: np.ndarray, dim: int) -> np.ndarray:
@@ -258,51 +270,57 @@ def _sinusoid(t: np.ndarray, dim: int) -> np.ndarray:
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=-1)
 
 
-# Inputs whose patches ``_conv3x3`` holds at once. Its buffer is then at most
-# (4, C, 3, 3, H, W) float64, 0.6 MB at the full-resolution convs of the default
-# model; patches of a whole chunk of 8 raised a pipeline's peak RSS by 2-3 MB and
-# ran no faster.
+# Inputs whose patches ``_conv3x3`` holds at once. Its patch buffer is then at
+# most (4, C, 3, 3, H * (W + 1)) float64, about 0.63 MB at the full-resolution
+# convs of the default model, beside a padded input buffer of 80 KB there;
+# patches of a whole chunk of 8 raised a pipeline's peak RSS by 2-3 MB and ran
+# no faster.
 _CONV_INPUTS = 4
-
-
-def _conv_taps(size: int, out_size: int, stride: int) -> list[tuple[slice, slice]]:
-    """Per kernel offset k = 0, 1, 2 along one axis: the output positions whose
-    tap reads inside the input, and the input positions those taps read. Output
-    o's tap at k reads input o * stride + k - 1; the rest read the zero border."""
-    taps = []
-    for k in range(3):
-        first = 1 if k == 0 else 0
-        stop = min(out_size, (size - k) // stride + 1)
-        taps.append((slice(first, stop), slice(first * stride + k - 1, (stop - 1) * stride + k, stride)))
-    return taps
 
 
 def _conv3x3(x: np.ndarray, w: np.ndarray, stride: int = 1) -> np.ndarray:
     """Zero-padded 3x3 convolution of a (B, C, H, W) batch.
 
-    For up to ``_CONV_INPUTS`` inputs at a time it fills the transposed patch
-    tensor (n, C, 3, 3, H_out, W_out), whose [i, c, ky, kx] plane is input i's
-    channel c shifted by (ky - 1, kx - 1) and strided, with nine slice copies
-    straight from the unpadded input; a tap that falls on the padding reads the
-    buffer's border, which no copy writes and so stays zero. One matmul of the
-    (C_out, 9C) weights with the (n, 9C, H_out * W_out) patches writes the
-    outputs in place. numpy makes one gemm per input for it, on the operands a
-    single-input call gives, so each input's output keeps the bits it gets alone.
+    For up to ``_CONV_INPUTS`` inputs at a time it copies the inputs into a flat
+    buffer with a zero border, (n, C, (H + 2) * P + slack) with row pitch
+    P = W + 1: the one pad column between two rows is the right border of the
+    first and the left border of the second. The tap of output (oy, ox) at
+    kernel offset (ky, kx) then sits at ky * P + kx + stride * (oy * P + ox), so
+    one copy from a strided view of the buffer fills the transposed patch tensor
+    (n, C, 3, 3, H_out, Q). At stride 1, Q = P: each plane [i, c, ky, kx] is one
+    contiguous run of the buffer, and the last column of each of its rows is a
+    pad column. At stride 2, Q = W_out, as pad columns there would about double
+    the product. One matmul of the (C_out, 9C) weights with the
+    (n, 9C, H_out * Q) patches, and one slice that drops the pad columns, give
+    the outputs. Each output comes from the same operands, in the same order of
+    the 9C products, as from a patch tensor without pad columns. numpy makes one
+    gemm per input for the matmul, on the operands a single-input call gives,
+    so each input's output keeps the bits it gets alone.
     """
     b, c, h, wd = x.shape
     cout = w.shape[0]
     ho, wo = -(-h // stride), -(-wd // stride)
-    rows, cols = _conv_taps(h, ho, stride), _conv_taps(wd, wo, stride)
-    patches = np.zeros((min(b, _CONV_INPUTS), c, 3, 3, ho, wo))
+    pitch = wd + 1
+    cols = pitch if stride == 1 else wo
+    n = min(b, _CONV_INPUTS)
+    # one past the last element a tap reads: plane (2, 2) at output (ho - 1, cols - 1)
+    size = max((h + 2) * pitch, 2 * pitch + 3 + stride * ((ho - 1) * pitch + cols - 1))
+    flat = np.zeros((n, c, size))
+    inner = flat[:, :, pitch:(h + 1) * pitch].reshape(n, c, h, pitch)[:, :, :, 1:]
+    s_in, s_c, s = flat.strides
+    taps = np.ndarray(
+        (n, c, 3, 3, ho, cols), buffer=flat, strides=(s_in, s_c, pitch * s, s, stride * pitch * s, stride * s)
+    )
+    patches = np.empty((n, c, 3, 3, ho, cols))
+    prod = np.empty((n, cout, ho, cols))
     wm = w.reshape(cout, 9 * c)
     out = np.empty((b, cout, ho, wo))
     for i in range(0, b, _CONV_INPUTS):
-        xs = x[i:i + _CONV_INPUTS]
-        n = xs.shape[0]
-        for ky, (oy, iy) in enumerate(rows):
-            for kx, (ox, ix) in enumerate(cols):
-                patches[:n, :, ky, kx, oy, ox] = xs[:, :, iy, ix]
-        np.matmul(wm, patches[:n].reshape(n, 9 * c, ho * wo), out=out[i:i + n].reshape(n, cout, ho * wo))
+        m = min(n, b - i)
+        inner[:m] = x[i:i + m]
+        np.copyto(patches[:m], taps[:m])
+        np.matmul(wm, patches[:m].reshape(m, 9 * c, ho * cols), out=prod[:m].reshape(m, cout, ho * cols))
+        out[i:i + m] = prod[:m, :, :, :wo]
     return out
 
 

@@ -145,7 +145,10 @@ def sqnr_db(reference: Tensor, test: Tensor) -> float:
         raise UndefinedMetricError("reference signal is identically zero")
     if noise == 0.0:
         return metrics.SQNR_CAP_DB
-    return float(min(metrics.SQNR_CAP_DB, 10.0 * math.log10(signal / noise)))
+    ratio = signal / noise
+    # a ratio that underflows to zero (a subnormal signal) still has a logarithm
+    db = 10.0 * math.log10(ratio) if ratio > 0.0 else 10.0 * (math.log10(signal) - math.log10(noise))
+    return float(min(metrics.SQNR_CAP_DB, db))
 
 
 def per_input_scores(refs, outs) -> tuple[list[float], list[float]]:
@@ -217,25 +220,65 @@ def record_state_caches(monkeypatch) -> list:
     return caches
 
 
-def where_silu(x: np.ndarray) -> np.ndarray:
-    """SiLU as where(x >= 0, x, x * e) / (1 + e) with e = exp(-|x|): the select
-    form ``toy_model._silu`` must equal bit for bit."""
-    e = np.abs(x)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    out = np.where(x >= 0, x, x * e)
-    e += 1.0
-    out /= e
-    return out
+def silu(x: np.ndarray) -> np.ndarray:
+    """SiLU as x / (1 + exp(-x)), out of place: the form ``toy_model._silu``
+    must equal bit for bit. Below about -709.78 exp(-x) overflows and the result
+    is -0.0."""
+    with np.errstate(over="ignore"):
+        return x / (1.0 + np.exp(-x))
 
 
-def reduce_softmax_rows(x: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis with the row max taken by one reduce: the form
-    ``toy_model._softmax_rows`` must equal bit for bit."""
+def softmax_rows(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, with the row max taken by one reduce, a
+    weight of exp(-inf) = +0.0 for every entry more than
+    ``toy_model._SOFTMAX_FLOOR`` below it, and the row sums taken by a product
+    with a column of ones: the form ``toy_model._softmax_rows`` must equal bit
+    for bit."""
     e = x - x.max(axis=-1, keepdims=True)
-    np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
-    return e
+    e = np.exp(np.where(e < toy_model._SOFTMAX_FLOOR, -np.inf, e))
+    return e / (e @ np.ones((x.shape[-1], 1)))
+
+
+def _conv_taps(size: int, out_size: int, stride: int) -> list[tuple[slice, slice]]:
+    """Per kernel offset k = 0, 1, 2 along one axis: the output positions whose
+    tap reads inside the input, and the input positions those taps read. Output
+    o's tap at k reads input o * stride + k - 1; the rest read the zero border."""
+    taps = []
+    for k in range(3):
+        first = 1 if k == 0 else 0
+        stop = min(out_size, (size - k) // stride + 1)
+        taps.append((slice(first, stop), slice(first * stride + k - 1, (stop - 1) * stride + k, stride)))
+    return taps
+
+
+def slice_conv3x3(x: np.ndarray, w: np.ndarray, stride: int = 1) -> np.ndarray:
+    """Zero-padded 3x3 convolution of a (B, C, H, W) batch from a patch tensor
+    without pad columns: the oracle ``toy_model._conv3x3`` must equal.
+
+    For up to ``toy_model._CONV_INPUTS`` inputs at a time, nine strided slice
+    copies straight from the unpadded input fill the transposed patch tensor
+    (n, C, 3, 3, H_out, W_out), whose [i, c, ky, kx] plane is input i's channel c
+    shifted by (ky - 1, kx - 1) and strided; a tap that falls on the padding
+    reads the buffer's border, which no copy writes. One matmul of the
+    (C_out, 9C) weights with the (n, 9C, H_out * W_out) patches writes the
+    outputs in place.
+    """
+    b, c, h, wd = x.shape
+    cout = w.shape[0]
+    ho, wo = -(-h // stride), -(-wd // stride)
+    rows, cols = _conv_taps(h, ho, stride), _conv_taps(wd, wo, stride)
+    step = toy_model._CONV_INPUTS
+    patches = np.zeros((min(b, step), c, 3, 3, ho, wo))
+    wm = w.reshape(cout, 9 * c)
+    out = np.empty((b, cout, ho, wo))
+    for i in range(0, b, step):
+        xs = x[i:i + step]
+        n = xs.shape[0]
+        for ky, (oy, iy) in enumerate(rows):
+            for kx, (ox, ix) in enumerate(cols):
+                patches[:n, :, ky, kx, oy, ox] = xs[:, :, iy, ix]
+        np.matmul(wm, patches[:n].reshape(n, 9 * c, ho * wo), out=out[i:i + n].reshape(n, cout, ho * wo))
+    return out
 
 
 def upsample2(x: np.ndarray) -> np.ndarray:

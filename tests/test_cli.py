@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import platform
 import shutil
 import struct
 import subprocess
@@ -39,6 +40,37 @@ def tree_checksums(root: Path) -> dict:
         for p in sorted(root.rglob("*"))
         if p.is_file()
     }
+
+
+# SHA-256 of the config.json of a seed-7 pipeline, at the default flags and at
+# the flags of the ``sweep`` benchmark workload. config.json holds only
+# bit-widths: scores that move in their last bits leave it unchanged unless they
+# change a choice of the allocator. A mismatch is a change of logic, or a build
+# whose kernels round some score across such a choice.
+PINNED_CONFIGS = {
+    "default": ((), "51c0083e6fed6c11e1e97a77ba3ef6e7ec10bef24c97893e525024df616e46a6"),
+    "sweep": (
+        ("--inputs", "4", "--n-budgets", "10", "--proxy-inputs", "16"),
+        "a1d311443f34d8aff5eb92cc36c2cf7284f1666f19746cd4c53b2654110d8702",
+    ),
+}
+PINNED_ENVIRONMENT = "Python 3.11.7, numpy 2.4.6, BLAS scipy-openblas 0.3.31.188.0"
+
+
+def _environment() -> str:
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return f"Python {platform.python_version()}, numpy {np.__version__}, BLAS {blas.get('name')} {blas.get('version')}"
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CONFIGS))
+def test_config_json_equals_its_pinned_digest(tmp_path, name):
+    flags, digest = PINNED_CONFIGS[name]
+    assert run(["pipeline", "--out-dir", str(tmp_path), *flags]) == 0
+    got = sha256_file(tmp_path / "config.json")
+    assert got == digest, (
+        f"{name} config.json has sha256 {got}, pinned {digest}; "
+        f"pinned on {PINNED_ENVIRONMENT}, run on {_environment()}"
+    )
 
 
 def test_gen_model_deterministic(tmp_path):

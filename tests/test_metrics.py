@@ -139,6 +139,16 @@ def test_sqnr_zero_reference_undefined():
         helpers.sqnr_db(np.zeros(4), np.ones(4))
 
 
+def test_sqnr_of_a_subnormal_signal_is_finite():
+    # signal / noise = 3.5e-323 / 32 underflows to zero; the score is the
+    # difference of the logarithms, not a math domain error
+    ref, out = np.zeros(8), np.full(8, 2.0)
+    ref[0] = 6.06529028e-162
+    want = 10.0 * (math.log10(float(ref[0] ** 2)) - math.log10(32.0))
+    assert one(mx.sqnr_db, ref, out) == helpers.sqnr_db(ref, out) == pytest.approx(want)
+    assert -3300.0 < want < -3200.0
+
+
 def test_sqnr_strictly_decreasing_in_noise_scale():
     ref = tc.random_normal([64], 0.0, 1.0, seed=5)
     d = tc.random_normal([64], 0.0, 1.0, seed=6)

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -132,6 +135,23 @@ def test_load_tensor_hashes_the_bytes_it_parses(tmp_path, monkeypatch):
     bin_path.write_bytes(bytes(raw))
     with pytest.raises(ValidationError, match="checksum mismatch"):
         tc.load_tensor(tmp_path / "t")
+
+
+def test_save_tensor_hashes_the_bytes_it_writes(tmp_path, monkeypatch):
+    # the sidecar checksum comes from the bytes in hand, not from reading the .bin back
+    t = tc.random_normal([3, 4], 0.0, 1.0, seed=3)
+
+    def no_read_back(path):
+        raise AssertionError(f"save_tensor read {path} back through sha256_file")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(tc, "sha256_file", no_read_back)
+        bin_path, json_path = tc.save_tensor(t, tmp_path / "t")
+    # the same bytes as a save that hashed the written file
+    assert bin_path.read_bytes() == struct.pack("<IQQ", 2, 3, 4) + t.tobytes()
+    sidecar = {"shape": [3, 4], "dtype": "float64", "checksum": "sha256:" + tc.sha256_file(bin_path)}
+    assert json_path.read_text() == json.dumps(sidecar, sort_keys=True, indent=2) + "\n"
+    assert np.array_equal(tc.load_tensor(tmp_path / "t"), t)
 
 
 def test_tensor_file_layout(tmp_path):

@@ -261,6 +261,53 @@ def test_conv3x3_batch_outputs_equal_single_input_outputs_bitwise(stride):
             assert np.array_equal(batched[i], tm._conv3x3(x[i:i + 1], w, stride)[0]), (h, wd, cout, b, i)
 
 
+def _model_conv_shapes(monkeypatch, net) -> set:
+    """(C, H, W, C_out, stride) of every ``_conv3x3`` call of one forward of ``net``."""
+    shapes, real = set(), tm._conv3x3
+
+    def recording(x, w, stride=1):
+        shapes.add((*x.shape[1:], w.shape[0], stride))
+        return real(x, w, stride)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(tm, "_conv3x3", recording)
+        tm.forward(net, *tm.make_input_set(0, 1, net)[0])
+    return shapes
+
+
+def test_conv3x3_equals_the_slice_conv_at_the_model_shapes_bitwise(monkeypatch):
+    # The pad column changes only the gemm's column count. At the conv shapes of
+    # the default, ``--depth 2`` and ``--width 16`` models, OpenBLAS 0.3.31 sums
+    # the 9C products of each output in the same order either way, so the
+    # outputs keep the bits of the patch tensor without pad columns.
+    shapes = set()
+    for options in ({}, {"depth": 2}, {"width": 16}):
+        shapes |= _model_conv_shapes(monkeypatch, tm.build_toy_unet(1, **options))
+    assert {s[-1] for s in shapes} == {1, 2}
+    rng = np.random.Generator(np.random.Philox(12))
+    for (c, h, wd, cout, stride), b in itertools.product(sorted(shapes), (1, 5, 16)):
+        x = rng.normal(size=(b, c, h, wd))
+        w = rng.normal(size=(cout, c, 3, 3))
+        assert np.array_equal(tm._conv3x3(x, w, stride), helpers.slice_conv3x3(x, w, stride)), (c, h, wd, cout, stride, b)
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_conv3x3_equals_the_slice_conv_at_small_odd_shapes(stride):
+    # At small shapes the extra pad column can move OpenBLAS to other gemm
+    # kernels, which sum the 9C products in another order: on OpenBLAS 0.3.31
+    # the stride-1 outputs at these shapes differed by up to 1.2e-14, which near
+    # a zero output is 9.6e-13 of it. So these shapes are checked to 1e-12 of
+    # the output's scale, not bit for bit.
+    rng = np.random.Generator(np.random.Philox(13))
+    for (h, wd), cout, b in itertools.product(CONV_SIZES + ((4, 6),), CONV_COUTS, CONV_BATCHES):
+        x = rng.normal(size=(b, 3, h, wd))
+        w = rng.normal(size=(cout, 3, 3, 3))
+        want = helpers.slice_conv3x3(x, w, stride)
+        got = tm._conv3x3(x, w, stride)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), ((h, wd), cout, b)
+
+
 # (weight, activation) bits of the one quantized layer: FP, each tensor alone, both.
 LAYER_BITS = ((None, None), (4, None), (None, 4), (2, 8))
 
@@ -323,22 +370,37 @@ def _bits(a: np.ndarray) -> np.ndarray:
 def test_silu_equals_the_select_based_silu_bitwise():
     rng = np.random.Generator(np.random.Philox(8))
     for x in (rng.normal(size=(8, 16, 16, 16)) * 4, rng.normal(size=(3, 16)) * 40, SPECIAL_VALUES):
-        with np.errstate(invalid="ignore"):  # -inf * exp(-inf)
-            assert np.array_equal(_bits(tm._silu(x)), _bits(helpers.where_silu(x)))
+        with np.errstate(invalid="ignore"):  # -inf / inf
+            assert np.array_equal(_bits(tm._silu(x)), _bits(helpers.silu(x)))
+    # Between -745 and about -709.78, exp(-x) overflows and SiLU is -0.0; the
+    # select form x * exp(x) / (1 + exp(x)) gave a subnormal there (-3.2e-306 at
+    # -710). Below -745 both give -0.0.
+    edge = tm._silu(np.array([-709.0, -710.0, -744.0, -750.0]))
+    assert edge[0] < 0 and np.array_equal(_bits(edge[1:]), _bits(np.full(3, -0.0)))
 
 
 @pytest.mark.parametrize("columns", [2, 8, tm._RUNNING_MAX_COLUMNS, tm._RUNNING_MAX_COLUMNS + 1, 64])
 def test_softmax_rows_equals_the_reduce_softmax_bitwise(columns):
     rng = np.random.Generator(np.random.Philox(9))
     x = rng.normal(size=(3, 40, columns)) * 8
-    assert np.array_equal(_bits(tm._softmax_rows(x)), _bits(helpers.reduce_softmax_rows(x)))
+    assert np.array_equal(_bits(tm._softmax_rows(x)), _bits(helpers.softmax_rows(x)))
     # every special value in every column position, among ordinary and other special values
     special = np.resize(SPECIAL_VALUES, (len(SPECIAL_VALUES), columns))
     for shift in range(columns):
         rows = np.roll(special, shift, axis=1)
         rows[:, 1::3] = x[0, :len(rows), 1::3]
         with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, and max - (-max)
-            assert np.array_equal(_bits(tm._softmax_rows(rows)), _bits(helpers.reduce_softmax_rows(rows)))
+            assert np.array_equal(_bits(tm._softmax_rows(rows)), _bits(helpers.softmax_rows(rows)))
+
+
+def test_softmax_rows_weights_entries_below_the_floor_zero():
+    # exp(-709) is subnormal and exp(-746) is zero; both weights are +0.0, while
+    # exp(-708) is still normal and keeps its weight
+    x = np.array([[0.0, -700.0, -708.0, -709.0, -720.0, -746.0, -np.inf, -1.0]])
+    weights = tm._softmax_rows(x)[0]
+    assert tm._SOFTMAX_FLOOR == pytest.approx(-708.396, abs=1e-3)
+    assert np.array_equal(_bits(weights[3:7]), _bits(np.zeros(4)))
+    assert (weights[[0, 1, 2, 7]] > 0).all()
 
 
 @pytest.mark.parametrize("columns", [8, 64])
@@ -349,7 +411,7 @@ def test_kernels_turn_nan_into_nan(columns):
     assert np.isnan(silu[0, columns // 2]) and np.isfinite(np.delete(silu.ravel(), columns // 2)).all()
     soft = tm._softmax_rows(x)
     assert np.isnan(soft[0]).all() and np.isfinite(soft[1]).all()
-    assert np.array_equal(np.isnan(soft), np.isnan(helpers.reduce_softmax_rows(x)))
+    assert np.array_equal(np.isnan(soft), np.isnan(helpers.softmax_rows(x)))
 
 
 def test_weight_bits_sqnr_trend(model, small_inputs):
