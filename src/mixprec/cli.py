@@ -247,8 +247,8 @@ def run_gen_model(args) -> int:
 
     seeds = {
         "model": args.seed,
-        "calibration": args.calib_seed if args.calib_seed is not None else derive_seed(args.seed, "calibration"),
-        "proxy": args.proxy_seed if args.proxy_seed is not None else derive_seed(args.seed, "proxy"),
+        "calibration": derive_seed(args.seed, "calibration"),
+        "proxy": derive_seed(args.seed, "proxy"),
         "eval": args.eval_seed if args.eval_seed is not None else derive_seed(args.seed, "eval"),
     }
     params = {
@@ -492,8 +492,6 @@ def _add_gen_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eval-inputs", type=_input_count("--eval-inputs"), default=16)
     p.add_argument("--n-budgets", type=_n_budgets, default=5)
     p.add_argument("--delta-bits", type=_delta_bits, default=0.25)
-    p.add_argument("--calib-seed", type=_int_at_least(0, "--calib-seed"), default=None)
-    p.add_argument("--proxy-seed", type=_int_at_least(0, "--proxy-seed"), default=None)
     p.add_argument("--eval-seed", type=_int_at_least(0, "--eval-seed"), default=None)
 
 

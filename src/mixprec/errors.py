@@ -39,7 +39,3 @@ class InfeasibleBudgetError(ValueError):
     def __init__(self, message: str, min_achievable_bits: float | None = None):
         super().__init__(message)
         self.min_achievable_bits = min_achievable_bits
-
-
-class CalibrationMismatchWarning(UserWarning):
-    """Activation params look like they were calibrated on an outlier row."""

@@ -66,17 +66,6 @@ def random_normal(shape: Sequence[int], mean: float, stddev: float, seed: int) -
     return rng.normal(loc=mean, scale=stddev, size=_check_shape(shape)).astype(np.float64)
 
 
-def reduce_min_max(t: Tensor, axis: int | None = None):
-    """Global (min, max), or per-slice (mins, maxs) arrays along ``axis``."""
-    t = np.asarray(t, dtype=np.float64)
-    if axis is None:
-        return float(t.min()), float(t.max())
-    if not -t.ndim <= axis < t.ndim:
-        raise ParameterError(f"axis {axis} out of range for rank-{t.ndim} tensor")
-    reduce_axes = tuple(i for i in range(t.ndim) if i != axis % t.ndim)
-    return t.min(axis=reduce_axes), t.max(axis=reduce_axes)
-
-
 def l2_norm_sq(t: Tensor) -> float:
     """Sum of squared elements."""
     t = np.asarray(t, dtype=np.float64)

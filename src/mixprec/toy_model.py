@@ -49,7 +49,7 @@ import numpy as np
 from . import quantizer
 from .errors import ConfigError, InputError, ParameterError, ShapeError, ValidationError
 from .manifest import read_artifact, write_json
-from .quantizer import PER_CHANNEL, PER_TENSOR, params_from_minmax
+from .quantizer import params_from_minmax
 from .tensor_core import Tensor, derive_seed, make_rng, load_tensor, random_normal, save_tensor
 
 
@@ -160,7 +160,7 @@ class ActRange:
         then shared by every run that quantizes this input at those bits."""
         params = self._grids.get((bits, slot))
         if params is None:
-            params = params_from_minmax(self.lo[slot], self.hi[slot], bits, PER_TENSOR)
+            params = params_from_minmax(self.lo[slot], self.hi[slot], bits)
             self._grids[bits, slot] = params
         return params
 
@@ -186,7 +186,7 @@ class ToyModel:
         cached = self._fq_weights.get(key)
         if cached is None:
             w = self.layers[layer_id].weight
-            params = quantizer.calibrate_minmax(w, bits, PER_CHANNEL, channel_axis=0)
+            params = quantizer.calibrate_minmax(w, bits, channel_axis=0)
             cached = quantizer.fake_quant(w, params)
             self._fq_weights[key] = cached
         return cached

@@ -1,7 +1,7 @@
 """Code only the tests use: allocation baselines and their long-tail ranking,
 per-input metrics and a reference sensitivity scorer, probe inputs, a
-state-cache recorder, reference kernels and layers, a quant-params wire format,
-checksums, MSE."""
+state-cache recorder, reference kernels and layers, an integer-code
+fake-quant oracle, checksums, MSE."""
 
 from __future__ import annotations
 
@@ -287,33 +287,18 @@ def upsample2(x: np.ndarray) -> np.ndarray:
     return np.repeat(np.repeat(x, 2, axis=2), 2, axis=3)
 
 
-def quant_params_to_json_dict(layer_id: str, tensor_kind: str, params: quantizer.QuantParams) -> dict:
-    """Wire format for calibrated params: one record per (layer, tensor kind)."""
-    return {
-        "layer_id": layer_id,
-        "tensor_kind": tensor_kind,
-        "bit_width": params.bit_width,
-        "granularity": params.granularity,
-        "scales": np.atleast_1d(params.scales).tolist(),
-        "zero_points": np.atleast_1d(params.zero_points).tolist(),
-        "channel_axis": params.channel_axis,
-    }
+def quantize_codes(t: Tensor, params: quantizer.QuantParams) -> np.ndarray:
+    """Oracle for ``quantizer.fake_quant``, first half: the integer codes
+    clamp(round(t / s) + z, 0, 2^b - 1) as int64. Not defined for NaN."""
+    t = np.asarray(t, dtype=np.float64)
+    codes = np.clip(quantizer.round_half_away(t / params.scales) + params.zero_points, 0, params.qmax)
+    return codes.astype(np.int64)
 
 
-def quant_params_from_json_dict(d: dict) -> tuple[str, str, quantizer.QuantParams]:
-    scales = np.asarray(d["scales"], dtype=np.float64)
-    zeros = np.asarray(d["zero_points"], dtype=np.int64)
-    if d["granularity"] == quantizer.PER_TENSOR:
-        scales = scales.reshape(())
-        zeros = zeros.reshape(())
-    params = quantizer.QuantParams(
-        bit_width=d["bit_width"],
-        granularity=d["granularity"],
-        scales=scales,
-        zero_points=zeros,
-        channel_axis=d.get("channel_axis"),
-    )
-    return d["layer_id"], d["tensor_kind"], params
+def dequantize_codes(codes: np.ndarray, params: quantizer.QuantParams) -> Tensor:
+    """Oracle for ``quantizer.fake_quant``, second half: (q - z) * s, the
+    difference taken in integers."""
+    return ((codes - params.zero_points) * params.scales).astype(np.float64)
 
 
 def output_checksum(t: Tensor) -> str:

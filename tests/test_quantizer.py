@@ -1,11 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mixprec import quantizer as q
 from mixprec import tensor_core as tc
-from mixprec.errors import CalibrationMismatchWarning, InputError, ParameterError, ShapeError
+from mixprec.errors import InputError, ParameterError
 from mixprec.toy_model import synth_text_embedding
 
 import helpers
@@ -42,9 +45,8 @@ def test_calibrate_rejects_bad_bits():
 def test_quantize_grid_aligned_roundtrip():
     x = np.array([-1.0, 0.0, 1.0, 2.0])
     p = q.calibrate_minmax(x, 2)
-    qt = q.quantize(x, p)
-    assert np.array_equal(qt.codes, [0, 1, 2, 3])
-    assert np.array_equal(q.dequantize(qt), x)
+    assert np.array_equal(helpers.quantize_codes(x, p), [0, 1, 2, 3])
+    assert np.array_equal(q.fake_quant(x, p), x)
 
 
 def test_fake_quant_idempotent():
@@ -67,9 +69,10 @@ def test_roundtrip_error_within_half_step(bits):
 @pytest.mark.parametrize("bits", [2, 4, 8])
 def test_roundtrip_error_per_channel(bits):
     w = tc.random_normal([8, 24], 0.0, 0.5, seed=77)
-    p = q.calibrate_minmax(w, bits, q.PER_CHANNEL, channel_axis=0)
+    p = q.calibrate_minmax(w, bits, channel_axis=0)
+    assert p.scales.shape == p.zero_points.shape == (8, 1)
     err = np.abs(w - q.fake_quant(w, p))
-    assert np.all(err <= p.scales[:, None] / 2)
+    assert np.all(err <= p.scales / 2)
 
 
 @given(st.lists(st.floats(-100, 100), min_size=2, max_size=50), st.sampled_from([2, 4, 8]))
@@ -78,9 +81,8 @@ def test_roundtrip_error_per_channel(bits):
 def test_monotone_codes(values, bits):
     x = np.array(values)
     p = q.calibrate_minmax(x, bits)
-    codes = q.quantize(x, p).codes
     order = np.argsort(x, kind="stable")
-    assert np.all(np.diff(codes[order]) >= 0)
+    assert np.all(np.diff(q.fake_quant(x, p)[order]) >= 0)  # s > 0: ordered outputs are ordered codes
 
 
 @pytest.mark.parametrize("lo, hi", [(0.0, 5e-324), (-5e-324, 0.0), (-1e308, 1e308)])
@@ -92,7 +94,7 @@ def test_unrepresentable_step_is_degenerate(lo, hi):
 
 
 def test_per_channel_unrepresentable_step_only_hits_its_channel():
-    p = q.params_from_minmax(np.array([0.0, -1.0]), np.array([5e-324, 2.0]), 2, q.PER_CHANNEL, 0)
+    p = q.params_from_minmax(np.array([0.0, -1.0]), np.array([5e-324, 2.0]), 2)
     assert p.scales.tolist() == [1.0, 1.0]
     assert p.zero_points.tolist() == [0, 1]
 
@@ -103,47 +105,70 @@ def test_per_channel_mse_not_worse_on_gaussian_weights():
     for i, bits in enumerate([2, 4, 8] * 4):
         w = tc.random_normal([6, 40], 0.0, 1.0, seed=500 + i) * (1 + np.arange(6)[:, None])
         per_tensor = q.fake_quant(w, q.calibrate_minmax(w, bits))
-        per_channel = q.fake_quant(w, q.calibrate_minmax(w, bits, q.PER_CHANNEL, 0))
+        per_channel = q.fake_quant(w, q.calibrate_minmax(w, bits, channel_axis=0))
         assert helpers.mse(w, per_channel) <= helpers.mse(w, per_tensor)
 
 
 def test_quantparams_validation():
     with pytest.raises(ParameterError):
-        q.QuantParams(8, q.PER_TENSOR, np.asarray(0.0), np.asarray(0, dtype=np.int64))
+        q.QuantParams(8, np.asarray(0.0), np.asarray(0, dtype=np.int64))
     with pytest.raises(ParameterError):
-        q.QuantParams(8, q.PER_TENSOR, np.asarray(1.0), np.asarray(300, dtype=np.int64))
-
-
-def test_int_tensor_rejects_out_of_range_codes():
-    p = q.calibrate_minmax(np.array([0.0, 3.0]), 2)
+        q.QuantParams(8, np.asarray(1.0), np.asarray(300, dtype=np.int64))
     with pytest.raises(ParameterError):
-        q.IntTensor(codes=np.array([0, 4]), params=p)
-    with pytest.raises(ParameterError):
-        q.IntTensor(codes=np.array([-1, 2]), params=p)
+        q.QuantParams(8, np.ones((2, 1)), np.array([[0], [-1]], dtype=np.int64))
 
 
-def test_split_bos_shapes_and_losslessness():
-    emb = tc.random_normal([77, 640], 0.0, 1.0, seed=5)
-    split = q.split_bos(emb)
-    assert split.bos_feature.shape == (1, 640)
-    assert split.rest.shape == (76, 640)
-    assert np.array_equal(np.concatenate([split.bos_feature, split.rest]), emb)
+def test_calibrate_grid_shapes_broadcast():
+    w = tc.random_normal([5, 3, 3, 3], 0.0, 1.0, seed=41)
+    per_tensor = q.calibrate_minmax(w, 4)
+    assert per_tensor.scales.shape == per_tensor.zero_points.shape == ()
+    per_channel = q.calibrate_minmax(w, 4, channel_axis=0)
+    assert per_channel.scales.shape == per_channel.zero_points.shape == (5, 1, 1, 1)
+    negative_axis = q.calibrate_minmax(w, 4, channel_axis=-4)
+    assert np.array_equal(negative_axis.scales, per_channel.scales)
+    assert np.array_equal(negative_axis.zero_points, per_channel.zero_points)
+    for c in range(5):  # each channel's grid is the per-tensor grid of that channel alone
+        alone = q.calibrate_minmax(w[c], 4)
+        assert per_channel.scales[c, 0, 0, 0] == alone.scales
+        assert per_channel.zero_points[c, 0, 0, 0] == alone.zero_points
+        assert np.array_equal(q.fake_quant(w, per_channel)[c], q.fake_quant(w[c], alone))
 
 
-def test_split_bos_needs_two_tokens():
-    with pytest.raises(InputError):
-        q.split_bos(np.zeros((1, 8)))
-    with pytest.raises(ShapeError):
-        q.split_bos(np.zeros(8))
+_calib_tensors = hnp.arrays(
+    np.float64,
+    st.tuples(st.integers(1, 4), st.integers(1, 8)),
+    elements=st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=True),
+)
 
 
-def test_split_bos_batch():
-    embs = np.stack([synth_text_embedding(s, tokens=8, channels=16) for s in (1, 2, 3)])
-    split = q.split_bos(embs)
-    assert split.bos_feature.shape == (3, 1, 16)
-    assert split.rest.shape == (3, 7, 16)
-    with pytest.raises(ShapeError):
-        q.split_bos(np.zeros((2, 2, 2, 2)))
+@given(_calib_tensors, st.sampled_from(q.BIT_WIDTHS), st.booleans())
+@settings(max_examples=300)
+def test_fake_quant_equals_integer_code_oracle_bitwise(w, bits, per_channel):
+    # the integer-code round trip (quantize, then dequantize in int64) is the
+    # oracle; probes: the calibration values, values beyond the range, exact
+    # ties (k + 0.5) * s around every code, signed zeros and infinities
+    p = q.calibrate_minmax(w, bits, channel_axis=0 if per_channel else None)
+    s = np.broadcast_to(p.scales, (w.shape[0], 1))
+    z = np.broadcast_to(p.zero_points, (w.shape[0], 1))
+    ties = (np.arange(-2, p.qmax + 2) - z + 0.5) * s
+    specials = np.broadcast_to([0.0, -0.0, np.inf, -np.inf, 1e300, -1e300], (w.shape[0], 6))
+    probe = np.concatenate([w, 3 * w, ties, -ties, specials], axis=1)
+    with np.errstate(over="ignore"):
+        got = q.fake_quant(probe, p)
+        want = helpers.dequantize_codes(helpers.quantize_codes(probe, p), p)
+    assert got.dtype == want.dtype == np.float64
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_fake_quant_propagates_nan():
+    p = q.calibrate_minmax(np.array([-1.0, 2.0]), 4)
+    x = np.array([np.nan, -np.nan, 1.0, np.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = q.fake_quant(x, p)
+    assert np.isnan(out[:2]).all()
+    assert np.array_equal(out[2:], q.fake_quant(x[2:], p))
+    assert out[3] == q.fake_quant(np.array([2.0]), p)[0]  # inf clamps to the top code
 
 
 def test_bos_aware_linear_batch_matches_per_embedding():
@@ -153,12 +178,6 @@ def test_bos_aware_linear_batch_matches_per_embedding():
     batched = q.bos_aware_linear(embs, w, a_params, _bos_output(embs, w))
     for e, out in zip(embs, batched):
         assert np.array_equal(out, q.bos_aware_linear(e, w, a_params, _bos_output(e, w)))
-
-
-def test_split_bos_outlier_ratio_on_synthetic_embedding():
-    emb = synth_text_embedding(3, tokens=8, channels=16)
-    split = q.split_bos(emb)
-    assert np.abs(split.bos_feature).max() / np.abs(split.rest).max() >= 50
 
 
 def _linear_ref(emb, w):
@@ -193,7 +212,7 @@ def test_bos_aware_identity_weight_on_grid():
 def test_bos_aware_bos_row_bitexact():
     emb = synth_text_embedding(9, tokens=8, channels=16)
     w = tc.random_normal([12, 16], 0.0, 0.25, seed=21)
-    wq = q.fake_quant(w, q.calibrate_minmax(w, 8, q.PER_CHANNEL, 0))
+    wq = q.fake_quant(w, q.calibrate_minmax(w, 8, channel_axis=0))
     a_params = q.calibrate_minmax(emb[1:], 8)
     out = q.bos_aware_linear(emb, wq, a_params, _bos_output(emb, w))
     assert np.array_equal(out[0], (emb[:1] @ w.T)[0])  # the full-precision weight's row, not wq's
@@ -214,33 +233,3 @@ def test_bos_aware_error_ratio_vs_naive():
 
     assert helpers.mse(ref, aware_out) <= 0.01 * helpers.mse(ref, naive_out)
 
-
-def test_quant_params_json_roundtrip():
-    w = tc.random_normal([6, 10], 0.0, 1.0, seed=31)
-    for granularity, axis in ((q.PER_TENSOR, None), (q.PER_CHANNEL, 0)):
-        params = q.calibrate_minmax(w, 4, granularity, axis)
-        record = helpers.quant_params_to_json_dict("enc0.conv_in", "weight", params)
-        assert record["tensor_kind"] == "weight"
-        assert record["bit_width"] == 4
-        lid, kind, back = helpers.quant_params_from_json_dict(record)
-        assert (lid, kind) == ("enc0.conv_in", "weight")
-        assert np.array_equal(back.scales, params.scales)
-        assert np.array_equal(back.zero_points, params.zero_points)
-        assert np.array_equal(q.fake_quant(w, back), q.fake_quant(w, params))
-
-
-def test_calibration_mismatch_warning():
-    emb = synth_text_embedding(4, tokens=8, channels=16)
-    w = tc.random_normal([16, 16], 0.0, 0.25, seed=24)
-    bad_params = q.calibrate_minmax(emb, 8)  # includes the outlier row
-    with pytest.warns(CalibrationMismatchWarning):
-        q.bos_aware_linear(emb, w, bad_params, _bos_output(emb, w))
-    with pytest.warns(CalibrationMismatchWarning):  # any embedding of a batch warns
-        batch = np.stack([emb, np.zeros_like(emb)])
-        q.bos_aware_linear(batch, w, bad_params, _bos_output(batch, w))
-    good_params = q.calibrate_minmax(emb[1:], 8)
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", CalibrationMismatchWarning)
-        q.bos_aware_linear(emb, w, good_params, _bos_output(emb, w))

@@ -52,22 +52,6 @@ def test_random_normal_rejects_negative_stddev():
         tc.random_normal([3], 0.0, -1.0, seed=0)
 
 
-def test_reduce_min_max_global_and_axis():
-    assert tc.reduce_min_max(np.array([1.0, 2.0, 3.0])) == (1.0, 3.0)
-    mins, maxs = tc.reduce_min_max(np.array([[1.0, 2.0], [3.0, 4.0]]), axis=0)
-    assert np.array_equal(mins, [1.0, 3.0])
-    assert np.array_equal(maxs, [2.0, 4.0])
-
-
-def test_reduce_min_max_constant_tensor():
-    assert tc.reduce_min_max(tc.full([3, 3], 2.5)) == (2.5, 2.5)
-
-
-def test_reduce_min_max_bad_axis():
-    with pytest.raises(ParameterError):
-        tc.reduce_min_max(np.zeros((2, 2)), axis=2)
-
-
 def test_l2_and_mse_examples():
     assert tc.l2_norm_sq(np.array([3.0, 4.0])) == 25.0
     x = np.array([1.0, -2.0, 0.5])
@@ -92,14 +76,6 @@ def test_mse_symmetric_nonnegative(a):
     b = a[::-1].copy().reshape(a.shape)
     assert helpers.mse(a, b) == helpers.mse(b, a)
     assert helpers.mse(a, b) >= 0.0
-
-
-@given(finite_arrays)
-def test_reduce_min_max_ordered(a):
-    lo, hi = tc.reduce_min_max(a)
-    assert lo <= hi
-    mins, maxs = tc.reduce_min_max(a, axis=0)
-    assert np.all(mins <= maxs)
 
 
 def test_tensor_roundtrip(tmp_path):

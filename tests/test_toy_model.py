@@ -137,6 +137,21 @@ def test_forward_act_quant_requires_calibration(model, small_inputs):
         tm.forward(model, latent, emb, t, config=cfg)
 
 
+def test_first_token_path_takes_only_a_rest_rows_range(model, small_inputs):
+    # a range calibrated with the first row (bos_aware=False) would stretch the
+    # grid of the remaining rows over the outlier; the kind check refuses it
+    latent, emb, t = small_inputs[0]
+    cfg = tm.QuantConfig.all_fp(model.layer_order)
+    cfg.act_bits["mid.cross.to_k"] = 8
+    with_first_row = tm.calibrate_activations(model, small_inputs[:2], bos_aware=False)
+    assert with_first_row["mid.cross.to_k"].kind == "tensor"
+    with pytest.raises(ConfigError, match="rest_rows"):
+        tm.forward(model, latent, emb, t, config=cfg, bos_aware=True, act_ranges=with_first_row)
+    rest_rows = tm.calibrate_activations(model, small_inputs[:2], bos_aware=True)
+    assert rest_rows["mid.cross.to_k"].kind == "rest_rows"
+    assert np.all(np.isfinite(tm.forward(model, latent, emb, t, config=cfg, bos_aware=True, act_ranges=rest_rows)))
+
+
 @pytest.mark.parametrize("bos", [False, True])
 @pytest.mark.parametrize(
     "probe",
