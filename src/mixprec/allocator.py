@@ -416,10 +416,8 @@ def allocate(
         }
         return [scores[key] for key in keys]
 
-    def group_instance(group: str, budget: float) -> MckpInstance | None:
+    def group_instance(group: str, budget: float) -> MckpInstance:
         lids = [lid for lid in model.layer_order if model.layers[lid].group == group]
-        if not lids:
-            return None
         layers = [
             (
                 lid,
@@ -456,10 +454,7 @@ def allocate(
             cost = 0
             try:
                 for group, b_group in ((toy_model.CONTENT, b_content), (toy_model.QUALITY, b_quality)):
-                    inst = group_instance(group, b_group)
-                    if inst is None:
-                        continue
-                    sol = solve_mckp(inst)
+                    sol = solve_mckp(group_instance(group, b_group))
                     choices.update(sol.choices)
                     cost += sol.cost
             except InfeasibleBudgetError:

@@ -1,7 +1,10 @@
 """Exception types shared across the toolkit.
 
-The CLI maps these onto distinct exit codes, so stages can be scripted
-against failure categories instead of message text.
+``cli.main`` maps them onto two exit codes: ``InfeasibleBudgetError`` exits
+4 and the other six classes exit 3, so a script can tell a budget that no
+assignment fits from a bad artifact, config or value without reading message
+text. A ``ParameterError`` exits 2 (usage) only where the CLI checks a flag
+with it: in the flag's parser, or in ``gen-model``'s model-size check.
 """
 
 

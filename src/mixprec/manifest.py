@@ -101,9 +101,10 @@ def read_json(path: Path) -> object:
     return json.loads(Path(path).read_text("utf-8"))
 
 
-def write_json(path: Path | str, data) -> None:
-    """Sorted, indented JSON with a trailing newline, written atomically."""
-    write_atomic(path, json.dumps(data, sort_keys=True, indent=2) + "\n")
+def write_json(path: Path | str, data) -> str:
+    """Sorted, indented JSON with a trailing newline, written atomically; returns
+    the SHA-256 hex digest of the bytes written."""
+    return write_atomic(path, json.dumps(data, sort_keys=True, indent=2) + "\n")
 
 
 def save_manifest(data: dict, path: Path | str) -> None:

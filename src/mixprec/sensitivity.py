@@ -168,8 +168,6 @@ def analyze(
     bit_widths=BIT_WIDTHS,
     tensor_kind: str | tuple[str, ...] = WEIGHT,
     bos_aware: bool = False,
-    *,
-    act_ranges=None,
 ) -> SensitivityTable:
     """Score every (layer, bit_width) pair for one tensor kind, or for each of a
     tuple of kinds; the table lists the kinds in that order.
@@ -194,8 +192,7 @@ def analyze(
 
     chunks = list(toy_model.input_chunks(inputs))
     refs = fp_references(model, chunks, bos_aware=bos_aware)
-    if ACTIVATION in kinds and act_ranges is None:
-        act_ranges = toy_model.calibrate_activations(model, inputs, bos_aware=bos_aware)
+    act_ranges = toy_model.calibrate_activations(model, inputs, bos_aware=bos_aware) if ACTIVATION in kinds else None
     plan = [(lid, kind, b) for lid in model.layer_order for kind in kinds for b in bit_widths]
     cache = toy_model.StateCache(model, [_probe_config(model, *probe) for probe in plan])
 

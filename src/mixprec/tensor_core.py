@@ -53,11 +53,6 @@ def _check_shape(shape: Sequence[int]) -> tuple[int, ...]:
     return shape
 
 
-def full(shape: Sequence[int], value: float) -> Tensor:
-    """Tensor of the given shape with every element equal to ``value``."""
-    return np.full(_check_shape(shape), float(value), dtype=np.float64)
-
-
 def random_normal(shape: Sequence[int], mean: float, stddev: float, seed: int) -> Tensor:
     """Deterministic Gaussian samples; the same seed reproduces identical bits."""
     if stddev < 0:
@@ -80,36 +75,39 @@ def sha256_file(path: Path | str) -> str:
     return h.hexdigest()
 
 
-def write_atomic(path: Path | str, data: str | bytes) -> None:
-    """Write ``data`` to a temp file beside ``path``, then rename it over ``path``.
+def write_atomic(path: Path | str, data: str | bytes) -> str:
+    """Write ``data`` (text as UTF-8) to a temp file beside ``path``, then rename
+    it over ``path``; returns the SHA-256 hex digest of the bytes written.
 
     A write that fails leaves ``path`` as it was and removes the temp file, so
     a run directory never holds a partial artifact.
     """
     path = Path(path)
+    raw = data.encode("utf-8") if isinstance(data, str) else data
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "wb" if isinstance(data, bytes) else "w") as f:
-            f.write(data)
+        with open(tmp, "wb") as f:
+            f.write(raw)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    return hashlib.sha256(raw).hexdigest()
 
 
-def save_tensor(t: Tensor, base_path: Path | str) -> tuple[Path, Path]:
-    """Write ``<base>.bin`` and its ``<base>.json`` sidecar; returns both paths."""
+def save_tensor(t: Tensor, base_path: Path | str) -> dict[Path, str]:
+    """Write ``<base>.bin`` and its ``<base>.json`` sidecar; returns the SHA-256
+    hex digest of each file's bytes by its path, the ``.bin`` first."""
     t = np.ascontiguousarray(t, dtype=np.float64)
     base = Path(base_path)
     bin_path = base.parent / (base.name + ".bin")
     json_path = base.parent / (base.name + ".json")
     header = struct.pack("<I", t.ndim) + struct.pack(f"<{t.ndim}Q", *t.shape)
-    raw = header + t.tobytes(order="C")
-    write_atomic(bin_path, raw)
+    bin_digest = write_atomic(bin_path, header + t.tobytes(order="C"))
     # The checksum of the bytes just written, without reading the file back
-    sidecar = {"shape": list(t.shape), "dtype": "float64", "checksum": "sha256:" + hashlib.sha256(raw).hexdigest()}
-    write_atomic(json_path, json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
-    return bin_path, json_path
+    sidecar = {"shape": list(t.shape), "dtype": "float64", "checksum": "sha256:" + bin_digest}
+    json_digest = write_atomic(json_path, json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
+    return {bin_path: bin_digest, json_path: json_digest}
 
 
 def load_tensor(base_path: Path | str) -> Tensor:

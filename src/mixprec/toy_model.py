@@ -25,8 +25,8 @@ count is exactly the product of its weight shape.
 
 Two convs never build their logical input. The upsampling conv runs as four
 2x2 phase convs on the low-resolution input, and the fuse conv as the sum of
-one conv over each half of the concatenation. Descriptors, traces and
-calibration still describe the logical 3x3 convs.
+one conv over each half of the concatenation. Descriptors and calibration
+still describe the logical 3x3 convs.
 
 Layer-kind grouping: cross-attention projections and feed-forward layers
 form the "content" group; self-attention, convolutions, and everything
@@ -575,28 +575,22 @@ def input_chunks(inputs):
 
 
 class _Run:
-    """One batched forward pass: applies per-layer quantization hooks and recording.
+    """One batched forward pass: applies per-layer quantization hooks and calibration.
 
-    Every activation carries a leading batch axis. Trace counts are per input;
-    calibrated ranges are min/max over the whole batch, which equals the running
-    min/max over its inputs one at a time.
+    Every activation carries a leading batch axis. Calibrated ranges are min/max
+    over the whole batch, which equals the running min/max over its inputs one
+    at a time.
     """
 
-    def __init__(self, model, config, act_ranges, bos_aware, trace, calib):
+    def __init__(self, model, config, act_ranges, bos_aware, calib):
         self.model = model
         self.config = config
         self.act_ranges = act_ranges
         self.bos_aware = bos_aware
-        self.trace = trace
         self.calib = calib
         self.fp_terms = None  # a chunk's FP terms by the layer that reads them, set by ``StateCache.run_chunk``
 
     def _record(self, lid: str, kind: str, parts: list[np.ndarray]):
-        if self.trace is not None:
-            self.trace[lid] = {
-                "act_elems": int(sum(p[0].size for p in parts)),
-                "macs": self.trace.get(lid, {}).get("macs", 0),
-            }
         if self.calib is not None:
             lo = tuple(float(p.min()) for p in parts)
             hi = tuple(float(p.max()) for p in parts)
@@ -631,8 +625,6 @@ class _Run:
         rows = x[:, None, :] if x.ndim == 2 else x
         self._record(lid, "tensor", [rows])
         out = self._quant_in(lid, rows) @ self._weight(lid).T
-        if self.trace is not None:
-            self.trace[lid]["macs"] = int(rows.shape[1] * rows.shape[2] * out.shape[2])
         return out[:, 0] if x.ndim == 2 else out
 
     def _is_fp(self, lids) -> bool:
@@ -663,32 +655,18 @@ class _Run:
         bits = self.config.act_bits[lid]
         a_params = None if bits is None else self._act_params(lid, bits, "rest_rows")
         bos_output = embedding[:, :1] @ self.model.layers[lid].weight.T
-        out = quantizer.bos_aware_linear(embedding, self._weight(lid), a_params, bos_output)
-        if self.trace is not None:
-            self.trace[lid]["macs"] = int(embedding.shape[1] * embedding.shape[2] * out.shape[2])
-            self.trace[lid]["act_elems"] = int(embedding[0].size)
-        return out
+        return quantizer.bos_aware_linear(embedding, self._weight(lid), a_params, bos_output)
 
     def conv(self, lid: str, x: np.ndarray) -> np.ndarray:
-        layer = self.model.layers[lid]
         self._record(lid, "tensor", [x])
-        xq = self._quant_in(lid, x)
-        out = _conv3x3(xq, self._weight(lid), stride=layer.stride)
-        if self.trace is not None:
-            self.trace[lid]["macs"] = int(out.shape[2] * out.shape[3] * out.shape[1] * x.shape[1] * 9)
-        return out
+        return _conv3x3(self._quant_in(lid, x), self._weight(lid), stride=self.model.layers[lid].stride)
 
     def up_conv(self, lid: str, x: np.ndarray) -> np.ndarray:
         """Conv over the 2x nearest upsampling of ``x``, run as the four 2x2 phase
         convs of ``_upsample_conv`` on ``x`` itself. Quantizing and calibrating
-        act elementwise, so they act on ``x``; the trace counts the logical
-        conv's input and MACs."""
+        act elementwise, so they act on ``x``."""
         self._record(lid, "tensor", [x])
-        out = _upsample_conv(self._quant_in(lid, x), self.model.phase_weight(lid, self.config.weight_bits[lid]))
-        if self.trace is not None:
-            self.trace[lid]["act_elems"] = 4 * int(x[0].size)
-            self.trace[lid]["macs"] = int(out.shape[2] * out.shape[3] * out.shape[1] * x.shape[1] * 9)
-        return out
+        return _upsample_conv(self._quant_in(lid, x), self.model.phase_weight(lid, self.config.weight_bits[lid]))
 
     def fuse_conv(self, lid: str, x: np.ndarray, skip: np.ndarray, skip_layers) -> np.ndarray:
         """Conv over the channel concatenation of ``x`` and ``skip``, each half
@@ -702,8 +680,6 @@ class _Run:
         out = _conv3x3(self._quant_in(lid, x, "halves", 0), w[:, :split])
         skip_term = functools.partial(_conv3x3, self._quant_in(lid, skip, "halves", 1), w[:, split:])
         out += self._fp_term(lid, skip_term) if self._is_fp((*skip_layers, lid)) else skip_term()
-        if self.trace is not None:
-            self.trace[lid]["macs"] = int(out.shape[2] * out.shape[3] * out.shape[1] * w.shape[1] * 9)
         return out
 
     def attention(self, prefix: str, tokens: np.ndarray, kv: np.ndarray | None) -> np.ndarray:
@@ -875,7 +851,6 @@ def forward(
     config: QuantConfig | None = None,
     bos_aware: bool = False,
     act_ranges: dict[str, ActRange] | None = None,
-    trace: dict | None = None,
     cache: "StateCache | None" = None,
 ) -> Tensor:
     """One denoising-style step; returns a pseudo-image shaped like the latent.
@@ -892,13 +867,8 @@ def forward(
     cfg.validate(model.layer_order)
     if cfg.wants_act_quant() and act_ranges is None:
         raise ConfigError("config quantizes activations but no calibrated ranges were given")
-    run = _Run(model, cfg, act_ranges, bos_aware, trace, calib=None)
-    if cache is None:
-        out = _run_from(run, state)
-    elif trace is not None:
-        raise ParameterError("a traced forward runs every layer; it takes no state cache")
-    else:
-        out = cache.run_chunk(run, state)
+    run = _Run(model, cfg, act_ranges, bos_aware, calib=None)
+    out = _run_from(run, state) if cache is None else cache.run_chunk(run, state)
     return out[0] if single else out
 
 
@@ -1024,26 +994,8 @@ def calibrate_activations(
     cfg = QuantConfig.all_fp(model.layer_order)
     for chunk in input_chunks(inputs):
         state, _ = _as_batch(model, *chunk)
-        _run_from(_Run(model, cfg, None, bos_aware, None, calib=acc), state)
+        _run_from(_Run(model, cfg, None, bos_aware, calib=acc), state)
     return acc
-
-
-def audit_shapes(model: ToyModel, seed: int = 0) -> list[str]:
-    """Compare descriptor act/MAC counts against a traced forward; [] means clean."""
-    latent, embedding, timestep = make_input_set(seed, 1, model)[0]
-    trace: dict = {}
-    forward(model, latent, embedding, timestep, trace=trace)
-    problems = []
-    for lid, layer in model.layers.items():
-        got = trace.get(lid)
-        if got is None:
-            problems.append(f"{lid}: never executed")
-            continue
-        if got["act_elems"] != layer.act_elem_count:
-            problems.append(f"{lid}: act_elems {got['act_elems']} != {layer.act_elem_count}")
-        if got["macs"] != layer.mac_count:
-            problems.append(f"{lid}: macs {got['macs']} != {layer.mac_count}")
-    return problems
 
 
 def model_layer_summary(model: ToyModel) -> list[dict]:
@@ -1077,13 +1029,16 @@ def model_to_json_dict(model: ToyModel) -> dict:
     }
 
 
-def save_model(model: ToyModel, json_path: Path | str, weights_dir: Path | str) -> None:
-    """Write the weight tensors, then the model JSON, each file atomically."""
+def save_model(model: ToyModel, json_path: Path | str, weights_dir: Path | str) -> dict[Path, str]:
+    """Write the weight tensors, then the model JSON, each file atomically;
+    returns the SHA-256 hex digest of every file written, by its path."""
     weights_dir = Path(weights_dir)
     weights_dir.mkdir(parents=True, exist_ok=True)
+    written: dict[Path, str] = {}
     for lid in model.layer_order:
-        save_tensor(model.layers[lid].weight, weights_dir / lid)
-    write_json(json_path, model_to_json_dict(model))
+        written.update(save_tensor(model.layers[lid].weight, weights_dir / lid))
+    written[Path(json_path)] = write_json(json_path, model_to_json_dict(model))
+    return written
 
 
 def load_model(meta: dict, weights_dir: Path | str) -> ToyModel:

@@ -1,7 +1,8 @@
 """Code only the tests use: allocation baselines and their long-tail ranking,
 per-input metrics and a reference sensitivity scorer, probe inputs, a
-state-cache recorder, reference kernels and layers, an integer-code
-fake-quant oracle, checksums, MSE."""
+state-cache recorder, the per-layer cost count and descriptor audit,
+reference kernels and layers, an integer-code fake-quant oracle, checksums,
+MSE."""
 
 from __future__ import annotations
 
@@ -218,6 +219,65 @@ def record_state_caches(monkeypatch) -> list:
 
     monkeypatch.setattr(toy_model, "StateCache", recording)
     return caches
+
+
+def layer_costs(monkeypatch, model, latent, embedding, timestep, *, bos_aware: bool = False) -> dict:
+    """(input elements, MACs) per input of every weighted layer, counted from
+    its operands during one ``toy_model.forward``, in the order the layers ran.
+
+    A subclass of ``toy_model._Run``, swapped in for the call, counts after each
+    layer method: the up conv as the logical 3x3 conv over the 2x upsampling of
+    its input (four times its elements), the fuse conv over both halves, and a
+    first-token-aware K/V projection over the whole embedding.
+    """
+    costs: dict[str, tuple[int, int]] = {}
+
+    def conv_macs(out, in_channels):
+        return int(out[0].size) * in_channels * 9
+
+    class Counting(toy_model._Run):
+        def linear(self, lid, x):
+            out = super().linear(lid, x)
+            costs[lid] = (int(x[0].size), int(x[0].size) * out.shape[-1])
+            return out
+
+        def _kv_project(self, lid, embedding):
+            out = super()._kv_project(lid, embedding)
+            costs[lid] = (int(embedding[0].size), int(embedding[0].size) * out.shape[-1])
+            return out
+
+        def conv(self, lid, x):
+            out = super().conv(lid, x)
+            costs[lid] = (int(x[0].size), conv_macs(out, x.shape[1]))
+            return out
+
+        def up_conv(self, lid, x):
+            out = super().up_conv(lid, x)
+            costs[lid] = (4 * int(x[0].size), conv_macs(out, x.shape[1]))
+            return out
+
+        def fuse_conv(self, lid, x, skip, skip_layers):
+            out = super().fuse_conv(lid, x, skip, skip_layers)
+            costs[lid] = (int(x[0].size + skip[0].size), conv_macs(out, x.shape[1] + skip.shape[1]))
+            return out
+
+    with monkeypatch.context() as patched:
+        patched.setattr(toy_model, "_Run", Counting)
+        toy_model.forward(model, latent, embedding, timestep, bos_aware=bos_aware)
+    return costs
+
+
+def descriptor_problems(monkeypatch, model, *, bos_aware: bool = False) -> list[str]:
+    """Each layer whose descriptor's input-element or MAC count differs from
+    ``layer_costs`` on one input, or that never ran; [] means clean."""
+    costs = layer_costs(monkeypatch, model, *toy_model.make_input_set(0, 1, model)[0], bos_aware=bos_aware)
+    problems = []
+    for lid, layer in model.layers.items():
+        if lid not in costs:
+            problems.append(f"{lid}: never ran")
+        elif costs[lid] != (layer.act_elem_count, layer.mac_count):
+            problems.append(f"{lid}: counted {costs[lid]} != descriptor {(layer.act_elem_count, layer.mac_count)}")
+    return problems
 
 
 def silu(x: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mixprec import allocator, cli, manifest as mf, quantizer, sensitivity, toy_model
+from mixprec import allocator, cli, manifest as mf, quantizer, sensitivity, tensor_core, toy_model
 from mixprec.errors import ParameterError
 from mixprec.tensor_core import load_tensor, save_tensor, sha256_file
 
@@ -561,8 +562,24 @@ def test_failed_write_leaves_no_partial_or_temp_file(pipeline_dir, tmp_path, mon
     monkeypatch.undo()
     path = root / "frontier.csv"
     with pytest.raises(UnicodeEncodeError):
-        mf.write_atomic(path, "avg_bits\n" + "\ud800")  # fails while writing the temp file
+        mf.write_atomic(path, "avg_bits\n" + "\ud800")  # fails to encode, before any file is written
     assert tree_checksums(root) == before
+
+
+def test_gen_model_records_checksums_without_reading_its_files_back(tmp_path, monkeypatch):
+    assert run(["gen-model", "--out-dir", str(tmp_path / "read"), *TINY]) == 0
+
+    def no_read_back(path):
+        raise AssertionError(f"gen-model read {path} back to hash it")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(mf, "sha256_file", no_read_back)
+        patched.setattr(tensor_core, "sha256_file", no_read_back)
+        assert run(["gen-model", "--out-dir", str(tmp_path / "written"), *TINY]) == 0
+    manifest = (tmp_path / "written" / "manifest.json").read_bytes()
+    assert manifest == (tmp_path / "read" / "manifest.json").read_bytes()
+    data = json.loads(manifest)
+    mf.verify_artifacts(data, tmp_path / "written", list(data["checksums"]))
 
 
 def test_gen_model_failed_model_json_write_exits_5(tmp_path, monkeypatch):
@@ -1190,6 +1207,55 @@ def test_damaged_artifact_exits_0_or_3(tiny_tree, data):
         (copy / rel).write_bytes(damaged)
         _record_checksums_again(copy, copy / rel)
         assert run([_READERS[rel], "--manifest", str(copy / "manifest.json")]) in (0, 3)
+
+
+def _flag_vocabulary() -> dict[str, list[str]]:
+    """Each subcommand's option strings, from its parser, but for the paths the
+    argv fuzz sets itself."""
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    return {
+        name: sorted(s for action in sub._actions for s in action.option_strings if s not in ("--out-dir", "--manifest"))
+        for name, sub in commands.items()
+    }
+
+
+_FLAGS = _flag_vocabulary()
+_ANY_FLAG = st.sampled_from(sorted({flag for flags in _FLAGS.values() for flag in flags}))
+# Values a flag may take on a tiny model, then junk that none takes. No text
+# starts with "--": argparse would take a prefix such as "--ou" for --out-dir.
+_ARG_VALUES = st.sampled_from([
+    "1", "2", "4", "6", "8", "2,8", "0.25", "config.json", "frontier_configs/weight_000.json",
+    "nan", "inf", "-inf", "1e309", "fp", "2,,4", "-1", "\x00", "../x", "", " ",
+]) | st.text(max_size=4).filter(lambda text: not text.startswith("--"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_random_argv_exits_with_a_documented_code(tiny_tree, tmp_path_factory, data):
+    # Any subcommand, with tokens drawn from its own and the other parsers' flags
+    # and values, junk included, ends in 0/2/3/4/5: never exit 1 or a traceback.
+    # A run writes only under a fresh directory: gen-model and pipeline into it,
+    # on the tiny shape unless a token overrides it; the other stages on a copy
+    # of a tiny run, at its manifest, a file that is no manifest, the run
+    # directory itself or a missing path.
+    command = data.draw(st.sampled_from(sorted(_FLAGS)), label="command")
+    root = tmp_path_factory.mktemp("argv")
+    if command in ("gen-model", "pipeline"):
+        argv = [command, "--out-dir", str(root / "run"), *TINY]
+    else:
+        shutil.copytree(tiny_tree, root / "run")
+        manifest = data.draw(st.sampled_from(["run/manifest.json", "run/model.json", "run", "missing.json"]))
+        argv = [command, "--manifest", str(root / manifest)]
+    flag = st.sampled_from(_FLAGS[command]) | _ANY_FLAG
+    token = st.tuples(flag, _ARG_VALUES).map(list) | flag.map(lambda f: [f]) | _ARG_VALUES.map(lambda v: [v])
+    for tokens in data.draw(st.lists(token, max_size=5), label="tokens"):
+        argv += tokens
+    try:
+        rc = cli.main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc in (0, 2, 3, 4, 5), argv
 
 
 _TARGETS = st.sampled_from([None, 2.0, 3.0, 4.0, 6.0, 8.0]) | st.floats(2, 8)

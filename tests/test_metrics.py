@@ -41,13 +41,13 @@ def test_ssim_self_identity():
 
 
 def test_ssim_constant_images_with_stabilizers():
-    x = tc.full([8, 8], 0.5)
+    x = np.full((8, 8), 0.5)
     assert one(mx.ssim, x, x) == pytest.approx(1.0, abs=1e-12)  # a constant reference uses data range 1
     assert helpers.ssim(x, x) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ssim_constant_images_unstabilized_undefined():
-    x = tc.full([8, 8], 0.5)
+    x = np.full((8, 8), 0.5)
     with pytest.raises(UndefinedMetricError):
         helpers.ssim(x, x, mx.SsimWeights(c1=0.0, c2=0.0))
     # a data range whose stabilizers underflow to zero, against a zero output

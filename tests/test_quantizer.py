@@ -27,7 +27,7 @@ def test_calibrate_two_bit_example():
 
 
 def test_calibrate_degenerate_constant():
-    p = q.calibrate_minmax(tc.full([4], 7.0), 4)
+    p = q.calibrate_minmax(np.full(4, 7.0), 4)
     assert float(p.scales) == 1.0
     assert int(p.zero_points) == 0
 

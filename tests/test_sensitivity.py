@@ -359,7 +359,6 @@ def test_two_kind_analyze_holds_at_most_one_state_per_chunk(model, two_chunk_inp
 def test_analyze_runs_one_fp_walk_plus_each_probe_suffix(model, deep_model, which):
     net = model if which == "default" else deep_model
     inputs = tm.make_input_set(11, tm.FORWARD_CHUNK + 2, net)
-    ranges = tm.calibrate_activations(net, inputs)
     segments = tm._segment_list(net.depth)
     segment_of = {lid: index for index, segment in enumerate(segments) for lid in segment.layers}
     steps = []
@@ -375,12 +374,13 @@ def test_analyze_runs_one_fp_walk_plus_each_probe_suffix(model, deep_model, whic
     try:
         for index, segment in enumerate(segments):
             object.__setattr__(segment, "step", counted(index, segment.step))
-        sv.analyze(net, inputs, bit_widths=(2, 8), tensor_kind=sv.TENSOR_KINDS, act_ranges=ranges)
+        sv.analyze(net, inputs, bit_widths=(2, 8), tensor_kind=sv.TENSOR_KINDS)
     finally:
         for segment, step in zip(segments, originals):
             object.__setattr__(segment, "step", step)
     n, chunks, probes = len(segments), 2, 2 * 2  # two kinds times two widths per layer
     references = n
+    calibration = n  # the activation kind calibrates its ranges with one pass over every segment
     fp_walk = n - 1  # the FP states at the entry of segments 1 .. n - 1, once each
     suffixes = probes * sum(n - segment_of[lid] for lid in net.layer_order)
-    assert len(steps) == chunks * (references + fp_walk + suffixes)
+    assert len(steps) == chunks * (references + calibration + fp_walk + suffixes)

@@ -13,20 +13,13 @@ from mixprec.errors import ParameterError, ShapeError, ValidationError
 import helpers
 
 
-def test_full_constant_fill():
-    t = tc.full([2, 2], 0)
-    assert t.shape == (2, 2)
-    assert np.all(t == 0)
-    assert np.array_equal(tc.full([3], 1.5), np.array([1.5, 1.5, 1.5]))
-
-
-def test_full_rejects_bad_extents():
+def test_random_normal_rejects_bad_extents():
     with pytest.raises(ShapeError):
-        tc.full([0], 1.0)
+        tc.random_normal([0], 0.0, 1.0, seed=1)
     with pytest.raises(ShapeError):
-        tc.full([2, -1], 1.0)
+        tc.random_normal([2, -1], 0.0, 1.0, seed=1)
     with pytest.raises(ShapeError):
-        tc.full([], 1.0)
+        tc.random_normal([], 0.0, 1.0, seed=1)
 
 
 def test_random_normal_degenerate_stddev():
@@ -87,7 +80,7 @@ def test_tensor_roundtrip(tmp_path):
 
 
 def test_tensor_checksum_detects_tamper(tmp_path):
-    t = tc.full([4], 1.0)
+    t = np.full(4, 1.0)
     bin_path, _ = tc.save_tensor(t, tmp_path / "t")
     raw = bytearray(bin_path.read_bytes())
     raw[-1] ^= 0xFF
@@ -122,12 +115,22 @@ def test_save_tensor_hashes_the_bytes_it_writes(tmp_path, monkeypatch):
 
     with monkeypatch.context() as patched:
         patched.setattr(tc, "sha256_file", no_read_back)
-        bin_path, json_path = tc.save_tensor(t, tmp_path / "t")
-    # the same bytes as a save that hashed the written file
+        digests = tc.save_tensor(t, tmp_path / "t")
+    bin_path, json_path = digests
+    # the same bytes as a save that hashed the written file, and their digests
+    assert digests == {bin_path: tc.sha256_file(bin_path), json_path: tc.sha256_file(json_path)}
     assert bin_path.read_bytes() == struct.pack("<IQQ", 2, 3, 4) + t.tobytes()
     sidecar = {"shape": [3, 4], "dtype": "float64", "checksum": "sha256:" + tc.sha256_file(bin_path)}
     assert json_path.read_text() == json.dumps(sidecar, sort_keys=True, indent=2) + "\n"
     assert np.array_equal(tc.load_tensor(tmp_path / "t"), t)
+
+
+def test_write_atomic_returns_the_digest_of_the_bytes_it_wrote(tmp_path):
+    for data in (b"\x00\xffbytes", "text \u00e9\n", ""):
+        path = tmp_path / "f"
+        digest = tc.write_atomic(path, data)
+        assert path.read_bytes() == (data.encode("utf-8") if isinstance(data, str) else data)
+        assert digest == tc.sha256_file(path)
 
 
 def test_tensor_file_layout(tmp_path):

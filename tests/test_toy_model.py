@@ -52,14 +52,19 @@ def test_param_count_matches_weight_shape(model):
         assert layer.param_count == int(np.prod(layer.weight.shape))
 
 
-def test_shape_audit_clean(model):
-    assert tm.audit_shapes(model) == []
+def test_shape_audit_clean(model, monkeypatch):
+    for bos_aware in (False, True):
+        assert helpers.descriptor_problems(monkeypatch, model, bos_aware=bos_aware) == [], bos_aware
 
 
 @pytest.mark.parametrize("depth,width,spatial", list(itertools.product((1, 2), (2, 16), (4, 16))))
-def test_shape_audit_clean_across_shapes(depth, width, spatial):
-    # the phase-split up_conv and the split fuse report the logical convs' counts
-    assert tm.audit_shapes(tm.build_toy_unet(3, width=width, depth=depth, spatial=spatial)) == []
+def test_shape_audit_clean_across_shapes(monkeypatch, depth, width, spatial):
+    # the descriptors of _layer_specs against counts taken from the operands of a
+    # forward, with and without the first-token-aware K/V path; the phase-split
+    # up_conv and the split fuse are counted as the logical convs
+    net = tm.build_toy_unet(3, width=width, depth=depth, spatial=spatial)
+    for bos_aware in (False, True):
+        assert helpers.descriptor_problems(monkeypatch, net, bos_aware=bos_aware) == [], bos_aware
 
 
 def test_build_rejects_bad_sizes():
@@ -237,11 +242,10 @@ def test_calibrate_activations_batched_equals_per_input(model, two_chunk_inputs,
     assert batched == merged
 
 
-def test_trace_counts_are_per_input(model, small_inputs):
-    single, batch = {}, {}
-    tm.forward(model, *small_inputs[0], bos_aware=True, trace=single)
-    tm.forward(model, *tm.stack_inputs(small_inputs[:4]), bos_aware=True, trace=batch)
-    assert batch == single
+def test_trace_counts_are_per_input(model, small_inputs, monkeypatch):
+    single = helpers.layer_costs(monkeypatch, model, *small_inputs[0], bos_aware=True)
+    batch = helpers.layer_costs(monkeypatch, model, *tm.stack_inputs(small_inputs[:4]), bos_aware=True)
+    assert list(batch.items()) == list(single.items())
 
 
 # Batch sizes below, at and across the conv's sub-chunk of inputs, and whole chunks.
@@ -330,7 +334,7 @@ LAYER_BITS = ((None, None), (4, None), (None, 4), (2, 8))
 def _one_layer_run(net, lid, w_bits, a_bits, ranges, calib=None):
     cfg = tm.QuantConfig.all_fp(net.layer_order)
     cfg.weight_bits[lid], cfg.act_bits[lid] = w_bits, a_bits
-    return tm._Run(net, cfg, ranges, False, None, calib=calib)
+    return tm._Run(net, cfg, ranges, False, calib=calib)
 
 
 @pytest.mark.parametrize("spatial", [4, 6, 16])
@@ -484,7 +488,6 @@ def test_bos_aware_improves_uniform_w8a8(model, calib_inputs, small_inputs):
 
 def test_shortcut_split_never_worse_than_shared_grid(model, small_inputs):
     # two separately calibrated halves vs one grid over the concatenation
-    latent, emb, t = small_inputs[0]
     ranges = tm.calibrate_activations(model, small_inputs)
     entry = ranges["dec0.fuse"]
     assert entry.kind == "halves"
@@ -492,9 +495,6 @@ def test_shortcut_split_never_worse_than_shared_grid(model, small_inputs):
     w = model.width
     calib = tm.calibrate_activations(model, [small_inputs[0]])
     fuse = calib["dec0.fuse"]
-    # reconstruct the concatenated input of the fuse conv for one forward
-    trace = {}
-    tm.forward(model, latent, emb, t, trace=trace)
     for bits in (2, 4, 8):
         lo, hi = min(fuse.lo), max(fuse.hi)
         shared = quantizer.params_from_minmax(lo, hi, bits)
@@ -523,7 +523,7 @@ def test_kv_first_token_rows_are_the_fp_product(model, small_inputs):
         for w_bits, a_bits in LAYER_BITS:
             cfg = tm.QuantConfig.all_fp(model.layer_order)
             cfg.weight_bits[lid], cfg.act_bits[lid] = w_bits, a_bits
-            out = tm._Run(model, cfg, ranges, True, None, calib=None).kv_linear(lid, emb)
+            out = tm._Run(model, cfg, ranges, True, calib=None).kv_linear(lid, emb)
             assert out.shape == (len(inputs), model.text_tokens, w.shape[0])
             for e, rows in zip(emb, out):  # each input's row, at the full-precision weight whatever the bits
                 assert np.array_equal(rows[:1], e[:1] @ w.T)
@@ -562,17 +562,14 @@ def test_quantconfig_json_roundtrip(model):
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3])
-def test_segments_partition_the_layers_in_run_order(depth):
+def test_segments_partition_the_layers_in_run_order(depth, monkeypatch):
     model = tm.build_toy_unet(3, width=2, depth=depth, spatial=4, text_tokens=2, text_channels=2, time_dim=2)
     segments = tm._segment_list(depth)
     assert tm._segment_list(depth) is segments  # built once per depth
     run_order = [lid for segment in segments for lid in segment.layers]
     assert sorted(run_order) == sorted(model.layer_order)
     assert len(set(run_order)) == len(run_order)
-    latent, embedding, t = tm.make_input_set(0, 1, model)[0]
-    trace: dict = {}
-    tm.forward(model, latent, embedding, t, trace=trace)
-    assert list(trace) == run_order
+    assert list(helpers.layer_costs(monkeypatch, model, *tm.make_input_set(0, 1, model)[0])) == run_order
 
 
 def _paths(cache) -> list[list]:
@@ -743,8 +740,6 @@ def test_state_cache_leaves_caller_arrays_writable_and_checks_its_setup(model, s
         tm.forward(model, latent, emb, t, config=a, bos_aware=True, cache=cache)
     with pytest.raises(ConfigError):
         tm.forward(model, latent, emb, t, config=a, act_ranges=ranges, cache=cache)
-    with pytest.raises(ParameterError):
-        tm.forward(model, latent, emb, t, config=a, trace={}, cache=cache)
 
 
 @pytest.mark.parametrize("bos_aware", [True, False])
