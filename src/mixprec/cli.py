@@ -29,7 +29,7 @@ from .errors import (
     UndefinedMetricError,
     ValidationError,
 )
-from .sensitivity import ACTIVATION, WEIGHT
+from .sensitivity import ACTIVATION, WEIGHT, SensitivityTable
 from .tensor_core import derive_seed
 
 EXIT_OK = 0
@@ -270,23 +270,22 @@ def run_gen_model(args) -> int:
     digests = toy_model.save_model(model, out_dir / mf.MODEL_JSON, out_dir / mf.WEIGHTS_DIR)
     checksums = {rel: digests[out_dir / rel] for rel in mf.model_artifact_paths(model.layer_order)}
     data = {"version": mf.MANIFEST_VERSION, "seeds": seeds, "params": params, "checksums": checksums}
-    mf.save_manifest(data, out_dir / "manifest.json")
+    mf.write_json(out_dir / "manifest.json", data)
     print(f"model: {len(model.layer_order)} layers -> {out_dir / mf.MODEL_JSON}")
     print(f"manifest: {out_dir / 'manifest.json'}")
     return EXIT_OK
 
 
 def _load_model_checked(data: dict, root: Path) -> toy_model.ToyModel:
-    """The model, built from its JSON (parsed once) after the JSON and then its weights match their checksums."""
-    mf.verify_artifacts(data, root, [mf.MODEL_JSON])
+    """The model, parsed from the bytes of its JSON and then its weights, each once they match their checksums."""
+    def load(raw: bytes) -> toy_model.ToyModel:
+        meta = mf.read_json(raw)
+        ids = [row["id"] for row in meta["layers"]]
+        found = mf.verify_artifacts(data, root, mf.model_artifact_paths(ids)[1:])  # .bin, sidecar, by layer
+        return toy_model.load_model(meta, root / mf.WEIGHTS_DIR, dict(zip(ids, zip(found[::2], found[1::2]))))
 
-    def load(model_json: Path) -> toy_model.ToyModel:
-        meta = mf.read_json(model_json)
-        weights = mf.model_artifact_paths([row["id"] for row in meta["layers"]])[1:]  # model.json is checked
-        mf.verify_artifacts(data, root, weights)
-        return toy_model.load_model(meta, root / mf.WEIGHTS_DIR)
-
-    return mf.read_artifact(root / mf.MODEL_JSON, "model description", load)
+    [model_json] = mf.verify_artifacts(data, root, [mf.MODEL_JSON])
+    return mf.read_artifact(root / mf.MODEL_JSON, model_json, "model description", load)
 
 
 # --------------------------------------------------------------- sensitivity
@@ -315,20 +314,11 @@ def run_sensitivity(args) -> int:
         written.append(rel)
         print(f"sensitivity[{kind}]: {len(table.entries)} entries -> {root / rel}")
     mf.record_checksums(data, root, written)
-    mf.save_manifest(data, root / Path(args.manifest).name)
+    mf.write_json(root / Path(args.manifest).name, data)
     return EXIT_OK
 
 
 # ------------------------------------------------------------------ allocate
-
-
-def _load_table(data: dict, root: Path, kind: str) -> sensitivity.SensitivityTable:
-    rel = mf.table_path(kind)
-    path = root / rel
-    if not path.exists():
-        raise ValidationError(f"sensitivity table missing: {rel} (run the sensitivity stage first)")
-    mf.verify_artifacts(data, root, [rel])
-    return mf.read_artifact(path, "table", lambda p: sensitivity.SensitivityTable.from_jsonl(p.read_text("utf-8")))
 
 
 def run_allocate(args) -> int:
@@ -347,7 +337,12 @@ def run_allocate(args) -> int:
         bos_aware=bos_aware,
     )
 
-    tables = {kind: _load_table(data, root, kind) for kind in _table_kinds(params)}
+    kinds = _table_kinds(params)
+    rels = [mf.table_path(kind) for kind in kinds]
+    tables = {
+        kind: mf.read_artifact(root / rel, raw, "table", lambda raw: SensitivityTable.from_jsonl(raw.decode("utf-8")))
+        for kind, rel, raw in zip(kinds, rels, mf.verify_artifacts(data, root, rels))
+    }
     act_ranges = None
     if ACTIVATION in targets:
         calib_inputs = toy_model.make_input_set(seeds["calibration"], params["inputs"], model)
@@ -383,7 +378,7 @@ def run_allocate(args) -> int:
     mf.write_atomic(root / mf.FRONTIER, "".join(rows))
     written.append(mf.FRONTIER)
     mf.record_checksums(data, root, written)
-    mf.save_manifest(data, root / Path(args.manifest).name)
+    mf.write_json(root / Path(args.manifest).name, data)
     s = config.summary
     print(
         f"allocate: avg W{s['avg_weight_bits']:.3g} A{s['avg_act_bits']:.3g} "
@@ -403,12 +398,13 @@ def run_evaluate(args) -> int:
     seeds = _checked_seeds(data)
     config_rel = args.config if args.config is not None else mf.CONFIG
     config_path = mf.resolve_inside(root, config_rel, "config")
-    if not config_path.exists():
-        raise ValidationError(f"config missing: {config_rel} (run the allocate stage first)")
     rel = config_path.relative_to(root).as_posix()
-    if args.config is None or rel in data["checksums"]:
-        mf.verify_artifacts(data, root, [rel])
-    bw = mf.read_artifact(config_path, "config", lambda p: allocator.BitWidthConfig.from_json_dict(mf.read_json(p)))
+    if args.config is not None and rel not in data["checksums"] and config_path.exists():
+        raw = config_path.read_bytes()  # a config the manifest does not record is scored unverified
+    else:  # the gate, which names a missing config
+        [raw] = mf.verify_artifacts(data, root, [rel])
+    bw = mf.read_artifact(config_path, raw, "config",
+                          lambda raw: allocator.BitWidthConfig.from_json_dict(mf.read_json(raw)))
     bw.config.validate(model.layer_order)
 
     bos_aware = params["bos_aware"]
@@ -447,7 +443,7 @@ def run_evaluate(args) -> int:
 
     mf.write_json(root / mf.REPORT, report)
     mf.record_checksums(data, root, [mf.REPORT])
-    mf.save_manifest(data, root / Path(args.manifest).name)
+    mf.write_json(root / Path(args.manifest).name, data)
     print(
         f"evaluate: ssim {report['metrics']['ssim_mean']:.4f} "
         f"sqnr {report['metrics']['sqnr_db_mean']:.2f} dB -> {root / mf.REPORT}"

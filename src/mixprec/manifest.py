@@ -1,12 +1,13 @@
 """Pipeline manifest: one JSON file tying together a run's seeds, params and checksums.
 
-Every stage reads the manifest, verifies the checksums of the artifacts it
-consumes, writes its outputs to the run directory's fixed layout below, and
-records their checksums. All paths are relative to the manifest's directory.
+Every stage reads the manifest and each artifact it consumes once, parses the bytes
+that matched their recorded checksum, writes its outputs to the fixed layout below,
+and records their checksums. All paths are relative to the manifest's directory.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import struct
 from collections.abc import Callable
@@ -34,6 +35,9 @@ def table_path(kind: str) -> str:
 LAYOUT = (MODEL_JSON, WEIGHTS_DIR, CONFIG, FRONTIER, FRONTIER_CONFIGS_DIR, REPORT,
           table_path("weight"), table_path("activation"))
 
+# The stage that writes each artifact a later stage may find missing.
+_WRITERS = {CONFIG: "allocate", table_path("weight"): "sensitivity", table_path("activation"): "sensitivity"}
+
 # Sections every stage reads or writes; each must be a JSON object.
 MANIFEST_SECTIONS = ("checksums", "params", "seeds")
 
@@ -43,7 +47,10 @@ def load_manifest(path: Path | str) -> tuple[dict, Path]:
     any section beyond version, params, seeds and checksums), or a layout path
     that resolves outside the directory, is a ValidationError."""
     path = Path(path)
-    data = read_artifact(path, "manifest", read_json)
+    try:
+        data = read_artifact(path, path.read_bytes(), "manifest", read_json)
+    except ValueError as exc:  # a NUL byte in the path
+        raise ValidationError(f"manifest {str(path)!r} is not a usable path: {exc}") from exc
     if not isinstance(data, dict):
         raise ValidationError(f"manifest {path} must be a JSON object, not {type(data).__name__}")
     if data.get("version") != MANIFEST_VERSION:
@@ -80,8 +87,8 @@ def resolve_inside(root: Path, rel: str, name: str) -> Path:
     return full
 
 
-def read_artifact(path: Path, kind: str, parse: Callable[[Path], object]):
-    """``parse(path)``, on a file whose recorded checksum (the manifest has none) the caller has checked.
+def read_artifact(path: Path, raw: bytes, kind: str, parse: Callable[[bytes], object]):
+    """``parse(raw)``, on the bytes of ``path`` that :func:`verify_artifacts` returned (the manifest's as read).
 
     Whatever a file that cannot be read as its format raises (bytes that are
     not UTF-8 and malformed JSON are ValueErrors; JSON of the wrong shape, a
@@ -90,15 +97,15 @@ def read_artifact(path: Path, kind: str, parse: Callable[[Path], object]):
     ValidationError raised by ``parse`` passes through unchanged.
     """
     try:
-        return parse(path)
+        return parse(raw)
     except ValidationError:
         raise
     except (ValueError, KeyError, TypeError, AttributeError, struct.error) as exc:
         raise ValidationError(f"{path} is not a valid {kind}: {type(exc).__name__}: {exc}") from exc
 
 
-def read_json(path: Path) -> object:
-    return json.loads(Path(path).read_text("utf-8"))
+def read_json(raw: bytes) -> object:
+    return json.loads(raw.decode("utf-8"))  # not json.loads(raw), which would take UTF-16 and UTF-32 too
 
 
 def write_json(path: Path | str, data) -> str:
@@ -107,26 +114,27 @@ def write_json(path: Path | str, data) -> str:
     return write_atomic(path, json.dumps(data, sort_keys=True, indent=2) + "\n")
 
 
-def save_manifest(data: dict, path: Path | str) -> None:
-    write_json(path, data)
-
-
 def record_checksums(data: dict, root: Path, rel_paths: list[str]) -> None:
     for rel in rel_paths:
-        data.setdefault("checksums", {})[rel] = sha256_file(root / rel)
+        data["checksums"][rel] = sha256_file(root / rel)
 
 
-def verify_artifacts(data: dict, root: Path, rel_paths: list[str]) -> None:
-    """Each referenced file must exist and match its recorded checksum."""
-    sums = data.get("checksums", {})
+def verify_artifacts(data: dict, root: Path, rel_paths: list[str]) -> list[bytes]:
+    """The bytes of each file, read once: every stage reads a checksummed artifact here and nowhere
+    else. A file that is missing, has no recorded checksum, or does not match it is a ValidationError."""
+    found = []
     for rel in rel_paths:
         full = root / rel
         if not full.exists():
-            raise ValidationError(f"required artifact missing: {rel}")
-        if rel not in sums:
+            hint = f" (run the {_WRITERS[rel]} stage first)" if rel in _WRITERS else ""
+            raise ValidationError(f"required artifact missing: {rel}{hint}")
+        if rel not in data["checksums"]:
             raise ValidationError(f"artifact has no recorded checksum: {rel}")
-        if sha256_file(full) != sums[rel]:
+        raw = full.read_bytes()
+        if hashlib.sha256(raw).hexdigest() != data["checksums"][rel]:
             raise ValidationError(f"artifact checksum mismatch: {rel}")
+        found.append(raw)
+    return found
 
 
 def model_artifact_paths(layer_ids: list[str]) -> list[str]:

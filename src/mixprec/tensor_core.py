@@ -8,7 +8,8 @@ reproduces bit-identical values on re-run.
 The on-disk format is a flat binary container (little-endian: u32 rank,
 u64 extents, f64 payload) plus a JSON sidecar carrying the shape and a
 SHA-256 checksum of the binary file. Both files, like every artifact of the
-pipeline, are written through :func:`write_atomic`.
+pipeline, are written through :func:`write_atomic`; :func:`load_tensor` opens no
+file, but parses the bytes ``manifest.verify_artifacts`` read and checked.
 """
 
 from __future__ import annotations
@@ -110,22 +111,16 @@ def save_tensor(t: Tensor, base_path: Path | str) -> dict[Path, str]:
     return {bin_path: bin_digest, json_path: json_digest}
 
 
-def load_tensor(base_path: Path | str) -> Tensor:
-    """Read a tensor written by :func:`save_tensor`, verifying the checksum."""
-    base = Path(base_path)
-    bin_path = base.parent / (base.name + ".bin")
-    json_path = base.parent / (base.name + ".json")
-    with open(json_path) as f:
-        sidecar = json.load(f)
-    # Read once: the checksum and the parse see the same bytes, and a damaged rank cannot make a read of its size
-    raw = bin_path.read_bytes()
+def load_tensor(base_path: Path | str, raw: bytes, sidecar_raw: bytes) -> Tensor:
+    """The tensor :func:`save_tensor` wrote at ``base_path``, parsed from the bytes of its ``.bin`` and sidecar."""
+    sidecar = json.loads(sidecar_raw.decode("utf-8"))
     if "sha256:" + hashlib.sha256(raw).hexdigest() != sidecar.get("checksum"):
-        raise ValidationError(f"checksum mismatch for {bin_path}")
+        raise ValidationError(f"checksum mismatch for {base_path}.bin")
     (rank,) = struct.unpack_from("<I", raw)
     shape = struct.unpack_from(f"<{rank}Q", raw, 4)
     data = np.frombuffer(raw, dtype="<f8", offset=4 + 8 * rank)
     if list(shape) != list(sidecar.get("shape", [])):
-        raise ValidationError(f"sidecar shape disagrees with header for {bin_path}")
+        raise ValidationError(f"sidecar shape disagrees with header for {base_path}.bin")
     expected = int(np.prod(shape))
     if data.size != expected:
         raise ValidationError(f"payload holds {data.size} values, header implies {expected}")

@@ -1041,8 +1041,9 @@ def save_model(model: ToyModel, json_path: Path | str, weights_dir: Path | str) 
     return written
 
 
-def load_model(meta: dict, weights_dir: Path | str) -> ToyModel:
-    """Rebuild the architecture from the parsed model JSON and read weights from disk."""
+def load_model(meta: dict, weights_dir: Path, weights: dict[str, tuple[bytes, bytes]]) -> ToyModel:
+    """Rebuild the architecture from the parsed model JSON and set each layer's weight
+    from ``weights``: the bytes of its ``.bin`` and sidecar in ``weights_dir``, by layer id."""
     model = build_toy_unet(
         seed=meta["seed"],
         width=meta["width"],
@@ -1056,7 +1057,6 @@ def load_model(meta: dict, weights_dir: Path | str) -> ToyModel:
     stored = {row["id"]: row for row in meta["layers"]}
     if set(stored) != set(model.layer_order):
         raise ValidationError("stored layer list does not match the architecture")
-    weights_dir = Path(weights_dir)
     for lid, layer in model.layers.items():
         row = stored[lid]
         for field_name in ("kind", "group", "param_count", "act_elem_count", "mac_count"):
@@ -1064,7 +1064,8 @@ def load_model(meta: dict, weights_dir: Path | str) -> ToyModel:
             want = want.value if isinstance(want, LayerKind) else want
             if row[field_name] != want:
                 raise ValidationError(f"layer {lid}: stored {field_name} disagrees with architecture")
-        w = read_artifact(weights_dir / lid, "weight tensor", load_tensor)
+        base, (raw, sidecar_raw) = weights_dir / lid, weights[lid]
+        w = read_artifact(base, raw, "weight tensor", lambda raw: load_tensor(base, raw, sidecar_raw))
         if w.shape != layer.weight.shape:
             raise ValidationError(f"layer {lid}: weight shape {w.shape} != {layer.weight.shape}")
         layer.weight[...] = w

@@ -2,12 +2,14 @@
 per-input metrics and a reference sensitivity scorer, probe inputs, a
 state-cache recorder, the per-layer cost count and descriptor audit,
 reference kernels and layers, an integer-code fake-quant oracle, checksums,
-MSE."""
+MSE, and a reader of a saved model."""
 
 from __future__ import annotations
 
 import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -373,3 +375,16 @@ def mse(a: Tensor, b: Tensor) -> float:
         raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
     d = (a - b).ravel()
     return float(np.dot(d, d) / d.size)
+
+
+def tensor_files(base: Path) -> tuple[bytes, bytes]:
+    """The bytes of the ``.bin`` and sidecar ``tensor_core.save_tensor`` wrote at ``base``."""
+    return Path(f"{base}.bin").read_bytes(), Path(f"{base}.json").read_bytes()
+
+
+def read_model(root: Path) -> toy_model.ToyModel:
+    """The model ``toy_model.save_model`` wrote to ``root``'s ``model.json`` and ``weights/``,
+    read from its files without checking them against a manifest."""
+    meta = json.loads((root / "model.json").read_text("utf-8"))
+    weights = {row["id"]: tensor_files(root / "weights" / row["id"]) for row in meta["layers"]}
+    return toy_model.load_model(meta, root / "weights", weights)

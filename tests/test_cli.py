@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from mixprec import allocator, cli, manifest as mf, quantizer, sensitivity, tensor_core, toy_model
 from mixprec.errors import ParameterError
-from mixprec.tensor_core import load_tensor, save_tensor, sha256_file
+from mixprec.tensor_core import save_tensor, sha256_file
 
 import helpers
 
@@ -116,6 +116,12 @@ def test_sensitivity_requires_model(tmp_path, capsys):
     manifest.write_text('{"version": 2, "params": {}, "seeds": {}, "checksums": {}}')
     assert run(["sensitivity", "--manifest", str(manifest)]) == 3
     assert "required artifact missing: model.json" in capsys.readouterr().err
+
+
+def test_manifest_path_with_a_nul_byte_exits_3(capsys):
+    for stage in ("sensitivity", "allocate", "evaluate"):
+        assert run([stage, "--manifest", "run/\x00manifest.json"]) == 3
+        assert "is not a usable path" in capsys.readouterr().err
 
 
 def test_allocate_requires_tables(tmp_path):
@@ -240,7 +246,7 @@ def _activation_table(root: Path) -> sensitivity.SensitivityTable:
     """The activation table of a run, at its manifest's settings: what trees at an A8 target used to hold."""
     data = json.loads((root / "manifest.json").read_text())
     params = data["params"]
-    model = toy_model.load_model(json.loads((root / mf.MODEL_JSON).read_text()), root / mf.WEIGHTS_DIR)
+    model = helpers.read_model(root)
     inputs = toy_model.make_input_set(data["seeds"]["calibration"], params["inputs"], model)
     return sensitivity.analyze(model, inputs, bit_widths=params["bits"], tensor_kind="activation",
                                bos_aware=params["bos_aware"])
@@ -326,8 +332,7 @@ def test_sensitivity_reads_inputs_bits_and_bos_aware_from_the_manifest(pipeline_
     manifest = _copy_with_params(pipeline_dir, tmp_path, inputs=2, bits=[8, 2], bos_aware=False, act_target_bits=None)
     assert run(["sensitivity", "--manifest", str(manifest)]) == 0
     data = json.loads(manifest.read_text())
-    model = toy_model.load_model(json.loads((manifest.parent / mf.MODEL_JSON).read_text()),
-                                 manifest.parent / mf.WEIGHTS_DIR)
+    model = helpers.read_model(manifest.parent)
     inputs = toy_model.make_input_set(data["seeds"]["calibration"], 2, model)
     want = sensitivity.analyze(model, inputs, bit_widths=(2, 8), tensor_kind="weight", bos_aware=False)
     assert (manifest.parent / "sensitivity_weight.jsonl").read_text() == want.to_jsonl()
@@ -713,7 +718,7 @@ def test_evaluate_report_equals_the_per_input_oracle(tmp_path):
     out, n = tmp_path / "run", toy_model.FORWARD_CHUNK + 2
     assert run(["pipeline", "--seed", "3", "--out-dir", str(out), *SMALL, "--eval-inputs", str(n)]) == 0
     data = json.loads((out / "manifest.json").read_text())
-    model = toy_model.load_model(json.loads((out / mf.MODEL_JSON).read_text()), out / mf.WEIGHTS_DIR)
+    model = helpers.read_model(out)
     config = allocator.BitWidthConfig.from_json_dict(json.loads((out / mf.CONFIG).read_text())).config
     assert config.wants_act_quant()
     calib = toy_model.make_input_set(data["seeds"]["calibration"], data["params"]["inputs"], model)
@@ -1114,7 +1119,8 @@ def test_sensitivity_of_a_model_with_non_finite_metrics_exits_3(tmp_path, capsys
     out = tmp_path / "run"
     assert run(["gen-model", "--out-dir", str(out), *TINY]) == 0
     weight = out / "weights" / "out.conv_out"
-    save_tensor(np.full_like(load_tensor(weight), 1e200), weight)
+    shape = json.loads((out / "weights" / "out.conv_out.json").read_text())["shape"]
+    save_tensor(np.full(shape, 1e200), weight)
     data = json.loads((out / "manifest.json").read_text())
     for suffix in (".bin", ".json"):
         data["checksums"][f"weights/out.conv_out{suffix}"] = sha256_file(out / f"weights/out.conv_out{suffix}")
@@ -1130,6 +1136,112 @@ def tiny_tree(tmp_path_factory):
     out = tmp_path_factory.mktemp("tiny") / "run"
     assert run(["pipeline", "--out-dir", str(out), "--seed", "5", *TINY]) == 0
     return out
+
+
+# Runs each later stage on a tree, and `evaluate` on its first frontier cell too,
+# under an audit hook that counts the read-mode opens of each file in the tree.
+# Audit hooks cannot be removed, so this runs in its own interpreter.
+_COUNT_READS = r"""
+import collections, json, os, sys
+from mixprec import cli
+
+root = os.path.realpath(sys.argv[1])
+reads = collections.Counter()
+
+
+def count(event, args):
+    if event == "open" and isinstance(args[0], (str, os.PathLike)) and isinstance(args[1], str) \
+            and ("r" in args[1] or "+" in args[1]):
+        path = os.path.realpath(args[0])
+        if path.startswith(root + os.sep):
+            reads[os.path.relpath(path, root)] += 1
+
+
+sys.addaudithook(count)
+manifest = os.path.join(root, "manifest.json")
+stages = {}
+for name in ("sensitivity", "allocate", "evaluate", "evaluate --config"):
+    argv = [name.split()[0], "--manifest", manifest]
+    if name == "evaluate --config":
+        argv += ["--config", "frontier_configs/" + sorted(os.listdir(os.path.join(root, "frontier_configs")))[0]]
+    reads.clear()
+    stages[name] = [cli.main(argv), dict(reads)]
+print(json.dumps(stages))
+"""
+
+
+def test_no_stage_reads_a_file_twice(tmp_path):
+    # the bytes the checksum gate reads are the bytes each parser gets; W4A6, so allocate reads both tables
+    out = tmp_path / "run"
+    assert run(["gen-model", "--out-dir", str(out), *TINY, "--act-target-bits", "6"]) == 0
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", _COUNT_READS, str(out)], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    stages = json.loads(proc.stdout.splitlines()[-1])
+    for name, (code, reads) in stages.items():
+        assert code == 0, name
+        assert max(reads.values()) == 1, (name, {rel: n for rel, n in reads.items() if n > 1})
+    assert {"manifest.json", "model.json", "weights/enc0.conv_in.bin", "weights/enc0.conv_in.json"} <= set(
+        stages["sensitivity"][1])
+    assert {"sensitivity_weight.jsonl", "sensitivity_activation.jsonl"} <= set(stages["allocate"][1])
+    assert "config.json" in stages["evaluate"][1]
+    assert "config.json" not in stages["evaluate --config"][1]
+    assert any(rel.startswith("frontier_configs/") for rel in stages["evaluate --config"][1])
+
+
+# a file of the tiny tree, and a stage that reads it
+UNRECORDED = [
+    ("model.json", "sensitivity"),
+    ("weights/enc0.conv_in.bin", "evaluate"),
+    ("weights/enc0.conv_in.json", "allocate"),
+    ("sensitivity_weight.jsonl", "allocate"),
+    ("config.json", "evaluate"),
+]
+
+
+@pytest.mark.parametrize("rel,stage", UNRECORDED)
+def test_artifact_without_a_recorded_checksum_exits_3(tiny_tree, tmp_path, capsys, rel, stage):
+    copy = tmp_path / "run"
+    shutil.copytree(tiny_tree, copy)
+    data = json.loads((copy / "manifest.json").read_text())
+    del data["checksums"][rel]
+    (copy / "manifest.json").write_text(json.dumps(data))
+    before = tree_checksums(copy)
+    assert run([stage, "--manifest", str(copy / "manifest.json")]) == 3
+    assert f"artifact has no recorded checksum: {rel}" in capsys.readouterr().err
+    assert tree_checksums(copy) == before
+
+
+def test_evaluate_of_a_missing_config_exits_3(tiny_tree, tmp_path, capsys):
+    # the allocated config, named with the stage that writes it, and a --config the manifest does not record
+    copy = tmp_path / "run"
+    shutil.copytree(tiny_tree, copy)
+    (copy / "config.json").unlink()
+    before = tree_checksums(copy)
+    for extra, message in (([], "required artifact missing: config.json (run the allocate stage first)"),
+                           (["--config", "absent.json"], "required artifact missing: absent.json\n")):
+        assert run(["evaluate", "--manifest", str(copy / "manifest.json"), *extra]) == 3
+        assert message in capsys.readouterr().err
+    assert tree_checksums(copy) == before
+
+
+def test_weight_that_disagrees_with_its_sidecar_checksum_exits_3(tiny_tree, tmp_path, capsys):
+    # one payload byte flipped and both manifest digests recorded again: only the sidecar's checksum disagrees
+    copy = tmp_path / "run"
+    shutil.copytree(tiny_tree, copy)
+    weight = copy / "weights" / "enc0.conv_in.bin"
+    raw = weight.read_bytes()
+    weight.write_bytes(raw[:-1] + bytes([raw[-1] ^ 0x01]))
+    data = json.loads((copy / "manifest.json").read_text())
+    for rel in ("weights/enc0.conv_in.bin", "weights/enc0.conv_in.json"):
+        data["checksums"][rel] = sha256_file(copy / rel)
+    (copy / "manifest.json").write_text(json.dumps(data))
+    before = tree_checksums(copy)
+    assert run(["evaluate", "--manifest", str(copy / "manifest.json")]) == 3
+    err = capsys.readouterr().err
+    assert "checksum mismatch for " in err and err.rstrip().endswith("weights/enc0.conv_in.bin"), err
+    assert tree_checksums(copy) == before
 
 
 _json_values = st.recursive(

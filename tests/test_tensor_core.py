@@ -1,5 +1,9 @@
+import builtins
+import io
 import json
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,10 +75,14 @@ def test_mse_symmetric_nonnegative(a):
     assert helpers.mse(a, b) >= 0.0
 
 
+def load(base):
+    return tc.load_tensor(base, *helpers.tensor_files(base))
+
+
 def test_tensor_roundtrip(tmp_path):
     t = tc.random_normal([3, 5, 2], 1.0, 2.0, seed=9)
     tc.save_tensor(t, tmp_path / "t")
-    back = tc.load_tensor(tmp_path / "t")
+    back = load(tmp_path / "t")
     assert back.shape == t.shape
     assert np.array_equal(back, t)
 
@@ -86,24 +94,24 @@ def test_tensor_checksum_detects_tamper(tmp_path):
     raw[-1] ^= 0xFF
     bin_path.write_bytes(bytes(raw))
     with pytest.raises(ValidationError):
-        tc.load_tensor(tmp_path / "t")
+        load(tmp_path / "t")
 
 
 def test_load_tensor_hashes_the_bytes_it_parses(tmp_path, monkeypatch):
-    # one read of the .bin serves both the sidecar check and the parse: no sha256_file call
+    # load_tensor opens no file: it checks the bytes it is given against the sidecar and parses them
     t = tc.random_normal([3, 4], 0.0, 1.0, seed=3)
-    bin_path, _ = tc.save_tensor(t, tmp_path / "t")
+    tc.save_tensor(t, tmp_path / "t")
+    raw, sidecar_raw = helpers.tensor_files(tmp_path / "t")
 
-    def no_second_read(path):
-        raise AssertionError(f"load_tensor read {path} again through sha256_file")
+    def no_read(path, *args, **kwargs):
+        raise AssertionError(f"load_tensor opened {path}")
 
-    monkeypatch.setattr(tc, "sha256_file", no_second_read)
-    assert np.array_equal(tc.load_tensor(tmp_path / "t"), t)
-    raw = bytearray(bin_path.read_bytes())
-    raw[-1] ^= 0xFF
-    bin_path.write_bytes(bytes(raw))
-    with pytest.raises(ValidationError, match="checksum mismatch"):
-        tc.load_tensor(tmp_path / "t")
+    with monkeypatch.context() as patched:
+        for owner, name in ((builtins, "open"), (io, "open"), (os, "open"), (Path, "read_bytes"), (Path, "read_text")):
+            patched.setattr(owner, name, no_read)
+        assert np.array_equal(tc.load_tensor(tmp_path / "t", raw, sidecar_raw), t)
+        with pytest.raises(ValidationError, match="checksum mismatch"):
+            tc.load_tensor(tmp_path / "t", raw[:-1] + bytes([raw[-1] ^ 0xFF]), sidecar_raw)
 
 
 def test_save_tensor_hashes_the_bytes_it_writes(tmp_path, monkeypatch):
@@ -122,7 +130,7 @@ def test_save_tensor_hashes_the_bytes_it_writes(tmp_path, monkeypatch):
     assert bin_path.read_bytes() == struct.pack("<IQQ", 2, 3, 4) + t.tobytes()
     sidecar = {"shape": [3, 4], "dtype": "float64", "checksum": "sha256:" + tc.sha256_file(bin_path)}
     assert json_path.read_text() == json.dumps(sidecar, sort_keys=True, indent=2) + "\n"
-    assert np.array_equal(tc.load_tensor(tmp_path / "t"), t)
+    assert np.array_equal(load(tmp_path / "t"), t)
 
 
 def test_write_atomic_returns_the_digest_of_the_bytes_it_wrote(tmp_path):

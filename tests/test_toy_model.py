@@ -1,5 +1,4 @@
 import itertools
-import json
 
 import numpy as np
 import pytest
@@ -538,7 +537,7 @@ def test_model_json_export_fields(model):
 
 def test_save_load_roundtrip(model, small_inputs, tmp_path):
     tm.save_model(model, tmp_path / "model.json", tmp_path / "weights")
-    back = tm.load_model(json.loads((tmp_path / "model.json").read_text()), tmp_path / "weights")
+    back = helpers.read_model(tmp_path)
     latent, emb, t = small_inputs[0]
     assert np.array_equal(tm.forward(model, latent, emb, t), tm.forward(back, latent, emb, t))
 
@@ -550,7 +549,7 @@ def test_load_detects_weight_tamper(model, tmp_path):
     raw[-1] ^= 0x01
     target.write_bytes(bytes(raw))
     with pytest.raises(ValidationError):
-        tm.load_model(json.loads((tmp_path / "model.json").read_text()), tmp_path / "weights")
+        helpers.read_model(tmp_path)
 
 
 def test_quantconfig_json_roundtrip(model):
