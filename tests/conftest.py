@@ -2,6 +2,8 @@ import pytest
 
 from mixprec import sensitivity, toy_model
 
+import golden_trees
+
 DEFAULT_SEED = 7
 CALIB_SEED = 101
 
@@ -40,3 +42,17 @@ def act_table(model, calib_inputs):
 @pytest.fixture(scope="session")
 def act_ranges(model, calib_inputs):
     return toy_model.calibrate_activations(model, calib_inputs, bos_aware=True)
+
+
+@pytest.fixture(scope="session")
+def seed7_tree(tmp_path_factory):
+    """The seed-7 ``pipeline`` tree at a tuple of flags, built on first use and
+    shared by the session's readers; tests must not change it."""
+    built = {}
+
+    def tree(flags: tuple):
+        if flags not in built:
+            built[flags] = golden_trees.build(tmp_path_factory.mktemp("seed7") / "run", flags)
+        return built[flags]
+
+    return tree
