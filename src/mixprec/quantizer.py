@@ -6,7 +6,9 @@ tensor: shape () for one grid per tensor (activations), keepdims shape, such
 as (C, 1, 1, 1), for one grid per output channel (weights). Fake quantization is
 ``(clip(round(t / s) + z, 0, 2^b - 1) - z) * s`` with round-half-away-from-zero
 rounding, so fixtures stay bit-exact across platforms. Values beyond the range,
-``inf`` included, clamp to its ends; NaN stays NaN.
+``inf`` included, clamp to its ends; NaN stays NaN. Grids are built in float64;
+fake quantization computes in the dtype of the tensor and the grid, so a
+float32 tensor on a grid cast to float32 (``QuantParams.astype``) stays float32.
 
 Also hosts the first-token-aware path for text embeddings: the first token
 row of a CLIP-style embedding is a constant, extreme-magnitude outlier, so
@@ -34,7 +36,7 @@ class QuantParams:
 
     bit_width: int
     scales: np.ndarray       # () per tensor, keepdims per channel
-    zero_points: np.ndarray  # int64, same shape as scales
+    zero_points: np.ndarray  # int64 (or the dtype of a cast grid), same shape as scales
 
     def __post_init__(self):
         if self.bit_width not in BIT_WIDTHS:
@@ -47,6 +49,20 @@ class QuantParams:
     @property
     def qmax(self) -> int:
         return (1 << self.bit_width) - 1
+
+    def astype(self, dtype) -> "QuantParams":
+        """This grid with its scales and zero points cast to ``dtype``, so that
+        fake quantization of a ``dtype`` tensor on it computes in ``dtype``. A
+        scale the cast rounds to 0 or to inf takes the degenerate grid s=1, z=0,
+        as a step that ``params_from_minmax`` cannot represent does."""
+        with np.errstate(over="ignore"):
+            scales = self.scales.astype(dtype)
+        lost = ~(np.isfinite(scales) & (scales > 0))
+        return QuantParams(
+            bit_width=self.bit_width,
+            scales=np.where(lost, 1, scales).astype(dtype),
+            zero_points=np.where(lost, 0, self.zero_points).astype(dtype),
+        )
 
 
 def round_half_away(x: np.ndarray) -> np.ndarray:
@@ -95,9 +111,9 @@ def calibrate_minmax(t: Tensor, bit_width: int, channel_axis: int | None = None)
 
 def fake_quant(t: Tensor, params: QuantParams) -> Tensor:
     """Round ``t`` onto the grid and map it back to reals in float, simulating
-    integer inference error."""
+    integer inference error; in the result dtype of ``t`` and the grid."""
     s, z = params.scales, params.zero_points
-    return (np.clip(round_half_away(np.asarray(t, dtype=np.float64) / s) + z, 0, params.qmax) - z) * s
+    return (np.clip(round_half_away(t / s) + z, 0, params.qmax) - z) * s
 
 
 def bos_aware_linear(
@@ -113,9 +129,10 @@ def bos_aware_linear(
     The remaining rows are the product of their activation, fake-quantized on
     ``a_params`` (``None``: unquantized), and ``weight`` as given, already
     fake-quantized or not. A (B, tokens, channels) batch of embeddings takes a
-    (B, 1, out) ``bos_output`` and gives (B, tokens, out).
+    (B, 1, out) ``bos_output`` and gives (B, tokens, out), in the dtype of its
+    operands.
     """
-    rest = np.asarray(embedding, dtype=np.float64)[..., 1:, :]
+    rest = embedding[..., 1:, :]
     if a_params is not None:
         rest = fake_quant(rest, a_params)
-    return np.concatenate([bos_output, rest @ np.asarray(weight, dtype=np.float64).T], axis=-2)
+    return np.concatenate([bos_output, rest @ weight.T], axis=-2)

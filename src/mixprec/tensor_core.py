@@ -1,6 +1,8 @@
-"""Dense float64 tensors with deterministic randomness and file I/O.
+"""Dense tensors with deterministic randomness and file I/O.
 
-Tensors are plain C-contiguous float64 numpy arrays. All randomness flows
+The tensors made and stored here, random draws and artifacts, are plain
+C-contiguous float64 numpy arrays; the forward engine casts what it reads to
+its own dtype (``toy_model.DTYPE``). All randomness flows
 through numpy's Philox bit generator (a named, splittable, 64-bit
 counter-based PRNG), keyed by explicit seeds so that every pipeline stage
 reproduces bit-identical values on re-run.
@@ -25,7 +27,8 @@ import numpy as np
 
 from .errors import ParameterError, ShapeError, ValidationError
 
-# Alias for annotations; every Tensor in this package is float64, row-major.
+# Alias for annotations: a row-major numpy array. Random draws and stored
+# artifacts are float64; the forward engine's arrays are ``toy_model.DTYPE``.
 Tensor = np.ndarray
 
 

@@ -23,6 +23,11 @@ never quantized. The concatenated skip tensor is always quantized as two
 separately calibrated halves. Layers are bias-free, so a layer's parameter
 count is exactly the product of its weight shape.
 
+The forward engine runs in one dtype, ``DTYPE`` (float32): inputs are cast at
+entry, weights at their first use, and every kernel computes and allocates in
+the dtype of its operands. The float64 master weights, their per-channel grids,
+the calibrated ranges and the files on disk stay float64.
+
 Two convs never build their logical input. The upsampling conv runs as four
 2x2 phase convs on the low-resolution input, and the fuse conv as the sum of
 one conv over each half of the concatenation. Descriptors and calibration
@@ -51,6 +56,12 @@ from .errors import ConfigError, InputError, ParameterError, ShapeError, Validat
 from .manifest import read_artifact, write_json
 from .quantizer import params_from_minmax
 from .tensor_core import Tensor, derive_seed, make_rng, load_tensor, random_normal, save_tensor
+
+
+# The forward engine's one dtype: inputs, weights, segment states, FP terms and
+# every kernel buffer. Half the bytes of float64 per element, and each input's
+# output in a batch still equals its single-input forward bit for bit.
+DTYPE = np.float32
 
 
 class LayerKind(str, Enum):
@@ -88,7 +99,7 @@ class LayerDescriptor:
     id: str
     kind: LayerKind
     group: str
-    weight: Tensor  # (out, in) for linear, (out, in, 3, 3) for conv
+    weight: Tensor  # float64 master; (out, in) for linear, (out, in, 3, 3) for conv
     param_count: int
     act_elem_count: int
     mac_count: int
@@ -156,11 +167,12 @@ class ActRange:
     _grids: dict = field(default_factory=dict, repr=False, compare=False)
 
     def grid(self, bits: int, slot: int = 0) -> quantizer.QuantParams:
-        """The per-tensor grid of one slot's range at ``bits``; built on first use,
-        then shared by every run that quantizes this input at those bits."""
+        """The per-tensor grid of one slot's range at ``bits``, in ``DTYPE``;
+        built on first use, then shared by every run that quantizes this input at
+        those bits."""
         params = self._grids.get((bits, slot))
         if params is None:
-            params = params_from_minmax(self.lo[slot], self.hi[slot], bits)
+            params = params_from_minmax(self.lo[slot], self.hi[slot], bits).astype(DTYPE)
             self._grids[bits, slot] = params
         return params
 
@@ -180,15 +192,17 @@ class ToyModel:
     _fq_weights: dict = field(default_factory=dict, repr=False)
     _phase_weights: dict = field(default_factory=dict, repr=False)
 
-    def fq_weight(self, layer_id: str, bits: int) -> Tensor:
-        """Fake-quantized weight, memoized; per-output-channel grids."""
+    def fq_weight(self, layer_id: str, bits: int | None) -> Tensor:
+        """The layer's weight at ``bits`` (``None``: full precision) in ``DTYPE``,
+        memoized. A quantized weight is fake-quantized in float64 on the
+        per-output-channel grids of the master weight, then cast."""
         key = (layer_id, bits)
         cached = self._fq_weights.get(key)
         if cached is None:
             w = self.layers[layer_id].weight
-            params = quantizer.calibrate_minmax(w, bits, channel_axis=0)
-            cached = quantizer.fake_quant(w, params)
-            self._fq_weights[key] = cached
+            if bits is not None:
+                w = quantizer.fake_quant(w, quantizer.calibrate_minmax(w, bits, channel_axis=0))
+            cached = self._fq_weights[key] = w.astype(DTYPE)
         return cached
 
     def phase_weight(self, layer_id: str, bits: int | None) -> Tensor:
@@ -197,14 +211,13 @@ class ToyModel:
         key = (layer_id, bits)
         cached = self._phase_weights.get(key)
         if cached is None:
-            w = self.layers[layer_id].weight if bits is None else self.fq_weight(layer_id, bits)
-            cached = self._phase_weights[key] = _phase_kernels(w)
+            cached = self._phase_weights[key] = _phase_kernels(self.fq_weight(layer_id, bits))
         return cached
 
 
 def _silu(x: np.ndarray) -> np.ndarray:
-    # x / (1 + exp(-x)) in four passes. Below about -709.78, exp(-x) overflows to
-    # inf, which is harmless: the result is -0.0.
+    # x / (1 + exp(-x)) in four passes. Below about -88.72 in float32 (-709.78 in
+    # float64), exp(-x) overflows to inf, which is harmless: the result is -0.0.
     e = np.negative(x)
     with np.errstate(over="ignore"):
         np.exp(e, out=e)
@@ -223,11 +236,11 @@ _RUNNING_MAX_COLUMNS = 16
 
 
 # Entries more than this below their row max get a softmax weight of +0.0: the
-# exp of such an entry is below the smallest normal float64 (2.2e-308), and
+# exp of such an entry is below the smallest normal float32 (1.2e-38), and
 # numpy's exp takes a slow path for a subnormal or zero result. Over 8 text
-# tokens the first token's key dominates, so about 12% of the cross-attention
-# scores of the default model lie there.
-_SOFTMAX_FLOOR = math.log(np.finfo(np.float64).tiny)
+# tokens the first token's key dominates, so many cross-attention scores of the
+# default model lie there.
+_SOFTMAX_FLOOR = math.log(np.finfo(DTYPE).tiny)
 
 
 def _softmax_rows(x: np.ndarray) -> np.ndarray:
@@ -246,7 +259,7 @@ def _softmax_rows(x: np.ndarray) -> np.ndarray:
     np.copyto(e, 0.0, where=floored)
     # Row sums as one product with a column of ones: a reduce over a last axis
     # of 8 to 64 entries pays its per-row overhead on every row.
-    e /= e @ np.ones((x.shape[-1], 1))
+    e /= e @ np.ones((x.shape[-1], 1), dtype=e.dtype)
     return e
 
 
@@ -265,17 +278,27 @@ def _norm_rows(tok: np.ndarray) -> np.ndarray:
 def _sinusoid(t: np.ndarray, dim: int) -> np.ndarray:
     """(B, dim) sinusoidal features of a (B,) vector of timesteps."""
     half = dim // 2
-    freqs = np.exp(-math.log(10000.0) * np.arange(half) / half)
+    freqs = np.exp(-math.log(10000.0) * np.arange(half) / half).astype(t.dtype)
     ang = t[:, None] * freqs
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=-1)
 
 
 # Inputs whose patches ``_conv3x3`` holds at once. Its patch buffer is then at
-# most (4, C, 3, 3, H * (W + 1)) float64, about 0.63 MB at the full-resolution
-# convs of the default model, beside a padded input buffer of 80 KB there;
-# patches of a whole chunk of 8 raised a pipeline's peak RSS by 2-3 MB and ran
-# no faster.
+# most (4, C, 3, 3, H * (W + 1)) float32, about 0.31 MB at the full-resolution
+# convs of the default model, beside a padded input buffer of 40 KB there;
+# patches of a whole chunk of 8 raised a pipeline's peak RSS by 2-3 MB (in
+# float64) and ran no faster.
 _CONV_INPUTS = 4
+
+# ``_conv3x3`` rounds its gemm's column count up to a multiple of this, with zero
+# columns past the patches. OpenBLAS 0.3.31's sgemm runs 16 columns at a time
+# and a remainder through narrower kernels that can sum in another order: at
+# the 8x8 convs of the default model, the 72 = 8 * 9 columns of the padded
+# patches put the last output row in a remainder of 8, and about three in four
+# of its outputs then differed in the last bits from those of the 64 columns
+# without pad columns. Rounded up, every output at every conv shape the tests
+# try keeps the bits of the patch tensor without pad columns.
+_GEMM_COLUMNS = 16
 
 
 def _conv3x3(x: np.ndarray, w: np.ndarray, stride: int = 1) -> np.ndarray:
@@ -291,11 +314,13 @@ def _conv3x3(x: np.ndarray, w: np.ndarray, stride: int = 1) -> np.ndarray:
     contiguous run of the buffer, and the last column of each of its rows is a
     pad column. At stride 2, Q = W_out, as pad columns there would about double
     the product. One matmul of the (C_out, 9C) weights with the
-    (n, 9C, H_out * Q) patches, and one slice that drops the pad columns, give
-    the outputs. Each output comes from the same operands, in the same order of
-    the 9C products, as from a patch tensor without pad columns. numpy makes one
+    (n, 9C, H_out * Q) patches, zero-extended to a multiple of ``_GEMM_COLUMNS``
+    columns, and one slice that drops the pad columns, give the outputs. Each
+    output comes from the same operands, in the same order of the 9C products,
+    as from a patch tensor without pad columns. numpy makes one
     gemm per input for the matmul, on the operands a single-input call gives,
-    so each input's output keeps the bits it gets alone.
+    so each input's output keeps the bits it gets alone. Every buffer has the
+    dtype of ``x``.
     """
     b, c, h, wd = x.shape
     cout = w.shape[0]
@@ -305,22 +330,26 @@ def _conv3x3(x: np.ndarray, w: np.ndarray, stride: int = 1) -> np.ndarray:
     n = min(b, _CONV_INPUTS)
     # one past the last element a tap reads: plane (2, 2) at output (ho - 1, cols - 1)
     size = max((h + 2) * pitch, 2 * pitch + 3 + stride * ((ho - 1) * pitch + cols - 1))
-    flat = np.zeros((n, c, size))
+    flat = np.zeros((n, c, size), dtype=x.dtype)
     inner = flat[:, :, pitch:(h + 1) * pitch].reshape(n, c, h, pitch)[:, :, :, 1:]
     s_in, s_c, s = flat.strides
     taps = np.ndarray(
-        (n, c, 3, 3, ho, cols), buffer=flat, strides=(s_in, s_c, pitch * s, s, stride * pitch * s, stride * s)
+        (n, c, 3, 3, ho, cols), dtype=flat.dtype, buffer=flat,
+        strides=(s_in, s_c, pitch * s, s, stride * pitch * s, stride * s),
     )
-    patches = np.empty((n, c, 3, 3, ho, cols))
-    prod = np.empty((n, cout, ho, cols))
+    used = ho * cols
+    gemm = np.empty((n, 9 * c, -(-used // _GEMM_COLUMNS) * _GEMM_COLUMNS), dtype=x.dtype)
+    gemm[:, :, used:] = 0
+    patches = gemm[:, :, :used].reshape(n, c, 3, 3, ho, cols)  # a view: each (c, ky, kx) row starts a gemm row
+    prod = np.empty((n, cout, gemm.shape[2]), dtype=x.dtype)
     wm = w.reshape(cout, 9 * c)
-    out = np.empty((b, cout, ho, wo))
+    out = np.empty((b, cout, ho, wo), dtype=x.dtype)
     for i in range(0, b, _CONV_INPUTS):
         m = min(n, b - i)
         inner[:m] = x[i:i + m]
         np.copyto(patches[:m], taps[:m])
-        np.matmul(wm, patches[:m].reshape(m, 9 * c, ho * cols), out=prod[:m].reshape(m, cout, ho * cols))
-        out[i:i + m] = prod[:m, :, :, :wo]
+        np.matmul(wm, gemm[:m], out=prod[:m])
+        out[i:i + m] = prod[:m, :, :used].reshape(m, cout, ho, cols)[:, :, :, :wo]
     return out
 
 
@@ -329,7 +358,7 @@ def _conv3x3(x: np.ndarray, w: np.ndarray, stride: int = 1) -> np.ndarray:
 # upsampled rows 2i + p - 1 .. 2i + p + 1, which repeat low-res rows i - 1, i, i
 # (p = 0) or i, i, i + 1 (p = 1). The zero padding of the upsampled image is the
 # zero padding of the low-res one.
-_PHASE_TAPS = np.array([[[1, 0, 0], [0, 1, 1], [0, 0, 0]], [[0, 0, 0], [1, 1, 0], [0, 0, 1]]], dtype=np.float64)
+_PHASE_TAPS = np.array([[[1, 0, 0], [0, 1, 1], [0, 0, 0]], [[0, 0, 0], [1, 1, 0], [0, 0, 1]]], dtype=DTYPE)
 
 
 def _phase_kernels(w: np.ndarray) -> np.ndarray:
@@ -351,11 +380,12 @@ def _upsample_conv(x: np.ndarray, phases: np.ndarray) -> np.ndarray:
     return y.transpose(0, 3, 4, 1, 5, 2).reshape(b, cout, 2 * h, 2 * wd)
 
 
-# Cap on ``model_elements``: the float64 elements of the weights, of every
-# layer's input and of the attention scores in one input's forward. A forward
-# holds FORWARD_CHUNK inputs at once, so the cap keeps one chunk's tensors near
-# 16 * 2**21 * 8 B = 256 MiB. The default model has 51,520 elements. Checked
-# before any array is built, so an oversized flag fails at once.
+# Cap on ``model_elements``: the elements of the weights, of every layer's
+# input and of the attention scores in one input's forward. A forward holds
+# FORWARD_CHUNK inputs at once, so the cap keeps one chunk's float32 tensors
+# near 16 * 2**21 * 4 B = 128 MiB (the float64 master weights add at most
+# 2**21 * 8 B = 16 MiB). The default model has 51,520 elements. Checked before
+# any array is built, so an oversized flag fails at once.
 MAX_MODEL_ELEMENTS = 2**21
 
 # Cap on the number of inputs of one input set (calibration, proxy or eval). At
@@ -450,6 +480,38 @@ def check_input_count(n: int) -> None:
         raise ParameterError(f"an input set holds 1 to {MAX_INPUTS} inputs, not {n}")
 
 
+def _model(seed: int, width: int, depth: int, shape: dict, weight_of: Callable[[str, str, tuple], Tensor]) -> ToyModel:
+    """The graph at one shape, after every check of it, with each layer's
+    descriptor from ``_layer_specs`` and its weight from ``weight_of(id, op, weight shape)``."""
+    spatial, text_tokens, time_dim = shape["spatial"], shape["text_tokens"], shape["time_dim"]
+    if width < 2:
+        raise ParameterError("width must be >= 2")
+    if depth < 1:
+        raise ParameterError("depth must be >= 1")
+    if spatial < 4 or spatial % 2:
+        raise ParameterError("spatial must be even and >= 4")
+    if text_tokens < 2:
+        raise ParameterError("text_tokens must be >= 2")
+    if time_dim < 2 or time_dim % 2:
+        raise ParameterError("time_dim must be even and >= 2")
+    check_model_size(width, depth, **shape)
+
+    layers: dict[str, LayerDescriptor] = {}
+    for lid, kind, op, w_shape, act_elems, macs in _layer_specs(width, depth, **shape):
+        layers[lid] = LayerDescriptor(
+            id=lid,
+            kind=kind,
+            group=group_for_kind(kind),
+            weight=weight_of(lid, op, w_shape),
+            param_count=math.prod(w_shape),
+            act_elem_count=act_elems,
+            mac_count=macs,
+            op=op,
+            stride=2 if lid == "enc1.down" else 1,
+        )
+    return ToyModel(seed=seed, width=width, depth=depth, **shape, layers=layers, layer_order=list(layers))
+
+
 def build_toy_unet(
     seed: int,
     width: int = 8,
@@ -462,52 +524,16 @@ def build_toy_unet(
     time_dim: int = 16,
 ) -> ToyModel:
     """Build the fixed two-stage graph with deterministic weights from ``seed``."""
-    if width < 2:
-        raise ParameterError("width must be >= 2")
-    if depth < 1:
-        raise ParameterError("depth must be >= 1")
-    if spatial < 4 or spatial % 2:
-        raise ParameterError("spatial must be even and >= 4")
-    if text_tokens < 2:
-        raise ParameterError("text_tokens must be >= 2")
-    if time_dim < 2 or time_dim % 2:
-        raise ParameterError("time_dim must be even and >= 2")
+
+    def weight(lid: str, op: str, w_shape: tuple) -> Tensor:
+        fan_in = w_shape[1] if op == "linear" else w_shape[1] * 9
+        return random_normal(w_shape, 0.0, 1.0 / math.sqrt(fan_in), derive_seed(seed, f"weight/{lid}"))
+
     shape = dict(
         spatial=spatial, latent_channels=latent_channels,
         text_tokens=text_tokens, text_channels=text_channels, time_dim=time_dim,
     )
-    check_model_size(width, depth, **shape)
-
-    layers: dict[str, LayerDescriptor] = {}
-    order: list[str] = []
-    for lid, kind, op, w_shape, act_elems, macs in _layer_specs(width, depth, **shape):
-        fan_in = w_shape[1] if op == "linear" else w_shape[1] * 9
-        weight = random_normal(w_shape, 0.0, 1.0 / math.sqrt(fan_in), derive_seed(seed, f"weight/{lid}"))
-        layers[lid] = LayerDescriptor(
-            id=lid,
-            kind=kind,
-            group=group_for_kind(kind),
-            weight=weight,
-            param_count=math.prod(w_shape),
-            act_elem_count=act_elems,
-            mac_count=macs,
-            op=op,
-            stride=2 if lid == "enc1.down" else 1,
-        )
-        order.append(lid)
-
-    return ToyModel(
-        seed=seed,
-        width=width,
-        depth=depth,
-        spatial=spatial,
-        latent_channels=latent_channels,
-        text_tokens=text_tokens,
-        text_channels=text_channels,
-        time_dim=time_dim,
-        layers=layers,
-        layer_order=order,
-    )
+    return _model(seed, width, depth, shape, weight)
 
 
 _BOS_PATTERN_SEED = 0x0B05F00D  # fixed: the first-token row never varies with the caller's seed
@@ -615,10 +641,7 @@ class _Run:
         return quantizer.fake_quant(x, self._act_params(lid, bits, kind, slot))
 
     def _weight(self, lid: str) -> np.ndarray:
-        bits = self.config.weight_bits[lid]
-        if bits is None:
-            return self.model.layers[lid].weight
-        return self.model.fq_weight(lid, bits)
+        return self.model.fq_weight(lid, self.config.weight_bits[lid])
 
     def linear(self, lid: str, x: np.ndarray) -> np.ndarray:
         """(B, in) vectors or (B, rows, in) token matrices; one matmul per input."""
@@ -654,7 +677,7 @@ class _Run:
         self._record(lid, "rest_rows", [rest])
         bits = self.config.act_bits[lid]
         a_params = None if bits is None else self._act_params(lid, bits, "rest_rows")
-        bos_output = embedding[:, :1] @ self.model.layers[lid].weight.T
+        bos_output = embedding[:, :1] @ self.model.fq_weight(lid, None).T
         return quantizer.bos_aware_linear(embedding, self._weight(lid), a_params, bos_output)
 
     def conv(self, lid: str, x: np.ndarray) -> np.ndarray:
@@ -818,7 +841,7 @@ def _run_from(run: _Run, state: dict, start: int = 0) -> Tensor:
 
 def _as_batch(model: ToyModel, latent, embedding, timestep) -> tuple[dict, bool]:
     """Validate one input or a stacked batch; returns the state at the first
-    segment's entry and whether a single input was given."""
+    segment's entry, in ``DTYPE``, and whether a single input was given."""
     want = (model.latent_channels, model.spatial, model.spatial)
     want_emb = (model.text_tokens, model.text_channels)
     given = (latent.shape, embedding.shape)
@@ -830,12 +853,12 @@ def _as_batch(model: ToyModel, latent, embedding, timestep) -> tuple[dict, bool]
     b = latent.shape[0]
     if tuple(embedding.shape) != (b, *want_emb):
         raise ShapeError(f"embedding shape {given[1]} != {want_emb if single else (b, *want_emb)}")
-    t = np.asarray(timestep, dtype=np.float64)
+    t = np.asarray(timestep, dtype=DTYPE)
     if t.ndim == 0:
-        t = np.full(b, float(t))
+        t = np.full(b, t, dtype=DTYPE)
     elif t.shape != (b,):
         raise ShapeError(f"timestep shape {t.shape} != () or ({b},)")
-    return {"t": t, "x": latent, "emb": embedding}, single
+    return {"t": t, "x": np.asarray(latent, dtype=DTYPE), "emb": np.asarray(embedding, dtype=DTYPE)}, single
 
 
 def _run_bits(config: QuantConfig, segments) -> tuple:
@@ -1042,33 +1065,28 @@ def save_model(model: ToyModel, json_path: Path | str, weights_dir: Path | str) 
 
 
 def load_model(meta: dict, weights_dir: Path, weights: dict[str, tuple[bytes, bytes]]) -> ToyModel:
-    """Rebuild the architecture from the parsed model JSON and set each layer's weight
-    from ``weights``: the bytes of its ``.bin`` and sidecar in ``weights_dir``, by layer id."""
-    model = build_toy_unet(
-        seed=meta["seed"],
-        width=meta["width"],
-        depth=meta["depth"],
-        spatial=meta["spatial"],
-        latent_channels=meta["latent_channels"],
-        text_tokens=meta["text_tokens"],
-        text_channels=meta["text_channels"],
-        time_dim=meta["time_dim"],
-    )
+    """Rebuild the architecture from the parsed model JSON, with each layer's weight
+    from ``weights``: the bytes of its ``.bin`` and sidecar in ``weights_dir``, by layer id.
+    It checks the shape as ``build_toy_unet`` does, and draws no weights."""
     stored = {row["id"]: row for row in meta["layers"]}
+
+    def weight(lid: str, op: str, w_shape: tuple) -> Tensor:
+        if lid not in stored:
+            raise ValidationError("stored layer list does not match the architecture")
+        base, (raw, sidecar_raw) = weights_dir / lid, weights[lid]
+        w = read_artifact(base, raw, "weight tensor", lambda raw: load_tensor(base, raw, sidecar_raw))
+        if w.shape != w_shape:
+            raise ValidationError(f"layer {lid}: weight shape {w.shape} != {w_shape}")
+        return w
+
+    shape = {key: meta[key] for key in ("spatial", "latent_channels", "text_tokens", "text_channels", "time_dim")}
+    model = _model(meta["seed"], meta["width"], meta["depth"], shape, weight)
     if set(stored) != set(model.layer_order):
         raise ValidationError("stored layer list does not match the architecture")
     for lid, layer in model.layers.items():
-        row = stored[lid]
         for field_name in ("kind", "group", "param_count", "act_elem_count", "mac_count"):
             want = getattr(layer, field_name)
             want = want.value if isinstance(want, LayerKind) else want
-            if row[field_name] != want:
+            if stored[lid][field_name] != want:
                 raise ValidationError(f"layer {lid}: stored {field_name} disagrees with architecture")
-        base, (raw, sidecar_raw) = weights_dir / lid, weights[lid]
-        w = read_artifact(base, raw, "weight tensor", lambda raw: load_tensor(base, raw, sidecar_raw))
-        if w.shape != layer.weight.shape:
-            raise ValidationError(f"layer {lid}: weight shape {w.shape} != {layer.weight.shape}")
-        layer.weight[...] = w
-    model._fq_weights.clear()
-    model._phase_weights.clear()
     return model

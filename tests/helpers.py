@@ -101,7 +101,9 @@ def forward_inputs(model, inputs, **options) -> list[Tensor]:
 
 
 def ssim_weights(reference: Tensor) -> metrics.SsimWeights:
-    """Stabilizers for the reference's data range; a constant reference uses range 1."""
+    """Stabilizers for the reference's data range, taken in float64 like every
+    metric statistic; a constant reference uses range 1."""
+    reference = np.asarray(reference, dtype=np.float64)
     data_range = float(np.max(reference) - np.min(reference))
     return metrics.SsimWeights.for_data_range(1.0 if data_range == 0 else data_range)
 
@@ -284,8 +286,8 @@ def descriptor_problems(monkeypatch, model, *, bos_aware: bool = False) -> list[
 
 def silu(x: np.ndarray) -> np.ndarray:
     """SiLU as x / (1 + exp(-x)), out of place: the form ``toy_model._silu``
-    must equal bit for bit. Below about -709.78 exp(-x) overflows and the result
-    is -0.0."""
+    must equal bit for bit. Below about -88.72 in float32 exp(-x) overflows and
+    the result is -0.0."""
     with np.errstate(over="ignore"):
         return x / (1.0 + np.exp(-x))
 
@@ -298,7 +300,7 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
     for bit."""
     e = x - x.max(axis=-1, keepdims=True)
     e = np.exp(np.where(e < toy_model._SOFTMAX_FLOOR, -np.inf, e))
-    return e / (e @ np.ones((x.shape[-1], 1)))
+    return e / (e @ np.ones((x.shape[-1], 1), dtype=e.dtype))
 
 
 def _conv_taps(size: int, out_size: int, stride: int) -> list[tuple[slice, slice]]:
@@ -323,16 +325,16 @@ def slice_conv3x3(x: np.ndarray, w: np.ndarray, stride: int = 1) -> np.ndarray:
     shifted by (ky - 1, kx - 1) and strided; a tap that falls on the padding
     reads the buffer's border, which no copy writes. One matmul of the
     (C_out, 9C) weights with the (n, 9C, H_out * W_out) patches writes the
-    outputs in place.
+    outputs in place. Every buffer has the dtype of ``x``.
     """
     b, c, h, wd = x.shape
     cout = w.shape[0]
     ho, wo = -(-h // stride), -(-wd // stride)
     rows, cols = _conv_taps(h, ho, stride), _conv_taps(wd, wo, stride)
     step = toy_model._CONV_INPUTS
-    patches = np.zeros((min(b, step), c, 3, 3, ho, wo))
+    patches = np.zeros((min(b, step), c, 3, 3, ho, wo), dtype=x.dtype)
     wm = w.reshape(cout, 9 * c)
-    out = np.empty((b, cout, ho, wo))
+    out = np.empty((b, cout, ho, wo), dtype=x.dtype)
     for i in range(0, b, step):
         xs = x[i:i + step]
         n = xs.shape[0]

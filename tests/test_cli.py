@@ -486,6 +486,21 @@ def test_bad_model_json_exits_3(pipeline_dir, tmp_path, capsys, stage, damage, r
     assert tree_checksums(manifest.parent) == before
 
 
+@pytest.mark.parametrize(
+    "field,value", [("width", 1), ("depth", 0), ("spatial", 7), ("text_tokens", 1), ("time_dim", 5), ("width", 10**6)]
+)
+def test_model_json_with_a_shape_the_model_refuses_exits_3(pipeline_dir, tmp_path, capsys, field, value):
+    # each check of build_toy_unet's shape, the size cap last, holds for a stored model
+    manifest = _copy_with_params(pipeline_dir, tmp_path)
+    model_json = manifest.parent / "model.json"
+    meta = json.loads(model_json.read_text())
+    meta[field] = value
+    model_json.write_text(json.dumps(meta))
+    _record_checksums_again(manifest.parent, model_json)
+    assert run(["sensitivity", "--manifest", str(manifest)]) == 3
+    assert ("cap" if value == 10**6 else field) in capsys.readouterr().err
+
+
 # a damaged sidecar or .bin of one weight tensor, its checksums recorded again;
 # each used to end in a traceback (exit 1)
 WEIGHT_DAMAGES = {

@@ -233,3 +233,30 @@ def test_bos_aware_error_ratio_vs_naive():
 
     assert helpers.mse(ref, aware_out) <= 0.01 * helpers.mse(ref, naive_out)
 
+
+
+def test_a_grid_cast_to_float32_keeps_fake_quant_in_float32():
+    p = q.params_from_minmax(-1.3, 2.9, 4)
+    p32 = p.astype(np.float32)
+    assert p32.scales.dtype == p32.zero_points.dtype == np.float32
+    assert float(p32.scales) == float(np.float32(p.scales)) and float(p32.zero_points) == int(p.zero_points)
+    x = np.linspace(-1.3, 2.9, 101, dtype=np.float32)
+    got = q.fake_quant(x, p32)
+    assert got.dtype == np.float32
+    step = float(p32.scales)
+    assert np.all(np.abs(got.astype(np.float64) - x) <= 0.5 * step * (1 + 1e-6))  # within half a step
+    codes = got.astype(np.float64) / step + float(p32.zero_points)
+    assert np.allclose(codes, np.round(codes), rtol=0, atol=1e-4) and codes.min() >= 0 and codes.max() <= p.qmax
+    bos = synth_text_embedding(3, tokens=4, channels=8).astype(np.float32)
+    w = np.eye(8, dtype=np.float32)
+    out = q.bos_aware_linear(bos[None], w, p32, bos[None, :1] @ w.T)
+    assert out.dtype == np.float32
+
+
+def test_a_grid_whose_step_underflows_float32_casts_to_the_degenerate_grid():
+    # a range of float32 subnormals: its float64 step, 1e-44 / 255, is below every float32
+    p = q.params_from_minmax(0.0, 1e-44, 8)
+    assert float(p.scales) > 0
+    p32 = p.astype(np.float32)
+    assert float(p32.scales) == 1.0 and float(p32.zero_points) == 0.0
+    assert np.array_equal(q.fake_quant(np.array([1e-44, 0.0], dtype=np.float32), p32), [0.0, 0.0])

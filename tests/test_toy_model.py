@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -196,6 +197,58 @@ def test_forward_chunk_outputs_equal_single_input_outputs_bitwise(model, two_chu
     assert np.array_equal(tm.forward(model, *tm.stack_inputs(inputs), config=cfg, act_ranges=ranges, cache=cache), singles)
 
 
+# The kernels a forward runs, each checked for float32 operands and results by
+# the test below; a float64 weight would make a float32 out= buffer compute in
+# float64 and cast, unseen at the output.
+_ENGINE_KERNELS = ((tm, "_conv3x3"), (tm, "_softmax_rows"), (tm, "_silu"), (tm, "_norm_chw"), (tm, "_norm_rows"),
+                   (tm, "_sinusoid"), (quantizer, "fake_quant"), (quantizer, "bos_aware_linear"))
+
+
+def _float32_only(fn):
+    def checked(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        arrays = [a for a in (*args, out) if isinstance(a, np.ndarray)]
+        arrays += [p.scales for p in args if isinstance(p, quantizer.QuantParams)]
+        assert all(a.dtype == np.float32 for a in arrays), (fn.__name__, [a.dtype for a in arrays])
+        return out
+
+    return checked
+
+
+@pytest.mark.parametrize("bos_aware", [False, True])
+def test_forward_and_its_state_cache_hold_only_float32(model, small_inputs, bos_aware, monkeypatch):
+    # A float64 operand anywhere in the graph (a weight, a grid, a conv buffer,
+    # a tap or a constant) carries float64 on to the output, into a state or FP
+    # term the cache keeps, or into a kernel. The inputs are float64, as stacked.
+    inputs = small_inputs[:3]
+    for lid in model.layer_order:
+        for bits in (2, 4):  # the float64 weight grids, memoized before the kernels are checked
+            model.fq_weight(lid, bits)
+    for module, name in _ENGINE_KERNELS:
+        monkeypatch.setattr(module, name, _float32_only(getattr(module, name)))
+    ranges = tm.calibrate_activations(model, inputs, bos_aware=bos_aware)
+    ids = model.layer_order
+    plan = []
+    for w_bits, a_bits in ((None, None), (4, 8), (None, 4)):  # FP, W4A8, W-FP A4
+        base = tm.QuantConfig.uniform(ids, w_bits, a_bits)
+        late = tm.QuantConfig.uniform(ids, w_bits, a_bits)
+        late.weight_bits["out.conv_out"] = 2  # resumes from a state ``base`` keeps at the head segment
+        plan += [base, late]
+    cache = tm.StateCache(model, plan)
+    batch = tm.stack_inputs(inputs)
+    assert batch[0].dtype == batch[1].dtype == np.float64
+    states = 0
+    for cfg in plan:
+        options = dict(config=cfg, bos_aware=bos_aware, act_ranges=ranges)
+        assert tm.forward(model, *batch, cache=cache, **options).dtype == np.float32
+        assert tm.forward(model, *inputs[0], **options).dtype == np.float32
+        (path, fp_terms), = cache._chunks.values()
+        held = [a for state in path for a in state.arrays.values()] + list(fp_terms.values())
+        assert {a.dtype for a in held} <= {np.dtype(np.float32)}
+        states += len(path)
+    assert states == 3 and len(fp_terms) == 5  # a state after each base config; the K/V and skip terms
+
+
 def test_forward_batch_broadcasts_scalar_timestep(model, small_inputs):
     latents, embeddings, _ = tm.stack_inputs(small_inputs[:3])
     batched = tm.forward(model, latents, embeddings, 0.25)
@@ -253,27 +306,51 @@ CONV_COUTS = (1, 4, 8, 16)
 CONV_SIZES = ((6, 6), (5, 5), (7, 3), (3, 8))
 
 
+# Unit roundoff of the engine's dtype. A float32 sum of n products is within
+# n * u * (the sum of their magnitudes) of the exact one; the bounds below take
+# twice that, ``n * EPS32``.
+EPS32 = float(np.finfo(np.float32).eps)
+
+
+def _normal32(rng, size) -> np.ndarray:
+    return rng.normal(size=size).astype(np.float32)
+
+
+def _assert_float32_sum_close(got, want, magnitudes, n):
+    """``got`` (float32) within ``n * EPS32 * magnitudes`` of ``want``, both
+    float64 sums over the same float32 operands."""
+    assert got.dtype == np.float32 and got.shape == want.shape
+    assert np.all(np.abs(got - want) <= n * EPS32 * magnitudes)
+
+
+def _direct_conv(x: np.ndarray, w: np.ndarray, stride: int) -> np.ndarray:
+    """The zero-padded 3x3 conv as one sum of 9C products per output, in float64."""
+    x, w = x.astype(np.float64), w.astype(np.float64)
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    out = np.zeros((x.shape[0], w.shape[0], -(-x.shape[2] // stride), -(-x.shape[3] // stride)))
+    for oy in range(out.shape[2]):
+        for ox in range(out.shape[3]):
+            patch = xp[:, :, oy * stride:oy * stride + 3, ox * stride:ox * stride + 3]
+            out[:, :, oy, ox] = np.einsum("bcij,ocij->bo", patch, w)
+    return out
+
+
 @pytest.mark.parametrize("stride", [1, 2])
 def test_conv3x3_matches_direct_sum(stride):
     rng = np.random.Generator(np.random.Philox(5))
     for (h, wd), cout, b in itertools.product(CONV_SIZES, CONV_COUTS, CONV_BATCHES):
-        x = rng.normal(size=(b, 3, h, wd))
-        w = rng.normal(size=(cout, 3, 3, 3))
-        xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-        want = np.zeros((b, cout, -(-h // stride), -(-wd // stride)))
-        for oy in range(want.shape[2]):
-            for ox in range(want.shape[3]):
-                patch = xp[:, :, oy * stride:oy * stride + 3, ox * stride:ox * stride + 3]
-                want[:, :, oy, ox] = np.einsum("bcij,ocij->bo", patch, w)
-        np.testing.assert_allclose(tm._conv3x3(x, w, stride), want, rtol=1e-12, atol=1e-12)
+        x = _normal32(rng, (b, 3, h, wd))
+        w = _normal32(rng, (cout, 3, 3, 3))
+        got = tm._conv3x3(x, w, stride)
+        _assert_float32_sum_close(got, _direct_conv(x, w, stride), _direct_conv(np.abs(x), np.abs(w), stride), 27)
 
 
 @pytest.mark.parametrize("stride", [1, 2])
 def test_conv3x3_batch_outputs_equal_single_input_outputs_bitwise(stride):
     rng = np.random.Generator(np.random.Philox(6))
     for (h, wd), cout, b in itertools.product(CONV_SIZES + ((16, 16),), CONV_COUTS, CONV_BATCHES):
-        x = rng.normal(size=(b, 8, h, wd))
-        w = rng.normal(size=(cout, 8, 3, 3))
+        x = _normal32(rng, (b, 8, h, wd))
+        w = _normal32(rng, (cout, 8, 3, 3))
         batched = tm._conv3x3(x, w, stride)
         for i in range(b):
             assert np.array_equal(batched[i], tm._conv3x3(x[i:i + 1], w, stride)[0]), (h, wd, cout, b, i)
@@ -295,35 +372,35 @@ def _model_conv_shapes(monkeypatch, net) -> set:
 
 def test_conv3x3_equals_the_slice_conv_at_the_model_shapes_bitwise(monkeypatch):
     # The pad column changes only the gemm's column count. At the conv shapes of
-    # the default, ``--depth 2`` and ``--width 16`` models, OpenBLAS 0.3.31 sums
-    # the 9C products of each output in the same order either way, so the
-    # outputs keep the bits of the patch tensor without pad columns.
+    # the default, ``--depth 2`` and ``--width 16`` models, OpenBLAS 0.3.31's
+    # sgemm sums the 9C products of each output in the same order either way, so
+    # the outputs keep the bits of the patch tensor without pad columns.
     shapes = set()
     for options in ({}, {"depth": 2}, {"width": 16}):
         shapes |= _model_conv_shapes(monkeypatch, tm.build_toy_unet(1, **options))
     assert {s[-1] for s in shapes} == {1, 2}
     rng = np.random.Generator(np.random.Philox(12))
     for (c, h, wd, cout, stride), b in itertools.product(sorted(shapes), (1, 5, 16)):
-        x = rng.normal(size=(b, c, h, wd))
-        w = rng.normal(size=(cout, c, 3, 3))
+        x = _normal32(rng, (b, c, h, wd))
+        w = _normal32(rng, (cout, c, 3, 3))
         assert np.array_equal(tm._conv3x3(x, w, stride), helpers.slice_conv3x3(x, w, stride)), (c, h, wd, cout, stride, b)
 
 
 @pytest.mark.parametrize("stride", [1, 2])
 def test_conv3x3_equals_the_slice_conv_at_small_odd_shapes(stride):
     # At small shapes the extra pad column can move OpenBLAS to other gemm
-    # kernels, which sum the 9C products in another order: on OpenBLAS 0.3.31
-    # the stride-1 outputs at these shapes differed by up to 1.2e-14, which near
-    # a zero output is 9.6e-13 of it. So these shapes are checked to 1e-12 of
-    # the output's scale, not bit for bit.
+    # kernels, which sum the 9C products in another order. So these shapes are
+    # checked to the float32 bound of two sums of 27 products each, not bit for
+    # bit.
     rng = np.random.Generator(np.random.Philox(13))
     for (h, wd), cout, b in itertools.product(CONV_SIZES + ((4, 6),), CONV_COUTS, CONV_BATCHES):
-        x = rng.normal(size=(b, 3, h, wd))
-        w = rng.normal(size=(cout, 3, 3, 3))
+        x = _normal32(rng, (b, 3, h, wd))
+        w = _normal32(rng, (cout, 3, 3, 3))
         want = helpers.slice_conv3x3(x, w, stride)
         got = tm._conv3x3(x, w, stride)
-        assert got.shape == want.shape
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), ((h, wd), cout, b)
+        assert got.shape == want.shape and want.dtype == np.float32
+        magnitudes = _direct_conv(np.abs(x), np.abs(w), stride)
+        assert np.all(np.abs(got.astype(np.float64) - want) <= 2 * 27 * EPS32 * magnitudes), ((h, wd), cout, b)
 
 
 # (weight, activation) bits of the one quantized layer: FP, each tensor alone, both.
@@ -341,7 +418,7 @@ def test_up_conv_equals_the_conv_of_the_upsampled_input(spatial):
     net = tm.build_toy_unet(2, width=4, spatial=spatial, text_tokens=2, text_channels=2, time_dim=2)
     lid = "dec0.up_conv"
     rng = np.random.Generator(np.random.Philox(10))
-    x = rng.normal(size=(3, 2 * net.width, spatial // 2, spatial // 2)) * 3
+    x = _normal32(rng, (3, 2 * net.width, spatial // 2, spatial // 2)) * 3
     up = helpers.upsample2(x)
     ranges = {lid: tm.ActRange("tensor", (float(up.min()),), (float(up.max()),))}
     for w_bits, a_bits in LAYER_BITS:
@@ -349,16 +426,18 @@ def test_up_conv_equals_the_conv_of_the_upsampled_input(spatial):
         got = _one_layer_run(net, lid, w_bits, a_bits, ranges, calib).up_conv(lid, x)
         assert calib == ranges  # calibrated on the low-res input, with the upsampled input's range
         xq = up if a_bits is None else quantizer.fake_quant(up, ranges[lid].grid(a_bits))
-        w = net.layers[lid].weight if w_bits is None else net.fq_weight(lid, w_bits)
-        np.testing.assert_allclose(got, tm._conv3x3(xq, w), rtol=1e-12, atol=1e-12)
+        w = net.fq_weight(lid, w_bits)
+        # 9C products per output, plus the float32 sums of up to four taps in each phase weight
+        n = 9 * x.shape[1] + 3
+        _assert_float32_sum_close(got, _direct_conv(xq, w, 1), _direct_conv(np.abs(xq), np.abs(w), 1), n)
         assert net.phase_weight(lid, w_bits) is net.phase_weight(lid, w_bits)  # memoized
 
 
 def test_fuse_conv_equals_the_conv_of_the_concatenated_halves(model):
     lid = "dec0.fuse"
     rng = np.random.Generator(np.random.Philox(11))
-    x = rng.normal(size=(3, model.width, model.spatial, model.spatial))
-    skip = rng.normal(size=x.shape) * 4
+    x = _normal32(rng, (3, model.width, model.spatial, model.spatial))
+    skip = _normal32(rng, x.shape) * 4
     ranges = {lid: tm.ActRange("halves", (float(x.min()), float(skip.min())), (float(x.max()), float(skip.max())))}
     for w_bits, a_bits in LAYER_BITS:
         run = _one_layer_run(model, lid, w_bits, a_bits, ranges)
@@ -368,39 +447,44 @@ def test_fuse_conv_equals_the_conv_of_the_concatenated_halves(model):
             halves = [x, skip]
             if a_bits is not None:
                 halves = [quantizer.fake_quant(h, ranges[lid].grid(a_bits, slot)) for slot, h in enumerate(halves)]
-            w = model.layers[lid].weight if w_bits is None else model.fq_weight(lid, w_bits)
-            np.testing.assert_allclose(got, tm._conv3x3(np.concatenate(halves, axis=1), w), rtol=1e-12, atol=1e-12)
+            w, whole = model.fq_weight(lid, w_bits), np.concatenate(halves, axis=1)
+            # 9 * 2C products per output, and one more addition for the split sum
+            n = 9 * whole.shape[1] + 1
+            _assert_float32_sum_close(got, _direct_conv(whole, w, 1), _direct_conv(np.abs(whole), np.abs(w), 1), n)
             assert fp_terms is None or set(fp_terms) == ({lid} if (w_bits, a_bits) == (None, None) else set())
 
 
-# Values at the edges of exp and of the float64 range: signed zeros, infinities,
-# subnormals, +-710 (where exp(-|x|) is subnormal), and the largest finite.
+# Values at the edges of exp and of the float32 range: signed zeros, infinities,
+# subnormals, +-89 (where exp(-|x|) is subnormal), +-110 (where it is zero), and
+# the largest finite.
 SPECIAL_VALUES = np.array(
-    [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e-310, -1e-310, 710.0, -710.0, 750.0, -750.0,
-     1.7976931348623157e308, -1.7976931348623157e308, 1.0, -1.0, 36.7, -36.7]
+    [0.0, -0.0, np.inf, -np.inf, 1e-45, -1e-45, 1e-40, -1e-40, 89.0, -89.0, 110.0, -110.0,
+     3.4028235e38, -3.4028235e38, 1.0, -1.0, 36.7, -36.7], dtype=np.float32,
 )
 
 
 def _bits(a: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(a).view(np.uint64)
+    return np.ascontiguousarray(a).view(f"u{a.itemsize}")
 
 
 def test_silu_equals_the_select_based_silu_bitwise():
     rng = np.random.Generator(np.random.Philox(8))
-    for x in (rng.normal(size=(8, 16, 16, 16)) * 4, rng.normal(size=(3, 16)) * 40, SPECIAL_VALUES):
+    for x in (_normal32(rng, (8, 16, 16, 16)) * 4, _normal32(rng, (3, 16)) * 40, SPECIAL_VALUES):
         with np.errstate(invalid="ignore"):  # -inf / inf
             assert np.array_equal(_bits(tm._silu(x)), _bits(helpers.silu(x)))
-    # Between -745 and about -709.78, exp(-x) overflows and SiLU is -0.0; the
-    # select form x * exp(x) / (1 + exp(x)) gave a subnormal there (-3.2e-306 at
-    # -710). Below -745 both give -0.0.
-    edge = tm._silu(np.array([-709.0, -710.0, -744.0, -750.0]))
-    assert edge[0] < 0 and np.array_equal(_bits(edge[1:]), _bits(np.full(3, -0.0)))
+    # Between about -103.97 and -88.72, exp(-x) overflows float32 and SiLU is
+    # -0.0; the select form x * exp(x) / (1 + exp(x)) gave a tiny nonzero value
+    # there (-2.0e-37 at -89). Below about -103.97 both give -0.0.
+    edge = tm._silu(np.array([-88.0, -89.0, -103.0, -110.0], dtype=np.float32))
+    assert edge.dtype == np.float32
+    assert edge[0] < 0 and np.array_equal(_bits(edge[1:]), _bits(np.full(3, -0.0, dtype=np.float32)))
 
 
 @pytest.mark.parametrize("columns", [2, 8, tm._RUNNING_MAX_COLUMNS, tm._RUNNING_MAX_COLUMNS + 1, 64])
 def test_softmax_rows_equals_the_reduce_softmax_bitwise(columns):
     rng = np.random.Generator(np.random.Philox(9))
-    x = rng.normal(size=(3, 40, columns)) * 8
+    x = _normal32(rng, (3, 40, columns)) * 8
+    assert tm._softmax_rows(x).dtype == np.float32
     assert np.array_equal(_bits(tm._softmax_rows(x)), _bits(helpers.softmax_rows(x)))
     # every special value in every column position, among ordinary and other special values
     special = np.resize(SPECIAL_VALUES, (len(SPECIAL_VALUES), columns))
@@ -412,18 +496,18 @@ def test_softmax_rows_equals_the_reduce_softmax_bitwise(columns):
 
 
 def test_softmax_rows_weights_entries_below_the_floor_zero():
-    # exp(-709) is subnormal and exp(-746) is zero; both weights are +0.0, while
-    # exp(-708) is still normal and keeps its weight
-    x = np.array([[0.0, -700.0, -708.0, -709.0, -720.0, -746.0, -np.inf, -1.0]])
+    # in float32, exp(-88) is subnormal and exp(-104) is zero; both weights are
+    # +0.0, while exp(-87) is still normal and keeps its weight
+    x = np.array([[0.0, -80.0, -87.0, -88.0, -95.0, -104.0, -np.inf, -1.0]], dtype=np.float32)
     weights = tm._softmax_rows(x)[0]
-    assert tm._SOFTMAX_FLOOR == pytest.approx(-708.396, abs=1e-3)
-    assert np.array_equal(_bits(weights[3:7]), _bits(np.zeros(4)))
+    assert tm._SOFTMAX_FLOOR == pytest.approx(-87.337, abs=1e-3)
+    assert np.array_equal(_bits(weights[3:7]), _bits(np.zeros(4, dtype=np.float32)))
     assert (weights[[0, 1, 2, 7]] > 0).all()
 
 
 @pytest.mark.parametrize("columns", [8, 64])
 def test_kernels_turn_nan_into_nan(columns):
-    x = np.linspace(-3.0, 3.0, 2 * columns).reshape(2, columns)
+    x = np.linspace(-3.0, 3.0, 2 * columns, dtype=np.float32).reshape(2, columns)
     x[0, columns // 2] = np.nan
     silu = tm._silu(x)
     assert np.isnan(silu[0, columns // 2]) and np.isfinite(np.delete(silu.ravel(), columns // 2)).all()
@@ -515,10 +599,10 @@ def test_shortcut_split_never_worse_than_shared_grid(model, small_inputs):
 
 def test_kv_first_token_rows_are_the_fp_product(model, small_inputs):
     inputs = small_inputs[:4]
-    emb = tm.stack_inputs(inputs)[1]
+    emb = tm.stack_inputs(inputs)[1].astype(tm.DTYPE)
     ranges = tm.calibrate_activations(model, inputs, bos_aware=True)
     for lid in ("mid.cross.to_k", "dec0.cross.to_v"):
-        w = model.layers[lid].weight
+        w = model.fq_weight(lid, None)
         for w_bits, a_bits in LAYER_BITS:
             cfg = tm.QuantConfig.all_fp(model.layer_order)
             cfg.weight_bits[lid], cfg.act_bits[lid] = w_bits, a_bits
@@ -540,6 +624,17 @@ def test_save_load_roundtrip(model, small_inputs, tmp_path):
     back = helpers.read_model(tmp_path)
     latent, emb, t = small_inputs[0]
     assert np.array_equal(tm.forward(model, latent, emb, t), tm.forward(back, latent, emb, t))
+
+
+def test_load_model_draws_no_weights(model, tmp_path, monkeypatch):
+    tm.save_model(model, tmp_path / "model.json", tmp_path / "weights")
+    monkeypatch.setattr(tm, "random_normal", lambda *a: pytest.fail("load_model drew random weights"))
+    back = helpers.read_model(tmp_path)
+    assert back.layer_order == model.layer_order
+    for lid in model.layer_order:
+        got, want = back.layers[lid], model.layers[lid]
+        assert dataclasses.replace(got, weight=None) == dataclasses.replace(want, weight=None)
+        assert got.weight.dtype == np.float64 and np.array_equal(got.weight, want.weight)
 
 
 def test_load_detects_weight_tamper(model, tmp_path):
