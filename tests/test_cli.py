@@ -2,7 +2,6 @@ import argparse
 import csv
 import json
 import os
-import platform
 import shutil
 import struct
 import subprocess
@@ -22,7 +21,9 @@ from mixprec import allocator, cli, manifest as mf, quantizer, sensitivity, tens
 from mixprec.errors import ParameterError
 from mixprec.tensor_core import save_tensor, sha256_file
 
+import golden_trees
 import helpers
+import trees
 
 SMALL = [
     "--width", "4", "--spatial", "8", "--tokens", "4", "--text-channels", "8",
@@ -36,11 +37,7 @@ def run(argv):
 
 
 def tree_checksums(root: Path) -> dict:
-    return {
-        str(p.relative_to(root)): sha256_file(p)
-        for p in sorted(root.rglob("*"))
-        if p.is_file()
-    }
+    return golden_trees.digests(root)
 
 
 # SHA-256 of the config.json of a seed-7 pipeline, at the default flags, at
@@ -61,8 +58,7 @@ PINNED_ENVIRONMENT = "Python 3.11.7, numpy 2.4.6, BLAS scipy-openblas 0.3.31.188
 
 
 def _environment() -> str:
-    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
-    return f"Python {platform.python_version()}, numpy {np.__version__}, BLAS {blas.get('name')} {blas.get('version')}"
+    return "Python {python}, numpy {numpy}, BLAS {blas}".format(**trees.environment())
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_CONFIGS))

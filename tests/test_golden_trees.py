@@ -26,9 +26,10 @@ def test_seed7_trees_equal_their_golden_digests(seed7_tree):
     )
 
 
-# A model whose full-resolution convs (16 x 144 by 144 x 272 per input) are
-# above OpenBLAS's single-thread gemm size, and both tables and the
-# first-token path on a few inputs.
+# A model whose full-resolution conv gemms, (16 x 144) by (144 x 272) per
+# input, exceed the m * n * k = 262,144 up to which OpenBLAS keeps a gemm on one
+# thread (65536 times its default GEMM_MULTITHREAD_THRESHOLD of 4), with both
+# tables and the first-token path, on a few inputs.
 THREADED = (
     "--width", "16", "--inputs", "4", "--proxy-inputs", "2", "--eval-inputs", "2", "--n-budgets", "2",
     "--act-target-bits", "6",
